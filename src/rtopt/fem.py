@@ -100,10 +100,6 @@ class P1Space:
         return sp.coo_matrix((local.ravel(), (rows, cols)),
                              shape=(self.n_nodes, self.n_nodes)).tocsr()
 
-    def integrate_elementwise(self, values):
-        """Integral of an element-wise constant scalar field."""
-        return float(np.dot(self.areas, values))
-
 
 class DofMap:
     """Reduction u_full = C u_reduced eliminating Dirichlet and slave nodes."""
@@ -158,14 +154,53 @@ class NewtonInfo:
     tolerance: float
 
 
+def factorize(k_red):
+    """Sparse LU of a reduced tangent or smoother matrix.
+
+    Every matrix factored here is symmetric positive definite, so the column
+    ordering is minimum degree on A^T + A and SuperLU prefers diagonal pivots.
+    """
+    return spla.splu(k_red, permc_spec="MMD_AT_PLUS_A",
+                     options={"SymmetricMode": True})
+
+
+class TangentCache:
+    """The factored reduced tangent of the last element tangent dh seen.
+
+    The tangent depends on the state only through dh, so an equal dh reuses
+    the cached LU without assembling. With linear iron that covers every
+    rotor position, parameter and adjoint of one design. A different dh drops
+    the entry before the new tangent is assembled and factored, so at most
+    one factorization is alive per cache.
+    """
+
+    def __init__(self, space, dofmap):
+        self.space = space
+        self.dofmap = dofmap
+        self._dh = None
+        self._lu = None
+
+    def lu(self, dh):
+        if self._dh is not None and np.array_equal(self._dh, dh):
+            return self._lu
+        self._dh = self._lu = None
+        k_red = self.dofmap.reduce_matrix(self.space.tangent_matrix(dh))
+        self._lu = factorize(k_red)
+        self._dh = np.array(dh, copy=True)
+        return self._lu
+
+
 def newton_solve(space, dofmap, respond, load_full, u0=None, tol=1e-8,
-                 max_iter=50):
+                 max_iter=50, cache=None):
     """Damped Newton for the reduced residual C^T (flux(u) - load).
 
     respond(B) must return (h, dh) arrays of shapes (m, 2) and (m, 2, 2).
     Convergence is relative: ||F|| <= tol * ||F(u_start)||. Each step is
     halved until the residual norm drops; stagnation raises SolverError.
+    Tangents are factored through cache (a TangentCache of space and dofmap;
+    a fresh one when omitted).
     """
+    tangents = TangentCache(space, dofmap) if cache is None else cache
     u = np.zeros(space.n_nodes) if u0 is None else dofmap.expand(
         dofmap.restrict(np.asarray(u0, dtype=float)))
     load_red = dofmap.reduce_vector(load_full)
@@ -182,13 +217,12 @@ def newton_solve(space, dofmap, respond, load_full, u0=None, tol=1e-8,
         return u, NewtonInfo(True, 0, history, tol_abs)
 
     for it in range(1, max_iter + 1):
-        k_red = dofmap.reduce_matrix(space.tangent_matrix(dh))
+        # no local keeps the LU, so a cache miss can free it before refactoring
         try:
-            lu = spla.splu(k_red)
+            step = -tangents.lu(dh).solve(f)
         except RuntimeError as exc:
             raise SolverError(f"singular tangent system at Newton step {it}",
                               residual=history[-1], iterations=it) from exc
-        step = -lu.solve(f)
         alpha = 1.0
         u_red = dofmap.restrict(u)
         while True:
@@ -217,19 +251,22 @@ def tangent_at(space, dofmap, respond, u):
     return dofmap.reduce_matrix(space.tangent_matrix(dh))
 
 
-def adjoint_solve(space, dofmap, respond, u, objective_gradient_full):
+def adjoint_solve(space, dofmap, respond, u, objective_gradient_full,
+                  cache=None):
     """Solve K(u)^T p = dJ/du for the adjoint state p (full-length vector).
 
-    The tangent is assembled at the converged state u; symmetry of dh makes
-    the transpose explicit rather than material.
+    K(u) is factored through cache (fresh when omitted); when the state
+    solve left the tangent at u there, its LU is reused and solved
+    transposed.
     """
-    k_red = tangent_at(space, dofmap, respond, u)
+    tangents = TangentCache(space, dofmap) if cache is None else cache
+    _, dh = respond(space.element_curl(u))
     rhs = dofmap.reduce_vector(objective_gradient_full)
     try:
-        lu = spla.splu(k_red.T.tocsc())
+        lu = tangents.lu(dh)
     except RuntimeError as exc:
         raise SolverError("singular adjoint system") from exc
-    return dofmap.expand(lu.solve(rhs))
+    return dofmap.expand(lu.solve(rhs, trans="T"))
 
 
 class ScreenedSmoother:
@@ -250,7 +287,7 @@ class ScreenedSmoother:
         mass = space.mass_matrix(self.elements)[np.ix_(self.nodes, self.nodes)]
         stiff = space.stiffness_matrix(self.elements)[np.ix_(self.nodes, self.nodes)]
         self.mass = mass.tocsr()
-        self._lu = spla.splu((self.eps * stiff + mass).tocsc())
+        self._lu = factorize((self.eps * stiff + mass).tocsc())
 
     def smooth(self, g_elem):
         """Map element-wise values on the subset to nodal values on its nodes."""

@@ -301,19 +301,25 @@ def load_levelset(path, expect_fingerprint=None):
         lines = f.read().splitlines()
     if not lines or lines[0].strip() != LEVELSET_FORMAT:
         raise FormatError(f"{path}: expected a {LEVELSET_FORMAT} file")
-    fingerprint = lines[1].split()[1]
-    if expect_fingerprint is not None and fingerprint != expect_fingerprint:
-        raise UsageError(
-            f"level-set file {path} was written for mesh {fingerprint}, "
-            f"not the configured mesh {expect_fingerprint}")
-    iteration = int(lines[2].split()[1])
-    value = float(lines[3].split()[1])
-    n = int(lines[4].split()[1])
-    node_ids = np.empty(n, dtype=int)
-    psi = np.empty(n)
-    for i in range(n):
-        a, b = lines[5 + i].split()
-        node_ids[i] = int(a)
-        psi[i] = float(b)
+    try:
+        fingerprint = lines[1].split()[1]
+        if expect_fingerprint is not None and fingerprint != expect_fingerprint:
+            raise UsageError(
+                f"level-set file {path} was written for mesh {fingerprint}, "
+                f"not the configured mesh {expect_fingerprint}")
+        iteration = int(lines[2].split()[1])
+        value = float(lines[3].split()[1])
+        n = int(lines[4].split()[1])
+        node_ids = np.empty(n, dtype=int)
+        psi = np.empty(n)
+        for i in range(n):
+            a, b = lines[5 + i].split()
+            node_ids[i] = int(a)
+            psi[i] = float(b)
+    except (IndexError, ValueError) as exc:
+        raise FormatError(
+            f"{path}: truncated or malformed {LEVELSET_FORMAT} file") from exc
+    if not np.all(np.isfinite(psi)):
+        raise FormatError(f"{path}: non-finite level-set values")
     return psi, node_ids, {"fingerprint": fingerprint, "iteration": iteration,
                            "value": value}

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import laws
 from .errors import ConfigurationError, UsageError
-from .fem import DofMap, P1Space, ScreenedSmoother, adjoint_solve, newton_solve
+from .fem import (DofMap, P1Space, ScreenedSmoother, TangentCache,
+                  adjoint_solve, newton_solve)
 from .laws import MU0
 
 log = logging.getLogger(__name__)
@@ -189,6 +190,8 @@ class MachineProblem:
         self.solver = solver or SolverOptions()
         self.space = P1Space(mesh)
         self.dofmap = DofMap(mesh)
+        # one factored tangent shared by every state solve and adjoint
+        self.tangents = TangentCache(self.space, self.dofmap)
 
         m = mesh.n_elements
         rid = mesh.region_id
@@ -341,7 +344,8 @@ class MachineProblem:
         load = self.space.load_vector(self.source_density(alpha, q))
         u, info = newton_solve(self.space, self.dofmap, respond, load,
                                tol=self.solver.newton_tol,
-                               max_iter=self.solver.newton_max_iter)
+                               max_iter=self.solver.newton_max_iter,
+                               cache=self.tangents)
         return u, info
 
     def states(self, design, q=None):
@@ -375,7 +379,8 @@ class MachineProblem:
         for n, u in enumerate(states):
             respond = self.respond_factory(design, q, alphas[n])
             rhs = self.torque_probe.torque_gradient(self.space, u) / n_pos
-            out.append(adjoint_solve(self.space, self.dofmap, respond, u, rhs))
+            out.append(adjoint_solve(self.space, self.dofmap, respond, u, rhs,
+                                     cache=self.tangents))
         return out
 
     def td_inputs(self, design, q=None, states=None, adjoints=None):

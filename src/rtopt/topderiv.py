@@ -74,10 +74,6 @@ class ExteriorProblem:
         self.exterior = self.mesh.elements_in("exterior")
         self.inclusion_area = float(self.space.areas[self.inclusion].sum())
 
-    def region_radii(self):
-        c = self.mesh.centroids()
-        return np.hypot(c[:, 0], c[:, 1])
-
     def solve_corrector(self, U, law_in, law_out, q=None):
         """Corrector k for far-field flux U with the given inclusion/exterior laws."""
         U = np.asarray(U, dtype=float)
@@ -407,31 +403,41 @@ def load_table(path):
         pos += 1
         return parts[1:]
 
-    direction = header("direction")[0]
-    fingerprint = header("fingerprint")[0]
-    radius = float(header("radius")[0])
-    mesh_nodes = int(header("mesh_nodes")[0])
-    n_t = int(header("t")[0])
-    t = np.array([float(lines[pos + i]) for i in range(n_t)])
-    pos += n_t
-    n_q = int(header("q")[0])
-    q = None
-    if n_q:
-        q = np.array([float(lines[pos + i]) for i in range(n_q)])
-        pos += n_q
+    def column(n):
+        nonlocal pos
+        arr = np.array([float(lines[pos + i]) for i in range(n)])
+        pos += n
+        return arr
 
     def block(name):
         nonlocal pos
         rows, cols = (int(v) for v in header(name))
         arr = np.array([[float(v) for v in lines[pos + i].split()]
                         for i in range(rows)])
+        if arr.shape != (rows, cols):
+            raise ValueError(f"'{name}' block is not {rows} x {cols}")
         pos += rows
         return arr if cols > 1 else arr.ravel()
 
-    f_par = block("f_par")
-    f_perp = block("f_perp")
-    return TDTable(direction, t, f_par, f_perp, fingerprint, q=q,
-                   meta={"radius": radius, "mesh_nodes": mesh_nodes})
+    try:
+        direction = header("direction")[0]
+        fingerprint = header("fingerprint")[0]
+        radius = float(header("radius")[0])
+        mesh_nodes = int(header("mesh_nodes")[0])
+        t = column(int(header("t")[0]))
+        n_q = int(header("q")[0])
+        q = column(n_q) if n_q else None
+        f_par = block("f_par")
+        f_perp = block("f_perp")
+        values = (t, f_par, f_perp) if q is None else (t, q, f_par, f_perp)
+        if not all(np.all(np.isfinite(v)) for v in values):
+            raise FormatError(f"{path}: non-finite table values")
+        # the interpolants refuse axes and blocks that do not match
+        return TDTable(direction, t, f_par, f_perp, fingerprint, q=q,
+                       meta={"radius": radius, "mesh_nodes": mesh_nodes})
+    except (IndexError, ValueError) as exc:
+        raise FormatError(
+            f"{path}: truncated or malformed {TABLE_FORMAT} file") from exc
 
 
 def check_table_compatibility(table, materials, scenario):

@@ -195,6 +195,17 @@ def test_corrupt_table_rejected(tables_ready, tmp_path):
     assert main(["optimize", cfg]) == 2
 
 
+def test_truncated_table_rejected(tables_ready, tmp_path):
+    ws = tables_ready
+    out2 = tmp_path / "out2"
+    shutil.copytree(ws["out"] / "tables", out2 / "tables")
+    table = out2 / "tables" / "air_to_iron.rtotd"
+    lines = table.read_text().splitlines()
+    table.write_text("\n".join(lines[:len(lines) - 2]) + "\n")
+    cfg = write_cfg(tmp_path / "c.cfg", out2)
+    assert main(["optimize", cfg]) == 2
+
+
 def test_law_mismatch_rejected(tables_ready, tmp_path):
     ws = tables_ready
     # nonlinear iron law against tables sampled for the linear one

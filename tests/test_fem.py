@@ -4,10 +4,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from rtopt import fem
 from rtopt.errors import SolverError
-from rtopt.fem import (DofMap, P1Space, ScreenedSmoother, adjoint_solve,
-                       newton_solve, tangent_at)
+from rtopt.fem import (DofMap, P1Space, ScreenedSmoother, TangentCache,
+                       adjoint_solve, newton_solve, tangent_at)
 from rtopt.laws import air_law, iron_law
+from rtopt.machine import MachineProblem, Scenario
 from rtopt.mesh import unit_square_mesh
 
 
@@ -160,3 +162,67 @@ def test_smoother_preserves_constants_and_integrals():
     g = sm.smooth(raw)
     assert sm.integral_nodal(g) == pytest.approx(
         sm.integral_elementwise(raw), rel=1e-12)
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Every sparse LU factorization made through rtopt.fem, in order."""
+    calls = []
+    splu = fem.spla.splu
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(fem.spla, "splu", counted)
+    return calls
+
+
+def test_linear_iron_factors_once_per_design(toy_mesh, linear_spec, phase_set,
+                                             splu_calls):
+    scen = Scenario(name="ANG", n_positions=3, q_hat=np.deg2rad([-60.0]),
+                    uncertainty=phase_set)
+    problem = MachineProblem(toy_mesh, linear_spec, scen)
+    rng = np.random.default_rng(5)
+    design = rng.random(len(problem.design_elements)) > 0.5
+    q = scen.q_hat
+
+    _, states = problem.objective(design, q)
+    adjoints = problem.adjoints(design, q, states)
+    assert len(splu_calls) == 1                 # all positions and adjoints
+
+    q2 = q + np.deg2rad(7.0)
+    problem.adjoints(design, q2, problem.objective(design, q2)[1])
+    assert len(splu_calls) == 1                 # another q, same tangent
+
+    # the shared factorization gives the cache-less results bit for bit
+    space, dofmap = problem.space, problem.dofmap
+    for n, alpha in enumerate(problem.alphas()):
+        respond = problem.respond_factory(design, q, alpha)
+        load = space.load_vector(problem.source_density(alpha, q))
+        u, _ = newton_solve(space, dofmap, respond, load,
+                            tol=problem.solver.newton_tol,
+                            max_iter=problem.solver.newton_max_iter)
+        assert np.array_equal(u, states[n])
+        rhs = problem.torque_probe.torque_gradient(space, u) / len(states)
+        p = adjoint_solve(space, dofmap, respond, u, rhs)
+        assert np.array_equal(p, adjoints[n])
+
+    calls = len(splu_calls)
+    problem.objective(~design, q)
+    assert len(splu_calls) == calls + 1         # a new design is a new tangent
+
+
+def test_nonlinear_newton_factors_every_iteration(splu_calls):
+    _, space, dofmap, respond, load = nonlinear_setup()
+    cache = TangentCache(space, dofmap)
+    u, info = newton_solve(space, dofmap, respond, load, tol=1e-10, cache=cache)
+    assert info.iterations >= 2
+    assert len(splu_calls) == info.iterations
+    # the tangent at the converged state is new; its adjoints share it
+    w = np.ones(space.n_nodes)
+    p = adjoint_solve(space, dofmap, respond, u, w, cache=cache)
+    assert len(splu_calls) == info.iterations + 1
+    assert np.array_equal(adjoint_solve(space, dofmap, respond, u, w,
+                                        cache=cache), p)
+    assert len(splu_calls) == info.iterations + 1

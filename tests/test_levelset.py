@@ -193,3 +193,17 @@ def test_levelset_roundtrip(tmp_path):
     # value defaults to nan when not recorded
     save_levelset(psi, ids, "deadbeef01", path)
     assert np.isnan(load_levelset(path)[2]["value"])
+
+
+def test_levelset_rejects_truncated_and_nonfinite(tmp_path):
+    path = tmp_path / "state.rtols"
+    save_levelset(np.array([0.5, -1.0, 2.0]), [3, 1, 2], "deadbeef01", path)
+    lines = path.read_text().splitlines()
+    for cut in range(1, len(lines)):
+        path.write_text("\n".join(lines[:cut]) + "\n")
+        with pytest.raises(FormatError):
+            load_levelset(path)
+    for bad_row in ("1 nan", "1 inf", "1", "1 x"):
+        path.write_text("\n".join(lines[:6] + [bad_row] + lines[7:]) + "\n")
+        with pytest.raises(FormatError):
+            load_levelset(path)

@@ -167,6 +167,23 @@ def test_load_rejects_malformed(tmp_path):
         load_table(bad)
 
 
+def test_load_rejects_truncated_and_nonfinite(tmp_path):
+    path = tmp_path / "knee.rtotd"
+    save_table(synthetic_table(q=[1.0, 2.0, 3.0]), path)
+    lines = path.read_text().splitlines()
+    load_table(path)
+    for cut in range(1, len(lines)):
+        path.write_text("\n".join(lines[:cut]) + "\n")
+        with pytest.raises(FormatError):
+            load_table(path)
+    # a short block row, then a nan in the first f_par row
+    row = lines.index(next(l for l in lines if l.startswith("f_par"))) + 1
+    for bad_row in (lines[row].rsplit(" ", 1)[0], "nan " + lines[row].split(" ", 1)[1]):
+        path.write_text("\n".join(lines[:row] + [bad_row] + lines[row + 1:]) + "\n")
+        with pytest.raises(FormatError):
+            load_table(path)
+
+
 def test_compatibility_refusals(linear_tables, linear_spec, phase_set):
     tab = linear_tables["iron_to_air"]
     ang = Scenario(name="ANG", n_positions=1,
