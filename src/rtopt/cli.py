@@ -335,18 +335,6 @@ def tdcheck_candidates(problem, design, g, cavity):
     return np.asarray([e for e, _, _ in ok])
 
 
-def _raw_td_field(problem, tables, design, q):
-    from .topderiv import generalized_td_field
-
-    base, states = problem.objective(design, q)
-    adjoints = problem.adjoints(design, q, states)
-    U, P = problem.td_inputs(design, q, states, adjoints)
-    knee = problem.knee_for_elements(q)
-    g = generalized_td_field(tables["iron_to_air"], tables["air_to_iron"],
-                             U, P, design, knee, knee)
-    return base, g
-
-
 def tdcheck_rows(cfg, problem, design, tables, n_samples=5):
     """Disc-flip FD quotients vs the sensitivity tables, one row per radius.
 
@@ -357,13 +345,18 @@ def tdcheck_rows(cfg, problem, design, tables, n_samples=5):
     """
     import numpy as np
 
+    from .levelset import NominalEvaluator
     from .machine import MachineProblem
     from .mesh import refine_disc_patch
 
+    def raw_field(prob, design):
+        ev = NominalEvaluator(prob, tables["iron_to_air"],
+                              tables["air_to_iron"]).field(design)
+        return ev.value, ev.sensitivity
+
     h = problem.design_h
     cavity = 7.0 * h
-    q = problem._q_array(None) if problem.scenario.n_q else None
-    _, g = _raw_td_field(problem, tables, design, q)
+    _, g = raw_field(problem, design)
     candidates = tdcheck_candidates(problem, design, g, cavity)
     if len(candidates) < n_samples:
         from .errors import ConfigurationError
@@ -388,7 +381,7 @@ def tdcheck_rows(cfg, problem, design, tables, n_samples=5):
             n_patch = len(prob2.design_elements) - int(kept.sum())
             design2 = np.concatenate([design[kept],
                                       np.full(n_patch, material, dtype=bool)])
-            base2, g2 = _raw_td_field(prob2, tables, design2, q)
+            base2, g2 = raw_field(prob2, design2)
             dloc = np.searchsorted(prob2.design_elements, disc)
             if not np.array_equal(prob2.design_elements[dloc], disc):
                 from .errors import SolverError
@@ -398,7 +391,7 @@ def tdcheck_rows(cfg, problem, design, tables, n_samples=5):
                                      / areas2.sum())
             trial = design2.copy()
             trial[dloc] = not material
-            value, _ = prob2.objective(trial, q)
+            value, _ = prob2.objective(trial)
             quotient = (value - base2) / (np.pi * eps ** 2)
             rel = abs(quotient - reference) / max(abs(reference), 1e-30)
             rows.append((int(e), "iron" if material else "air", float(eps),

@@ -270,8 +270,8 @@ def _build_scenario(sec, spec, meta):
         uncertainty = EllipsoidSet(q_hat.copy(), radius * np.eye(n_q))
 
     scen = Scenario(name=name, n_positions=n_positions, q_hat=q_hat,
-                    uncertainty=uncertainty, co_rotate_magnets=bool(co_rotate),
-                    frozen_alpha=frozen, n_rotor_blocks=blocks)
+                    co_rotate_magnets=bool(co_rotate), frozen_alpha=frozen,
+                    n_rotor_blocks=blocks)
     scen.validate()
     if uncertainty is not None and not uncertainty.contains(q_hat, 1e-9):
         raise ConfigurationError(

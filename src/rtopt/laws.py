@@ -1,21 +1,20 @@
 """Constitutive laws h(b) for 2-D magnetostatics and their derivatives.
 
-Three law kinds are supported, all mapping a flux density vector b (T) to a
-field strength vector h (A/m):
+Two law kinds map a flux density vector b (T) to a field strength vector
+h (A/m):
 
   air     h(b) = nu0 * b
   iron    h(b) = nu0*b + (nu_f - nu0) * k / (k^n + |b|^n)^(1/n) * b
           (saturating; reduces to nu_f*b at b=0 and to nu0*b as |b| grows;
           `linear=True` freezes it at nu_f*b)
-  magnet  h(b) = nu_m * (b - b_r * e_phi)
 
-The iron knee k may be bound to an entry of an external parameter vector q,
-which is how saturation uncertainty enters the worst-case machinery.
+The machine assembles its iron response from the same knee-factor kernels,
+with per-element knees read from the scenario's parameter vector q.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,12 +55,7 @@ def iron_knee_factor_dk(k, s, n):
 
 @dataclass(frozen=True)
 class MaterialLaw:
-    """One isotropic (or remanence-offset) constitutive law.
-
-    kind is one of "air", "iron", "magnet". For iron, q_index can bind the
-    knee k_f to an entry of the run's parameter vector; eval calls then take
-    that vector and read the knee from it.
-    """
+    """One isotropic constitutive law; kind is "air" or "iron"."""
 
     kind: str
     nu0: float = NU0
@@ -69,71 +63,32 @@ class MaterialLaw:
     k_f: float = K_F
     n_f: int = N_F
     linear: bool = False
-    nu_m: float = NU_M
-    b_r: float = B_R
-    phi: float = 0.0
-    q_index: int | None = None
 
-    def bound(self, q_index):
-        return replace(self, q_index=q_index)
-
-    def knee(self, q=None):
-        if self.q_index is not None and q is not None:
-            return float(np.asarray(q, dtype=float)[self.q_index])
-        return self.k_f
-
-    def remanence_vector(self, phi=None):
-        a = self.phi if phi is None else phi
-        return self.b_r * np.array([np.cos(a), np.sin(a)])
-
-    def h(self, b, q=None, phi=None):
+    def h(self, b):
         """Field strength h(b). b has shape (..., 2)."""
         b = np.asarray(b, dtype=float)
         if self.kind == "air":
             return self.nu0 * b
-        if self.kind == "magnet":
-            return self.nu_m * (b - self.remanence_vector(phi))
         if self.linear:
             return self.nu_f * b
-        k = self.knee(q)
         s = np.linalg.norm(b, axis=-1)
-        g = iron_knee_factor(k, s, self.n_f)
+        g = iron_knee_factor(self.k_f, s, self.n_f)
         return (self.nu0 + (self.nu_f - self.nu0) * g)[..., None] * b
 
-    def dh_db(self, b, q=None):
+    def dh_db(self, b):
         """Jacobian dh/db, shape (..., 2, 2). Symmetric positive definite."""
         b = np.asarray(b, dtype=float)
         eye = np.eye(2)
         if self.kind == "air":
             return np.broadcast_to(self.nu0 * eye, b.shape + (2,)).copy()
-        if self.kind == "magnet":
-            return np.broadcast_to(self.nu_m * eye, b.shape + (2,)).copy()
         if self.linear:
             return np.broadcast_to(self.nu_f * eye, b.shape + (2,)).copy()
-        k = self.knee(q)
         s = np.linalg.norm(b, axis=-1)
-        g = iron_knee_factor(k, s, self.n_f)
-        gp_over_s = iron_knee_factor_ds_over_s(k, s, self.n_f)
+        g = iron_knee_factor(self.k_f, s, self.n_f)
+        gp_over_s = iron_knee_factor_ds_over_s(self.k_f, s, self.n_f)
         c = self.nu_f - self.nu0
         out = (self.nu0 + c * g)[..., None, None] * eye
         out = out + (c * gp_over_s)[..., None, None] * (b[..., :, None] * b[..., None, :])
-        return out
-
-    def dh_dq(self, b, q, n_q=None):
-        """Gradient of h w.r.t. the parameter vector q, shape (..., n_q, 2).
-
-        Only an iron law with a bound knee produces a nonzero block.
-        """
-        b = np.asarray(b, dtype=float)
-        q = np.asarray(q, dtype=float)
-        nq = q.size if n_q is None else n_q
-        out = np.zeros(b.shape[:-1] + (nq, 2))
-        if self.kind != "iron" or self.linear or self.q_index is None:
-            return out
-        k = self.knee(q)
-        s = np.linalg.norm(b, axis=-1)
-        dg = iron_knee_factor_dk(k, s, self.n_f)
-        out[..., self.q_index, :] = ((self.nu_f - self.nu0) * dg)[..., None] * b
         return out
 
 
@@ -141,10 +96,6 @@ def air_law(nu0=NU0):
     return MaterialLaw(kind="air", nu0=nu0)
 
 
-def iron_law(nu0=NU0, nu_f=NU_F, k_f=K_F, n_f=N_F, linear=False, q_index=None):
+def iron_law(nu0=NU0, nu_f=NU_F, k_f=K_F, n_f=N_F, linear=False):
     return MaterialLaw(kind="iron", nu0=nu0, nu_f=nu_f, k_f=k_f, n_f=n_f,
-                       linear=linear, q_index=q_index)
-
-
-def magnet_law(phi, nu_m=NU_M, b_r=B_R, nu0=NU0):
-    return MaterialLaw(kind="magnet", nu0=nu0, nu_m=nu_m, b_r=b_r, phi=phi)
+                       linear=linear)

@@ -50,19 +50,6 @@ class LevelSetOptions:
             raise ConfigurationError("max_iterations must be at least 1")
 
 
-class FieldGeometry:
-    """L2 structure (mass inner product) for nodal fields on the design region."""
-
-    def __init__(self, mass):
-        self.mass = mass
-
-    def inner(self, a, b):
-        return float(a @ (self.mass @ b))
-
-    def norm(self, a):
-        return float(np.sqrt(max(self.inner(a, a), 0.0)))
-
-
 def normalize(psi, geometry):
     """Scale to unit mass-norm; a zero field has no direction."""
     n = geometry.norm(psi)
@@ -168,9 +155,11 @@ def drive(evaluator, psi0, geometry, options=None, snapshot=None):
     """Fixed-point descent on the level-set sphere.
 
     evaluator(psi) returns an Evaluation whose sensitivity is a nodal field
-    over the same dofs as psi. Steps are accepted only on strict decrease of
-    the value; the step fraction persists across iterations, growing after
-    each accepted step and shrinking on rejection down to step_min.
+    over the same dofs as psi; geometry supplies the mass inner product and
+    norm of those fields (the design region's ScreenedSmoother). Steps are
+    accepted only on strict decrease of the value; the step fraction
+    persists across iterations, growing after each accepted step and
+    shrinking on rejection down to step_min.
     """
     opts = options or LevelSetOptions()
     opts.validate()
@@ -236,47 +225,55 @@ def drive(evaluator, psi0, geometry, options=None, snapshot=None):
 
 
 class NominalEvaluator:
-    """Objective and smoothed sensitivity of the machine problem at fixed q."""
+    """Objective and smoothed sensitivity of the machine problem at fixed q.
+
+    A nominal run is the worst-case evaluation with the parameter pinned:
+    worst_case returns the fixed q without inner iterations, and
+    RobustEvaluator overrides it with the inner maximization. Each design
+    opens one robust.ParameterObjective, the only memo of states and
+    adjoints, and the field is the plain objective's sensitivity frozen at
+    the chosen q.
+    """
 
     def __init__(self, problem, iron_to_air, air_to_iron, q=None):
-        from .topderiv import generalized_td_field
         self.problem = problem
         self.iron_to_air = iron_to_air
         self.air_to_iron = air_to_iron
         self.q = problem._q_array(q)
-        self._td = generalized_td_field
 
-    def q_knees(self, design):
-        if self.iron_to_air.has_knee_axis or self.air_to_iron.has_knee_axis:
-            iron = self.problem.knee_for_elements(self.q, air_nominal=False)
-            air = self.problem.knee_for_elements(self.q, air_nominal=True)
-            return iron, air
-        return None, None
+    def worst_case(self, objective):
+        """Parameter the design is scored at, and the inner iterations spent."""
+        return self.q, 0
 
     def design_key(self, psi):
         return self.problem.design_from_levelset(psi).tobytes()
 
+    def field(self, design):
+        """Evaluation of a design whose sensitivity is the raw element field."""
+        from . import robust
+
+        objective = robust.ParameterObjective(self.problem, design)
+        q, iterations = self.worst_case(objective)
+        value = objective.value(q)
+        states, adjoints = objective.solution_pack(q)
+        g_elem = robust.robust_td_field(self.problem, design, self.iron_to_air,
+                                        self.air_to_iron, q, states, adjoints)
+        return Evaluation(value, g_elem, q_star=q.copy(),
+                          inner_iterations=iterations)
+
     def __call__(self, psi):
-        p = self.problem
-        design = p.design_from_levelset(psi)
-        value, states = p.objective(design, self.q)
-        adj = p.adjoints(design, self.q, states)
-        U, P = p.td_inputs(design, self.q, states, adj)
-        knee_iron, knee_air = self.q_knees(design)
-        g_elem = self._td(self.iron_to_air, self.air_to_iron, U, P,
-                          design, knee_iron, knee_air)
-        g_nodal = p.smoother().smooth(g_elem)
-        return Evaluation(value, g_nodal, q_star=self.q.copy())
+        ev = self.field(self.problem.design_from_levelset(psi))
+        ev.sensitivity = self.problem.smoother().smooth(ev.sensitivity)
+        return ev
 
 
 def optimize_nominal(problem, iron_to_air, air_to_iron, psi0=None,
                      options=None, snapshot=None):
     """Descent loop on the machine objective with parameters at nominal."""
-    geometry = FieldGeometry(problem.smoother().mass)
     if psi0 is None:
         psi0 = np.ones(len(problem.design_nodes))
     ev = NominalEvaluator(problem, iron_to_air, air_to_iron)
-    return drive(ev, psi0, geometry, options, snapshot)
+    return drive(ev, psi0, problem.smoother(), options, snapshot)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ or one knee per iron sub-region ("knee_regions").
 from __future__ import annotations
 
 import logging
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,7 +76,6 @@ class Scenario:
     name: str = "NOM"
     n_positions: int = 11
     q_hat: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    uncertainty: object = None
     co_rotate_magnets: bool = False
     frozen_alpha: float | None = None
     n_rotor_blocks: int = 8
@@ -231,8 +229,6 @@ class MachineProblem:
         self.smoothing_eps = (smoothing_eps if smoothing_eps is not None
                               else (2.0 * self.design_h) ** 2)
         self._smoothers = {}
-        self._state_memo = OrderedDict()
-        self._memo_limit = 8
 
     # -- positions and sources ------------------------------------------------
 
@@ -350,16 +346,8 @@ class MachineProblem:
 
     def states(self, design, q=None):
         q = self._q_array(q)
-        key = (np.asarray(design, dtype=bool).tobytes(), q.tobytes())
-        if key in self._state_memo:
-            self._state_memo.move_to_end(key)
-            return self._state_memo[key]
-        out = [self.solve_position(design, q, n)[0]
-               for n in range(self.scenario.n_positions)]
-        self._state_memo[key] = out
-        if len(self._state_memo) > self._memo_limit:
-            self._state_memo.popitem(last=False)
-        return out
+        return [self.solve_position(design, q, n)[0]
+                for n in range(self.scenario.n_positions)]
 
     def torque(self, u):
         return self.torque_probe.torque(self.space, u)
@@ -383,10 +371,8 @@ class MachineProblem:
                                      cache=self.tangents))
         return out
 
-    def td_inputs(self, design, q=None, states=None, adjoints=None):
+    def td_inputs(self, states, adjoints):
         """Flux U and adjoint flux P on design elements, shapes (N, m_d, 2)."""
-        states = self.states(design, q) if states is None else states
-        adjoints = self.adjoints(design, q, states) if adjoints is None else adjoints
         U = np.stack([self.space.element_curl(u)[self.design_elements]
                       for u in states])
         P = np.stack([self.space.element_curl(p)[self.design_elements]

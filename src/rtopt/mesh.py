@@ -8,14 +8,11 @@ as (master, slave) index arrays with the convention u[slave] = -u[master].
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError, SolverError, UsageError
-
-MESH_FORMAT = "RTOMESH1"
+from .errors import ConfigurationError, SolverError, UsageError
 
 BOUNDARY_TAGS = ("outer_dirichlet", "antiperiodic_master", "antiperiodic_slave")
 TAG_DIRICHLET, TAG_MASTER, TAG_SLAVE = 0, 1, 2
@@ -549,72 +546,3 @@ def refine_disc_patch(mesh, center, radius, region="design", cavity=None):
     if not inside.all():
         raise SolverError("disc patch triangulation leaked outside the circle")
     return out, disc
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-def save_mesh(mesh, path):
-    buf = io.StringIO()
-    buf.write(f"{MESH_FORMAT}\n")
-    buf.write(f"regions {' '.join(mesh.region_names)}\n")
-    buf.write(f"vertices {mesh.n_nodes}\n")
-    for x, y in mesh.vertices:
-        buf.write(f"{float(x)!r} {float(y)!r}\n")
-    buf.write(f"triangles {mesh.n_elements}\n")
-    for (a, b, c), r in zip(mesh.triangles, mesh.region_id):
-        buf.write(f"{a} {b} {c} {r}\n")
-    buf.write(f"boundary_edges {len(mesh.boundary_edges)}\n")
-    for (a, b), t in zip(mesh.boundary_edges, mesh.boundary_tags):
-        buf.write(f"{a} {b} {t}\n")
-    buf.write(f"pairs {len(mesh.pair_master)}\n")
-    for a, b in zip(mesh.pair_master, mesh.pair_slave):
-        buf.write(f"{a} {b}\n")
-    buf.write(f"dirichlet {len(mesh.dirichlet_nodes)}\n")
-    for a in mesh.dirichlet_nodes:
-        buf.write(f"{a}\n")
-    with open(path, "w") as f:
-        f.write(buf.getvalue())
-
-
-def load_mesh(path):
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or lines[0].strip() != MESH_FORMAT:
-        raise FormatError(f"{path}: expected a {MESH_FORMAT} file")
-    pos = 1
-
-    def take_header(keyword):
-        nonlocal pos
-        parts = lines[pos].split()
-        if parts[0] != keyword:
-            raise FormatError(f"{path}: expected '{keyword}' section at line {pos + 1}")
-        pos += 1
-        return parts[1:]
-
-    names = tuple(take_header("regions"))
-    n = int(take_header("vertices")[0])
-    verts = np.array([[float(v) for v in lines[pos + i].split()] for i in range(n)])
-    pos += n
-    m = int(take_header("triangles")[0])
-    rows = np.array([[int(v) for v in lines[pos + i].split()] for i in range(m)],
-                    dtype=np.int64)
-    pos += m
-    tris, region = rows[:, :3].astype(np.int32), rows[:, 3].astype(np.int16)
-    b = int(take_header("boundary_edges")[0])
-    rows = (np.array([[int(v) for v in lines[pos + i].split()] for i in range(b)],
-                     dtype=np.int64) if b else np.zeros((0, 3), dtype=np.int64))
-    pos += b
-    edges, tags = rows[:, :2].astype(np.int32), rows[:, 2].astype(np.int16)
-    p = int(take_header("pairs")[0])
-    rows = (np.array([[int(v) for v in lines[pos + i].split()] for i in range(p)],
-                     dtype=np.int64) if p else np.zeros((0, 2), dtype=np.int64))
-    pos += p
-    d = int(take_header("dirichlet")[0])
-    dirich = np.array([int(lines[pos + i]) for i in range(d)], dtype=np.int32)
-    return Mesh(
-        vertices=verts, triangles=tris, region_id=region, region_names=names,
-        boundary_edges=edges, boundary_tags=tags,
-        pair_master=rows[:, 0].astype(np.int32), pair_slave=rows[:, 1].astype(np.int32),
-        dirichlet_nodes=dirich, meta={"kind": "loaded"},
-    )

@@ -1,7 +1,7 @@
 """Worst-case robust optimization over a convex parameter set.
 
-The outer loop is the same level-set descent as the nominal driver; the
-difference is the evaluation: each iterate first maximizes the objective
+The outer loop and the evaluator are the nominal ones; the only difference
+is where q comes from: each iterate first maximizes the objective
 over the uncertainty set with a projected-gradient ascent (multi-start,
 warm-started from the previous worst case), and the sensitivity field is
 the one of the plain objective frozen at the maximizer. For a locally
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, SolverError, UsageError
-from .levelset import Evaluation, FieldGeometry, drive
+from .levelset import NominalEvaluator, drive
 
 log = logging.getLogger(__name__)
 
@@ -256,15 +256,21 @@ def inner_maximize(objective, uset, starts, params=None):
 # ---------------------------------------------------------------------------
 # machine adapter
 
-class ParameterObjective:
-    """J(design, q) with lazy adjoint-based gradients and a per-q memo."""
+MEMO_LIMIT = 32
 
-    def __init__(self, problem, design, memo_limit=32):
+
+class ParameterObjective:
+    """J(design, q) with lazy adjoint-based gradients and a per-q memo.
+
+    The memo is the only store of states and adjoints: every evaluator opens
+    one objective per design and takes its solutions from here.
+    """
+
+    def __init__(self, problem, design):
         self.problem = problem
         self.design = np.asarray(design, dtype=bool)
         self._memo = {}
         self._order = []
-        self._limit = memo_limit
         self.n_evaluations = 0
 
     def _entry(self, q):
@@ -275,7 +281,7 @@ class ParameterObjective:
             self._memo[key] = {"q": np.asarray(q, dtype=float), "value": value,
                                "states": states, "adjoints": None, "grad": None}
             self._order.append(key)
-            if len(self._order) > self._limit:
+            if len(self._order) > MEMO_LIMIT:
                 old = self._order.pop(0)
                 del self._memo[old]
         return self._memo[key]
@@ -300,16 +306,16 @@ class ParameterObjective:
 
 
 def robust_td_field(problem, design, iron_to_air, air_to_iron, q_star,
-                    states=None, adjoints=None):
+                    states, adjoints):
     """Sensitivity field of the plain objective frozen at the worst case.
 
-    Air elements evaluate the flip with the nominal knee: the perturbation
-    nucleates fresh iron whose saturation parameter is not covered by the
-    worst-case vector.
+    Iron elements read the knee from q_star. Air elements evaluate the flip
+    with the nominal knee: the perturbation nucleates fresh iron whose
+    saturation parameter is not covered by the worst-case vector.
     """
     from .topderiv import generalized_td_field
 
-    U, P = problem.td_inputs(design, q_star, states, adjoints)
+    U, P = problem.td_inputs(states, adjoints)
     if iron_to_air.has_knee_axis or air_to_iron.has_knee_axis:
         knee_iron = problem.knee_for_elements(q_star, air_nominal=False)
         knee_air = problem.knee_for_elements(q_star, air_nominal=True)
@@ -319,36 +325,30 @@ def robust_td_field(problem, design, iron_to_air, air_to_iron, q_star,
                                 knee_iron, knee_air)
 
 
-class RobustEvaluator:
+class RobustEvaluator(NominalEvaluator):
     """Worst-case value and frozen-gradient sensitivity for the descent loop."""
 
     def __init__(self, problem, iron_to_air, air_to_iron, uset,
                  inner_params=None):
-        self.problem = problem
-        self.iron_to_air = iron_to_air
-        self.air_to_iron = air_to_iron
+        super().__init__(problem, iron_to_air, air_to_iron)
         self.uset = uset
         self.inner_params = inner_params or InnerParams()
-        self.q_hat = problem._q_array(None)
-        if not uset.contains(self.q_hat, 1e-9):
+        if not uset.contains(self.q, 1e-9):
             raise ConfigurationError(
                 "nominal parameter vector lies outside the uncertainty set")
         self.previous = None
 
+    # own entry: a tracer wrapping both classes' __call__ must not nest spans
+    __call__ = NominalEvaluator.__call__
+
     def starts(self):
         pts = list(self.uset.start_points())
-        pts.append(self.q_hat.copy())
+        pts.append(self.q.copy())
         if self.previous is not None:
             pts.append(self.previous.copy())
         return pts
 
-    def design_key(self, psi):
-        return self.problem.design_from_levelset(psi).tobytes()
-
-    def __call__(self, psi):
-        p = self.problem
-        design = p.design_from_levelset(psi)
-        objective = ParameterObjective(p, design)
+    def worst_case(self, objective):
         try:
             wc = inner_maximize(objective, self.uset, self.starts(),
                                 self.inner_params)
@@ -357,19 +357,13 @@ class RobustEvaluator:
             wc = inner_maximize(objective, self.uset,
                                 self.uset.start_points(), self.inner_params)
         self.previous = wc.q_star.copy()
-        states, adjoints = objective.solution_pack(wc.q_star)
-        g_elem = robust_td_field(p, design, self.iron_to_air, self.air_to_iron,
-                                 wc.q_star, states, adjoints)
-        g_nodal = p.smoother().smooth(g_elem)
-        return Evaluation(wc.value, g_nodal, q_star=wc.q_star.copy(),
-                          inner_iterations=wc.iterations)
+        return wc.q_star, wc.iterations
 
 
 def optimize_robust(problem, iron_to_air, air_to_iron, uset, psi0=None,
                     options=None, inner_params=None, snapshot=None):
     """Level-set descent on the worst-case objective."""
-    geometry = FieldGeometry(problem.smoother().mass)
     if psi0 is None:
         psi0 = np.ones(len(problem.design_nodes))
     ev = RobustEvaluator(problem, iron_to_air, air_to_iron, uset, inner_params)
-    return drive(ev, psi0, geometry, options, snapshot)
+    return drive(ev, psi0, problem.smoother(), options, snapshot)

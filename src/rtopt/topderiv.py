@@ -29,7 +29,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigurationError, FormatError, UsageError
-from .fem import DofMap, P1Space, newton_solve
+from .fem import DofMap, P1Space, TangentCache, newton_solve
 from .mesh import graded_disk_mesh
 
 log = logging.getLogger(__name__)
@@ -73,32 +73,36 @@ class ExteriorProblem:
         self.inclusion = self.mesh.elements_in("inclusion")
         self.exterior = self.mesh.elements_in("exterior")
         self.inclusion_area = float(self.space.areas[self.inclusion].sum())
+        # one factored tangent shared by every corrector solve; with linear
+        # iron each flip direction then costs one factorization for all t
+        self.tangents = TangentCache(self.space, self.dofmap)
 
-    def solve_corrector(self, U, law_in, law_out, q=None):
+    def solve_corrector(self, U, law_in, law_out):
         """Corrector k for far-field flux U with the given inclusion/exterior laws."""
         U = np.asarray(U, dtype=float)
         inc, ext = self.inclusion, self.exterior
-        h_in_U = law_in.h(U, q)
-        h_out_U = law_out.h(U, q)
+        h_in_U = law_in.h(U)
+        h_out_U = law_out.h(U)
         jump = h_in_U - h_out_U
 
         def respond(Bk):
             b = Bk + U
             h = np.empty_like(Bk)
             dh = np.empty(Bk.shape + (2,))
-            h[inc] = law_in.h(b[inc], q) - h_in_U + jump
-            h[ext] = law_out.h(b[ext], q) - h_out_U
-            dh[inc] = law_in.dh_db(b[inc], q)
-            dh[ext] = law_out.dh_db(b[ext], q)
+            h[inc] = law_in.h(b[inc]) - h_in_U + jump
+            h[ext] = law_out.h(b[ext]) - h_out_U
+            dh[inc] = law_in.dh_db(b[inc])
+            dh[ext] = law_out.dh_db(b[ext])
             return h, dh
 
         load = np.zeros(self.space.n_nodes)
         k, info = newton_solve(self.space, self.dofmap, respond, load,
                                tol=self.config.newton_tol,
-                               max_iter=self.config.newton_max_iter)
+                               max_iter=self.config.newton_max_iter,
+                               cache=self.tangents)
         return k, info
 
-    def response_pair(self, k, U, law_in, law_out, q=None):
+    def response_pair(self, k, U, law_in, law_out):
         """Condense one corrector solve into the (f_par, f_perp) pair.
 
         The pair collects the quadratic remainder over the whole domain, the
@@ -110,16 +114,16 @@ class ExteriorProblem:
         inc = self.inclusion
         areas = self.space.areas
 
-        h_in_U = law_in.h(U, q)
-        h_out_U = law_out.h(U, q)
-        dh_in_U = law_in.dh_db(U, q)
-        dh_out_U = law_out.dh_db(U, q)
+        h_in_U = law_in.h(U)
+        h_out_U = law_out.h(U)
+        dh_in_U = law_in.dh_db(U)
+        dh_out_U = law_out.dh_db(U)
 
         b = Bk + U
         rem = np.empty_like(Bk)
-        rem[inc] = law_in.h(b[inc], q) - h_in_U - Bk[inc] @ dh_in_U.T
+        rem[inc] = law_in.h(b[inc]) - h_in_U - Bk[inc] @ dh_in_U.T
         ext = self.exterior
-        rem[ext] = law_out.h(b[ext], q) - h_out_U - Bk[ext] @ dh_out_U.T
+        rem[ext] = law_out.h(b[ext]) - h_out_U - Bk[ext] @ dh_out_U.T
         total = (areas[:, None] * rem).sum(axis=0)
         total += (areas[inc, None] * (Bk[inc] @ (dh_in_U - dh_out_U).T)).sum(axis=0)
         total /= self.inclusion_area

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from rtopt import fem
 from rtopt.machine import MachineProblem, MaterialSpec, Scenario
 from rtopt.mesh import MachineGeometry, build_machine_mesh
 from rtopt.robust import IntervalSet
@@ -34,10 +35,9 @@ def phase_set():
 
 
 @pytest.fixture(scope="session")
-def toy_problem(toy_mesh, linear_spec, phase_set):
+def toy_problem(toy_mesh, linear_spec):
     """Linear iron, one rotor position, phase-angle uncertainty."""
-    scen = Scenario(name="ANG", n_positions=1, q_hat=TOY_Q_HAT.copy(),
-                    uncertainty=phase_set)
+    scen = Scenario(name="ANG", n_positions=1, q_hat=TOY_Q_HAT.copy())
     return MachineProblem(toy_mesh, linear_spec, scen)
 
 
@@ -46,3 +46,17 @@ def linear_tables(linear_spec):
     # t_max covers the largest design-region flux the linear law reaches
     cfg = ExteriorConfig(target_nodes=4000, t_max=12.0, n_t=13)
     return precompute_tables(linear_spec, cfg)
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Every sparse LU factorization made through rtopt.fem, in order."""
+    calls = []
+    splu = fem.spla.splu
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(fem.spla, "splu", counted)
+    return calls

@@ -272,9 +272,18 @@ def test_audit_missing_design_file(tables_ready, tmp_path):
                  "--design", str(tmp_path / "ghost.rtols")]) == 2
 
 
-def test_render_roundtrip(tables_ready, tmp_path):
-    ws = tables_ready
-    design = ws["out"] / "nominal" / "final.rtols"
+def test_render_roundtrip(ws, tmp_path):
+    from rtopt.config import load_config
+    from rtopt.levelset import save_levelset
+    from rtopt.machine import MachineProblem
+    from rtopt.mesh import build_machine_mesh
+
+    cfg = load_config(ws["cfg"])
+    mesh = build_machine_mesh(cfg.geometry)
+    problem = MachineProblem(mesh, cfg.materials, cfg.scenario)
+    psi = np.random.default_rng(3).standard_normal(len(problem.design_nodes))
+    design = tmp_path / "design.rtols"
+    save_levelset(psi, problem.design_nodes, mesh.fingerprint(), design)
     out = tmp_path / "pic.svg"
     assert main(["render", ws["cfg"], "--design", str(design),
                  "--out", str(out)]) == 0

@@ -4,7 +4,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rtopt import fem
 from rtopt.errors import SolverError
 from rtopt.fem import (DofMap, P1Space, ScreenedSmoother, TangentCache,
                        adjoint_solve, newton_solve, tangent_at)
@@ -164,24 +163,9 @@ def test_smoother_preserves_constants_and_integrals():
         sm.integral_elementwise(raw), rel=1e-12)
 
 
-@pytest.fixture
-def splu_calls(monkeypatch):
-    """Every sparse LU factorization made through rtopt.fem, in order."""
-    calls = []
-    splu = fem.spla.splu
-
-    def counted(matrix, *args, **kwargs):
-        calls.append(matrix.shape)
-        return splu(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(fem.spla, "splu", counted)
-    return calls
-
-
-def test_linear_iron_factors_once_per_design(toy_mesh, linear_spec, phase_set,
+def test_linear_iron_factors_once_per_design(toy_mesh, linear_spec,
                                              splu_calls):
-    scen = Scenario(name="ANG", n_positions=3, q_hat=np.deg2rad([-60.0]),
-                    uncertainty=phase_set)
+    scen = Scenario(name="ANG", n_positions=3, q_hat=np.deg2rad([-60.0]))
     problem = MachineProblem(toy_mesh, linear_spec, scen)
     rng = np.random.default_rng(5)
     design = rng.random(len(problem.design_elements)) > 0.5

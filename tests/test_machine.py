@@ -69,20 +69,9 @@ def test_torque_probe_radius_must_stay_in_gap(toy_mesh):
         TorqueProbe(toy_mesh, space, 0.0505, 4)
 
 
-def test_states_are_memoized(toy_problem):
-    design = np.ones(len(toy_problem.design_elements), dtype=bool)
-    s1 = toy_problem.states(design)
-    s2 = toy_problem.states(design)
-    assert s1 is s2
-    # a different design is a different key
-    design2 = design.copy()
-    design2[0] = False
-    assert toy_problem.states(design2) is not s1
-
-
-def test_frozen_alpha_collapses_positions(toy_mesh, linear_spec, phase_set):
+def test_frozen_alpha_collapses_positions(toy_mesh, linear_spec):
     q_hat = np.array([np.deg2rad(-60.0)])
-    kw = dict(q_hat=q_hat.copy(), uncertainty=phase_set, frozen_alpha=0.1)
+    kw = dict(q_hat=q_hat.copy(), frozen_alpha=0.1)
     one = MachineProblem(toy_mesh, linear_spec,
                          Scenario(name="ANG", n_positions=1, **kw))
     three = MachineProblem(toy_mesh, linear_spec,
@@ -94,7 +83,7 @@ def test_frozen_alpha_collapses_positions(toy_mesh, linear_spec, phase_set):
     assert np.all(three.alphas() == 0.1)
 
 
-def test_linear_objective_scales_quadratically(toy_mesh, phase_set):
+def test_linear_objective_scales_quadratically(toy_mesh):
     # without remanence the state is linear in j_peak, torque quadratic
     q_hat = np.array([np.deg2rad(-60.0)])
     design = None
@@ -103,7 +92,7 @@ def test_linear_objective_scales_quadratically(toy_mesh, phase_set):
         spec = MaterialSpec(iron_linear=True, b_r=0.0, j_peak=scale * 23.7e6)
         prob = MachineProblem(toy_mesh, spec,
                               Scenario(name="ANG", n_positions=1,
-                                       q_hat=q_hat.copy(), uncertainty=phase_set))
+                                       q_hat=q_hat.copy()))
         design = np.ones(len(prob.design_elements), dtype=bool)
         vals.append(prob.objective(design)[0])
     assert vals[1] == pytest.approx(4.0 * vals[0], rel=1e-9)
@@ -137,11 +126,9 @@ def test_knee_plumbing(toy_mesh, toy_problem):
     knees = toy_problem.knee_for_elements(toy_problem.scenario.q_hat)
     assert np.all(knees == toy_problem.spec.k_f)
 
-    from rtopt.robust import IntervalSet
     scal = MachineProblem(
         toy_mesh, MaterialSpec(),
-        Scenario(name="SCAL", n_positions=1, q_hat=np.array([2.2]),
-                 uncertainty=IntervalSet([1.98], [2.42])))
+        Scenario(name="SCAL", n_positions=1, q_hat=np.array([2.2])))
     assert np.all(scal.knee_for_elements(np.array([2.0])) == 2.0)
     # air flips score against the nominal knee regardless of the q argument
     assert np.all(scal.knee_for_elements(np.array([2.0]), air_nominal=True)

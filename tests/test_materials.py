@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rtopt import laws
-from rtopt.laws import air_law, iron_law, magnet_law
+from rtopt.laws import air_law, iron_law
 
 rng = np.random.default_rng(42)
 
@@ -52,12 +52,23 @@ def test_iron_linear_flag():
     assert np.allclose(law.dh_db(b), laws.NU_F * np.eye(2))
 
 
-def test_magnet_remanence_annihilates():
-    phi = 0.4
-    law = magnet_law(phi)
-    b = law.remanence_vector()
-    assert np.allclose(b, laws.B_R * np.array([np.cos(phi), np.sin(phi)]))
-    assert np.allclose(law.h(b), 0.0, atol=1e-12)
+def test_magnet_remanence_annihilates(toy_problem):
+    # the magnets are linear in the machine's response: h = nu_m (b - b_r e_phi)
+    spec = toy_problem.spec
+    design = np.ones(len(toy_problem.design_elements), dtype=bool)
+    respond = toy_problem.respond_factory(design, toy_problem.scenario.q_hat,
+                                          0.0)
+    B = np.zeros((toy_problem.mesh.n_elements, 2))
+    magnets = []
+    for name, phi in (("magnet1", spec.magnet_phi1),
+                      ("magnet2", spec.magnet_phi2)):
+        elems = toy_problem.mesh.elements_in(name)
+        B[elems] = laws.B_R * np.array([np.cos(phi), np.sin(phi)])
+        magnets.append(elems)
+    h, dh = respond(B)
+    magnets = np.concatenate(magnets)
+    assert np.allclose(h[magnets], 0.0, atol=1e-9)
+    assert np.allclose(dh[magnets], laws.NU_M * np.eye(2))
 
 
 def test_dh_db_matches_fd():
@@ -82,21 +93,24 @@ def test_dh_db_symmetric_positive():
 
 
 def test_dh_dq_matches_fd():
-    law = iron_law(q_index=0)
-    q = np.array([2.2])
+    # dh/dk of the iron law through the kernel the knee gradient uses
+    k, eps = 2.2, 1e-6
     b = rng.standard_normal((15, 2)) * 2.0
-    grad = law.dh_dq(b, q)
-    eps = 1e-6
-    fd = (law.h(b, q + eps) - law.h(b, q - eps)) / (2 * eps)
-    assert np.allclose(grad[..., 0, :], fd, rtol=1e-5, atol=1e-4)
+    s = np.linalg.norm(b, axis=-1)
+    grad = ((laws.NU_F - laws.NU0)
+            * laws.iron_knee_factor_dk(k, s, laws.N_F))[:, None] * b
+    fd = (iron_law(k_f=k + eps).h(b) - iron_law(k_f=k - eps).h(b)) / (2 * eps)
+    assert np.allclose(grad, fd, rtol=1e-5, atol=1e-4)
 
 
-def test_dh_dq_zero_without_binding():
-    assert np.allclose(iron_law().dh_dq(np.ones(2), np.array([2.2]), n_q=1), 0.0)
-    assert np.allclose(air_law().dh_dq(np.ones(2), np.array([2.2]), n_q=1), 0.0)
+def test_bound_knee_reads_q(toy_mesh):
+    # DIST binds one knee per rotor block plus one for the stator
+    from rtopt.machine import MachineProblem, MaterialSpec, Scenario
 
-
-def test_bound_knee_reads_q():
-    law = iron_law().bound(1)
-    assert law.knee(np.array([9.0, 2.5])) == 2.5
-    assert law.knee(None) == laws.K_F
+    scen = Scenario(name="DIST", n_positions=1, n_rotor_blocks=8,
+                    q_hat=np.full(9, laws.K_F))
+    problem = MachineProblem(toy_mesh, MaterialSpec(), scen)
+    q = 2.0 + 0.01 * np.arange(9)
+    assert np.array_equal(problem.knee_for_elements(q),
+                          q[problem.design_block])
+    assert np.all(problem.knee_for_elements(q, air_nominal=True) == laws.K_F)

@@ -1,13 +1,12 @@
-"""Mesh construction, region bookkeeping, disc-patch surgery, persistence."""
+"""Mesh construction, region bookkeeping, disc-patch surgery."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from rtopt.errors import ConfigurationError, FormatError, UsageError
+from rtopt.errors import ConfigurationError, UsageError
 from rtopt.mesh import (MachineGeometry, build_machine_mesh, graded_disk_mesh,
-                        load_mesh, refine_disc_patch, save_mesh,
-                        unit_square_mesh)
+                        refine_disc_patch, unit_square_mesh)
 
 
 def test_unit_square_counts_and_area():
@@ -125,23 +124,3 @@ def test_disc_patch_rejections(sector):
     # a cavity reaching the antiperiodic ray would strand constrained nodes
     with pytest.raises(UsageError):
         refine_disc_patch(sector, (0.03, 0.002), 2 * h, cavity=7 * h)
-
-
-def test_mesh_roundtrip(tmp_path, sector):
-    path = tmp_path / "sector.rtomesh"
-    save_mesh(sector, path)
-    back = load_mesh(path)
-    assert np.array_equal(back.vertices, sector.vertices)
-    assert np.array_equal(back.triangles, sector.triangles)
-    assert np.array_equal(back.region_id, sector.region_id)
-    assert back.region_names == sector.region_names
-    assert np.array_equal(back.pair_master, sector.pair_master)
-    assert np.array_equal(back.dirichlet_nodes, sector.dirichlet_nodes)
-    assert back.fingerprint() == sector.fingerprint()
-
-
-def test_mesh_load_refuses_other_formats(tmp_path):
-    bad = tmp_path / "junk.rtomesh"
-    bad.write_text("RTOLS1\nnot a mesh\n")
-    with pytest.raises(FormatError):
-        load_mesh(bad)

@@ -6,6 +6,7 @@ import pytest
 
 from rtopt.errors import ConfigurationError, SolverError, UsageError
 from rtopt.levelset import NominalEvaluator
+from rtopt.machine import MachineProblem
 from rtopt.robust import (EllipsoidSet, InnerParams, IntervalSet,
                           ParameterObjective, RobustEvaluator, inner_maximize,
                           singleton_set)
@@ -219,3 +220,49 @@ def test_robust_evaluator_rejects_outside_nominal(toy_problem, linear_tables):
     with pytest.raises(ConfigurationError):
         RobustEvaluator(toy_problem, linear_tables["iron_to_air"],
                         linear_tables["air_to_iron"], bad)
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Parameter vectors of every MachineProblem objective and adjoint call."""
+    calls = {"objective": [], "adjoints": []}
+    for name in calls:
+        raw = getattr(MachineProblem, name)
+
+        def counted(self, design, q=None, *args, _raw=raw, _name=name,
+                    **kwargs):
+            calls[_name].append(np.asarray(q, dtype=float).copy())
+            return _raw(self, design, q, *args, **kwargs)
+
+        monkeypatch.setattr(MachineProblem, name, counted)
+    return calls
+
+
+def test_nominal_evaluation_solves_once(toy_problem, linear_tables,
+                                        solve_calls):
+    psi = np.ones(len(toy_problem.design_nodes))
+    ev = NominalEvaluator(toy_problem, linear_tables["iron_to_air"],
+                          linear_tables["air_to_iron"])(psi)
+    assert len(solve_calls["objective"]) == 1
+    assert len(solve_calls["adjoints"]) == 1
+    assert ev.inner_iterations == 0
+    assert np.array_equal(ev.q_star, toy_problem.scenario.q_hat)
+
+
+def test_robust_evaluation_solves_each_q_once(toy_problem, linear_tables,
+                                              phase_set, solve_calls):
+    objectives = []
+
+    class Recording(RobustEvaluator):
+        def worst_case(self, objective):
+            objectives.append(objective)
+            return super().worst_case(objective)
+
+    psi = np.ones(len(toy_problem.design_nodes))
+    Recording(toy_problem, linear_tables["iron_to_air"],
+              linear_tables["air_to_iron"], phase_set)(psi)
+    (objective,) = objectives
+    qs = [q.tobytes() for q in solve_calls["objective"]]
+    assert objective.n_evaluations > 1
+    assert len(qs) == objective.n_evaluations
+    assert len(set(qs)) == len(qs)

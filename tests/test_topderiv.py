@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from rtopt.errors import FormatError, UsageError
+from rtopt.fem import TangentCache
 from rtopt.laws import NU0, NU_F
 from rtopt.machine import MaterialSpec, Scenario
-from rtopt.robust import IntervalSet
-from rtopt.topderiv import (ExteriorConfig, ExteriorProblem, TDTable,
-                            check_table_compatibility, generalized_td_field,
-                            laws_for_direction, load_table, sample_single,
+from rtopt.topderiv import (DIRECTIONS, ExteriorConfig, ExteriorProblem,
+                            TDTable, check_table_compatibility,
+                            generalized_td_field, laws_for_direction,
+                            load_table, precompute_tables, sample_single,
                             sample_table, save_table)
 
 I2A_SLOPE = 2.0 * NU_F * (NU0 - NU_F) / (NU0 + NU_F)
@@ -50,6 +51,27 @@ def test_corrector_matches_truncated_analytic():
     err = k - ref
     rel = np.sqrt(err @ (mass @ err)) / np.sqrt(ref @ (mass @ ref))
     assert rel <= 2e-2, rel
+
+
+def test_linear_tables_factor_once_per_direction(linear_spec, splu_calls):
+    cfg = ExteriorConfig(radius=64.0, target_nodes=1500, t_max=12.0, n_t=5)
+    tables = precompute_tables(linear_spec, cfg)
+    assert len(splu_calls) == 2                 # one tangent per direction
+
+    # a fresh cache for every solve gives the same tables bit for bit
+    prob = ExteriorProblem(cfg)
+    for direction in DIRECTIONS:
+        table = tables[direction]
+        law_in, law_out = laws_for_direction(
+            direction, linear_spec.nu0, linear_spec.nu_f, linear_spec.n_f,
+            True, linear_spec.k_f)
+        for it in range(1, len(table.t)):
+            prob.tangents = TangentCache(prob.space, prob.dofmap)
+            U = np.array([table.t[it], 0.0])
+            k, _ = prob.solve_corrector(U, law_in, law_out)
+            assert prob.response_pair(k, U, law_in, law_out) == (
+                table.f_par[it], table.f_perp[it])
+    assert len(splu_calls) == 2 + 2 * (cfg.n_t - 1)
 
 
 def test_evaluate_rotation_invariant(linear_tables):
@@ -184,16 +206,15 @@ def test_load_rejects_truncated_and_nonfinite(tmp_path):
             load_table(path)
 
 
-def test_compatibility_refusals(linear_tables, linear_spec, phase_set):
+def test_compatibility_refusals(linear_tables, linear_spec):
     tab = linear_tables["iron_to_air"]
     ang = Scenario(name="ANG", n_positions=1,
-                   q_hat=np.array([np.deg2rad(-60.0)]), uncertainty=phase_set)
+                   q_hat=np.array([np.deg2rad(-60.0)]))
     check_table_compatibility(tab, linear_spec, ang)
     with pytest.raises(UsageError):
         check_table_compatibility(tab, MaterialSpec(), ang)
 
-    scal = Scenario(name="SCAL", n_positions=1, q_hat=np.array([2.2]),
-                    uncertainty=IntervalSet([1.98], [2.42]))
+    scal = Scenario(name="SCAL", n_positions=1, q_hat=np.array([2.2]))
     spec = MaterialSpec()
     no_knee = TDTable("iron_to_air", np.array([0.0, 1.0]), np.zeros(2),
                       np.zeros(2), spec.law_fingerprint("q-axis"))
