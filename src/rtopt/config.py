@@ -105,10 +105,13 @@ class _Section:
         if v is None or v == "":
             return default
         try:
-            return float(v)
+            x = float(v)
         except ValueError:
+            x = None
+        if x is None or not np.isfinite(x):
             raise ConfigurationError(
-                f"[{self.name}] {key}: expected a number, got {v!r}") from None
+                f"[{self.name}] {key}: expected a finite number, got {v!r}")
+        return x
 
     def get_int(self, key, default=None):
         v = self._fetch(key)
@@ -141,10 +144,13 @@ class _Section:
             raise ConfigurationError(
                 f"[{self.name}] {key}: expected two numbers, got {v!r}")
         try:
-            return float(parts[0]), float(parts[1])
+            pair = float(parts[0]), float(parts[1])
         except ValueError:
+            pair = None
+        if pair is None or not np.all(np.isfinite(pair)):
             raise ConfigurationError(
-                f"[{self.name}] {key}: expected two numbers, got {v!r}") from None
+                f"[{self.name}] {key}: expected two finite numbers, got {v!r}")
+        return pair
 
     def get_str(self, key, default=None):
         v = self._fetch(key)

@@ -9,6 +9,11 @@ used everywhere is
 with element-wise constant material response h_T and source j_T. Antiperiodic
 pairs and Dirichlet nodes are eliminated through a sparse reduction matrix C
 (u_full = C u_reduced), so reduced systems are C^T K C.
+
+Both operators a Newton step needs are built once per mesh: the curl of a
+nodal vector is one sparse product with a (2m, n) operator G, the flux
+divergence its area-weighted transpose, and element tangent blocks are summed
+straight into the fixed CSC pattern of C^T K C by a sparse scatter.
 """
 
 from __future__ import annotations
@@ -44,12 +49,19 @@ class P1Space:
         rot[..., 0] = -edges[..., 1]
         rot[..., 1] = edges[..., 0]
         self.grads = rot / (2.0 * self.areas)[:, None, None]
-        # curl phi = (d phi/dy, -d phi/dx)
-        self.curls = np.empty_like(self.grads)
-        self.curls[..., 0] = self.grads[..., 1]
-        self.curls[..., 1] = -self.grads[..., 0]
-        self._rows = np.repeat(tri, 3, axis=1).ravel()
-        self._cols = np.tile(tri, (1, 3)).ravel()
+        # curl phi = (d phi/dy, -d phi/dx), stored component-major as (2, 3, m)
+        # so that element-wise products run along the element axis; curls is
+        # the (m, 3, 2) view of it
+        m = len(tri)
+        curls = np.empty((2, 3, m))
+        curls[0] = self.grads[..., 1].T
+        curls[1] = -self.grads[..., 0].T
+        self.curls = curls.transpose(2, 1, 0)
+        # the curl operator G: row 2e + d of G u is component d of B on element e
+        self._curl_op = sp.csr_matrix(
+            (self.curls.transpose(0, 2, 1).ravel(),
+             np.repeat(tri, 2, axis=0).ravel(), np.arange(0, 6 * m + 1, 3)),
+            shape=(2 * m, mesh.n_nodes))
 
     @property
     def n_nodes(self):
@@ -57,14 +69,11 @@ class P1Space:
 
     def element_curl(self, u):
         """Flux density per element, shape (m, 2)."""
-        return np.einsum("eid,ei->ed", self.curls, u[self.mesh.triangles])
+        return (self._curl_op @ u).reshape(-1, 2)
 
     def flux_divergence(self, hvals):
         """Assemble sum_T |T| h_T . curl phi_i into a nodal vector."""
-        contrib = self.areas[:, None] * np.einsum("eid,ed->ei", self.curls, hvals)
-        out = np.zeros(self.n_nodes)
-        np.add.at(out, self.mesh.triangles.ravel(), contrib.ravel())
-        return out
+        return self._curl_op.T @ (self.areas[:, None] * hvals).ravel()
 
     def load_vector(self, j_elem):
         """Assemble sum_T |T| j_T / 3 onto the nodes of T."""
@@ -74,11 +83,16 @@ class P1Space:
         return out
 
     def tangent_matrix(self, dh):
-        """Assemble sum_T |T| curl phi_i . dh_T curl phi_j, dh shape (m, 2, 2)."""
-        local = np.einsum("e,eid,edc,ejc->eij", self.areas, self.curls, dh, self.curls)
-        mat = sp.coo_matrix((local.ravel(), (self._rows, self._cols)),
-                            shape=(self.n_nodes, self.n_nodes))
-        return mat.tocsr()
+        """Element blocks |T| curl phi_i . dh_T curl phi_j, shape (m, 3, 3).
+
+        dh has shape (m, 2, 2). The blocks are the (m, 3, 3) view of a
+        (3, 3, m) array, the order DofMap.reduce_matrix reads them in.
+        """
+        x, y = self.curls.T                              # (3, m) each
+        w = dh.transpose(1, 2, 0) * self.areas           # (2, 2, m)
+        tx = x * w[0, 0] + y * w[1, 0]                   # x of |T| curl phi_i . dh
+        ty = x * w[0, 1] + y * w[1, 1]
+        return (tx[:, None] * x + ty[:, None] * y).transpose(2, 0, 1)
 
     def mass_matrix(self, elements=None):
         """Consistent P1 mass matrix, optionally restricted to an element subset."""
@@ -115,21 +129,37 @@ class DofMap:
         index = np.full(n, -1, dtype=np.int64)
         index[free] = np.arange(len(free))
 
-        rows, cols, vals = [free], [index[free]], [np.ones(len(free))]
+        sign = np.zeros(n)                     # u_full[i] = sign[i] * u_red[index[i]]
+        sign[free] = 1.0
         slaves = np.flatnonzero(kind == 2)
         if len(slaves):
             m = master_of[slaves]
             if np.any(kind[m] != 0):
                 raise SolverError("antiperiodic master is not a free node")
-            rows.append(slaves)
-            cols.append(index[m])
-            vals.append(-np.ones(len(slaves)))
-        self.C = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, len(free))).tocsr()
+            index[slaves] = index[m]
+            sign[slaves] = -1.0
+        kept = np.flatnonzero(index >= 0)
+        nr = len(free)
+        self.C = sp.csr_matrix((sign[kept], (kept, index[kept])), shape=(n, nr))
         self.free = free
         self.n_full = n
-        self.n_reduced = len(free)
+        self.n_reduced = nr
+
+        # Scatter of element blocks, read in (i, j, e) order, into the CSC
+        # data of C^T K C: each entry goes to the slot of its reduced row and
+        # column with the product of their signs; Dirichlet entries have none.
+        tri = mesh.triangles.T                               # (3, m)
+        row, col = np.broadcast_arrays(index[tri][:, None], index[tri][None])
+        row, col = row.ravel(), col.ravel()
+        entry = np.flatnonzero((row >= 0) & (col >= 0))
+        keys, slot = np.unique(col[entry] * nr + row[entry], return_inverse=True)
+        signs = (sign[tri][:, None] * sign[tri][None]).ravel()[entry]
+        self._scatter = sp.csr_matrix((signs, (slot, entry)),
+                                      shape=(len(keys), row.size))
+        pattern = sp.csc_matrix(
+            (np.zeros(len(keys)), keys % nr,
+             np.searchsorted(keys // nr, np.arange(nr + 1))), shape=(nr, nr))
+        self._indices, self._indptr = pattern.indices, pattern.indptr
 
     def reduce_vector(self, v):
         """Adjoint reduction C^T v (for residuals and loads, not coordinates)."""
@@ -139,8 +169,11 @@ class DofMap:
         """Reduced coordinates of a conforming full vector: u_full = C restrict."""
         return np.asarray(u_full)[self.free]
 
-    def reduce_matrix(self, k):
-        return (self.C.T @ k @ self.C).tocsc()
+    def reduce_matrix(self, blocks):
+        """C^T K C in CSC form, K assembled from (m, 3, 3) element blocks."""
+        data = self._scatter @ blocks.transpose(1, 2, 0).ravel()
+        return sp.csc_matrix((data, self._indices, self._indptr),
+                             shape=(self.n_reduced, self.n_reduced))
 
     def expand(self, v):
         return self.C @ v

@@ -388,6 +388,9 @@ class MachineProblem:
         if binding is None:
             log.warning("grad_q called on a scenario without parameter bindings")
             return np.zeros(0)
+        if binding != "phase" and self.spec.iron_linear:
+            # the linear iron law has no knee, so no state depends on q
+            return np.zeros(self.scenario.n_q)
         states = self.states(design, q) if states is None else states
         adjoints = self.adjoints(design, q, states) if adjoints is None else adjoints
         alphas = self.alphas()

@@ -89,6 +89,19 @@ def test_single_abscissa_rejected(tmp_path):
     assert main(["precompute-td", cfg]) == 2
 
 
+@pytest.mark.parametrize("line, bad", [
+    ("t_max = 12.0", "t_max = nan"),
+    ("t_max = 12.0", "t_max = inf"),
+    ("interval_deg = -75, -45", "interval_deg = -75, -inf"),
+], ids=["nan", "inf", "pair"])
+def test_non_finite_number_rejected(tmp_path, caplog, line, bad):
+    cfg = write_cfg(tmp_path / "nan.cfg", tmp_path / "o",
+                    base=BASE.replace(line, bad))
+    assert main(["precompute-td", cfg]) == 2
+    assert bad.split(" =")[0] in caplog.text
+    assert "finite" in caplog.text
+
+
 def test_precompute_audit_output(tables_ready, capsys):
     ws = tables_ready
     # rerun is cheap at this size and overwrites in place

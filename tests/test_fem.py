@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rtopt.errors import SolverError
 from rtopt.fem import (DofMap, P1Space, ScreenedSmoother, TangentCache,
@@ -145,6 +146,59 @@ def test_reduction_matrix_shape():
     full = dm.expand(v)
     assert np.all(full[mesh.dirichlet_nodes] == 0)
     assert np.array_equal(dm.restrict(full), v)
+
+
+def test_reduced_tangent_matches_triple_product(toy_mesh):
+    # the toy sector has both antiperiodic pairs and Dirichlet nodes
+    assert len(toy_mesh.pair_slave) and len(toy_mesh.dirichlet_nodes)
+    space, dofmap = P1Space(toy_mesh), DofMap(toy_mesh)
+    tri, n = toy_mesh.triangles, toy_mesh.n_nodes
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((toy_mesh.n_elements, 2, 2))
+    dh = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(2)        # SPD per element
+    local = np.einsum("e,eid,edc,ejc->eij", space.areas, space.curls, dh,
+                      space.curls)
+    k_full = sp.coo_matrix((local.ravel(), (np.repeat(tri, 3, axis=1).ravel(),
+                                            np.tile(tri, (1, 3)).ravel())),
+                           shape=(n, n)).tocsr()
+    ref = (dofmap.C.T @ k_full @ dofmap.C).toarray()
+    scale = np.abs(ref).max()
+
+    blocks = space.tangent_matrix(dh)
+    assert blocks.shape == local.shape
+    assert np.abs(blocks - local).max() <= 1e-14 * np.abs(local).max()
+    k_red = dofmap.reduce_matrix(blocks)
+    assert k_red.format == "csc"
+    assert np.abs(k_red.toarray() - ref).max() <= 1e-14 * scale
+    assert abs(k_red - k_red.T).max() <= 1e-14 * scale
+    # any (m, 3, 3) layout of the blocks, and one fixed pattern for every dh
+    k_ref = dofmap.reduce_matrix(local)
+    assert np.abs(k_ref.toarray() - ref).max() <= 1e-14 * scale
+    assert np.array_equal(k_ref.indices, k_red.indices)
+    assert np.array_equal(k_ref.indptr, k_red.indptr)
+
+
+def test_curl_and_divergence_operators(toy_mesh):
+    space = P1Space(toy_mesh)
+    tri = toy_mesh.triangles
+    rng = np.random.default_rng(17)
+    u = rng.standard_normal(toy_mesh.n_nodes)
+    h = rng.standard_normal((toy_mesh.n_elements, 2))
+
+    curl = space.element_curl(u)
+    ref = np.einsum("eid,ei->ed", space.curls, u[tri])
+    assert curl.shape == ref.shape
+    assert np.abs(curl - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    div = space.flux_divergence(h)
+    ref = np.zeros(toy_mesh.n_nodes)
+    np.add.at(ref, tri.ravel(), (space.areas[:, None]
+                                 * np.einsum("eid,ed->ei", space.curls, h)).ravel())
+    assert np.abs(div - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    # u . div(h) = sum_T |T| h_T . curl u
+    terms = space.areas[:, None] * h * curl
+    assert u @ div == pytest.approx(terms.sum(), abs=1e-13 * np.abs(terms).sum())
 
 
 def test_smoother_preserves_constants_and_integrals():

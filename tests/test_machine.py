@@ -133,3 +133,26 @@ def test_knee_plumbing(toy_mesh, toy_problem):
     # air flips score against the nominal knee regardless of the q argument
     assert np.all(scal.knee_for_elements(np.array([2.0]), air_nominal=True)
                   == 2.2)
+
+
+@pytest.mark.parametrize("name", ["SCAL", "DIST"])
+def test_linear_iron_knee_gradient_matches_fd(toy_mesh, linear_spec, name):
+    # the linear iron law has no knee, so J is flat in every knee parameter
+    n_q = Scenario(name=name).n_q
+    problem = MachineProblem(toy_mesh, linear_spec,
+                             Scenario(name=name, n_positions=1,
+                                      q_hat=np.full(n_q, 2.2)))
+    design = np.ones(len(problem.design_elements), dtype=bool)
+    q_hat = problem.scenario.q_hat
+    grad = problem.grad_q(design, q_hat)
+    fd = np.empty(n_q)
+    for i in range(n_q):
+        h = 1e-6 * abs(q_hat[i])
+        qp, qm = q_hat.copy(), q_hat.copy()
+        qp[i] += h
+        qm[i] -= h
+        fd[i] = (problem.objective(design, qp)[0]
+                 - problem.objective(design, qm)[0]) / (2 * h)
+    scale = abs(problem.objective(design, q_hat)[0])
+    assert np.all(np.abs(grad - fd) <= 1e-9 * scale)
+    assert np.all(grad == 0.0)
