@@ -333,21 +333,29 @@ class MachineProblem:
             raise UsageError(f"parameter vector must have length {self.scenario.n_q}")
         return q
 
-    def solve_position(self, design, q, n):
+    def solve_position(self, design, q, n, u0=None):
         alpha = self.alphas()[n]
         q = self._q_array(q)
         respond = self.respond_factory(design, q, alpha)
         load = self.space.load_vector(self.source_density(alpha, q))
-        u, info = newton_solve(self.space, self.dofmap, respond, load,
+        u, info = newton_solve(self.space, self.dofmap, respond, load, u0=u0,
                                tol=self.solver.newton_tol,
                                max_iter=self.solver.newton_max_iter,
                                cache=self.tangents)
         return u, info
 
     def states(self, design, q=None):
+        """States at every rotor position, in order.
+
+        With nonlinear iron each position's Newton starts from the previous
+        position's state; linear iron converges in one step from any start.
+        """
         q = self._q_array(q)
-        return [self.solve_position(design, q, n)[0]
-                for n in range(self.scenario.n_positions)]
+        out = []
+        for n in range(self.scenario.n_positions):
+            u0 = out[-1] if out and not self.spec.iron_linear else None
+            out.append(self.solve_position(design, q, n, u0)[0])
+        return out
 
     def torque(self, u):
         return self.torque_probe.torque(self.space, u)

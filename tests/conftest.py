@@ -50,12 +50,15 @@ def linear_tables(linear_spec):
 
 @pytest.fixture
 def splu_calls(monkeypatch):
-    """Every sparse LU factorization made through rtopt.fem, in order."""
+    """Every sparse LU factorization made through rtopt.fem, in order.
+
+    Each call is recorded as (matrix shape, keyword arguments).
+    """
     calls = []
     splu = fem.spla.splu
 
     def counted(matrix, *args, **kwargs):
-        calls.append(matrix.shape)
+        calls.append((matrix.shape, kwargs))
         return splu(matrix, *args, **kwargs)
 
     monkeypatch.setattr(fem.spla, "splu", counted)

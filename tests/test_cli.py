@@ -10,6 +10,7 @@ import pytest
 
 from rtopt.cli import main
 from rtopt.levelset import TRACE_HEADER
+from rtopt.machine import MachineProblem
 
 BASE = """
 [geometry]
@@ -235,6 +236,25 @@ def test_solver_failure_exit_code(tmp_path):
                                       "iron_linear = false"),
                     algorithm="newton_max_iter = 1")
     assert main(["audit", cfg, "--kind", "fdcheck"]) == 3
+
+
+def test_singular_tangent_exit_code(tmp_path, monkeypatch, caplog):
+    # a material without stiffness leaves every diagonal pivot zero
+    respond_factory = MachineProblem.respond_factory
+
+    def no_stiffness(self, *args):
+        respond = respond_factory(self, *args)
+
+        def zero_dh(B):
+            h, dh = respond(B)
+            return h, np.zeros_like(dh)
+
+        return zero_dh
+
+    monkeypatch.setattr(MachineProblem, "respond_factory", no_stiffness)
+    cfg = write_cfg(tmp_path / "run.cfg", tmp_path / "o")
+    assert main(["audit", cfg, "--kind", "fdcheck"]) == 3
+    assert "singular tangent system at Newton step 1" in caplog.text
 
 
 def test_audit_sweep(tables_ready, capsys):

@@ -7,9 +7,9 @@ import scipy.sparse as sp
 
 from rtopt.errors import SolverError
 from rtopt.fem import (DofMap, P1Space, ScreenedSmoother, TangentCache,
-                       adjoint_solve, newton_solve, tangent_at)
+                       adjoint_solve, factorize, newton_solve, tangent_at)
 from rtopt.laws import air_law, iron_law
-from rtopt.machine import MachineProblem, Scenario
+from rtopt.machine import MachineProblem, MaterialSpec, Scenario
 from rtopt.mesh import unit_square_mesh
 
 
@@ -75,6 +75,35 @@ def test_newton_monotone_residuals():
     assert info.iterations >= 2
     assert np.all(np.diff(info.residuals) < 0)
     assert info.residuals[-1] <= info.tolerance
+
+
+def test_newton_tolerance_is_relative_to_zero_start():
+    _, space, dofmap, respond, load = nonlinear_setup()
+    u, info = newton_solve(space, dofmap, respond, load, tol=1e-10)
+    assert info.tolerance == pytest.approx(1e-10 * np.linalg.norm(
+        dofmap.reduce_vector(load)), rel=1e-12)      # F(0) = -C^T load here
+    # started at its own solution, a solve has nothing left to do
+    u2, info2 = newton_solve(space, dofmap, respond, load, u0=u, tol=1e-10)
+    assert info2.iterations == 0
+    assert info2.tolerance == info.tolerance
+    assert np.array_equal(u2, u)
+    # from a nearby start it meets the same absolute tolerance
+    u3, info3 = newton_solve(space, dofmap, respond, load, u0=1.1 * u,
+                             tol=1e-10)
+    assert info3.tolerance == info.tolerance
+    assert info3.residuals[-1] <= info.tolerance
+
+
+def test_singular_tangent_raises_with_diagonal_pivots():
+    _, space, dofmap, respond, load = nonlinear_setup()
+
+    def no_stiffness(curls):
+        h, dh = respond(curls)
+        return h, np.zeros_like(dh)
+
+    with pytest.raises(SolverError, match="singular tangent system at "
+                                          "Newton step 1"):
+        newton_solve(space, dofmap, no_stiffness, load)
 
 
 def test_newton_iteration_cap_raises():
@@ -146,6 +175,64 @@ def test_reduction_matrix_shape():
     full = dm.expand(v)
     assert np.all(full[mesh.dirichlet_nodes] == 0)
     assert np.array_equal(dm.restrict(full), v)
+
+
+def test_reduced_numbering_keeps_the_reduction(toy_mesh):
+    assert len(toy_mesh.pair_slave) and len(toy_mesh.dirichlet_nodes)
+    dm = DofMap(toy_mesh)
+    constrained = np.concatenate([toy_mesh.dirichlet_nodes,
+                                  toy_mesh.pair_slave])
+    assert np.array_equal(np.sort(dm.free), np.setdiff1d(
+        np.arange(toy_mesh.n_nodes), constrained))
+    rng = np.random.default_rng(19)
+    v = rng.standard_normal(dm.n_reduced)
+    u = dm.expand(v)
+    assert np.array_equal(u[toy_mesh.pair_slave], -u[toy_mesh.pair_master])
+    assert np.all(u[toy_mesh.dirichlet_nodes] == 0.0)
+    assert np.array_equal(dm.restrict(u), v)
+    assert np.array_equal(dm.expand(dm.restrict(u)), u)
+    # <C^T w, v> = <w, C v>
+    w = rng.standard_normal(toy_mesh.n_nodes)
+    assert dm.reduce_vector(w) @ v == pytest.approx(w @ u, rel=1e-13)
+
+
+def test_reduced_numbering_is_the_elimination_order(toy_mesh):
+    space, dofmap = P1Space(toy_mesh), DofMap(toy_mesh)
+    k = dofmap.reduce_matrix(space.tangent_matrix(
+        np.tile(np.eye(2), (toy_mesh.n_elements, 1, 1))))
+    natural = factorize(k, permc_spec="NATURAL")
+    assert np.array_equal(natural.perm_c, np.arange(dofmap.n_reduced))
+    assert np.array_equal(natural.perm_r, natural.perm_c)  # diagonal pivots
+    # numbered by node, the same tangent gets the reduced numbering as its
+    # minimum-degree order, and the same fill; in node order it fills more
+    by_node = np.argsort(dofmap.free)
+    k_node = k[by_node][:, by_node].tocsc()
+    mmd = factorize(k_node)
+    assert np.array_equal(mmd.perm_c, by_node)
+    fill = natural.L.nnz + natural.U.nnz
+    assert fill == mmd.L.nnz + mmd.U.nnz
+    raw = factorize(k_node, permc_spec="NATURAL")
+    assert fill < raw.L.nnz + raw.U.nnz
+
+
+def test_tangents_factor_in_natural_order_with_diagonal_pivots(toy_mesh,
+                                                               splu_calls):
+    scen = Scenario(name="NOM", n_positions=2)
+    problem = MachineProblem(toy_mesh, MaterialSpec(), scen)
+    design = np.ones(len(problem.design_elements), dtype=bool)
+    _, states = problem.objective(design)
+    problem.adjoints(design, states=states)
+    assert len(splu_calls) > 2 * len(states)       # nonlinear: many tangents
+    for shape, kwargs in splu_calls:
+        assert shape == (problem.dofmap.n_reduced,) * 2
+        assert kwargs["permc_spec"] == "NATURAL"
+        assert kwargs["diag_pivot_thresh"] == 0.0
+    # the smoother keeps a minimum-degree order on its own pattern
+    calls = len(splu_calls)
+    problem.smoother()
+    (_, kwargs), = splu_calls[calls:]
+    assert kwargs["permc_spec"] == "MMD_AT_PLUS_A"
+    assert kwargs["diag_pivot_thresh"] == 0.0
 
 
 def test_reduced_tangent_matches_triple_product(toy_mesh):

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from rtopt import machine
 from rtopt.errors import ConfigurationError, UsageError
 from rtopt.fem import P1Space
 from rtopt.laws import MU0
@@ -156,3 +157,36 @@ def test_linear_iron_knee_gradient_matches_fd(toy_mesh, linear_spec, name):
     scale = abs(problem.objective(design, q_hat)[0])
     assert np.all(np.abs(grad - fd) <= 1e-9 * scale)
     assert np.all(grad == 0.0)
+
+
+def test_warm_started_positions_match_cold_solves(toy_mesh, monkeypatch):
+    solves = []
+    newton_solve = machine.newton_solve
+
+    def spy(*args, **kwargs):
+        u, info = newton_solve(*args, **kwargs)
+        solves.append((kwargs["u0"] is not None, info))
+        return u, info
+
+    monkeypatch.setattr(machine, "newton_solve", spy)
+    problem = MachineProblem(toy_mesh, MaterialSpec(),
+                             Scenario(name="NOM", n_positions=3))
+    design = np.ones(len(problem.design_elements), dtype=bool)
+    warm = problem.states(design)
+    chained, solves[:] = solves[:], []
+    cold = [problem.solve_position(design, None, n)[0] for n in range(3)]
+    assert [started for started, _ in chained] == [False, True, True]
+
+    tol = problem.solver.newton_tol
+    for uw, uc, (_, iw), (_, ic) in zip(warm, cold, chained, solves):
+        assert iw.tolerance == ic.tolerance           # same reference F(0)
+        assert np.linalg.norm(uw - uc) <= 10 * tol * np.linalg.norm(uc)
+    assert (sum(i.iterations for _, i in chained)
+            < sum(i.iterations for _, i in solves))
+
+    # linear iron converges in one step from any start: no chaining
+    solves.clear()
+    linear = MachineProblem(toy_mesh, MaterialSpec(iron_linear=True),
+                            Scenario(name="NOM", n_positions=3))
+    linear.states(design)
+    assert [started for started, _ in solves] == [False] * 3
