@@ -154,6 +154,7 @@ def _write_summary(path, cfg, result, problem, design):
         "final_objective": result.value,
         "worst_parameters": worst,
         "iron_fraction": _iron_fraction(problem, design),
+        "newton": problem.newton_summary(),
         "trace_rows": len(result.trace),
     }
     with open(path, "w") as f:

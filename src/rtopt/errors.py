@@ -10,7 +10,7 @@ class ConfigurationError(RtoptError):
 
 
 class SolverError(RtoptError):
-    """A PDE solve failed (singular system or stagnating damped Newton)."""
+    """A PDE solve failed: singular system, iteration cap or no energy decrease."""
 
     def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)

@@ -17,6 +17,11 @@ straight into the fixed CSC pattern of C^T K C by a sparse scatter. The
 reduced unknowns are numbered in the minimum-degree elimination order of that
 pattern, computed once per mesh, so each tangent is factored in natural order
 with diagonal pivots (every system is symmetric positive definite).
+
+The residual is the gradient of the convex magnetic energy
+E(u) = sum_T |T| w_T(curl u) - load . u (dw_T/dB = h_T, dh_T is SPD), so
+Newton damps on E by the approximate Armijo test of Hager and Zhang (SIAM J.
+Optim. 16(1), 2005), which reads residuals only, never E itself.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import scipy.sparse.linalg as spla
 from .errors import SolverError
 
 NEWTON_MIN_STEP = 2.0**-20
+NEWTON_ARMIJO = 1e-4        # sufficient-decrease fraction sigma of the energy
 
 
 class P1Space:
@@ -193,10 +199,11 @@ class DofMap:
 
 @dataclass
 class NewtonInfo:
-    converged: bool
     iterations: int
     residuals: list
     tolerance: float
+    steps: list                 # accepted step lengths
+    rejected: int               # trial steps refused by the energy test
 
 
 def factorize(k_red, permc_spec="MMD_AT_PLUS_A"):
@@ -261,8 +268,9 @@ def newton_solve(space, dofmap, respond, load_full, u0=None, tol=1e-8,
     respond(B) must return (h, dh) arrays of shapes (m, 2) and (m, 2, 2).
     Convergence is relative to the residual at zero, ||F|| <= tol * ||F(0)||,
     whatever the start u0, so a warm start meets a cold start's accuracy.
-    Each step is halved until the residual norm drops; stagnation raises
-    SolverError.
+    A step d is halved until F(u + alpha d) . d <= (1 - 2 sigma) |F(u) . d|,
+    the trapezoid estimate of E(u + alpha d) - E(u) <= sigma alpha F(u) . d,
+    exact for linear laws (whose full step passes); stagnation raises SolverError.
     Tangents are factored through cache (a TangentCache of space and dofmap;
     a fresh one when omitted).
     """
@@ -278,9 +286,9 @@ def newton_solve(space, dofmap, respond, load_full, u0=None, tol=1e-8,
     f, dh = residual(u)
     f0 = f if u0 is None else residual(np.zeros(space.n_nodes))[0]
     tol_abs = tol * max(float(np.linalg.norm(f0)), 1e-300)
-    history = [float(np.linalg.norm(f))]
+    history, steps, rejected = [float(np.linalg.norm(f))], [], 0
     if history[0] <= tol_abs:
-        return u, NewtonInfo(True, 0, history, tol_abs)
+        return u, NewtonInfo(0, history, tol_abs, steps, rejected)
 
     for it in range(1, max_iter + 1):
         # no local keeps the LU, so a cache miss can free it before refactoring
@@ -291,20 +299,23 @@ def newton_solve(space, dofmap, respond, load_full, u0=None, tol=1e-8,
                               residual=history[-1], iterations=it) from exc
         alpha = 1.0
         u_red = dofmap.restrict(u)
+        bound = (1.0 - 2.0 * NEWTON_ARMIJO) * abs(f @ step)
         while True:
             trial = dofmap.expand(u_red + alpha * step)
             f_trial, dh_trial = residual(trial)
-            if np.linalg.norm(f_trial) < np.linalg.norm(f):
+            if f_trial @ step <= bound:
                 break
             alpha *= 0.5
+            rejected += 1
             if alpha < NEWTON_MIN_STEP:
                 raise SolverError(
-                    "Newton damping stagnated (no residual decrease)",
-                    residual=float(np.linalg.norm(f)), iterations=it)
+                    "Newton damping stagnated (no energy decrease)",
+                    residual=history[-1], iterations=it)
         u, f, dh = trial, f_trial, dh_trial
         history.append(float(np.linalg.norm(f)))
+        steps.append(alpha)
         if history[-1] <= tol_abs:
-            return u, NewtonInfo(True, it, history, tol_abs)
+            return u, NewtonInfo(it, history, tol_abs, steps, rejected)
 
     raise SolverError(
         f"Newton did not reach tolerance in {max_iter} iterations",
@@ -368,9 +379,3 @@ class ScreenedSmoother:
 
     def norm(self, a):
         return float(np.sqrt(max(self.inner(a, a), 0.0)))
-
-    def integral_nodal(self, a):
-        return float(np.asarray(self.mass.sum(axis=1)).ravel() @ a)
-
-    def integral_elementwise(self, g_elem):
-        return float(self.space.areas[self.elements] @ g_elem)

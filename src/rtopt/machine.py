@@ -190,6 +190,7 @@ class MachineProblem:
         self.dofmap = DofMap(mesh)
         # one factored tangent shared by every state solve and adjoint
         self.tangents = TangentCache(self.space, self.dofmap)
+        self.newton_log = []        # NewtonInfo of every state solve, in order
 
         m = mesh.n_elements
         rid = mesh.region_id
@@ -342,6 +343,7 @@ class MachineProblem:
                                tol=self.solver.newton_tol,
                                max_iter=self.solver.newton_max_iter,
                                cache=self.tangents)
+        self.newton_log.append(info)
         return u, info
 
     def states(self, design, q=None):
@@ -356,6 +358,13 @@ class MachineProblem:
             u0 = out[-1] if out and not self.spec.iron_linear else None
             out.append(self.solve_position(design, q, n, u0)[0])
         return out
+
+    def newton_summary(self):
+        """Newton counts over every state solve so far."""
+        its = [info.iterations for info in self.newton_log]
+        return {"solves": len(its), "iterations": sum(its),
+                "max_iterations": max(its, default=0),
+                "rejected_trials": sum(info.rejected for info in self.newton_log)}
 
     def torque(self, u):
         return self.torque_probe.torque(self.space, u)

@@ -23,6 +23,7 @@ from rtopt.robust import (InnerParams, IntervalSet, ParameterObjective,
                           inner_maximize, optimize_robust, singleton_set)
 from rtopt.topderiv import (ExteriorConfig, ExteriorProblem,
                             laws_for_direction, precompute_tables)
+from smoother_integrals import elementwise_integral, nodal_integral
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -178,8 +179,8 @@ def test_criterion_06_smoother_integrals(capsys, toy_problem, linear_tables):
                                   design).sensitivity
     sm = toy_problem.smoother()
     g_nodal = sm.smooth(g_elem)
-    lhs = sm.integral_nodal(g_nodal)
-    rhs = sm.integral_elementwise(g_elem)
+    lhs = nodal_integral(sm, g_nodal)
+    rhs = elementwise_integral(sm, g_elem)
     preserved = abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1e-30)
     flat = sm.smooth(np.ones(len(toy_problem.design_elements)))
     constant = np.max(np.abs(flat - 1.0)) <= 1e-13

@@ -122,7 +122,7 @@ def test_optimize_missing_tables(tmp_path):
 
 
 SUMMARY_KEYS = {"evaluations", "final_objective", "format", "iron_fraction",
-                "iterations", "scenario", "status", "trace_rows",
+                "iterations", "newton", "scenario", "status", "trace_rows",
                 "worst_parameters"}
 
 
@@ -158,6 +158,12 @@ def test_optimize_nominal_artifacts(tables_ready, capsys):
     assert (rc == 4) == (summary["status"] == "stalled")
     assert 0.0 <= summary["iron_fraction"] <= 1.0
     assert summary["worst_parameters"] == [np.deg2rad(-60.0)]
+    # linear iron: every state solve is one full Newton step
+    newton = summary["newton"]
+    assert newton["solves"] >= summary["evaluations"]
+    assert newton["iterations"] == newton["solves"]
+    assert newton["max_iterations"] == 1
+    assert newton["rejected_trials"] == 0
     assert final.startswith(b"RTOLS1\n")
     svg = (rundir / "design_final.svg").read_text()
     assert svg.lstrip().startswith("<svg")

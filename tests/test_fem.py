@@ -4,13 +4,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.special import hyp2f1
 
 from rtopt.errors import SolverError
 from rtopt.fem import (DofMap, P1Space, ScreenedSmoother, TangentCache,
                        adjoint_solve, factorize, newton_solve, tangent_at)
-from rtopt.laws import air_law, iron_law
+from rtopt.laws import NU0, air_law, iron_law
 from rtopt.machine import MachineProblem, MaterialSpec, Scenario
 from rtopt.mesh import unit_square_mesh
+from smoother_integrals import elementwise_integral, nodal_integral
 
 
 def linear_respond(curls):
@@ -68,12 +73,79 @@ def nonlinear_setup(scale=1e5):
     return mesh, space, dofmap, respond, space.load_vector(j)
 
 
-def test_newton_monotone_residuals():
-    _, space, dofmap, respond, load = nonlinear_setup()
-    u, info = newton_solve(space, dofmap, respond, load, tol=1e-10)
-    assert info.converged
-    assert info.iterations >= 2
-    assert np.all(np.diff(info.residuals) < 0)
+def iron_energy_density(law, s):
+    """w(s) = int_0^s h(t) dt of the saturating iron law, in closed form."""
+    nu0, nu_f, k, n = law.nu0, law.nu_f, law.k_f, law.n_f
+    z = s / k
+    return (0.5 * nu0 * s**2 + (nu_f - nu0) * k**2 * 0.5 * z**2
+            * hyp2f1(1.0 / n, 2.0 / n, 1.0 + 2.0 / n, -z**n))
+
+
+def test_newton_monotone_energy():
+    # the residual is the gradient of E(u) = sum_T |T| w(|B_T|) - load . u;
+    # every accepted iterate lowers E, whatever its residual norm does
+    law = iron_law()
+    for s in (0.3, 1.0, 2.2, 3.0, 7.0, 20.0):       # iterates reach ~7 T
+        ref, _ = quad(lambda t: law.h(np.array([t, 0.0]))[0], 0.0, s,
+                      points=[law.k_f] if s > law.k_f else None, limit=200)
+        assert iron_energy_density(law, s) == pytest.approx(ref, rel=1e-10)
+
+    for scale in (1e4, 1e5, 1e6, 1e7):
+        _, space, dofmap, respond, load = nonlinear_setup(scale)
+
+        def energy(u):
+            s = np.linalg.norm(space.element_curl(u), axis=1)
+            return float(space.areas @ iron_energy_density(law, s) - load @ u)
+
+        cache = TangentCache(space, dofmap)
+        u, info = newton_solve(space, dofmap, respond, load, tol=1e-10,
+                               cache=cache)
+        assert info.iterations >= 2
+        assert info.residuals[-1] <= info.tolerance
+        assert len(info.steps) == info.iterations
+        # each rejected trial halves the step
+        assert info.rejected == sum(-np.log2(a) for a in info.steps)
+
+        # replay the accepted steps to recover the iterates
+        load_red = dofmap.reduce_vector(load)
+        iterate = np.zeros(space.n_nodes)
+        energies = [energy(iterate)]
+        for alpha in info.steps:
+            h, dh = respond(space.element_curl(iterate))
+            f = dofmap.reduce_vector(space.flux_divergence(h)) - load_red
+            step = -cache.lu(dh).solve(f)
+            iterate = dofmap.expand(dofmap.restrict(iterate) + alpha * step)
+            energies.append(energy(iterate))
+        assert np.array_equal(iterate, u)
+        assert np.all(np.diff(energies) <= 1e-12 * abs(energies[-1])), scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["air", "iron"]),
+       nu_f=st.floats(10.0, NU0),
+       log_scale=st.floats(0.0, 7.0),
+       start=st.floats(0.0, 10.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_linear_law_takes_one_full_newton_step(kind, nu_f, log_scale, start,
+                                               seed):
+    # a linear law has a quadratic energy, whose trapezoid estimate is exact
+    mesh = unit_square_mesh(6)
+    space, dofmap = P1Space(mesh), DofMap(mesh)
+    nu = NU0 if kind == "air" else nu_f
+    law = air_law() if kind == "air" else iron_law(nu_f=nu_f, linear=True)
+
+    def respond(curls):
+        return law.h(curls), law.dh_db(curls)
+
+    scale = 10.0**log_scale
+    load = space.load_vector(np.full(mesh.n_elements, scale))
+    # a start of up to ten times the size of the solution, |u| ~ scale / nu
+    rng = np.random.default_rng(seed)
+    u0 = start * scale / nu * rng.standard_normal(space.n_nodes)
+    u, info = newton_solve(space, dofmap, respond, load, u0=u0, tol=1e-8)
+    assert info.iterations == 1
+    assert info.steps == [1.0]
+    assert info.rejected == 0
     assert info.residuals[-1] <= info.tolerance
 
 
@@ -300,8 +372,8 @@ def test_smoother_preserves_constants_and_integrals():
     rng = np.random.default_rng(7)
     raw = rng.standard_normal(mesh.n_elements)
     g = sm.smooth(raw)
-    assert sm.integral_nodal(g) == pytest.approx(
-        sm.integral_elementwise(raw), rel=1e-12)
+    assert nodal_integral(sm, g) == pytest.approx(
+        elementwise_integral(sm, raw), rel=1e-12)
 
 
 def test_linear_iron_factors_once_per_design(toy_mesh, linear_spec,

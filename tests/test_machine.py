@@ -183,6 +183,13 @@ def test_warm_started_positions_match_cold_solves(toy_mesh, monkeypatch):
         assert np.linalg.norm(uw - uc) <= 10 * tol * np.linalg.norm(uc)
     assert (sum(i.iterations for _, i in chained)
             < sum(i.iterations for _, i in solves))
+    # the problem keeps every solve's record, in order
+    infos = [i for _, i in chained + solves]
+    assert all(a is b for a, b in zip(problem.newton_log, infos, strict=True))
+    its = [i.iterations for i in infos]
+    assert problem.newton_summary() == {
+        "solves": 6, "iterations": sum(its), "max_iterations": max(its),
+        "rejected_trials": sum(i.rejected for i in infos)}
 
     # linear iron converges in one step from any start: no chaining
     solves.clear()
