@@ -159,6 +159,27 @@ def test_linear_iron_knee_gradient_matches_fd(toy_mesh, linear_spec, name):
     assert np.all(grad == 0.0)
 
 
+def test_dist_knee_gradient_matches_fd(toy_mesh):
+    # one knee per rotor block plus the stator's, each read by its own
+    # elements only; air elements of a mixed design read none
+    problem = MachineProblem(toy_mesh, MaterialSpec(),
+                             Scenario(name="DIST", n_positions=1,
+                                      q_hat=np.full(9, 2.2)))
+    rng = np.random.default_rng(5)
+    design = rng.random(len(problem.design_elements)) > 0.5
+    q = 2.2 + 0.1 * rng.uniform(-1.0, 1.0, 9)
+    grad = problem.grad_q(design, q)
+    fd = np.empty(9)
+    for i in range(9):
+        h = 1e-6 * q[i]
+        qp, qm = q.copy(), q.copy()
+        qp[i] += h
+        qm[i] -= h
+        fd[i] = (problem.objective(design, qp)[0]
+                 - problem.objective(design, qm)[0]) / (2 * h)
+    assert np.all(np.abs(grad - fd) <= 1e-4 * np.abs(grad).max())
+
+
 def test_warm_started_positions_match_cold_solves(toy_mesh, monkeypatch):
     solves = []
     newton_solve = machine.newton_solve
