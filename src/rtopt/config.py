@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .machine import MaterialSpec, Scenario, SolverOptions
+from .machine import ROTOR_BLOCKS, MaterialSpec, Scenario, SolverOptions
 from .mesh import MachineGeometry
 from .levelset import LevelSetOptions
-from .robust import EllipsoidSet, IntervalSet, InnerParams
+from .robust import BallSet, IntervalSet, InnerParams
 from .topderiv import ExteriorConfig
 
 PSI0_MODES = ("all_iron", "all_air", "random")
@@ -36,8 +36,7 @@ _SECTIONS = {
     },
     "scenario": {
         "name", "n_positions", "q_hat_deg", "interval_deg", "q_hat_knee",
-        "interval_knee", "ellipsoid_radius", "n_rotor_blocks",
-        "co_rotate_magnets", "frozen_alpha_deg",
+        "interval_knee", "ellipsoid_radius", "co_rotate_magnets", "frozen_alpha_deg",
     },
     "algorithm": {
         "t_max", "n_t", "n_q", "exterior_radius", "exterior_target_nodes",
@@ -69,15 +68,13 @@ class RunConfig:
     output_dir: str = "runs/out"
     snapshot_interval: int = 10
     source_path: str | None = None
-    meta: dict = field(default_factory=dict)
 
     def table_q_range(self):
         """Knee interval the sensitivity tables must span, or None."""
         if self.scenario.binding == "knee":
             return self.uncertainty.lower[0], self.uncertainty.upper[0]
         if self.scenario.binding == "knee_regions":
-            c = self.uncertainty.center
-            r = self.meta["ellipsoid_radius"]
+            c, r = self.uncertainty.center, self.uncertainty.radius
             return float(c.min() - r), float(c.max() + r)
         return None
 
@@ -238,12 +235,11 @@ def _build_materials(sec):
     return spec
 
 
-def _build_scenario(sec, spec, meta):
+def _build_scenario(sec, spec):
     name = (sec.get_str("name", "NOM") or "NOM").upper()
     if name not in ("NOM", "ANG", "SCAL", "DIST"):
         raise ConfigurationError(f"unknown scenario name {name!r}")
     n_positions = sec.get_int("n_positions", 11)
-    blocks = sec.get_int("n_rotor_blocks", 8)
     co_rotate = sec.get_bool("co_rotate_magnets", False)
     frozen = sec.get_float("frozen_alpha_deg")
     frozen = None if frozen is None else np.deg2rad(frozen)
@@ -266,18 +262,15 @@ def _build_scenario(sec, spec, meta):
             raise ConfigurationError("knee interval must have 0 < lo < hi")
         uncertainty = IntervalSet(np.array([lo]), np.array([hi]))
     else:
-        n_q = blocks + 1
-        q_hat = np.full(n_q, sec.get_float("q_hat_knee", spec.k_f))
+        q_hat = np.full(ROTOR_BLOCKS + 1, sec.get_float("q_hat_knee", spec.k_f))
         radius = sec.get_float("ellipsoid_radius", 0.1 * spec.k_f)
         if radius <= 0 or radius >= q_hat.min():
             raise ConfigurationError(
                 "ellipsoid radius must be positive and keep knees positive")
-        meta["ellipsoid_radius"] = radius
-        uncertainty = EllipsoidSet(q_hat.copy(), radius * np.eye(n_q))
+        uncertainty = BallSet(q_hat.copy(), radius)
 
     scen = Scenario(name=name, n_positions=n_positions, q_hat=q_hat,
-                    co_rotate_magnets=bool(co_rotate), frozen_alpha=frozen,
-                    n_rotor_blocks=blocks)
+                    co_rotate_magnets=bool(co_rotate), frozen_alpha=frozen)
     scen.validate()
     if uncertainty is not None and not uncertainty.contains(q_hat, 1e-9):
         raise ConfigurationError(
@@ -333,10 +326,9 @@ def _build_algorithm(sec):
 def load_config(path):
     """Parse and validate one run configuration file."""
     secs = _read_sections(path)
-    meta = {}
     geometry = _build_geometry(secs["geometry"])
     materials = _build_materials(secs["material"])
-    scenario, uncertainty = _build_scenario(secs["scenario"], materials, meta)
+    scenario, uncertainty = _build_scenario(secs["scenario"], materials)
     (exterior, levelset, inner, solver,
      psi0_mode, smoothing_eps, seed) = _build_algorithm(secs["algorithm"])
 
@@ -357,4 +349,4 @@ def load_config(path):
                      smoothing_eps=smoothing_eps, seed=seed,
                      output_dir=output_dir,
                      snapshot_interval=snapshot_interval,
-                     source_path=os.path.abspath(path), meta=meta)
+                     source_path=os.path.abspath(path))

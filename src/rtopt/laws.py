@@ -8,8 +8,10 @@ h (A/m):
           (saturating; reduces to nu_f*b at b=0 and to nu0*b as |b| grows;
           `linear=True` freezes it at nu_f*b)
 
-The machine assembles its iron response from the same knee-factor kernels,
-with per-element knees read from the scenario's parameter vector q.
+`MaterialLaw.response` is the one evaluation of a law: it returns h and
+dh/db together, and a saturating iron law takes an optional per-row knee.
+The machine's iron elements (knees read from the scenario's parameter
+vector q) and the exterior corrector both evaluate through it.
 """
 
 from __future__ import annotations
@@ -64,32 +66,33 @@ class MaterialLaw:
     n_f: int = N_F
     linear: bool = False
 
+    def response(self, b, knee=None):
+        """Field strength h(b) and Jacobian dh/db for rows b of shape (..., 2).
+
+        dh/db has shape (..., 2, 2) and is symmetric positive definite. knee
+        replaces k_f of a saturating iron law, per row when it is an array.
+        """
+        b = np.asarray(b, dtype=float)
+        eye = np.eye(2)
+        if self.kind == "air" or self.linear:
+            nu = self.nu0 if self.kind == "air" else self.nu_f
+            return nu * b, np.broadcast_to(nu * eye, b.shape + (2,)).copy()
+        k = self.k_f if knee is None else knee
+        s = np.linalg.norm(b, axis=-1)
+        c = self.nu_f - self.nu0
+        nu = self.nu0 + c * iron_knee_factor(k, s, self.n_f)
+        gos = iron_knee_factor_ds_over_s(k, s, self.n_f)
+        dh = (nu[..., None, None] * eye
+              + (c * gos)[..., None, None] * (b[..., :, None] * b[..., None, :]))
+        return nu[..., None] * b, dh
+
     def h(self, b):
         """Field strength h(b). b has shape (..., 2)."""
-        b = np.asarray(b, dtype=float)
-        if self.kind == "air":
-            return self.nu0 * b
-        if self.linear:
-            return self.nu_f * b
-        s = np.linalg.norm(b, axis=-1)
-        g = iron_knee_factor(self.k_f, s, self.n_f)
-        return (self.nu0 + (self.nu_f - self.nu0) * g)[..., None] * b
+        return self.response(b)[0]
 
     def dh_db(self, b):
         """Jacobian dh/db, shape (..., 2, 2). Symmetric positive definite."""
-        b = np.asarray(b, dtype=float)
-        eye = np.eye(2)
-        if self.kind == "air":
-            return np.broadcast_to(self.nu0 * eye, b.shape + (2,)).copy()
-        if self.linear:
-            return np.broadcast_to(self.nu_f * eye, b.shape + (2,)).copy()
-        s = np.linalg.norm(b, axis=-1)
-        g = iron_knee_factor(self.k_f, s, self.n_f)
-        gp_over_s = iron_knee_factor_ds_over_s(self.k_f, s, self.n_f)
-        c = self.nu_f - self.nu0
-        out = (self.nu0 + c * g)[..., None, None] * eye
-        out = out + (c * gp_over_s)[..., None, None] * (b[..., :, None] * b[..., None, :])
-        return out
+        return self.response(b)[1]
 
 
 def air_law(nu0=NU0):

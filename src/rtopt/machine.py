@@ -12,7 +12,10 @@ currents (and optionally co-rotate the magnet remanence directions).
 
 The parameter vector q carries scenario uncertainty: the load angle of the
 currents ("phase" binding), one shared iron saturation knee ("knee" binding),
-or one knee per iron sub-region ("knee_regions").
+or one knee per rotor block plus one for the stator ("knee_regions", with
+ROTOR_BLOCKS + 1 entries). MachineProblem decides once, in `knee_index`,
+which entry of q each element's knee reads; every iron row is evaluated by
+the iron law of `MaterialSpec` with those per-element knees.
 """
 
 from __future__ import annotations
@@ -38,6 +41,9 @@ COILS = (("coil_A", 0.0, +1.0), ("coil_B", 2 * np.pi / 3, -1.0),
 
 POLE_PAIRS = 4
 
+# DIST knee blocks of the design region: 4 angular x 2 radial
+ROTOR_BLOCKS = 8
+
 
 @dataclass(frozen=True)
 class MaterialSpec:
@@ -54,6 +60,12 @@ class MaterialSpec:
     magnet_phi2: float = np.deg2rad(15.0)
     j_peak: float = 23.7e6
     phi0: float = np.deg2rad(6.0)
+
+    def iron_law(self, knee=None):
+        """The iron law of these constants, with its knee at k_f or knee."""
+        return laws.iron_law(self.nu0, self.nu_f,
+                             self.k_f if knee is None else knee, self.n_f,
+                             self.iron_linear)
 
     def law_fingerprint(self, knee_mode):
         """Digest of the iron/air law pair a sensitivity table depends on."""
@@ -78,7 +90,6 @@ class Scenario:
     q_hat: np.ndarray = field(default_factory=lambda: np.zeros(0))
     co_rotate_magnets: bool = False
     frozen_alpha: float | None = None
-    n_rotor_blocks: int = 8
 
     @property
     def binding(self):
@@ -88,7 +99,7 @@ class Scenario:
     @property
     def n_q(self):
         return {"NOM": 0, "ANG": 1, "SCAL": 1,
-                "DIST": self.n_rotor_blocks + 1}[self.name]
+                "DIST": ROTOR_BLOCKS + 1}[self.name]
 
     def validate(self):
         if self.name not in ("NOM", "ANG", "SCAL", "DIST"):
@@ -220,6 +231,15 @@ class MachineProblem:
         rad = (np.hypot(cen[:, 0], cen[:, 1]) >= 0.5 * (r_in + r_out)).astype(int)
         self.design_block = (2 * ang + rad).astype(np.int64)
 
+        # entry of q that each element's saturation knee reads; -1 keeps k_f
+        self.knee_index = np.full(m, -1, dtype=np.int64)
+        if self.scenario.binding == "knee":
+            self.knee_index[self._stator] = 0
+            self.knee_index[self.design_elements] = 0
+        elif self.scenario.binding == "knee_regions":
+            self.knee_index[self._stator] = ROTOR_BLOCKS
+            self.knee_index[self.design_elements] = self.design_block
+
         r_gap = mesh.meta.get("r_gap_outer", 0.051)
         radius = torque_radius if torque_radius else 0.5 * (r_out + r_gap)
         npts = torque_points or max(64, 4 * mesh.meta.get("m_ang", 48))
@@ -264,15 +284,10 @@ class MachineProblem:
     # -- materials ------------------------------------------------------------
 
     def _knee_values(self, q):
-        """Per-element saturation knees after applying the q binding."""
+        """Per-element saturation knees: q where `knee_index` binds, else k_f."""
         kf = np.full(self.mesh.n_elements, self.spec.k_f)
-        b = self.scenario.binding
-        if b == "knee":
-            kf[self._stator] = q[0]
-            kf[self.design_elements] = q[0]
-        elif b == "knee_regions":
-            kf[self._stator] = q[self.scenario.n_rotor_blocks]
-            kf[self.design_elements] = np.asarray(q)[self.design_block]
+        bound = self.knee_index >= 0
+        kf[bound] = np.asarray(q)[self.knee_index[bound]]
         return kf
 
     def _remanence(self, alpha):
@@ -299,6 +314,7 @@ class MachineProblem:
         kf = self._knee_values(q)[iron]
         rem = self._remanence(alpha)[magnets]
         spec = self.spec
+        iron_law = spec.iron_law()
         eye = np.eye(2)
 
         def respond(B):
@@ -308,19 +324,7 @@ class MachineProblem:
             dh[air] = spec.nu0 * eye
             h[magnets] = spec.nu_m * (B[magnets] - rem)
             dh[magnets] = spec.nu_m * eye
-            bi = B[iron]
-            if spec.iron_linear:
-                h[iron] = spec.nu_f * bi
-                dh[iron] = spec.nu_f * eye
-            else:
-                s = np.linalg.norm(bi, axis=-1)
-                g = laws.iron_knee_factor(kf, s, spec.n_f)
-                gos = laws.iron_knee_factor_ds_over_s(kf, s, spec.n_f)
-                c = spec.nu_f - spec.nu0
-                h[iron] = (spec.nu0 + c * g)[:, None] * bi
-                dh[iron] = ((spec.nu0 + c * g)[:, None, None] * eye
-                            + (c * gos)[:, None, None]
-                            * (bi[:, :, None] * bi[:, None, :]))
+            h[iron], dh[iron] = iron_law.response(B[iron], kf)
             return h, dh
 
         return respond
@@ -419,17 +423,11 @@ class MachineProblem:
                 grad[0] -= float(self.space.load_vector(dj) @ p)
             return grad
 
-        # knee bindings: d h / d k on iron elements, dotted with the adjoint flux
-        iron_design = self.design_elements[np.asarray(design, dtype=bool)]
-        qidx = np.full(self.mesh.n_elements, -1, dtype=np.int64)
-        if binding == "knee":
-            qidx[self._stator] = 0
-            qidx[iron_design] = 0
-        else:
-            qidx[self._stator] = self.scenario.n_rotor_blocks
-            qidx[self.design_elements] = self.design_block
-            qidx[self.design_elements[~np.asarray(design, dtype=bool)]] = -1
-        active = np.flatnonzero(qidx >= 0)
+        # knee bindings: d h / d k on bound iron elements, dotted with the
+        # adjoint flux; air design elements read no knee
+        bound = self.knee_index >= 0
+        bound[self.design_elements[~np.asarray(design, dtype=bool)]] = False
+        active = np.flatnonzero(bound)
         if len(active) == 0:
             log.warning("knee binding has no iron elements; gradient is zero")
             return grad
@@ -442,7 +440,7 @@ class MachineProblem:
             s = np.linalg.norm(Bu, axis=-1)
             dg = laws.iron_knee_factor_dk(kf, s, self.spec.n_f)
             w = areas * c * dg * np.einsum("ed,ed->e", Bu, Bp)
-            np.add.at(grad, qidx[active], w)
+            np.add.at(grad, self.knee_index[active], w)
         return grad
 
     # -- design helpers ---------------------------------------------------------
@@ -465,9 +463,4 @@ class MachineProblem:
     def knee_for_elements(self, q, air_nominal=False):
         """Per-design-element knee from q (or the nominal q for air flips)."""
         q = self.scenario.q_hat if air_nominal else self._q_array(q)
-        b = self.scenario.binding
-        if b == "knee":
-            return np.full(len(self.design_elements), float(q[0]))
-        if b == "knee_regions":
-            return np.asarray(q, dtype=float)[self.design_block]
-        return np.full(len(self.design_elements), self.spec.k_f)
+        return self._knee_values(q)[self.design_elements]

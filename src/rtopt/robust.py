@@ -1,9 +1,11 @@
 """Worst-case robust optimization over a convex parameter set.
 
-The outer loop and the evaluator are the nominal ones; the only difference
-is where q comes from: each iterate first maximizes the objective
-over the uncertainty set with a projected-gradient ascent (multi-start,
-warm-started from the previous worst case), and the sensitivity field is
+The uncertainty set is an interval (the load angle of ANG, the shared knee
+of SCAL) or a Euclidean ball around the nominal knees (DIST). The outer loop
+and the evaluator are the nominal ones; the only difference is where q comes
+from: each iterate first maximizes the objective over the uncertainty set
+with a projected-gradient ascent (multi-start, warm-started from the
+previous worst case), and the sensitivity field is
 the one of the plain objective frozen at the maximizer. For a locally
 Lipschitz max-function with a unique maximizer that frozen gradient is the
 generalized gradient, so no subdifferential machinery is needed.
@@ -27,8 +29,6 @@ log = logging.getLogger(__name__)
 
 class IntervalSet:
     """Axis-aligned box {q : lower <= q <= upper}."""
-
-    kind = "interval"
 
     def __init__(self, lower, upper):
         self.lower = np.atleast_1d(np.asarray(lower, dtype=float))
@@ -66,25 +66,12 @@ class IntervalSet:
         return np.linspace(self.lower[0], self.upper[0], n)[:, None]
 
 
-class EllipsoidSet:
-    """Ellipsoid {center + R v : |v| <= 1} with R of full column rank."""
+class BallSet:
+    """Euclidean ball {q : |q - center| <= radius}."""
 
-    kind = "ellipsoid"
-
-    def __init__(self, center, shape):
+    def __init__(self, center, radius):
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
-        self.shape = np.atleast_2d(np.asarray(shape, dtype=float))
-        if self.shape.shape[0] != len(self.center):
-            raise ConfigurationError("shape matrix rows must match the center length")
-        if self.shape.shape[1] > self.shape.shape[0]:
-            raise ConfigurationError("shape matrix has more columns than rows")
-        u, s, vt = np.linalg.svd(self.shape, full_matrices=False)
-        if s[-1] <= 1e-12 * max(s[0], 1.0):
-            raise ConfigurationError("ellipsoid shape matrix is rank deficient")
-        self._u, self._s, self._vt = u, s, vt
-        n, r = self.shape.shape
-        self._isotropic = (n == r and np.allclose(self.shape, self._s[0] * np.eye(n),
-                                                  rtol=0.0, atol=1e-14 * self._s[0]))
+        self.radius = float(radius)
 
     @property
     def dim(self):
@@ -97,56 +84,19 @@ class EllipsoidSet:
     def project(self, q):
         q = np.asarray(q, dtype=float)
         d = q - self.center
-        if self._isotropic:
-            r = np.linalg.norm(d)
-            radius = self._s[0]
-            if r <= radius:
-                return q.copy()
-            return self.center + d * (radius / r)
-        # closest point of the (possibly flat) ellipsoid: trust-region step
-        # w minimizes |S w - b| over |w| <= 1 in the SVD frame
-        b = self._u.T @ d
-        s = self._s
-        w = b / s
-        if np.linalg.norm(w) <= 1.0:
-            v = self._vt.T @ w
-            return self.center + self.shape @ v
-        lam = 0.0
-        for _ in range(200):
-            denom = s * s + lam
-            w = s * b / denom
-            phi = w @ w - 1.0
-            if abs(phi) < 1e-14:
-                break
-            dphi = -2.0 * np.sum((s * b) ** 2 / denom ** 3)
-            step = phi / dphi
-            lam_new = lam - step
-            if lam_new <= lam and abs(step) < 1e-15 * max(lam, 1.0):
-                break
-            lam = max(lam_new, 0.0)
-        w = s * b / (s * s + lam)
-        v = self._vt.T @ w
-        return self.center + self.shape @ v
+        r = np.linalg.norm(d)
+        if r <= self.radius:
+            return q.copy()
+        return self.center + d * (self.radius / r)
 
     def contains(self, q, tol=1e-12):
         d = np.asarray(q, dtype=float) - self.center
-        b = self._u.T @ d
-        residual = d - self._u @ b
-        if np.linalg.norm(residual) > tol * max(1.0, np.linalg.norm(d)):
-            return False
-        w = b / self._s
-        return bool(np.linalg.norm(w) <= 1.0 + tol)
+        return bool(np.linalg.norm(d) <= self.radius * (1.0 + tol))
 
     def start_points(self):
-        cols = [self.center + self.shape[:, j] for j in range(self.shape.shape[1])]
-        cols += [self.center - self.shape[:, j] for j in range(self.shape.shape[1])]
-        return cols
-
-    def grid(self, n):
-        if self.dim != 1:
-            raise UsageError("grid sweeps are defined for one-dimensional sets")
-        r = abs(self.shape[0, 0])
-        return np.linspace(self.center[0] - r, self.center[0] + r, n)[:, None]
+        steps = self.radius * np.eye(self.dim)
+        return ([self.center + e for e in steps]
+                + [self.center - e for e in steps])
 
 
 def singleton_set(q_hat):
@@ -181,7 +131,6 @@ class WorstCaseResult:
     q_star: np.ndarray
     value: float
     iterations: int
-    start_index: int
     n_evaluations: int
     accepted_steps: list = field(default_factory=list)
 
@@ -242,8 +191,8 @@ def inner_maximize(objective, uset, starts, params=None):
             continue
         total_iters += iters
         if best is None or value > best.value:
-            best = WorstCaseResult(q, value, iters, idx,
-                                   objective.n_evaluations, steps)
+            best = WorstCaseResult(q, value, iters, objective.n_evaluations,
+                                   steps)
     if best is None:
         raise SolverError("all inner-maximization starts failed") from failures[-1]
     if not uset.contains(best.q_star, 1e-12):

@@ -30,6 +30,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigurationError, FormatError, UsageError
 from .fem import DofMap, P1Space, TangentCache, newton_solve
+from .laws import air_law
 from .mesh import graded_disk_mesh
 
 log = logging.getLogger(__name__)
@@ -89,10 +90,10 @@ class ExteriorProblem:
             b = Bk + U
             h = np.empty_like(Bk)
             dh = np.empty(Bk.shape + (2,))
-            h[inc] = law_in.h(b[inc]) - h_in_U + jump
-            h[ext] = law_out.h(b[ext]) - h_out_U
-            dh[inc] = law_in.dh_db(b[inc])
-            dh[ext] = law_out.dh_db(b[ext])
+            h_in, dh[inc] = law_in.response(b[inc])
+            h_out, dh[ext] = law_out.response(b[ext])
+            h[inc] = h_in - h_in_U + jump
+            h[ext] = h_out - h_out_U
             return h, dh
 
         load = np.zeros(self.space.n_nodes)
@@ -114,10 +115,8 @@ class ExteriorProblem:
         inc = self.inclusion
         areas = self.space.areas
 
-        h_in_U = law_in.h(U)
-        h_out_U = law_out.h(U)
-        dh_in_U = law_in.dh_db(U)
-        dh_out_U = law_out.dh_db(U)
+        h_in_U, dh_in_U = law_in.response(U)
+        h_out_U, dh_out_U = law_out.response(U)
 
         b = Bk + U
         rem = np.empty_like(Bk)
@@ -166,12 +165,10 @@ class ExteriorProblem:
         return b * proj * shape
 
 
-def laws_for_direction(direction, nu0, nu_f, n_f, linear, knee):
-    """Inclusion and exterior laws for one flip direction."""
-    from .laws import air_law, iron_law
-
-    air = air_law(nu0)
-    iron = iron_law(nu0=nu0, nu_f=nu_f, k_f=knee, n_f=n_f, linear=linear)
+def laws_for_direction(direction, materials, knee):
+    """Inclusion and exterior laws for one flip direction at one iron knee."""
+    air = air_law(materials.nu0)
+    iron = materials.iron_law(knee)
     if direction == "iron_to_air":
         return air, iron
     if direction == "air_to_iron":
@@ -295,9 +292,7 @@ def sample_table(materials, direction, exterior_config=None, q_range=None,
     f_par = np.zeros((cfg.n_t, len(knees)))
     f_perp = np.zeros((cfg.n_t, len(knees)))
     for jq, knee in enumerate(knees):
-        law_in, law_out = laws_for_direction(
-            direction, materials.nu0, materials.nu_f, materials.n_f,
-            materials.iron_linear, knee)
+        law_in, law_out = laws_for_direction(direction, materials, knee)
         for it, t in enumerate(t_vals):
             if t == 0.0:
                 continue
@@ -313,22 +308,6 @@ def sample_table(materials, direction, exterior_config=None, q_range=None,
                        materials.law_fingerprint(knee_mode), meta=meta)
     return TDTable(direction, t_vals, f_par, f_perp,
                    materials.law_fingerprint(knee_mode), q=knees, meta=meta)
-
-
-def sample_single(materials, direction, t, knee=None, exterior_config=None,
-                  problem=None):
-    """One isolated (t, knee) sample; reproduces the batch value exactly."""
-    cfg = exterior_config or ExteriorConfig()
-    prob = problem or ExteriorProblem(cfg)
-    use_knee = materials.k_f if knee is None else knee
-    law_in, law_out = laws_for_direction(
-        direction, materials.nu0, materials.nu_f, materials.n_f,
-        materials.iron_linear, use_knee)
-    if t == 0.0:
-        return 0.0, 0.0
-    U = np.array([float(t), 0.0])
-    k, _ = prob.solve_corrector(U, law_in, law_out)
-    return prob.response_pair(k, U, law_in, law_out)
 
 
 def precompute_tables(materials, exterior_config=None, q_range=None):

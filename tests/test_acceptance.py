@@ -67,8 +67,8 @@ def toy_robust(toy_problem, linear_tables, phase_set):
 def test_criterion_01_exterior_oracle(capsys):
     t0 = time.perf_counter()
     prob = ExteriorProblem(ExteriorConfig())          # 60k nodes, radius 128
-    law_in, law_out = laws_for_direction("air_to_iron", NU0, NU_F, 12,
-                                         linear=True, knee=2.2)
+    law_in, law_out = laws_for_direction(
+        "air_to_iron", MaterialSpec(iron_linear=True), knee=2.2)
     U = np.array([1.5, 0.0])
     k, _ = prob.solve_corrector(U, law_in, law_out)
 

@@ -80,6 +80,15 @@ def test_unknown_config_key(tmp_path):
     assert main(["optimize", cfg]) == 2
 
 
+def test_rotor_block_count_is_not_a_key(tmp_path, caplog):
+    # DIST always binds the eight rotor blocks the design region is cut into
+    base = BASE.replace("name = ANG", "name = DIST").replace(
+        "q_hat_deg = -60\ninterval_deg = -75, -45", "n_rotor_blocks = 4")
+    cfg = write_cfg(tmp_path / "dist.cfg", tmp_path / "o", base=base)
+    assert main(["audit", cfg, "--kind", "fdcheck"]) == 2
+    assert "unknown key 'n_rotor_blocks'" in caplog.text
+
+
 def test_invalid_thread_cap(ws):
     assert main(["--threads", "0", "precompute-td", ws["cfg"]]) == 2
 

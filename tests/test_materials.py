@@ -107,8 +107,7 @@ def test_bound_knee_reads_q(toy_mesh):
     # DIST binds one knee per rotor block plus one for the stator
     from rtopt.machine import MachineProblem, MaterialSpec, Scenario
 
-    scen = Scenario(name="DIST", n_positions=1, n_rotor_blocks=8,
-                    q_hat=np.full(9, laws.K_F))
+    scen = Scenario(name="DIST", n_positions=1, q_hat=np.full(9, laws.K_F))
     problem = MachineProblem(toy_mesh, MaterialSpec(), scen)
     q = 2.0 + 0.01 * np.arange(9)
     assert np.array_equal(problem.knee_for_elements(q),

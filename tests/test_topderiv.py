@@ -13,8 +13,8 @@ from rtopt.machine import MaterialSpec, Scenario
 from rtopt.topderiv import (DIRECTIONS, ExteriorConfig, ExteriorProblem,
                             TDTable, check_table_compatibility,
                             generalized_td_field, laws_for_direction,
-                            load_table, precompute_tables, sample_single,
-                            sample_table, save_table)
+                            load_table, precompute_tables, sample_table,
+                            save_table)
 
 I2A_SLOPE = 2.0 * NU_F * (NU0 - NU_F) / (NU0 + NU_F)
 A2I_SLOPE = -2.0 * NU0 * (NU0 - NU_F) / (NU0 + NU_F)
@@ -40,8 +40,8 @@ def test_linear_response_proportional_to_flux(linear_tables):
 def test_corrector_matches_truncated_analytic():
     cfg = ExteriorConfig(target_nodes=4000, t_max=2.0, n_t=2)
     prob = ExteriorProblem(cfg)
-    law_in, law_out = laws_for_direction("iron_to_air", NU0, NU_F, 12,
-                                         linear=True, knee=2.2)
+    law_in, law_out = laws_for_direction(
+        "iron_to_air", MaterialSpec(iron_linear=True), knee=2.2)
     U = np.array([1.5, 0.0])
     k, info = prob.solve_corrector(U, law_in, law_out)
     assert info.iterations <= 1
@@ -58,20 +58,27 @@ def test_linear_tables_factor_once_per_direction(linear_spec, splu_calls):
     tables = precompute_tables(linear_spec, cfg)
     assert len(splu_calls) == 2                 # one tangent per direction
 
-    # a fresh cache for every solve gives the same tables bit for bit
+    # a fresh cache for every solve gives the same tables bit for bit, with
+    # linear and with saturating iron
     prob = ExteriorProblem(cfg)
     for direction in DIRECTIONS:
-        table = tables[direction]
-        law_in, law_out = laws_for_direction(
-            direction, linear_spec.nu0, linear_spec.nu_f, linear_spec.n_f,
-            True, linear_spec.k_f)
-        for it in range(1, len(table.t)):
-            prob.tangents = TangentCache(prob.space, prob.dofmap)
-            U = np.array([table.t[it], 0.0])
-            k, _ = prob.solve_corrector(U, law_in, law_out)
-            assert prob.response_pair(k, U, law_in, law_out) == (
-                table.f_par[it], table.f_perp[it])
+        assert_isolated_solves_reproduce(prob, linear_spec, tables[direction])
     assert len(splu_calls) == 2 + 2 * (cfg.n_t - 1)
+    spec = MaterialSpec()
+    for direction in DIRECTIONS:
+        table = sample_table(spec, direction, cfg, problem=prob)
+        assert_isolated_solves_reproduce(prob, spec, table)
+
+
+def assert_isolated_solves_reproduce(prob, spec, table):
+    """Every table entry again, each from one solve with a fresh tangent cache."""
+    law_in, law_out = laws_for_direction(table.direction, spec, spec.k_f)
+    for it in range(1, len(table.t)):
+        prob.tangents = TangentCache(prob.space, prob.dofmap)
+        U = np.array([table.t[it], 0.0])
+        k, _ = prob.solve_corrector(U, law_in, law_out)
+        assert prob.response_pair(k, U, law_in, law_out) == (
+            table.f_par[it], table.f_perp[it])
 
 
 def test_evaluate_rotation_invariant(linear_tables):
@@ -147,16 +154,6 @@ def test_perp_term_is_signed():
     # reflecting both vectors across the x axis flips the perp contribution
     mirror = tab.evaluate(U * [1, -1], perp * [1, -1])[0]
     assert mirror == pytest.approx(-t0, rel=1e-12)
-
-
-def test_sample_single_reproduces_batch():
-    cfg = ExteriorConfig(radius=32.0, target_nodes=1500, t_max=2.0, n_t=3)
-    prob = ExteriorProblem(cfg)
-    spec = MaterialSpec()
-    tab = sample_table(spec, "air_to_iron", cfg, problem=prob)
-    par, perp = sample_single(spec, "air_to_iron", 1.0, exterior_config=cfg,
-                              problem=prob)
-    assert par == tab.f_par[1] and perp == tab.f_perp[1]
 
 
 def test_table_roundtrip(tmp_path, linear_tables):
