@@ -30,33 +30,29 @@ MM = 1000.0
 
 
 def _path_for(points, triangles):
-    chunks = []
-    for tri in triangles:
-        p = points[tri]
-        chunks.append("M{:.3f} {:.3f}L{:.3f} {:.3f}L{:.3f} {:.3f}Z".format(
-            p[0, 0], p[0, 1], p[1, 0], p[1, 1], p[2, 0], p[2, 1]))
-    return "".join(chunks)
+    """One closed subpath per triangle."""
+    xy = points[triangles].ravel().tolist()
+    return ("M%.3f %.3fL%.3f %.3fL%.3f %.3fZ" * len(triangles)) % tuple(xy)
 
 
 def _contour_segments(points, triangles, values):
-    """Zero-crossing segments of a nodal field, one per mixed-sign triangle."""
-    segs = []
+    """Zero-crossing segments of a nodal field, one per mixed-sign triangle.
+
+    Returns the endpoints as an array of shape (k, 2, 2); each segment runs
+    from the first to the second crossed edge in the order 01, 12, 20.
+    """
     v = np.asarray(values, dtype=float)
-    sign = np.where(v >= 0.0, 1, -1)
-    for tri in triangles:
-        s = sign[tri]
-        if abs(int(s.sum())) == 3:
-            continue
-        crossings = []
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            ia, ib = tri[a], tri[b]
-            if sign[ia] == sign[ib]:
-                continue
-            t = v[ia] / (v[ia] - v[ib])
-            crossings.append(points[ia] + t * (points[ib] - points[ia]))
-        if len(crossings) == 2:
-            segs.append((crossings[0], crossings[1]))
-    return segs
+    pos = v[triangles] >= 0.0
+    mixed = pos.any(axis=1) & ~pos.all(axis=1)
+    tri = triangles[mixed]
+    crossed = pos[mixed] != np.roll(pos[mixed], -1, axis=1)
+    rows = np.arange(len(tri))
+    ends = []
+    for edge in (np.argmax(crossed, axis=1), 2 - np.argmax(crossed[:, ::-1], axis=1)):
+        ia, ib = tri[rows, edge], tri[rows, (edge + 1) % 3]
+        t = v[ia] / (v[ia] - v[ib])
+        ends.append(points[ia] + t[:, None] * (points[ib] - points[ia]))
+    return np.stack(ends, axis=1)
 
 
 def render_design_svg(mesh, design=None, psi=None, design_nodes=None,
@@ -127,9 +123,9 @@ def render_design_svg(mesh, design=None, psi=None, design_nodes=None,
             full = np.zeros(mesh.n_nodes)
             full[np.asarray(design_nodes)] = np.asarray(psi, dtype=float)
             segs = _contour_segments(flipped, tris, full)
-            if segs:
-                d = "".join("M{:.3f} {:.3f}L{:.3f} {:.3f}".format(
-                    a[0], a[1], b[0], b[1]) for a, b in segs)
+            if len(segs):
+                d = ("M%.3f %.3fL%.3f %.3f" * len(segs)) % tuple(
+                    segs.ravel().tolist())
                 buf.write(f'<path fill="none" stroke="{CONTOUR_STROKE}" '
                           f'stroke-width="{3 * hair:.4f}" '
                           f'stroke-linecap="round" d="{d}"/>\n')
