@@ -164,11 +164,11 @@ def _read_sections(path):
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=(";", "#"))
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             parser.read_file(f)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"malformed config {path}: {exc}") from exc
 
     sections = {}

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the reader of saved text files."""
 
 
 class RtoptError(Exception):
@@ -24,3 +24,18 @@ class UsageError(RtoptError):
 
 class FormatError(RtoptError):
     """A persisted file has the wrong version string or a malformed layout."""
+
+
+def read_format_lines(path, magic):
+    """Lines of a saved text file whose first line must be the format tag magic.
+
+    A file that is not UTF-8 text or carries another tag raises FormatError.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not a {magic} text file") from exc
+    if not lines or lines[0].strip() != magic:
+        raise FormatError(f"{path}: expected a {magic} file")
+    return lines

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, UsageError
+from .errors import FormatError, UsageError, read_format_lines
 
 LEVELSET_FORMAT = "RTOLS1"
 
@@ -294,10 +294,7 @@ def save_levelset(psi, node_ids, mesh_fingerprint, path, iteration=0,
 
 
 def load_levelset(path, expect_fingerprint=None):
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or lines[0].strip() != LEVELSET_FORMAT:
-        raise FormatError(f"{path}: expected a {LEVELSET_FORMAT} file")
+    lines = read_format_lines(path, LEVELSET_FORMAT)
     try:
         fingerprint = lines[1].split()[1]
         if expect_fingerprint is not None and fingerprint != expect_fingerprint:
@@ -307,6 +304,8 @@ def load_levelset(path, expect_fingerprint=None):
         iteration = int(lines[2].split()[1])
         value = float(lines[3].split()[1])
         n = int(lines[4].split()[1])
+        if not 0 <= n <= len(lines) - 5:
+            raise ValueError(f"{n} nodes announced")
         node_ids = np.empty(n, dtype=int)
         psi = np.empty(n)
         for i in range(n):

@@ -48,7 +48,9 @@ def _contour_segments(points, triangles, values):
     crossed = pos[mixed] != np.roll(pos[mixed], -1, axis=1)
     rows = np.arange(len(tri))
     ends = []
-    for edge in (np.argmax(crossed, axis=1), 2 - np.argmax(crossed[:, ::-1], axis=1)):
+    first = np.argmax(crossed, axis=1)
+    last = 2 - np.argmax(crossed[:, ::-1], axis=1)
+    for edge in (first, last):
         ia, ib = tri[rows, edge], tri[rows, (edge + 1) % 3]
         t = v[ia] / (v[ia] - v[ib])
         ends.append(points[ia] + t[:, None] * (points[ib] - points[ia]))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import ConfigurationError, FormatError, UsageError
+from .errors import ConfigurationError, FormatError, UsageError, read_format_lines
 from .fem import DofMap, P1Space, TangentCache, newton_solve
 from .laws import air_law
 from .mesh import graded_disk_mesh
@@ -372,10 +372,7 @@ def save_table(table, path):
 
 
 def load_table(path):
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or lines[0].strip() != TABLE_FORMAT:
-        raise FormatError(f"{path}: expected a {TABLE_FORMAT} file")
+    lines = read_format_lines(path, TABLE_FORMAT)
     pos = 1
 
     def header(keyword):
@@ -404,6 +401,8 @@ def load_table(path):
 
     try:
         direction = header("direction")[0]
+        if direction not in DIRECTIONS:
+            raise FormatError(f"{path}: unknown direction {direction!r}")
         fingerprint = header("fingerprint")[0]
         radius = float(header("radius")[0])
         mesh_nodes = int(header("mesh_nodes")[0])

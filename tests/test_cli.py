@@ -343,6 +343,16 @@ def test_render_roundtrip(ws, tmp_path):
                  "--design", str(tmp_path / "none.rtols")]) == 2
 
 
+def test_undecodable_input_exits_2(ws, tmp_path, caplog):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes((ws["root"] / "run.cfg").read_bytes() + b"# \xe9t\xe9\n")
+    assert main(["optimize", str(cfg)]) == 2
+    design = tmp_path / "latin1.rtols"
+    design.write_bytes(b"RTOLS1\nmesh \xff\n")
+    assert main(["render", ws["cfg"], "--design", str(design)]) == 2
+    assert "not a RTOLS1 text file" in caplog.text
+
+
 def test_output_root_env(tmp_path, monkeypatch):
     from rtopt.config import load_config
 

@@ -184,6 +184,9 @@ def test_load_rejects_malformed(tmp_path):
     bad.write_text("RTOTD1\nfingerprint abc\n")
     with pytest.raises(FormatError):
         load_table(bad)
+    bad.write_text("RTOTD1\ndirection sideways\n")
+    with pytest.raises(FormatError, match="unknown direction"):
+        load_table(bad)
 
 
 def test_load_rejects_truncated_and_nonfinite(tmp_path):
