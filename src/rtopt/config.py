@@ -36,7 +36,8 @@ _SECTIONS = {
     },
     "scenario": {
         "name", "n_positions", "q_hat_deg", "interval_deg", "q_hat_knee",
-        "interval_knee", "ellipsoid_radius", "co_rotate_magnets", "frozen_alpha_deg",
+        "interval_knee", "ellipsoid_radius", "co_rotate_magnets",
+        "frozen_alpha_deg",
     },
     "algorithm": {
         "t_max", "n_t", "n_q", "exterior_radius", "exterior_target_nodes",

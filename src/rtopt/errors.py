@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the reader of saved text files."""
+"""Exception types shared across the package, and the saved-file reader."""
 
 
 class RtoptError(Exception):

@@ -1,14 +1,14 @@
 """Worst-case robust optimization over a convex parameter set.
 
 The uncertainty set is an interval (the load angle of ANG, the shared knee
-of SCAL) or a Euclidean ball around the nominal knees (DIST). The outer loop
-and the evaluator are the nominal ones; the only difference is where q comes
-from: each iterate first maximizes the objective over the uncertainty set
-with a projected-gradient ascent (multi-start, warm-started from the
-previous worst case), and the sensitivity field is
-the one of the plain objective frozen at the maximizer. For a locally
-Lipschitz max-function with a unique maximizer that frozen gradient is the
-generalized gradient, so no subdifferential machinery is needed.
+of SCAL) or a Euclidean ball around the nominal knees (DIST). The outer
+loop and the evaluator are the nominal ones; the only difference is where
+q comes from: each iterate first maximizes the objective over the set with
+a projected-gradient ascent (multi-start, warm-started from the previous
+worst case), and the sensitivity field is the one of the plain objective
+frozen at the maximizer. For a locally Lipschitz max-function with a unique
+maximizer that frozen gradient is the generalized gradient, so no
+subdifferential machinery is needed.
 """
 
 from __future__ import annotations
