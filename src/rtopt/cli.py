@@ -89,7 +89,8 @@ def _design_from_file(cfg, problem, path):
 def cmd_precompute(cfg):
     import numpy as np
 
-    from .topderiv import precompute_tables, save_table
+    from .fem import newton_summary
+    from .topderiv import ExteriorProblem, precompute_tables, save_table
 
     outdir = _table_dir(cfg)
     os.makedirs(outdir, exist_ok=True)
@@ -97,11 +98,19 @@ def cmd_precompute(cfg):
     log.info("sampling sensitivity tables (radius %g, %d abscissae%s)",
              cfg.exterior.radius, cfg.exterior.n_t,
              "" if q_range is None else f", knee axis {q_range}")
-    tables = precompute_tables(cfg.materials, cfg.exterior, q_range)
+    problem = ExteriorProblem(cfg.exterior)
+    tables = precompute_tables(cfg.materials, cfg.exterior, q_range,
+                               problem=problem)
     for direction, table in tables.items():
         path = os.path.join(outdir, TABLE_FILES[direction])
         save_table(table, path)
         print(f"wrote {path} (fingerprint {table.law_fingerprint})")
+    summary = {"newton": newton_summary(problem.newton_log),
+               "mesh_nodes": problem.mesh.n_nodes,
+               "reduced_unknowns": problem.dofmap.n_reduced}
+    with open(os.path.join(outdir, "summary.json"), "w") as f:
+        json.dump(summary, f, indent=2, sort_keys=True)
+    print(json.dumps(summary, indent=2, sort_keys=True))
 
     if cfg.materials.iron_linear:
         nu0, nu_f = cfg.materials.nu0, cfg.materials.nu_f

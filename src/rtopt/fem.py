@@ -206,6 +206,14 @@ class NewtonInfo:
     rejected: int               # trial steps refused by the energy test
 
 
+def newton_summary(infos):
+    """Newton counts over a sequence of NewtonInfo records."""
+    its = [info.iterations for info in infos]
+    return {"solves": len(its), "iterations": sum(its),
+            "max_iterations": max(its, default=0),
+            "rejected_trials": sum(info.rejected for info in infos)}
+
+
 def factorize(k_red, permc_spec="MMD_AT_PLUS_A"):
     """Sparse LU of a reduced tangent or smoother matrix.
 

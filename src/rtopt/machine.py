@@ -28,7 +28,7 @@ import numpy as np
 from . import laws
 from .errors import ConfigurationError, UsageError
 from .fem import (DofMap, P1Space, ScreenedSmoother, TangentCache,
-                  adjoint_solve, newton_solve)
+                  adjoint_solve, newton_solve, newton_summary)
 from .laws import MU0
 
 log = logging.getLogger(__name__)
@@ -365,10 +365,7 @@ class MachineProblem:
 
     def newton_summary(self):
         """Newton counts over every state solve so far."""
-        its = [info.iterations for info in self.newton_log]
-        return {"solves": len(its), "iterations": sum(its),
-                "max_iterations": max(its, default=0),
-                "rejected_trials": sum(info.rejected for info in self.newton_log)}
+        return newton_summary(self.newton_log)
 
     def torque(self, u):
         return self.torque_probe.torque(self.space, u)

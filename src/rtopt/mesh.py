@@ -1,4 +1,4 @@
-"""Triangle meshes: the machine sector benchmark, graded disks, unit squares.
+"""Triangle meshes: the machine sector benchmark and graded disks.
 
 All meshes are conforming P1 triangulations described by one `Mesh` value.
 Region membership is a per-triangle integer into `region_names`. Boundary
@@ -80,52 +80,6 @@ def _orient_ccw(vertices, triangles):
     flip = det < 0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
     return triangles
-
-
-# ---------------------------------------------------------------------------
-# unit square (auxiliary mesh for manufactured-solution tests)
-
-def unit_square_mesh(n):
-    """Structured n-by-n triangulation of [0,1]^2, all-Dirichlet boundary."""
-    if n < 1:
-        raise ConfigurationError("unit_square_mesh needs n >= 1")
-    xs = np.linspace(0.0, 1.0, n + 1)
-    xv, yv = np.meshgrid(xs, xs, indexing="ij")
-    verts = np.column_stack([xv.ravel(), yv.ravel()])
-
-    def nid(i, j):
-        return i * (n + 1) + j
-
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            a, b, c, d = nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    tris = np.asarray(tris, dtype=np.int32)
-
-    edges = []
-    for i in range(n):
-        edges.append((nid(i, 0), nid(i + 1, 0)))
-        edges.append((nid(i, n), nid(i + 1, n)))
-        edges.append((nid(0, i), nid(0, i + 1)))
-        edges.append((nid(n, i), nid(n, i + 1)))
-    edges = np.asarray(edges, dtype=np.int32)
-
-    on_bnd = ((verts[:, 0] == 0.0) | (verts[:, 0] == 1.0)
-              | (verts[:, 1] == 0.0) | (verts[:, 1] == 1.0))
-    return Mesh(
-        vertices=verts,
-        triangles=_orient_ccw(verts, tris),
-        region_id=np.zeros(len(tris), dtype=np.int16),
-        region_names=("domain",),
-        boundary_edges=edges,
-        boundary_tags=np.full(len(edges), TAG_DIRICHLET, dtype=np.int16),
-        pair_master=np.zeros(0, dtype=np.int32),
-        pair_slave=np.zeros(0, dtype=np.int32),
-        dirichlet_nodes=np.flatnonzero(on_bnd).astype(np.int32),
-        meta={"kind": "unit_square", "n": n},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +177,19 @@ def graded_disk_mesh(radius, target_nodes, inclusion_radius=1.0):
         meta={"kind": "graded_disk", "radius": float(radius),
               "inclusion_radius": float(inclusion_radius), "n_theta": n_t},
     )
+
+
+def disk_mirror(mesh):
+    """Index of each graded_disk_mesh node's mirror image across the x axis.
+
+    Node 1 + ring * n_theta + j mirrors 1 + ring * n_theta + (n_theta - j) mod
+    n_theta, by the ring layout rather than by coordinates (the node at
+    theta = pi has y ~ 1e-16 r); nodes on the x axis are their own images.
+    """
+    n_t = mesh.meta["n_theta"]
+    node = np.arange(1, mesh.n_nodes)
+    j = (node - 1) % n_t
+    return np.concatenate([[0], node - j + (-j) % n_t])
 
 
 # ---------------------------------------------------------------------------

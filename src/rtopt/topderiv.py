@@ -16,6 +16,13 @@ when the iron law is parameter-bound), then condensing each solve into the
 response pair (f_par, f_perp). Online evaluation rotates the tabulated pair
 to the local flux direction:  value = f_par * (P . e_U) + f_perp * (P . e_U_perp).
 
+Both laws are isotropic and the disk mesh is mirror symmetric, so for
+U = t e_x the corrector is odd in y, k(x, -y) = -k(x, y). The dof reduction
+makes each lower-half node an antiperiodic slave of its mirror and the x axis
+Dirichlet, so every tangent is factored at half the full disk's size, while
+Newton and the response pair see the full-length k. Far fields off e_x are
+refused: the table is rotated online and never needs one.
+
 Tables persist as RTOTD1 files tied to a law fingerprint.
 """
 
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 import io
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -31,7 +38,7 @@ from scipy.interpolate import PchipInterpolator
 from .errors import ConfigurationError, FormatError, UsageError, read_format_lines
 from .fem import DofMap, P1Space, TangentCache, newton_solve
 from .laws import air_law
-from .mesh import graded_disk_mesh
+from .mesh import disk_mirror, graded_disk_mesh
 
 log = logging.getLogger(__name__)
 
@@ -70,17 +77,29 @@ class ExteriorProblem:
         self.config.validate()
         self.mesh = graded_disk_mesh(self.config.radius, self.config.target_nodes)
         self.space = P1Space(self.mesh)
-        self.dofmap = DofMap(self.mesh)
+        # lower-half nodes are slaves (sign -1) of their mirrors; the nodes
+        # on the x axis are their own mirrors and vanish
+        mirror = disk_mirror(self.mesh)
+        node = np.arange(self.mesh.n_nodes)
+        dirichlet = np.union1d(self.mesh.dirichlet_nodes, node[mirror == node])
+        pair = (mirror > node) & ~np.isin(node, dirichlet)
+        self.dofmap = DofMap(replace(self.mesh, pair_master=node[pair],
+                                     pair_slave=mirror[pair],
+                                     dirichlet_nodes=dirichlet))
         self.inclusion = self.mesh.elements_in("inclusion")
         self.exterior = self.mesh.elements_in("exterior")
         self.inclusion_area = float(self.space.areas[self.inclusion].sum())
         # one factored tangent shared by every corrector solve; with linear
         # iron each flip direction then costs one factorization for all t
         self.tangents = TangentCache(self.space, self.dofmap)
+        self.newton_log = []        # NewtonInfo of every corrector solve, in order
 
     def solve_corrector(self, U, law_in, law_out):
-        """Corrector k for far-field flux U with the given inclusion/exterior laws."""
+        """Corrector k for far-field flux U = (t, 0) and the two laws."""
         U = np.asarray(U, dtype=float)
+        if U[1] != 0.0:
+            raise UsageError("corrector far field must lie along e_x: "
+                             "the unknowns assume k odd in y")
         inc, ext = self.inclusion, self.exterior
         h_in_U = law_in.h(U)
         h_out_U = law_out.h(U)
@@ -101,6 +120,7 @@ class ExteriorProblem:
                                tol=self.config.newton_tol,
                                max_iter=self.config.newton_max_iter,
                                cache=self.tangents)
+        self.newton_log.append(info)
         return k, info
 
     def response_pair(self, k, U, law_in, law_out):
@@ -223,9 +243,7 @@ class TDTable:
 
     def _columns(self, tq, qq):
         """Interpolated (par, perp) at clamped magnitudes tq and knees qq."""
-        if self.q is None:
-            return self._par_interp[0](tq), self._perp_interp[0](tq)
-        if len(self.q) == 1:
+        if self.q is None or len(self.q) == 1:
             return self._par_interp[0](tq), self._perp_interp[0](tq)
         j = np.clip(np.searchsorted(self.q, qq), 1, len(self.q) - 1)
         w = (qq - self.q[j - 1]) / (self.q[j] - self.q[j - 1])
@@ -310,11 +328,11 @@ def sample_table(materials, direction, exterior_config=None, q_range=None,
                    materials.law_fingerprint(knee_mode), q=knees, meta=meta)
 
 
-def precompute_tables(materials, exterior_config=None, q_range=None):
+def precompute_tables(materials, exterior_config=None, q_range=None,
+                      problem=None):
     """Both flip directions with one shared exterior discretization."""
     cfg = exterior_config or ExteriorConfig()
-    cfg.validate()
-    prob = ExteriorProblem(cfg)
+    prob = problem or ExteriorProblem(cfg)
     return {d: sample_table(materials, d, cfg, q_range, problem=prob)
             for d in DIRECTIONS}
 

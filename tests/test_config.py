@@ -1,0 +1,85 @@
+"""Run configurations: a corrupted config loads or raises ConfigurationError."""
+from __future__ import annotations
+
+import logging
+import logging.handlers
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rtopt.cli import main
+from rtopt.config import load_config
+from rtopt.errors import ConfigurationError
+
+TOY = Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"
+
+# line edits: (kind, line position in [0, 1), second position, replacement)
+LINE_EDITS = st.lists(st.tuples(
+    st.sampled_from(["delete", "duplicate", "swap_values", "set_value"]),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.one_of(st.sampled_from(["", "abc", "nan", "-inf", "1e999", "1,", "0x10",
+                               "true", "-3", "0", "2.5", "1, 2, 3", "[x]"]),
+              st.text(max_size=8))), max_size=4)
+# byte edits: (kind, position in [0, 1), byte), as for the saved-file readers
+BYTE_EDITS = st.lists(st.tuples(st.sampled_from(["cut", "flip", "insert"]),
+                                st.floats(0.0, 1.0, exclude_max=True),
+                                st.integers(0, 255)), max_size=3)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("configs")
+
+
+def _edit_lines(lines, kind, a, b, text):
+    i, j = int(a * len(lines)), int(b * len(lines))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif "=" in lines[i]:
+        key, value = lines[i].split("=", 1)
+        if kind == "set_value":
+            lines[i] = f"{key}= {text}"
+        elif "=" in lines[j]:
+            other_key, other_value = lines[j].split("=", 1)
+            lines[i], lines[j] = f"{key}={other_value}", f"{other_key}={value}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(line_edits=LINE_EDITS, byte_edits=BYTE_EDITS)
+def test_corrupted_config_loads_or_exits_2(workdir, line_edits, byte_edits):
+    lines = TOY.read_text().splitlines()
+    for edit in line_edits:
+        if lines:
+            _edit_lines(lines, *edit)
+    data = bytearray("\n".join(lines).encode() + b"\n")
+    for kind, where, byte in byte_edits:
+        i = int(where * len(data))
+        if kind == "cut":
+            del data[i:]
+        elif kind == "flip" and data:
+            data[i] = byte
+        elif kind == "insert":
+            data.insert(i, byte)
+    path = workdir / "corrupt.cfg"
+    path.write_bytes(bytes(data))
+    try:
+        load_config(path)
+    except ConfigurationError:
+        pass
+    else:
+        return
+    # the command line refuses the same file with a message, not a traceback
+    messages = logging.handlers.BufferingHandler(capacity=100)
+    logger = logging.getLogger("rtopt.cli")
+    logger.addHandler(messages)
+    try:
+        assert main(["precompute-td", str(path)]) == 2
+    finally:
+        logger.removeHandler(messages)
+    assert [r.levelno for r in messages.buffer] == [logging.ERROR]
+    assert messages.buffer[0].getMessage()

@@ -14,8 +14,8 @@ from rtopt.fem import (DofMap, P1Space, ScreenedSmoother, TangentCache,
                        adjoint_solve, factorize, newton_solve, tangent_at)
 from rtopt.laws import NU0, air_law, iron_law
 from rtopt.machine import MachineProblem, MaterialSpec, Scenario
-from rtopt.mesh import unit_square_mesh
 from smoother_integrals import elementwise_integral, nodal_integral
+from square_mesh import unit_square_mesh
 
 
 def linear_respond(curls):

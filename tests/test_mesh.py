@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from rtopt.errors import ConfigurationError, UsageError
-from rtopt.mesh import (MachineGeometry, build_machine_mesh, graded_disk_mesh,
-                        refine_disc_patch, unit_square_mesh)
+from rtopt.mesh import (MachineGeometry, build_machine_mesh, disk_mirror,
+                        graded_disk_mesh, refine_disc_patch)
+from square_mesh import unit_square_mesh
 
 
 def test_unit_square_counts_and_area():
@@ -34,6 +35,22 @@ def test_graded_disk_mirror_symmetry():
     mesh = graded_disk_mesh(64.0, 1500)
     pts = {(round(x, 9), round(y, 9)) for x, y in mesh.vertices}
     assert all((x, -y) in pts for x, y in pts)
+
+
+def test_disk_mirror_is_the_mesh_reflection():
+    mesh = graded_disk_mesh(64.0, 1500)
+    mirror = disk_mirror(mesh)
+    node = np.arange(mesh.n_nodes)
+    assert np.array_equal(mirror[mirror], node)
+    assert np.allclose(mesh.vertices[mirror], mesh.vertices * [1.0, -1.0],
+                       rtol=0.0, atol=1e-12 * 64.0)
+    # the reflection maps triangles onto triangles
+    tris = {frozenset(t) for t in mesh.triangles.tolist()}
+    assert {frozenset(t) for t in mirror[mesh.triangles].tolist()} == tris
+    # its fixed points are the origin and two nodes per ring, on the x axis
+    fixed = node[mirror == node]
+    assert len(fixed) == 1 + 2 * (mesh.n_nodes - 1) // mesh.meta["n_theta"]
+    assert np.all(np.abs(mesh.vertices[fixed, 1]) <= 1e-12 * 64.0)
 
 
 def test_machine_regions_and_pairs():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rtopt.errors import FormatError, UsageError
-from rtopt.fem import TangentCache
+from rtopt.fem import DofMap, TangentCache
 from rtopt.laws import NU0, NU_F
 from rtopt.machine import MaterialSpec, Scenario
 from rtopt.topderiv import (DIRECTIONS, ExteriorConfig, ExteriorProblem,
@@ -79,6 +79,33 @@ def assert_isolated_solves_reproduce(prob, spec, table):
         k, _ = prob.solve_corrector(U, law_in, law_out)
         assert prob.response_pair(k, U, law_in, law_out) == (
             table.f_par[it], table.f_perp[it])
+
+
+def test_odd_reduction_matches_full_disk():
+    # U = t e_x makes the corrector odd in y, so the half-disk unknowns give
+    # the full-disk solve, Newton path and response pair included
+    cfg = ExteriorConfig(radius=64.0, target_nodes=1500)
+    prob = ExteriorProblem(cfg)
+    full = ExteriorProblem(cfg)
+    full.dofmap = DofMap(full.mesh)
+    full.tangents = TangentCache(full.space, full.dofmap)
+    assert 2 * prob.dofmap.n_reduced <= full.dofmap.n_reduced
+    spec = MaterialSpec()
+    for direction in DIRECTIONS:
+        law_in, law_out = laws_for_direction(direction, spec, spec.k_f)
+        for t in (0.5, 2.0, 5.0):
+            U = np.array([t, 0.0])
+            k, info = prob.solve_corrector(U, law_in, law_out)
+            k_ref, info_ref = full.solve_corrector(U, law_in, law_out)
+            assert info.iterations == info_ref.iterations
+            assert np.abs(k - k_ref).max() <= 1e-10 * np.abs(k_ref).max()
+            f_par, f_perp = prob.response_pair(k, U, law_in, law_out)
+            ref_par, ref_perp = full.response_pair(k_ref, U, law_in, law_out)
+            assert abs(f_par - ref_par) <= 1e-12 * abs(ref_par)
+            assert abs(f_perp - ref_perp) <= 1e-12 * abs(ref_par)
+    assert len(prob.newton_log) == 6
+    with pytest.raises(UsageError):
+        prob.solve_corrector(np.array([1.0, 1.0]), law_in, law_out)
 
 
 def test_evaluate_rotation_invariant(linear_tables):
