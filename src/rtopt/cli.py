@@ -317,7 +317,7 @@ def tdcheck_candidates(problem, design, g, cavity):
     # the carve removes any triangle with a vertex inside the cavity, so
     # clearance is measured to the vertices of non-design triangles
     other_verts = mesh.vertices[np.unique(mesh.triangles[other].ravel())]
-    sector = mesh.meta.get("sector", np.pi / 4)
+    sector = mesh.meta["sector"]
     rr = np.hypot(cen[:, 0], cen[:, 1])
     tt = np.arctan2(cen[:, 1], cen[:, 0])
     need = cavity + h
@@ -382,12 +382,12 @@ def tdcheck_rows(cfg, problem, design, tables, n_samples=5):
         material = bool(design[e])
         sign = 1.0 if material else -1.0
         for eps in (4 * h, 2 * h, h):
-            mesh2, disc = refine_disc_patch(problem.mesh, cen[e], eps,
-                                            cavity=cavity)
+            mesh2, disc, kept = refine_disc_patch(problem.mesh, cen[e], eps,
+                                                  cavity=cavity)
             prob2 = MachineProblem(mesh2, problem.spec, problem.scenario,
                                    problem.solver)
             # kept design elements precede the patch in the new ordering
-            kept = _kept_design_mask(problem, mesh2)
+            kept = kept[problem.design_elements]
             n_patch = len(prob2.design_elements) - int(kept.sum())
             design2 = np.concatenate([design[kept],
                                       np.full(n_patch, material, dtype=bool)])
@@ -408,23 +408,6 @@ def tdcheck_rows(cfg, problem, design, tables, n_samples=5):
                          float(areas2.sum()), len(disc), quotient,
                          reference, rel))
     return rows
-
-
-def _kept_design_mask(problem, mesh2):
-    """Mask over the old design elements that survive a disc remesh.
-
-    Mirrors the carve rule of refine_disc_patch via the patch metadata it
-    stamps on the new mesh.
-    """
-    import numpy as np
-
-    center = np.asarray(mesh2.meta["patch_center"])
-    cavity = mesh2.meta["patch_cavity"]
-    verts = problem.mesh.vertices
-    cut = np.hypot(verts[:, 0] - center[0],
-                   verts[:, 1] - center[1]) < cavity
-    removed = cut[problem.mesh.triangles].any(axis=1)
-    return ~removed[problem.design_elements]
 
 
 def _audit_tdcheck(cfg, problem, design, outdir, n_samples=5):

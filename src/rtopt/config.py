@@ -6,12 +6,18 @@ Angles are written in degrees with a ``_deg`` suffix and converted to
 radians here; everything else is SI. Unknown sections or keys are
 configuration errors so typos fail loudly instead of silently using a
 default. The full grammar is documented in the README.
+
+`KEYS` is the one table of the grammar: section -> key -> (target, field,
+reader). Unknown-key detection and parsing both read it. Only keys present
+in the file reach their target, so every default lives in the target's
+dataclass; `_build_scenario` adds the scenario-set defaults no dataclass
+holds (the ANG phase defaults and the ones derived from ``k_f``).
 """
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,32 +29,6 @@ from .robust import BallSet, IntervalSet, InnerParams
 from .topderiv import ExteriorConfig
 
 PSI0_MODES = ("all_iron", "all_air", "random")
-
-_SECTIONS = {
-    "geometry": {
-        "r_shaft", "r_design", "r_gap_outer", "r_outer", "sector_deg",
-        "magnet_r", "magnet1_window_deg", "magnet2_window_deg", "coil_r",
-        "coil_a_window_deg", "coil_b_window_deg", "coil_c_window_deg",
-        "target_nodes",
-    },
-    "material": {
-        "iron_linear", "nu_f", "k_f", "n_f", "j_peak", "phi0_deg", "b_r",
-    },
-    "scenario": {
-        "name", "n_positions", "q_hat_deg", "interval_deg", "q_hat_knee",
-        "interval_knee", "ellipsoid_radius", "co_rotate_magnets",
-        "frozen_alpha_deg",
-    },
-    "algorithm": {
-        "t_max", "n_t", "n_q", "exterior_radius", "exterior_target_nodes",
-        "max_iterations", "angle_tol_deg", "step_init", "step_min",
-        "step_max", "step_shrink", "step_grow", "inner_step_tol", "tau_min",
-        "tau_max", "tau_shrink", "tau_grow", "sufficient_increase",
-        "inner_max_iterations", "newton_tol", "newton_max_iter", "psi0",
-        "smoothing_eps", "seed",
-    },
-    "output": {"directory", "snapshot_interval"},
-}
 
 
 @dataclass
@@ -68,7 +48,6 @@ class RunConfig:
     seed: int = 0
     output_dir: str = "runs/out"
     snapshot_interval: int = 10
-    source_path: str | None = None
 
     def table_q_range(self):
         """Knee interval the sensitivity tables must span, or None."""
@@ -88,80 +67,133 @@ class RunConfig:
         return rng.standard_normal(n_nodes)
 
 
-class _Section:
-    """Typed accessors over one raw section dict, with key bookkeeping."""
+# -- readers: stripped raw string -> typed value, or _Refused("<expected>") --
 
-    def __init__(self, name, raw):
-        self.name = name
-        self.raw = raw
-
-    def _fetch(self, key):
-        return self.raw.get(key)
-
-    def get_float(self, key, default=None):
-        v = self._fetch(key)
-        if v is None or v == "":
-            return default
-        try:
-            x = float(v)
-        except ValueError:
-            x = None
-        if x is None or not np.isfinite(x):
-            raise ConfigurationError(
-                f"[{self.name}] {key}: expected a finite number, got {v!r}")
-        return x
-
-    def get_int(self, key, default=None):
-        v = self._fetch(key)
-        if v is None or v == "":
-            return default
-        try:
-            return int(v)
-        except ValueError:
-            raise ConfigurationError(
-                f"[{self.name}] {key}: expected an integer, got {v!r}") from None
-
-    def get_bool(self, key, default=None):
-        v = self._fetch(key)
-        if v is None or v == "":
-            return default
-        low = v.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigurationError(
-            f"[{self.name}] {key}: expected a boolean, got {v!r}")
-
-    def get_pair(self, key, default=None):
-        v = self._fetch(key)
-        if v is None or v == "":
-            return default
-        parts = [p for p in v.replace(",", " ").split() if p]
-        if len(parts) != 2:
-            raise ConfigurationError(
-                f"[{self.name}] {key}: expected two numbers, got {v!r}")
-        try:
-            pair = float(parts[0]), float(parts[1])
-        except ValueError:
-            pair = None
-        if pair is None or not np.all(np.isfinite(pair)):
-            raise ConfigurationError(
-                f"[{self.name}] {key}: expected two finite numbers, got {v!r}")
-        return pair
-
-    def get_str(self, key, default=None):
-        v = self._fetch(key)
-        if v is None or v == "":
-            return default
-        return v.strip()
+class _Refused(ValueError):
+    pass
 
 
-def _deg_pair(pair):
-    return (np.deg2rad(pair[0]), np.deg2rad(pair[1]))
+def _float(v):
+    try:
+        x = float(v)
+    except ValueError:
+        x = np.nan
+    if not np.isfinite(x):
+        raise _Refused("a finite number")
+    return x
+
+
+def _int(v):
+    try:
+        return int(v)
+    except ValueError:
+        raise _Refused("an integer") from None
+
+
+def _bool(v):
+    low = v.lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise _Refused("a boolean")
+
+
+def _pair(v):
+    parts = v.replace(",", " ").split()
+    if len(parts) != 2:
+        raise _Refused("two numbers")
+    try:
+        pair = float(parts[0]), float(parts[1])
+    except ValueError:
+        pair = (np.nan, np.nan)
+    if not np.all(np.isfinite(pair)):
+        raise _Refused("two finite numbers")
+    return pair
+
+
+def _deg(v):
+    return np.deg2rad(_float(v))
+
+
+def _deg_pair(v):
+    lo, hi = _pair(v)
+    return (np.deg2rad(lo), np.deg2rad(hi))
+
+
+# section -> key -> (target, field, reader); the "set" target collects the
+# uncertainty-set keys `_build_scenario` reads, "run" the RunConfig fields
+KEYS = {
+    "geometry": {
+        "r_shaft": ("geometry", "r_shaft", _float),
+        "r_design": ("geometry", "r_design", _float),
+        "r_gap_outer": ("geometry", "r_gap_outer", _float),
+        "r_outer": ("geometry", "r_outer", _float),
+        "sector_deg": ("geometry", "sector", _deg),
+        "magnet_r": ("geometry", "magnet_r", _pair),
+        "coil_r": ("geometry", "coil_r", _pair),
+        "magnet1_window_deg": ("geometry", "magnet1_window", _deg_pair),
+        "magnet2_window_deg": ("geometry", "magnet2_window", _deg_pair),
+        "coil_a_window_deg": ("geometry", "coil_A_window", _deg_pair),
+        "coil_b_window_deg": ("geometry", "coil_B_window", _deg_pair),
+        "coil_c_window_deg": ("geometry", "coil_C_window", _deg_pair),
+        "target_nodes": ("geometry", "target_nodes", _int),
+    },
+    "material": {
+        "nu_f": ("materials", "nu_f", _float),
+        "k_f": ("materials", "k_f", _float),
+        "j_peak": ("materials", "j_peak", _float),
+        "b_r": ("materials", "b_r", _float),
+        "n_f": ("materials", "n_f", _int),
+        "iron_linear": ("materials", "iron_linear", _bool),
+        "phi0_deg": ("materials", "phi0", _deg),
+    },
+    "scenario": {
+        "name": ("scenario", "name", str.upper),
+        "n_positions": ("scenario", "n_positions", _int),
+        "co_rotate_magnets": ("scenario", "co_rotate_magnets", _bool),
+        "frozen_alpha_deg": ("scenario", "frozen_alpha", _deg),
+        "q_hat_deg": ("set", "q_hat_deg", _float),
+        "interval_deg": ("set", "interval_deg", _pair),
+        "q_hat_knee": ("set", "q_hat_knee", _float),
+        "interval_knee": ("set", "interval_knee", _pair),
+        "ellipsoid_radius": ("set", "ellipsoid_radius", _float),
+    },
+    "algorithm": {
+        "exterior_radius": ("exterior", "radius", _float),
+        "exterior_target_nodes": ("exterior", "target_nodes", _int),
+        "t_max": ("exterior", "t_max", _float),
+        "n_t": ("exterior", "n_t", _int),
+        "n_q": ("exterior", "n_q", _int),
+        "max_iterations": ("levelset", "max_iterations", _int),
+        "angle_tol_deg": ("levelset", "angle_tol_deg", _float),
+        "step_init": ("levelset", "step_init", _float),
+        "step_min": ("levelset", "step_min", _float),
+        "step_max": ("levelset", "step_max", _float),
+        "step_shrink": ("levelset", "step_shrink", _float),
+        "step_grow": ("levelset", "step_grow", _float),
+        "inner_step_tol": ("inner", "step_tol", _float),
+        "tau_min": ("inner", "tau_min", _float),
+        "tau_max": ("inner", "tau_max", _float),
+        "tau_shrink": ("inner", "tau_shrink", _float),
+        "tau_grow": ("inner", "tau_grow", _float),
+        "sufficient_increase": ("inner", "gamma", _float),
+        "inner_max_iterations": ("inner", "max_iterations", _int),
+        "newton_tol": ("solver", "newton_tol", _float),
+        "newton_max_iter": ("solver", "newton_max_iter", _int),
+        "psi0": ("run", "psi0_mode", str.lower),
+        "smoothing_eps": ("run", "smoothing_eps", _float),
+        "seed": ("run", "seed", _int),
+    },
+    "output": {
+        "directory": ("run", "output_dir", str),
+        "snapshot_interval": ("run", "snapshot_interval", _int),
+    },
+}
 
 
 def _read_sections(path):
+    """Raw values of the file's keys, as section -> key -> string."""
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=(";", "#"))
     try:
@@ -172,106 +204,66 @@ def _read_sections(path):
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"malformed config {path}: {exc}") from exc
 
-    sections = {}
+    raw = {}
     for name in parser.sections():
         low = name.lower()
-        if low not in _SECTIONS:
+        if low not in KEYS:
             raise ConfigurationError(f"unknown config section [{name}]")
         body = {}
         for key, value in parser.items(name):
-            if key not in _SECTIONS[low]:
+            if key not in KEYS[low]:
                 raise ConfigurationError(f"unknown key {key!r} in [{name}]")
             body[key] = value
-        sections[low] = body
-    return {name: _Section(name, sections.get(name, {})) for name in _SECTIONS}
+        raw[low] = body
+    return raw
 
 
-def _build_geometry(sec):
-    kw = {}
-    for key in ("r_shaft", "r_design", "r_gap_outer", "r_outer"):
-        v = sec.get_float(key)
-        if v is not None:
-            kw[key] = v
-    v = sec.get_float("sector_deg")
-    if v is not None:
-        kw["sector"] = np.deg2rad(v)
-    for key, target in (("magnet_r", "magnet_r"), ("coil_r", "coil_r")):
-        v = sec.get_pair(key)
-        if v is not None:
-            kw[target] = v
-    for key, target in (("magnet1_window_deg", "magnet1_window"),
-                        ("magnet2_window_deg", "magnet2_window"),
-                        ("coil_a_window_deg", "coil_A_window"),
-                        ("coil_b_window_deg", "coil_B_window"),
-                        ("coil_c_window_deg", "coil_C_window")):
-        v = sec.get_pair(key)
-        if v is not None:
-            kw[target] = _deg_pair(v)
-    v = sec.get_int("target_nodes")
-    if v is not None:
-        kw["target_nodes"] = v
-    geo = MachineGeometry(**kw)
-    geo.validate()
-    return geo
+def _settings(raw, target):
+    """Typed values of one target's keys present in the file, by field."""
+    out = {}
+    for section, keys in KEYS.items():
+        for key, (owner, field, read) in keys.items():
+            value = raw.get(section, {}).get(key, "")
+            if owner != target or value == "":
+                continue
+            try:
+                out[field] = read(value)
+            except _Refused as exc:
+                raise ConfigurationError(
+                    f"[{section}] {key}: expected {exc}, got {value!r}") from None
+    return out
 
 
-def _build_materials(sec):
-    kw = {}
-    for key in ("nu_f", "k_f", "j_peak", "b_r"):
-        v = sec.get_float(key)
-        if v is not None:
-            kw[key] = v
-    v = sec.get_int("n_f")
-    if v is not None:
-        kw["n_f"] = v
-    v = sec.get_bool("iron_linear")
-    if v is not None:
-        kw["iron_linear"] = v
-    v = sec.get_float("phi0_deg")
-    if v is not None:
-        kw["phi0"] = np.deg2rad(v)
-    spec = MaterialSpec(**kw)
-    if spec.nu_f <= 0 or spec.k_f <= 0 or spec.n_f < 2:
-        raise ConfigurationError("material constants out of range")
-    return spec
+def _build_scenario(raw, spec):
+    scen = Scenario(**_settings(raw, "scenario"))
+    if scen.name not in ("NOM", "ANG", "SCAL", "DIST"):
+        raise ConfigurationError(f"unknown scenario name {scen.name!r}")
 
-
-def _build_scenario(sec, spec):
-    name = (sec.get_str("name", "NOM") or "NOM").upper()
-    if name not in ("NOM", "ANG", "SCAL", "DIST"):
-        raise ConfigurationError(f"unknown scenario name {name!r}")
-    n_positions = sec.get_int("n_positions", 11)
-    co_rotate = sec.get_bool("co_rotate_magnets", False)
-    frozen = sec.get_float("frozen_alpha_deg")
-    frozen = None if frozen is None else np.deg2rad(frozen)
-
+    bounds = _settings(raw, "set")
     uncertainty = None
-    if name == "NOM":
-        q_hat = np.zeros(0)
-    elif name == "ANG":
-        q_hat = np.array([np.deg2rad(sec.get_float("q_hat_deg", 6.0))])
-        lo, hi = sec.get_pair("interval_deg", (-9.0, 21.0))
+    if scen.name == "ANG":
+        q_hat = np.array([np.deg2rad(bounds.get("q_hat_deg", 6.0))])
+        lo, hi = bounds.get("interval_deg", (-9.0, 21.0))
         if not lo < hi:
             raise ConfigurationError("phase interval must have lo < hi")
         uncertainty = IntervalSet(np.array([np.deg2rad(lo)]),
                                   np.array([np.deg2rad(hi)]))
-    elif name == "SCAL":
-        q_hat = np.array([sec.get_float("q_hat_knee", spec.k_f)])
-        lo, hi = sec.get_pair("interval_knee",
-                              (0.9 * spec.k_f, 1.1 * spec.k_f))
+    elif scen.name == "SCAL":
+        q_hat = np.array([bounds.get("q_hat_knee", spec.k_f)])
+        lo, hi = bounds.get("interval_knee", (0.9 * spec.k_f, 1.1 * spec.k_f))
         if not 0 < lo < hi:
             raise ConfigurationError("knee interval must have 0 < lo < hi")
         uncertainty = IntervalSet(np.array([lo]), np.array([hi]))
-    else:
-        q_hat = np.full(ROTOR_BLOCKS + 1, sec.get_float("q_hat_knee", spec.k_f))
-        radius = sec.get_float("ellipsoid_radius", 0.1 * spec.k_f)
+    elif scen.name == "DIST":
+        q_hat = np.full(ROTOR_BLOCKS + 1, bounds.get("q_hat_knee", spec.k_f))
+        radius = bounds.get("ellipsoid_radius", 0.1 * spec.k_f)
         if radius <= 0 or radius >= q_hat.min():
             raise ConfigurationError(
                 "ellipsoid radius must be positive and keep knees positive")
         uncertainty = BallSet(q_hat.copy(), radius)
+    if uncertainty is not None:
+        scen = replace(scen, q_hat=q_hat)
 
-    scen = Scenario(name=name, n_positions=n_positions, q_hat=q_hat,
-                    co_rotate_magnets=bool(co_rotate), frozen_alpha=frozen)
     scen.validate()
     if uncertainty is not None and not uncertainty.contains(q_hat, 1e-9):
         raise ConfigurationError(
@@ -279,75 +271,38 @@ def _build_scenario(sec, spec):
     return scen, uncertainty
 
 
-def _build_algorithm(sec):
-    ext = ExteriorConfig(
-        radius=sec.get_float("exterior_radius", 128.0),
-        target_nodes=sec.get_int("exterior_target_nodes", 60000),
-        t_max=sec.get_float("t_max", 5.0),
-        n_t=sec.get_int("n_t", 50),
-        n_q=sec.get_int("n_q", 10),
-    )
-    ext.validate()
-    ls = LevelSetOptions(
-        max_iterations=sec.get_int("max_iterations", 100),
-        angle_tol_deg=sec.get_float("angle_tol_deg", 2.0),
-        step_init=sec.get_float("step_init", 0.5),
-        step_min=sec.get_float("step_min", 0.05),
-        step_max=sec.get_float("step_max", 1.0),
-        step_shrink=sec.get_float("step_shrink", 0.5),
-        step_grow=sec.get_float("step_grow", 1.5),
-    )
-    ls.validate()
-    inner = InnerParams(
-        step_tol=sec.get_float("inner_step_tol", 1e-3),
-        tau_min=sec.get_float("tau_min", 1e-3),
-        tau_max=sec.get_float("tau_max", 1.0),
-        tau_shrink=sec.get_float("tau_shrink", 0.5),
-        tau_grow=sec.get_float("tau_grow", 1.5),
-        gamma=sec.get_float("sufficient_increase", 0.1),
-        max_iterations=sec.get_int("inner_max_iterations", 100),
-    )
+def load_config(path):
+    """Parse and validate one run configuration file."""
+    raw = _read_sections(path)
+    geometry = MachineGeometry(**_settings(raw, "geometry"))
+    geometry.validate()
+    materials = MaterialSpec(**_settings(raw, "materials"))
+    if materials.nu_f <= 0 or materials.k_f <= 0 or materials.n_f < 2:
+        raise ConfigurationError("material constants out of range")
+    scenario, uncertainty = _build_scenario(raw, materials)
+    exterior = ExteriorConfig(**_settings(raw, "exterior"))
+    exterior.validate()
+    levelset = LevelSetOptions(**_settings(raw, "levelset"))
+    levelset.validate()
+    inner = InnerParams(**_settings(raw, "inner"))
     inner.validate()
-    solver = SolverOptions(newton_tol=sec.get_float("newton_tol", 1e-8),
-                           newton_max_iter=sec.get_int("newton_max_iter", 50))
+    solver = SolverOptions(**_settings(raw, "solver"))
     if solver.newton_tol <= 0 or solver.newton_max_iter < 1:
         raise ConfigurationError("newton controls out of range")
 
-    psi0_mode = (sec.get_str("psi0", "all_iron") or "all_iron").lower()
-    if psi0_mode not in PSI0_MODES:
+    cfg = RunConfig(geometry=geometry, materials=materials, scenario=scenario,
+                    uncertainty=uncertainty, exterior=exterior,
+                    levelset=levelset, inner=inner, solver=solver,
+                    **_settings(raw, "run"))
+    if cfg.psi0_mode not in PSI0_MODES:
         raise ConfigurationError(
-            f"psi0 must be one of {', '.join(PSI0_MODES)}; got {psi0_mode!r}")
-    smoothing_eps = sec.get_float("smoothing_eps")
-    if smoothing_eps is not None and smoothing_eps <= 0:
+            f"psi0 must be one of {', '.join(PSI0_MODES)}; got {cfg.psi0_mode!r}")
+    if cfg.smoothing_eps is not None and cfg.smoothing_eps <= 0:
         raise ConfigurationError("smoothing_eps must be positive")
-    seed = sec.get_int("seed", 0)
-    return ext, ls, inner, solver, psi0_mode, smoothing_eps, seed
-
-
-def load_config(path):
-    """Parse and validate one run configuration file."""
-    secs = _read_sections(path)
-    geometry = _build_geometry(secs["geometry"])
-    materials = _build_materials(secs["material"])
-    scenario, uncertainty = _build_scenario(secs["scenario"], materials)
-    (exterior, levelset, inner, solver,
-     psi0_mode, smoothing_eps, seed) = _build_algorithm(secs["algorithm"])
-
-    out = secs["output"]
-    output_dir = out.get_str("directory", "runs/out")
-    snapshot_interval = out.get_int("snapshot_interval", 10)
-    if snapshot_interval < 1:
+    if cfg.snapshot_interval < 1:
         raise ConfigurationError("snapshot_interval must be at least 1")
 
     root = os.environ.get("RTOPT_OUTPUT_ROOT")
-    if root and not os.path.isabs(output_dir):
-        output_dir = os.path.join(root, output_dir)
-
-    return RunConfig(geometry=geometry, materials=materials,
-                     scenario=scenario, uncertainty=uncertainty,
-                     exterior=exterior, levelset=levelset, inner=inner,
-                     solver=solver, psi0_mode=psi0_mode,
-                     smoothing_eps=smoothing_eps, seed=seed,
-                     output_dir=output_dir,
-                     snapshot_interval=snapshot_interval,
-                     source_path=os.path.abspath(path))
+    if root and not os.path.isabs(cfg.output_dir):
+        cfg.output_dir = os.path.join(root, cfg.output_dir)
+    return cfg

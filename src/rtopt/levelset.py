@@ -35,7 +35,6 @@ class LevelSetOptions:
     step_max: float = 1.0
     step_shrink: float = 0.5
     step_grow: float = 1.5
-    dead_band: float = 1e-8
 
     def validate(self):
         from .errors import ConfigurationError

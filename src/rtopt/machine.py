@@ -127,9 +127,9 @@ class TorqueProbe:
     the number of sectors. B is the element-wise constant P1 flux density.
     """
 
-    def __init__(self, mesh, space, radius, n_points):
+    def __init__(self, mesh, radius, n_points):
         self.radius = float(radius)
-        sector = mesh.meta.get("sector", np.pi / 4)
+        sector = mesh.meta["sector"]
         if n_points < 8:
             raise ConfigurationError("torque probe needs at least 8 sample points")
         theta = np.linspace(0.0, sector, n_points)
@@ -161,7 +161,6 @@ class TorqueProbe:
         self.weights = weights * (self.radius**2 / MU0) * (2 * np.pi / sector)
         self.normals = np.column_stack([np.cos(theta), np.sin(theta)])
         self.tangents = np.column_stack([-np.sin(theta), np.cos(theta)])
-        self.theta = theta
         self._tri_nodes = mesh.triangles[self.elements]
 
     def sample_flux(self, space, u):
@@ -191,7 +190,7 @@ class MachineProblem:
     """State solves, objective, adjoints and sensitivities for one mesh."""
 
     def __init__(self, mesh, materials=None, scenario=None, solver=None,
-                 torque_radius=None, torque_points=None, smoothing_eps=None):
+                 smoothing_eps=None):
         self.mesh = mesh
         self.spec = materials or MaterialSpec()
         self.scenario = scenario or Scenario()
@@ -223,9 +222,9 @@ class MachineProblem:
         self._coils = [(mesh.elements_in(name), off, sign) for name, off, sign in COILS]
 
         cen = mesh.centroids()[self.design_elements]
-        sector = mesh.meta.get("sector", np.pi / 4)
-        r_in = mesh.meta.get("r_shaft", 0.02)
-        r_out = mesh.meta.get("r_design", 0.05)
+        sector = mesh.meta["sector"]
+        r_in = mesh.meta["r_shaft"]
+        r_out = mesh.meta["r_design"]
         ang = np.minimum((np.arctan2(cen[:, 1], cen[:, 0]) / (sector / 4)).astype(int),
                          3)
         rad = (np.hypot(cen[:, 0], cen[:, 1]) >= 0.5 * (r_in + r_out)).astype(int)
@@ -240,16 +239,15 @@ class MachineProblem:
             self.knee_index[self._stator] = ROTOR_BLOCKS
             self.knee_index[self.design_elements] = self.design_block
 
-        r_gap = mesh.meta.get("r_gap_outer", 0.051)
-        radius = torque_radius if torque_radius else 0.5 * (r_out + r_gap)
-        npts = torque_points or max(64, 4 * mesh.meta.get("m_ang", 48))
-        self.torque_probe = TorqueProbe(mesh, self.space, radius, npts)
+        self.torque_probe = TorqueProbe(
+            mesh, 0.5 * (r_out + mesh.meta["r_gap_outer"]),
+            max(64, 4 * mesh.meta["m_ang"]))
 
         areas = self.space.areas[self.design_elements]
         self.design_h = float(np.sqrt(2.0 * areas.mean()))
         self.smoothing_eps = (smoothing_eps if smoothing_eps is not None
                               else (2.0 * self.design_h) ** 2)
-        self._smoothers = {}
+        self._smoother = None
 
     # -- positions and sources ------------------------------------------------
 
@@ -450,12 +448,12 @@ class MachineProblem:
         tri = self._node_local[self.mesh.triangles[self.design_elements]]
         return psi[tri].mean(axis=1) > 0.0
 
-    def smoother(self, eps=None):
-        eps = self.smoothing_eps if eps is None else float(eps)
-        if eps not in self._smoothers:
-            self._smoothers[eps] = ScreenedSmoother(
-                self.space, self.design_elements, eps)
-        return self._smoothers[eps]
+    def smoother(self):
+        """The design region's screened smoother, built on first use."""
+        if self._smoother is None:
+            self._smoother = ScreenedSmoother(self.space, self.design_elements,
+                                              self.smoothing_eps)
+        return self._smoother
 
     def knee_for_elements(self, q, air_nominal=False):
         """Per-design-element knee from q (or the nominal q for air flips)."""

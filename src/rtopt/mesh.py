@@ -1,9 +1,9 @@
 """Triangle meshes: the machine sector benchmark and graded disks.
 
 All meshes are conforming P1 triangulations described by one `Mesh` value.
-Region membership is a per-triangle integer into `region_names`. Boundary
-edges carry one of three tags; antiperiodic node pairing is stored explicitly
-as (master, slave) index arrays with the convention u[slave] = -u[master].
+Region membership is a per-triangle integer into `region_names`.
+Antiperiodic node pairing is stored explicitly as (master, slave) index
+arrays with the convention u[slave] = -u[master].
 """
 
 from __future__ import annotations
@@ -13,9 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, SolverError, UsageError
-
-BOUNDARY_TAGS = ("outer_dirichlet", "antiperiodic_master", "antiperiodic_slave")
-TAG_DIRICHLET, TAG_MASTER, TAG_SLAVE = 0, 1, 2
 
 # Region labels of the benchmark machine sector.
 MACHINE_REGIONS = (
@@ -30,8 +27,6 @@ class Mesh:
     triangles: np.ndarray         # (m, 3) int32, CCW
     region_id: np.ndarray         # (m,) int16
     region_names: tuple
-    boundary_edges: np.ndarray    # (b, 2) int32
-    boundary_tags: np.ndarray     # (b,) int16
     pair_master: np.ndarray       # (p,) int32
     pair_slave: np.ndarray        # (p,) int32
     dirichlet_nodes: np.ndarray   # (d,) int32
@@ -53,11 +48,6 @@ class Mesh:
 
     def elements_in(self, name):
         return np.flatnonzero(self.region_id == self.region_index(name))
-
-    def areas(self):
-        p = self.vertices[self.triangles]
-        return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                      - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 
     def centroids(self):
         return self.vertices[self.triangles].mean(axis=1)
@@ -160,20 +150,14 @@ def graded_disk_mesh(radius, target_nodes, inclusion_radius=1.0):
     rc = np.hypot(cent[:, 0], cent[:, 1])
     region = np.where(rc < inclusion_radius, 0, 1).astype(np.int16)
 
-    last = len(radii) - 1
-    edges = np.asarray([(nid(last, j), nid(last, j + 1)) for j in range(n_t)],
-                       dtype=np.int32)
-    dirich = np.unique(edges.ravel()).astype(np.int32)
     return Mesh(
         vertices=verts,
         triangles=_orient_ccw(verts, tris),
         region_id=region,
         region_names=("inclusion", "exterior"),
-        boundary_edges=edges,
-        boundary_tags=np.full(len(edges), TAG_DIRICHLET, dtype=np.int16),
         pair_master=np.zeros(0, dtype=np.int32),
         pair_slave=np.zeros(0, dtype=np.int32),
-        dirichlet_nodes=dirich,
+        dirichlet_nodes=nid(len(radii) - 1, np.arange(n_t)).astype(np.int32),
         meta={"kind": "graded_disk", "radius": float(radius),
               "inclusion_radius": float(inclusion_radius), "n_theta": n_t},
     )
@@ -318,27 +302,11 @@ def build_machine_mesh(geo=None):
     region[coil_band & in_window(geo.coil_B_window)] = MACHINE_REGIONS.index("coil_B")
     region[coil_band & in_window(geo.coil_C_window)] = MACHINE_REGIONS.index("coil_C")
 
-    last = len(radii) - 1
-    edges, tags = [], []
-    for j in range(m_ang):
-        edges.append((nid(last, j), nid(last, j + 1)))
-        tags.append(TAG_DIRICHLET)
     # straight sector edges: theta=0 is the master side, theta=sector the slave
-    edges.append((0, nid(0, 0)))
-    tags.append(TAG_MASTER)
-    edges.append((0, nid(0, m_ang)))
-    tags.append(TAG_SLAVE)
-    for ring in range(len(radii) - 1):
-        edges.append((nid(ring, 0), nid(ring + 1, 0)))
-        tags.append(TAG_MASTER)
-        edges.append((nid(ring, m_ang), nid(ring + 1, m_ang)))
-        tags.append(TAG_SLAVE)
-    edges = np.asarray(edges, dtype=np.int32)
-    tags = np.asarray(tags, dtype=np.int16)
-
     masters = np.array([nid(r, 0) for r in range(len(radii))], dtype=np.int32)
     slaves = np.array([nid(r, m_ang) for r in range(len(radii))], dtype=np.int32)
 
+    last = len(radii) - 1
     outer_nodes = np.array([nid(last, j) for j in range(m_ang + 1)], dtype=np.int32)
     # the apex sits on both straight edges, so antiperiodicity pins it to zero
     dirich = np.unique(np.concatenate([outer_nodes, [0]])).astype(np.int32)
@@ -349,8 +317,6 @@ def build_machine_mesh(geo=None):
         triangles=_orient_ccw(verts, tris),
         region_id=region,
         region_names=MACHINE_REGIONS,
-        boundary_edges=edges,
-        boundary_tags=tags,
         pair_master=masters[keep],
         pair_slave=slaves[keep],
         dirichlet_nodes=dirich,
@@ -404,7 +370,8 @@ def refine_disc_patch(mesh, center, radius, region="design", cavity=None):
     the local field perturbation stays resolved even when the disc is much
     smaller than the ambient elements. All touched elements must belong to
     one region and stay clear of boundaries and interface rings. Returns the
-    new mesh and the ids of the elements tiling the disc.
+    new mesh, the ids of the elements tiling the disc, and the mask of the old
+    elements that were kept; they precede the patch in the new ordering.
     """
     center = np.asarray(center, dtype=float)
     if radius <= 0:
@@ -424,7 +391,8 @@ def refine_disc_patch(mesh, center, radius, region="design", cavity=None):
         raise UsageError("disc patch overlaps a region boundary; "
                          "move the sample point or shrink the radius")
 
-    kept_tris = mesh.triangles[~remove]
+    kept = ~remove
+    kept_tris = mesh.triangles[kept]
     used = np.zeros(mesh.n_nodes, dtype=bool)
     used[kept_tris.ravel()] = True
     removed_nodes = np.unique(mesh.triangles[remove].ravel())
@@ -489,7 +457,7 @@ def refine_disc_patch(mesh, center, radius, region="design", cavity=None):
     tris = np.vstack([old_index[kept_tris],
                       np.asarray(patch, dtype=np.int64)]).astype(np.int32)
     region_id = np.concatenate([
-        mesh.region_id[~remove],
+        mesh.region_id[kept],
         np.full(len(patch), target, dtype=np.int16)])
     tris = _orient_ccw(verts, tris)
 
@@ -498,18 +466,15 @@ def refine_disc_patch(mesh, center, radius, region="design", cavity=None):
         triangles=tris,
         region_id=region_id,
         region_names=mesh.region_names,
-        boundary_edges=old_index[mesh.boundary_edges].astype(np.int32),
-        boundary_tags=mesh.boundary_tags.copy(),
         pair_master=old_index[mesh.pair_master].astype(np.int32),
         pair_slave=old_index[mesh.pair_slave].astype(np.int32),
         dirichlet_nodes=old_index[mesh.dirichlet_nodes].astype(np.int32),
-        meta=dict(mesh.meta, patch_center=tuple(center),
-                  patch_radius=float(radius), patch_cavity=float(cavity)),
+        meta=dict(mesh.meta),
     )
-    n_kept = int((~remove).sum())
+    n_kept = int(kept.sum())
     disc = np.arange(n_kept, n_kept + n_disc, dtype=np.int64)
     cen = out.centroids()[disc]
     inside = np.hypot(cen[:, 0] - center[0], cen[:, 1] - center[1]) < radius
     if not inside.all():
         raise SolverError("disc patch triangulation leaked outside the circle")
-    return out, disc
+    return out, disc, kept

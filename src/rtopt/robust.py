@@ -44,10 +44,6 @@ class IntervalSet:
     def dim(self):
         return len(self.lower)
 
-    @property
-    def is_singleton(self):
-        return bool(np.all(self.lower == self.upper))
-
     def project(self, q):
         q = np.asarray(q, dtype=float)
         return np.clip(q, self.lower, self.upper)
@@ -76,10 +72,6 @@ class BallSet:
     @property
     def dim(self):
         return len(self.center)
-
-    @property
-    def is_singleton(self):
-        return False
 
     def project(self, q):
         q = np.asarray(q, dtype=float)
@@ -298,13 +290,8 @@ class RobustEvaluator(NominalEvaluator):
         return pts
 
     def worst_case(self, objective):
-        try:
-            wc = inner_maximize(objective, self.uset, self.starts(),
-                                self.inner_params)
-        except SolverError:
-            log.warning("inner maximization failed; retrying from endpoints only")
-            wc = inner_maximize(objective, self.uset,
-                                self.uset.start_points(), self.inner_params)
+        wc = inner_maximize(objective, self.uset, self.starts(),
+                            self.inner_params)
         self.previous = wc.q_star.copy()
         return wc.q_star, wc.iterations
 

@@ -45,6 +45,10 @@ log = logging.getLogger(__name__)
 TABLE_FORMAT = "RTOTD1"
 DIRECTIONS = ("iron_to_air", "air_to_iron")
 
+# Newton controls of every corrector solve
+CORRECTOR_TOL = 1e-10
+CORRECTOR_MAX_ITER = 80
+
 
 @dataclass(frozen=True)
 class ExteriorConfig:
@@ -55,8 +59,6 @@ class ExteriorConfig:
     t_max: float = 5.0
     n_t: int = 50
     n_q: int = 10
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 80
 
     def validate(self):
         if self.radius <= 2.0:
@@ -117,8 +119,7 @@ class ExteriorProblem:
 
         load = np.zeros(self.space.n_nodes)
         k, info = newton_solve(self.space, self.dofmap, respond, load,
-                               tol=self.config.newton_tol,
-                               max_iter=self.config.newton_max_iter,
+                               tol=CORRECTOR_TOL, max_iter=CORRECTOR_MAX_ITER,
                                cache=self.tangents)
         self.newton_log.append(info)
         return k, info

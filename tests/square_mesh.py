@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from rtopt.mesh import TAG_DIRICHLET, Mesh
+from rtopt.mesh import Mesh
 
 
 def unit_square_mesh(n):
@@ -25,14 +25,6 @@ def unit_square_mesh(n):
             tris.append((a, c, d))
     tris = np.asarray(tris, dtype=np.int32)
 
-    edges = []
-    for i in range(n):
-        edges.append((nid(i, 0), nid(i + 1, 0)))
-        edges.append((nid(i, n), nid(i + 1, n)))
-        edges.append((nid(0, i), nid(0, i + 1)))
-        edges.append((nid(n, i), nid(n, i + 1)))
-    edges = np.asarray(edges, dtype=np.int32)
-
     on_bnd = ((verts[:, 0] == 0.0) | (verts[:, 0] == 1.0)
               | (verts[:, 1] == 0.0) | (verts[:, 1] == 1.0))
     return Mesh(
@@ -40,8 +32,6 @@ def unit_square_mesh(n):
         triangles=tris,
         region_id=np.zeros(len(tris), dtype=np.int16),
         region_names=("domain",),
-        boundary_edges=edges,
-        boundary_tags=np.full(len(edges), TAG_DIRICHLET, dtype=np.int16),
         pair_master=np.zeros(0, dtype=np.int32),
         pair_slave=np.zeros(0, dtype=np.int32),
         dirichlet_nodes=np.flatnonzero(on_bnd).astype(np.int32),

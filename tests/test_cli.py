@@ -89,6 +89,16 @@ def test_rotor_block_count_is_not_a_key(tmp_path, caplog):
     assert "unknown key 'n_rotor_blocks'" in caplog.text
 
 
+def test_unselected_scenario_keys_are_checked(tmp_path, caplog):
+    # every key is typed, also one the selected scenario does not read
+    cfg = write_cfg(tmp_path / "nom.cfg", tmp_path / "o",
+                    base=BASE.replace("name = ANG", "name = NOM")
+                            .replace("interval_deg = -75, -45",
+                                     "interval_deg = abc"))
+    assert main(["precompute-td", cfg]) == 2
+    assert "[scenario] interval_deg" in caplog.text
+
+
 def test_invalid_thread_cap(ws):
     assert main(["--threads", "0", "precompute-td", ws["cfg"]]) == 2
 

@@ -12,6 +12,11 @@ from hypothesis import strategies as st
 from rtopt.cli import main
 from rtopt.config import load_config
 from rtopt.errors import ConfigurationError
+from rtopt.levelset import LevelSetOptions
+from rtopt.machine import MaterialSpec, SolverOptions
+from rtopt.mesh import MachineGeometry
+from rtopt.robust import InnerParams
+from rtopt.topderiv import ExteriorConfig
 
 TOY = Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"
 
@@ -32,6 +37,18 @@ BYTE_EDITS = st.lists(st.tuples(st.sampled_from(["cut", "flip", "insert"]),
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("configs")
+
+
+def test_empty_config_keeps_dataclass_defaults(workdir):
+    path = workdir / "empty.cfg"
+    path.write_text("")
+    cfg = load_config(path)
+    assert cfg.geometry == MachineGeometry()
+    assert cfg.materials == MaterialSpec()
+    assert cfg.exterior == ExteriorConfig()
+    assert cfg.levelset == LevelSetOptions()
+    assert cfg.inner == InnerParams()
+    assert cfg.solver == SolverOptions()
 
 
 def _edit_lines(lines, kind, a, b, text):

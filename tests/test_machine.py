@@ -6,7 +6,6 @@ import pytest
 
 from rtopt import machine
 from rtopt.errors import ConfigurationError, UsageError
-from rtopt.fem import P1Space
 from rtopt.laws import MU0
 from rtopt.machine import (COILS, POLE_PAIRS, MachineProblem, MaterialSpec,
                            Scenario, TorqueProbe)
@@ -63,11 +62,10 @@ def test_torque_gradient_matches_fd(toy_problem):
 
 
 def test_torque_probe_radius_must_stay_in_gap(toy_mesh):
-    space = P1Space(toy_mesh)
     with pytest.raises(ConfigurationError):
-        TorqueProbe(toy_mesh, space, 0.06, 64)
+        TorqueProbe(toy_mesh, 0.06, 64)
     with pytest.raises(ConfigurationError):
-        TorqueProbe(toy_mesh, space, 0.0505, 4)
+        TorqueProbe(toy_mesh, 0.0505, 4)
 
 
 def test_frozen_alpha_collapses_positions(toy_mesh, linear_spec):

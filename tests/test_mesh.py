@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rtopt.errors import ConfigurationError, UsageError
+from rtopt.fem import DofMap, P1Space
 from rtopt.mesh import (MachineGeometry, build_machine_mesh, disk_mirror,
                         graded_disk_mesh, refine_disc_patch)
 from square_mesh import unit_square_mesh
@@ -14,7 +15,7 @@ def test_unit_square_counts_and_area():
     mesh = unit_square_mesh(4)
     assert mesh.n_nodes == 25
     assert mesh.n_elements == 32
-    areas = mesh.areas()
+    areas = P1Space(mesh).areas
     assert np.all(areas > 0)
     assert areas.sum() == pytest.approx(1.0, abs=1e-14)
     # every boundary node is Dirichlet
@@ -24,9 +25,10 @@ def test_unit_square_counts_and_area():
 def test_graded_disk_basic():
     mesh = graded_disk_mesh(128.0, 3000)
     assert 1500 <= mesh.n_nodes <= 6000
-    assert np.all(mesh.areas() > 0)
+    areas = P1Space(mesh).areas
+    assert np.all(areas > 0)
     inc = mesh.elements_in("inclusion")
-    assert mesh.areas()[inc].sum() == pytest.approx(np.pi, rel=5e-3)
+    assert areas[inc].sum() == pytest.approx(np.pi, rel=5e-3)
     r = np.hypot(*mesh.vertices[mesh.dirichlet_nodes].T)
     assert np.allclose(r, 128.0, rtol=1e-12)
 
@@ -66,7 +68,7 @@ def test_machine_regions_and_pairs():
     assert np.allclose(np.arctan2(vs[:, 1], vs[:, 0]), sector, rtol=1e-9)
     # sector area, polygon deficit allowed
     geo = MachineGeometry()
-    assert mesh.areas().sum() == pytest.approx(0.5 * geo.sector * geo.r_outer**2,
+    assert P1Space(mesh).areas.sum() == pytest.approx(0.5 * geo.sector * geo.r_outer**2,
                                                rel=1e-2)
 
 
@@ -93,14 +95,15 @@ def sector():
 
 def test_disc_patch_geometry(sector):
     design = sector.elements_in("design")
-    h = float(np.sqrt(2.0 * sector.areas()[design].mean()))
+    areas = P1Space(sector).areas
+    h = float(np.sqrt(2.0 * areas[design].mean()))
     center = 0.03 * np.array([np.cos(np.pi / 8), np.sin(np.pi / 8)])
     eps = 2.0 * h
-    mesh2, disc = refine_disc_patch(sector, center, eps, cavity=7 * h)
+    mesh2, disc, _ = refine_disc_patch(sector, center, eps, cavity=7 * h)
 
-    areas2 = mesh2.areas()
+    areas2 = P1Space(mesh2).areas
     assert np.all(areas2 > 0)
-    assert areas2.sum() == pytest.approx(sector.areas().sum(), rel=1e-12)
+    assert areas2.sum() == pytest.approx(areas.sum(), rel=1e-12)
     # the disc is tiled exactly (up to the 48-gon deficit) and stays inside
     assert areas2[disc].sum() == pytest.approx(np.pi * eps**2, rel=5e-3)
     cen = mesh2.centroids()[disc]
@@ -108,21 +111,18 @@ def test_disc_patch_geometry(sector):
     # only the design region was touched
     names = mesh2.region_names
     for name in names:
-        a0 = sector.areas()[sector.elements_in(name)].sum()
+        a0 = areas[sector.elements_in(name)].sum()
         a1 = areas2[mesh2.elements_in(name)].sum()
         assert a1 == pytest.approx(a0, rel=1e-12), name
         if name != "design":
             assert len(mesh2.elements_in(name)) == len(sector.elements_in(name))
-    assert mesh2.meta["patch_radius"] == eps
 
 
 def test_disc_patch_keeps_constraints_usable(sector):
-    from rtopt.fem import DofMap, P1Space
-
     design = sector.elements_in("design")
-    h = float(np.sqrt(2.0 * sector.areas()[design].mean()))
+    h = float(np.sqrt(2.0 * P1Space(sector).areas[design].mean()))
     center = 0.03 * np.array([np.cos(np.pi / 8), np.sin(np.pi / 8)])
-    mesh2, _ = refine_disc_patch(sector, center, h, cavity=7 * h)
+    mesh2, _, _ = refine_disc_patch(sector, center, h, cavity=7 * h)
     P1Space(mesh2)
     dm = DofMap(mesh2)
     assert dm.n_reduced < mesh2.n_nodes

@@ -14,7 +14,7 @@ from rtopt.robust import (BallSet, InnerParams, IntervalSet,
 
 def test_interval_basics():
     s = IntervalSet([np.deg2rad(-9.0)], [np.deg2rad(21.0)])
-    assert s.dim == 1 and not s.is_singleton
+    assert s.dim == 1 and s.lower[0] < s.upper[0]
     q = s.project(np.array([np.deg2rad(30.0)]))
     assert q[0] == pytest.approx(np.deg2rad(21.0))
     assert s.contains(q)
@@ -40,7 +40,7 @@ def test_interval_validation():
 
 def test_singleton_set():
     s = singleton_set(2.2)
-    assert s.is_singleton
+    assert s.lower[0] == s.upper[0] == 2.2
     assert s.project(np.array([9.0]))[0] == 2.2
     a, b = s.start_points()
     assert np.array_equal(a, b)
@@ -48,7 +48,7 @@ def test_singleton_set():
 
 def test_ellipsoid_isotropic_projection():
     s = BallSet([0.0, 0.0], 1.0)
-    assert s.dim == 2 and not s.is_singleton
+    assert s.dim == 2
     p = s.project(np.array([3.0, 4.0]))
     assert np.allclose(p, [0.6, 0.8], atol=1e-12)
     inside = np.array([0.2, -0.1])
@@ -135,19 +135,36 @@ def test_inner_maximize_sufficient_increase_audit():
         assert gain >= (params.gamma / tau) * move - 1e-15
 
 
+class Broken:
+    """An objective whose every solve fails, recording where it was asked."""
+
+    def __init__(self):
+        self.n_evaluations = 0
+        self.calls = []
+
+    def value(self, q):
+        self.calls.append(np.asarray(q, dtype=float).copy())
+        raise SolverError("state solve diverged")
+
+    value_grad = value
+
+
 def test_inner_maximize_all_starts_fail():
-    class Broken:
-        n_evaluations = 0
-
-        def value(self, q):
-            raise SolverError("state solve diverged")
-
-        def value_grad(self, q):
-            raise SolverError("state solve diverged")
-
     with pytest.raises(SolverError):
         inner_maximize(Broken(), IntervalSet([0.0], [1.0]),
                        [np.array([0.5])])
+
+
+def test_worst_case_tries_each_start_once(toy_problem, linear_tables,
+                                          phase_set):
+    rob = RobustEvaluator(toy_problem, linear_tables["iron_to_air"],
+                          linear_tables["air_to_iron"], phase_set)
+    broken = Broken()
+    with pytest.raises(SolverError, match="all inner-maximization starts"):
+        rob.worst_case(broken)
+    # the set's two ends and the nominal q, each asked once
+    tried = [q.tobytes() for q in broken.calls]
+    assert len(tried) == len(set(tried)) == 3
 
 
 def test_inner_params_validation():
