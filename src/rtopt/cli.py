@@ -71,24 +71,27 @@ def _build_problem(cfg):
     return mesh, problem
 
 
-def _design_from_file(cfg, problem, path):
-    from .errors import UsageError
+def _design_from_file(problem, path):
+    import numpy as np
+
+    from .errors import FormatError, UsageError
     from .levelset import load_levelset
 
     if not os.path.exists(path):
         raise UsageError(f"design file {path} does not exist")
     psi, node_ids, _ = load_levelset(path, problem.mesh.fingerprint())
-    order = {int(n): i for i, n in enumerate(node_ids)}
-    perm = [order[int(n)] for n in problem.design_nodes]
-    return psi[perm]
+    # design_nodes is sorted and distinct: refuses missing, extra, repeated
+    order = np.argsort(node_ids)
+    if not np.array_equal(node_ids[order], problem.design_nodes):
+        raise FormatError(
+            f"{path}: node ids are not the design nodes of the configured mesh")
+    return psi[order]
 
 
 # ---------------------------------------------------------------------------
 # precompute-td
 
 def cmd_precompute(cfg):
-    import numpy as np
-
     from .fem import newton_summary
     from .topderiv import ExteriorProblem, precompute_tables, save_table
 
@@ -113,24 +116,15 @@ def cmd_precompute(cfg):
     print(json.dumps(summary, indent=2, sort_keys=True))
 
     if cfg.materials.iron_linear:
-        nu0, nu_f = cfg.materials.nu0, cfg.materials.nu_f
-        expected = {
-            "iron_to_air": 2.0 * nu_f * (nu0 - nu_f) / (nu0 + nu_f),
-            "air_to_iron": -2.0 * nu0 * (nu0 - nu_f) / (nu0 + nu_f),
-        }
-        worst = 0.0
-        for direction, table in tables.items():
-            t = table.t
-            f1 = table.f_par if table.q is None else table.f_par[:, 0]
-            slope = f1[1] / t[1]
-            dev = abs(slope - expected[direction]) / abs(expected[direction])
-            worst = max(worst, dev)
-            f2 = table.f_perp if table.q is None else table.f_perp[:, 0]
-            scale = np.abs(f1).max()
+        from .audit import linear_slopes
+
+        rows = linear_slopes(tables, cfg.materials)
+        for direction, slope, closed, dev, perp in rows:
             print(f"{direction}: slope {slope:.6g} vs closed form "
-                  f"{expected[direction]:.6g} (rel dev {dev:.2e}), "
-                  f"max |f2|/scale {np.abs(f2).max() / scale:.2e}")
-        print(f"closed-form slope audit: max relative deviation {worst:.2e}")
+                  f"{closed:.6g} (rel dev {dev:.2e}), "
+                  f"max |f2|/scale {perp:.2e}")
+        print("closed-form slope audit: max relative deviation "
+              f"{max(row[3] for row in rows):.2e}")
     return EXIT_OK
 
 
@@ -143,17 +137,9 @@ def _iron_fraction(problem, design):
 
 
 def _write_summary(path, cfg, result, problem, design):
-    import numpy as np
+    from .fem import newton_summary
 
-    last_q = None
-    for row in reversed(result.trace):
-        if row.accepted:
-            last_q = row.q_star
-            break
-    if last_q is None:
-        worst = []
-    else:
-        worst = [float(v) for v in np.atleast_1d(last_q)]
+    worst = [] if result.q_star is None else [float(v) for v in result.q_star]
     summary = {
         "format": "RTOSUMMARY1",
         "scenario": cfg.scenario.name,
@@ -163,7 +149,7 @@ def _write_summary(path, cfg, result, problem, design):
         "final_objective": result.value,
         "worst_parameters": worst,
         "iron_fraction": _iron_fraction(problem, design),
-        "newton": problem.newton_summary(),
+        "newton": newton_summary(problem.newton_log),
         "trace_rows": len(result.trace),
     }
     with open(path, "w") as f:
@@ -229,214 +215,45 @@ def cmd_optimize(cfg, mode):
 # ---------------------------------------------------------------------------
 # audits
 
-def _audit_design(cfg, problem, design_path):
-    import numpy as np
-
-    if design_path:
-        psi = _design_from_file(cfg, problem, design_path)
-    else:
-        log.info("no --design given; auditing the all-iron design")
-        psi = np.ones(len(problem.design_nodes))
-    return problem.design_from_levelset(psi)
-
-
-def _audit_sweep(cfg, problem, design, outdir):
-    import numpy as np
-
-    from .errors import ConfigurationError
-
-    uset = cfg.uncertainty
-    if uset is None or not hasattr(uset, "grid"):
-        raise ConfigurationError(
-            "sweep audit needs a scenario with interval uncertainty")
-    grid = uset.grid(31)
-    rows = []
-    for q in grid:
-        value, _ = problem.objective(design, q)
-        rows.append((float(q[0]), float(value), float(-value)))
-    path = os.path.join(outdir, "sweep.csv")
+def _write_csv(path, header, rows):
+    """One CSV line per row: repr for floats, str for everything else."""
     with open(path, "w") as f:
-        f.write("q,objective,mean_torque\n")
-        for q, j, t in rows:
-            f.write(f"{q!r},{j!r},{t!r}\n")
-    worst = max(rows, key=lambda r: r[1])
-    print(f"wrote {path}")
-    print(f"worst grid point: q={worst[0]!r} objective={worst[1]!r} "
-          f"(minimum mean torque {worst[2]!r})")
-    return EXIT_OK
-
-
-def _audit_fdcheck(cfg, problem, design, outdir):
-    import numpy as np
-
-    from .errors import ConfigurationError
-
-    if problem.scenario.binding is None:
-        raise ConfigurationError(
-            "fdcheck needs a scenario with parameter bindings")
-    q_hat = problem._q_array(None)
-    grad = problem.grad_q(design, q_hat)
-    rows = []
-    worst = 0.0
-    for i in range(len(q_hat)):
-        h = 1e-6 * max(1.0, abs(q_hat[i]))
-        qp, qm = q_hat.copy(), q_hat.copy()
-        qp[i] += h
-        qm[i] -= h
-        jp, _ = problem.objective(design, qp)
-        jm, _ = problem.objective(design, qm)
-        fd = (jp - jm) / (2 * h)
-        rel = abs(grad[i] - fd) / max(abs(fd), 1e-30)
-        worst = max(worst, rel)
-        rows.append((i, float(q_hat[i]), float(grad[i]), float(fd), rel))
-    path = os.path.join(outdir, "fdcheck.csv")
-    with open(path, "w") as f:
-        f.write("component,q,adjoint,central_fd,rel_error\n")
-        for row in rows:
-            f.write(f"{row[0]},{row[1]!r},{row[2]!r},{row[3]!r},{row[4]!r}\n")
-    print(f"wrote {path}")
-    print(f"fdcheck: max relative error {worst:.3e}")
-    return EXIT_OK
-
-
-def tdcheck_candidates(problem, design, g, cavity):
-    """Design elements suited to a disc perturbation check.
-
-    Geometric clearance keeps the remeshed cavity inside the design region
-    and away from the antiperiodic rays; the field filters keep to spots
-    where the sensitivity density is resolved at the disc scale (the
-    topological-derivative limit presumes locally smooth fields).
-    """
-    import numpy as np
-
-    mesh = problem.mesh
-    h = problem.design_h
-    cen = mesh.centroids()[problem.design_elements]
-    areas = problem.space.areas[problem.design_elements]
-    other = np.setdiff1d(np.arange(mesh.n_elements), problem.design_elements)
-    # the carve removes any triangle with a vertex inside the cavity, so
-    # clearance is measured to the vertices of non-design triangles
-    other_verts = mesh.vertices[np.unique(mesh.triangles[other].ravel())]
-    sector = mesh.meta["sector"]
-    rr = np.hypot(cen[:, 0], cen[:, 1])
-    tt = np.arctan2(cen[:, 1], cen[:, 0])
-    need = cavity + h
-
-    ok = []
-    for e in range(len(cen)):
-        if min(rr[e] * np.sin(tt[e]), rr[e] * np.sin(sector - tt[e])) <= need:
-            continue
-        gap = np.hypot(*(other_verts - cen[e]).T).min()
-        if gap <= need:
-            continue
-        near = np.hypot(*(cen - cen[e]).T) <= 4.0 * h
-        if not np.all(design[near] == design[e]):
-            continue
-        w = areas[near]
-        mean = float((g[near] * w).sum() / w.sum())
-        coherence = abs(mean) / float((np.abs(g[near]) * w).sum() / w.sum())
-        spread = (g[near].max() - g[near].min()) / max(abs(mean), 1e-30)
-        ok.append((e, coherence, spread))
-    picked = [e for e, c, s in ok if c > 0.9 and s < 1.0]
-    if len(picked) >= 5:
-        return np.asarray(picked)
-    log.warning("few well-conditioned elements; relaxing the field filter")
-    ok.sort(key=lambda t: t[2])
-    return np.asarray([e for e, _, _ in ok])
-
-
-def tdcheck_rows(cfg, problem, design, tables, n_samples=5):
-    """Disc-flip FD quotients vs the sensitivity tables, one row per radius.
-
-    Each probe rebuilds the mesh so a disc of the exact radius exists as a
-    union of elements (with graded rings past the rim), flips it, and
-    compares (J_eps - J)/(pi eps^2) against the disc average of the raw
-    sensitivity field on that same mesh.
-    """
-    import numpy as np
-
-    from .levelset import NominalEvaluator
-    from .machine import MachineProblem
-    from .mesh import refine_disc_patch
-
-    def raw_field(prob, design):
-        ev = NominalEvaluator(prob, tables["iron_to_air"],
-                              tables["air_to_iron"]).field(design)
-        return ev.value, ev.sensitivity
-
-    h = problem.design_h
-    cavity = 7.0 * h
-    _, g = raw_field(problem, design)
-    candidates = tdcheck_candidates(problem, design, g, cavity)
-    if len(candidates) < n_samples:
-        from .errors import ConfigurationError
-        raise ConfigurationError(
-            "not enough clear design elements for a disc check; "
-            "refine the mesh (larger target_nodes)")
-    rng = np.random.default_rng(cfg.seed)
-    picks = rng.choice(candidates, size=n_samples, replace=False)
-
-    cen = problem.mesh.centroids()[problem.design_elements]
-    rows = []
-    for e in picks:
-        material = bool(design[e])
-        sign = 1.0 if material else -1.0
-        for eps in (4 * h, 2 * h, h):
-            mesh2, disc, kept = refine_disc_patch(problem.mesh, cen[e], eps,
-                                                  cavity=cavity)
-            prob2 = MachineProblem(mesh2, problem.spec, problem.scenario,
-                                   problem.solver)
-            # kept design elements precede the patch in the new ordering
-            kept = kept[problem.design_elements]
-            n_patch = len(prob2.design_elements) - int(kept.sum())
-            design2 = np.concatenate([design[kept],
-                                      np.full(n_patch, material, dtype=bool)])
-            base2, g2 = raw_field(prob2, design2)
-            dloc = np.searchsorted(prob2.design_elements, disc)
-            if not np.array_equal(prob2.design_elements[dloc], disc):
-                from .errors import SolverError
-                raise SolverError("disc patch elements lost design region")
-            areas2 = prob2.space.areas[disc]
-            reference = sign * float((g2[dloc] * areas2).sum()
-                                     / areas2.sum())
-            trial = design2.copy()
-            trial[dloc] = not material
-            value, _ = prob2.objective(trial)
-            quotient = (value - base2) / (np.pi * eps ** 2)
-            rel = abs(quotient - reference) / max(abs(reference), 1e-30)
-            rows.append((int(e), "iron" if material else "air", float(eps),
-                         float(areas2.sum()), len(disc), quotient,
-                         reference, rel))
-    return rows
-
-
-def _audit_tdcheck(cfg, problem, design, outdir, n_samples=5):
-    tables = _load_tables(cfg)
-    rows = tdcheck_rows(cfg, problem, design, tables, n_samples)
-    path = os.path.join(outdir, "tdcheck.csv")
-    with open(path, "w") as f:
-        f.write("element,material,eps,disc_area,n_disc_elements,"
-                "fd_quotient,td_reference,rel_error\n")
+        f.write(header + "\n")
         for row in rows:
             f.write(",".join(repr(v) if isinstance(v, float) else str(v)
                              for v in row) + "\n")
-    finals = [rows[3 * i + 2][-1] for i in range(n_samples)]
     print(f"wrote {path}")
-    print(f"tdcheck: final relative discrepancies "
-          f"{', '.join(f'{v:.3f}' for v in finals)}")
-    return EXIT_OK
 
 
 def cmd_audit(cfg, kind, design_path):
+    import numpy as np
+
+    from . import audit
+
     mesh, problem = _build_problem(cfg)
-    design = _audit_design(cfg, problem, design_path)
+    if design_path:
+        psi = _design_from_file(problem, design_path)
+    else:
+        log.info("no --design given; auditing the all-iron design")
+        psi = np.ones(len(problem.design_nodes))
+    design = problem.design_from_levelset(psi)
     outdir = os.path.join(cfg.output_dir, "audit")
     os.makedirs(outdir, exist_ok=True)
     if kind == "sweep":
-        return _audit_sweep(cfg, problem, design, outdir)
-    if kind == "fdcheck":
-        return _audit_fdcheck(cfg, problem, design, outdir)
-    return _audit_tdcheck(cfg, problem, design, outdir)
+        rows = audit.sweep_rows(problem, design, cfg.uncertainty)
+        q, j, t = max(rows, key=lambda r: r[1])
+        line = (f"worst grid point: q={q!r} objective={j!r} "
+                f"(minimum mean torque {t!r})")
+    elif kind == "fdcheck":
+        rows = audit.fdcheck_rows(problem, design)
+        line = f"fdcheck: max relative error {max(r[-1] for r in rows):.3e}"
+    else:
+        rows = audit.tdcheck_rows(problem, design, _load_tables(cfg), cfg.seed)
+        line = ("tdcheck: final relative discrepancies "
+                + ", ".join(f"{r[-1]:.3f}" for r in rows[2::3]))
+    _write_csv(os.path.join(outdir, f"{kind}.csv"), audit.HEADERS[kind], rows)
+    print(line)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +266,7 @@ def cmd_render(cfg, design_path, out_path):
     if not design_path:
         raise UsageError("render needs --design FILE")
     mesh, problem = _build_problem(cfg)
-    psi = _design_from_file(cfg, problem, design_path)
+    psi = _design_from_file(problem, design_path)
     design = problem.design_from_levelset(psi)
     if not out_path:
         out_path = os.path.splitext(design_path)[0] + ".svg"

@@ -236,8 +236,6 @@ def _settings(raw, target):
 
 def _build_scenario(raw, spec):
     scen = Scenario(**_settings(raw, "scenario"))
-    if scen.name not in ("NOM", "ANG", "SCAL", "DIST"):
-        raise ConfigurationError(f"unknown scenario name {scen.name!r}")
 
     bounds = _settings(raw, "set")
     uncertainty = None

@@ -143,6 +143,7 @@ class LevelSetResult:
     iterations: int
     trace: list[TraceRow] = field(default_factory=list)
     evaluations: int = 0
+    q_star: np.ndarray | None = None      # of the last accepted evaluation
 
     def trace_csv(self):
         lines = [TRACE_HEADER]
@@ -220,7 +221,7 @@ def drive(evaluator, psi0, geometry, options=None, snapshot=None):
                 break
             s = max(s * opts.step_shrink, opts.step_min)
 
-    return LevelSetResult(psi, ev.value, status, k, trace, n_eval)
+    return LevelSetResult(psi, ev.value, status, k, trace, n_eval, ev.q_star)
 
 
 class NominalEvaluator:

@@ -28,7 +28,7 @@ import numpy as np
 from . import laws
 from .errors import ConfigurationError, UsageError
 from .fem import (DofMap, P1Space, ScreenedSmoother, TangentCache,
-                  adjoint_solve, newton_solve, newton_summary)
+                  adjoint_solve, newton_solve)
 from .laws import MU0
 
 log = logging.getLogger(__name__)
@@ -360,10 +360,6 @@ class MachineProblem:
             u0 = out[-1] if out and not self.spec.iron_linear else None
             out.append(self.solve_position(design, q, n, u0)[0])
         return out
-
-    def newton_summary(self):
-        """Newton counts over every state solve so far."""
-        return newton_summary(self.newton_log)
 
     def torque(self, u):
         return self.torque_probe.torque(self.space, u)

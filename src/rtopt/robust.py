@@ -91,11 +91,6 @@ class BallSet:
                 + [self.center - e for e in steps])
 
 
-def singleton_set(q_hat):
-    q = np.atleast_1d(np.asarray(q_hat, dtype=float))
-    return IntervalSet(q, q)
-
-
 # ---------------------------------------------------------------------------
 # inner maximization
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from rtopt.cli import tdcheck_rows
+from rtopt.audit import tdcheck_rows
 from rtopt.config import load_config
 from rtopt.laws import NU0, NU_F
 from rtopt.levelset import (LevelSetOptions, NominalEvaluator,
@@ -20,9 +20,10 @@ from rtopt.levelset import (LevelSetOptions, NominalEvaluator,
 from rtopt.machine import MachineProblem, MaterialSpec, Scenario
 from rtopt.mesh import build_machine_mesh
 from rtopt.robust import (InnerParams, IntervalSet, ParameterObjective,
-                          inner_maximize, optimize_robust, singleton_set)
+                          inner_maximize, optimize_robust)
 from rtopt.topderiv import (ExteriorConfig, ExteriorProblem,
                             laws_for_direction, precompute_tables)
+from closed_forms import linear_corrector, truncated_corrector
 from smoother_integrals import elementwise_integral, nodal_integral
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -73,14 +74,15 @@ def test_criterion_01_exterior_oracle(capsys):
     k, _ = prob.solve_corrector(U, law_in, law_out)
 
     mass = prob.space.mass_matrix()
-    ref = prob.analytic_truncated_corrector(U, NU_F, NU0)
+    ref = truncated_corrector(prob.mesh.vertices, prob.config.radius, U,
+                              NU_F, NU0)
     err = k - ref
     rel_global = np.sqrt(err @ (mass @ err)) / np.sqrt(ref @ (mass @ ref))
 
     # near field against the unbounded closed form, away from the ring
     lumped = np.asarray(mass.sum(axis=1)).ravel()
     near = np.hypot(*prob.mesh.vertices.T) <= prob.config.radius / 8.0
-    ref_free = prob.analytic_linear_corrector(U, NU_F, NU0)
+    ref_free = linear_corrector(prob.mesh.vertices, U, NU_F, NU0)
     e2 = (k - ref_free)[near]
     rel_near = np.sqrt(lumped[near] @ e2**2) / np.sqrt(
         lumped[near] @ ref_free[near]**2)
@@ -106,7 +108,7 @@ def test_criterion_03_disc_flip_quotients(capsys, linear_tables):
     mesh = build_machine_mesh(cfg.geometry)
     problem = MachineProblem(mesh, cfg.materials, cfg.scenario, cfg.solver)
     design = np.ones(len(problem.design_elements), dtype=bool)
-    rows = tdcheck_rows(cfg, problem, design, linear_tables, n_samples=5)
+    rows = tdcheck_rows(problem, design, linear_tables, cfg.seed, n_samples=5)
     elapsed = time.perf_counter() - t0
 
     ok = len(rows) == 15 and elapsed <= 600.0
@@ -248,7 +250,8 @@ def test_criterion_09_singleton_reproduces_nominal(capsys, toy_problem,
                                                    linear_tables, toy_nominal):
     res = optimize_robust(toy_problem, linear_tables["iron_to_air"],
                           linear_tables["air_to_iron"],
-                          singleton_set(toy_problem.scenario.q_hat),
+                          IntervalSet(toy_problem.scenario.q_hat,
+                                      toy_problem.scenario.q_hat),
                           np.ones(len(toy_problem.design_nodes)),
                           LevelSetOptions(max_iterations=40))
 

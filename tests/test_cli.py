@@ -215,9 +215,14 @@ def test_optimize_robust_artifacts(tables_ready):
     ws = tables_ready
     rc = main(["optimize", ws["cfg"], "--mode", "robust"])
     assert rc in (0, 4)
-    _, summary, _ = read_artifacts(ws["out"] / "robust")
+    trace, summary, _ = read_artifacts(ws["out"] / "robust")
     (q,) = summary["worst_parameters"]
     assert np.deg2rad(-75.0) - 1e-12 <= q <= np.deg2rad(-45.0) + 1e-12
+    # the summary reports q* of the design the run ended on, the last
+    # accepted iterate
+    rows = [row.split(",") for row in trace.splitlines()[1:]]
+    last = [r for r in rows if r[4] == "1"][-1]
+    assert [float(v) for v in last[6].split(";")] == [q]
 
 
 def test_robust_needs_uncertainty(tables_ready, tmp_path):
@@ -319,6 +324,8 @@ def test_audit_fdcheck(tables_ready, capsys):
     rows = (ws["out"] / "audit" / "fdcheck.csv").read_text().splitlines()
     assert rows[0] == "component,q,adjoint,central_fd,rel_error"
     assert len(rows) == 2
+    for value in rows[1].split(","):
+        float(value)                  # plain numbers, not a numpy scalar repr
 
 
 def test_audit_tdcheck(tables_ready, capsys):
@@ -359,6 +366,30 @@ def test_render_roundtrip(ws, tmp_path):
     assert design.with_suffix(".svg").exists()
     assert main(["render", ws["cfg"],
                  "--design", str(tmp_path / "none.rtols")]) == 2
+
+
+@pytest.mark.parametrize("command", ["render", "audit"])
+def test_design_node_ids_checked(ws, tmp_path, caplog, command):
+    from rtopt.config import load_config
+    from rtopt.levelset import save_levelset
+    from rtopt.mesh import build_machine_mesh
+
+    cfg = load_config(ws["cfg"])
+    mesh = build_machine_mesh(cfg.geometry)
+    ids = MachineProblem(mesh, cfg.materials, cfg.scenario).design_nodes
+    outside = np.setdiff1d(np.arange(mesh.n_nodes), ids)[0]
+    replaced, repeated = ids.copy(), ids.copy()
+    replaced[5] = outside
+    repeated[5] = ids[6]
+    args = {"render": [], "audit": ["--kind", "sweep"]}[command]
+    for name, bad in (("replaced", replaced), ("repeated", repeated),
+                      ("missing", ids[:-1]),
+                      ("extra", np.append(ids, outside))):
+        design = tmp_path / f"{name}.rtols"
+        save_levelset(np.ones(len(bad)), bad, mesh.fingerprint(), design)
+        caplog.clear()
+        assert main([command, ws["cfg"], "--design", str(design)] + args) == 2
+        assert f"{design}: node ids are not the design nodes" in caplog.text
 
 
 def test_undecodable_input_exits_2(ws, tmp_path, caplog):

@@ -8,8 +8,7 @@ from rtopt.errors import ConfigurationError, SolverError, UsageError
 from rtopt.levelset import NominalEvaluator
 from rtopt.machine import MachineProblem
 from rtopt.robust import (BallSet, InnerParams, IntervalSet,
-                          ParameterObjective, RobustEvaluator, inner_maximize,
-                          singleton_set)
+                          ParameterObjective, RobustEvaluator, inner_maximize)
 
 
 def test_interval_basics():
@@ -39,7 +38,7 @@ def test_interval_validation():
 
 
 def test_singleton_set():
-    s = singleton_set(2.2)
+    s = IntervalSet(2.2, 2.2)
     assert s.lower[0] == s.upper[0] == 2.2
     assert s.project(np.array([9.0]))[0] == 2.2
     a, b = s.start_points()
@@ -197,8 +196,8 @@ def test_singleton_robust_matches_nominal(toy_problem, linear_tables):
     i2a = linear_tables["iron_to_air"]
     a2i = linear_tables["air_to_iron"]
     nom = NominalEvaluator(toy_problem, i2a, a2i)(psi)
-    rob = RobustEvaluator(toy_problem, i2a, a2i,
-                          singleton_set(toy_problem.scenario.q_hat))(psi)
+    q_hat = toy_problem.scenario.q_hat
+    rob = RobustEvaluator(toy_problem, i2a, a2i, IntervalSet(q_hat, q_hat))(psi)
     assert rob.value == nom.value
     assert np.array_equal(rob.sensitivity, nom.sensitivity)
     assert np.array_equal(rob.q_star, nom.q_star)
