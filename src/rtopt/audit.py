@@ -22,13 +22,13 @@ HEADERS = {
 }
 
 
-def sweep_rows(problem, design, uset, n=31):
-    """(q, objective, mean torque) at each point of an n-point interval grid."""
+def sweep_rows(problem, design, uset):
+    """(q, objective, mean torque) at each point of a 31-point interval grid."""
     if uset is None or not hasattr(uset, "grid"):
         raise ConfigurationError(
             "sweep audit needs a scenario with interval uncertainty")
     rows = []
-    for q in uset.grid(n):
+    for q in uset.grid(31):
         value, _ = problem.objective(design, q)
         rows.append((float(q[0]), float(value), float(-value)))
     return rows

@@ -139,7 +139,6 @@ def _iron_fraction(problem, design):
 def _write_summary(path, cfg, result, problem, design):
     from .fem import newton_summary
 
-    worst = [] if result.q_star is None else [float(v) for v in result.q_star]
     summary = {
         "format": "RTOSUMMARY1",
         "scenario": cfg.scenario.name,
@@ -147,7 +146,7 @@ def _write_summary(path, cfg, result, problem, design):
         "iterations": result.iterations,
         "evaluations": result.evaluations,
         "final_objective": result.value,
-        "worst_parameters": worst,
+        "worst_parameters": [float(v) for v in result.q_star],
         "iron_fraction": _iron_fraction(problem, design),
         "newton": newton_summary(problem.newton_log),
         "trace_rows": len(result.trace),
@@ -249,8 +248,9 @@ def cmd_audit(cfg, kind, design_path):
         line = f"fdcheck: max relative error {max(r[-1] for r in rows):.3e}"
     else:
         rows = audit.tdcheck_rows(problem, design, _load_tables(cfg), cfg.seed)
-        line = ("tdcheck: final relative discrepancies "
-                + ", ".join(f"{r[-1]:.3f}" for r in rows[2::3]))
+        eps = min(r[2] for r in rows)
+        line = "tdcheck: final relative discrepancies " + ", ".join(
+            f"{r[-1]:.3f}" for r in rows if r[2] == eps)
     _write_csv(os.path.join(outdir, f"{kind}.csv"), audit.HEADERS[kind], rows)
     print(line)
     return EXIT_OK

@@ -141,9 +141,9 @@ class LevelSetResult:
     value: float
     status: str
     iterations: int
+    q_star: np.ndarray                    # of the last accepted evaluation
     trace: list[TraceRow] = field(default_factory=list)
     evaluations: int = 0
-    q_star: np.ndarray | None = None      # of the last accepted evaluation
 
     def trace_csv(self):
         lines = [TRACE_HEADER]
@@ -221,7 +221,7 @@ def drive(evaluator, psi0, geometry, options=None, snapshot=None):
                 break
             s = max(s * opts.step_shrink, opts.step_min)
 
-    return LevelSetResult(psi, ev.value, status, k, trace, n_eval, ev.q_star)
+    return LevelSetResult(psi, ev.value, status, k, ev.q_star, trace, n_eval)
 
 
 class NominalEvaluator:
