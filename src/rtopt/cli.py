@@ -136,7 +136,7 @@ def _iron_fraction(problem, design):
     return float(areas[design].sum() / areas.sum())
 
 
-def _write_summary(path, cfg, result, problem, design):
+def _write_summary(path, cfg, result, problem, design, tables):
     from .fem import newton_summary
 
     summary = {
@@ -149,6 +149,8 @@ def _write_summary(path, cfg, result, problem, design):
         "worst_parameters": [float(v) for v in result.q_star],
         "iron_fraction": _iron_fraction(problem, design),
         "newton": newton_summary(problem.newton_log),
+        "linear_bases": problem.bases_built,
+        "clamped_rows": sum(t.clamped_rows for t in tables.values()),
         "trace_rows": len(result.trace),
     }
     with open(path, "w") as f:
@@ -205,7 +207,7 @@ def cmd_optimize(cfg, mode):
     save_design_svg(os.path.join(rundir, "design_final.svg"), mesh, design,
                     result.psi, problem.design_nodes, title="final design")
     summary = _write_summary(os.path.join(rundir, "summary.json"), cfg,
-                             result, problem, design)
+                             result, problem, design, tables)
     print(json.dumps(summary, indent=2, sort_keys=True))
     print(f"artifacts in {rundir}")
     return EXIT_STALLED if result.status == "stalled" else EXIT_OK

@@ -247,10 +247,10 @@ class TangentCache:
     """The factored reduced tangent of the last element tangent dh seen.
 
     The tangent depends on the state only through dh, so an equal dh reuses
-    the cached LU without assembling. With linear iron that covers every
-    rotor position, parameter and adjoint of one design. A different dh drops
-    the entry before the new tangent is assembled and factored, so at most
-    one factorization is alive per cache.
+    the cached LU without assembling: adjoints share the LU of the converged
+    state, and linear-law correctors of one flip direction share one LU. A
+    different dh drops the entry before the new tangent is assembled and
+    factored, so at most one factorization is alive per cache.
     """
 
     def __init__(self, space, dofmap):

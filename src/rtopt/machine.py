@@ -9,6 +9,9 @@ where u^n solves the magnetostatic problem at rotor position alpha_n and T is
 the Maxwell stress torque evaluated on a circle inside the air gap. Rotor
 motion is frozen: positions only advance the electrical angle of the phase
 currents (and optionally co-rotate the magnet remanence directions).
+Nonlinear iron solves each position by damped Newton. Linear iron combines
+one basis per design (one factorization, two solves) for every position, q
+and adjoint.
 
 The parameter vector q carries scenario uncertainty: the load angle of the
 currents ("phase" binding), one shared iron saturation knee ("knee" binding),
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import laws
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError, SolverError, UsageError
 from .fem import (DofMap, P1Space, ScreenedSmoother, TangentCache,
                   adjoint_solve, newton_solve)
 from .laws import MU0
@@ -164,19 +167,18 @@ class TorqueProbe:
         self._tri_nodes = mesh.triangles[self.elements]
 
     def sample_flux(self, space, u):
-        return space.element_curl(u)[self.elements]
+        """Radial and tangential flux density at the samples."""
+        B = space.element_curl(u)[self.elements]
+        return (np.einsum("sd,sd->s", B, self.normals),
+                np.einsum("sd,sd->s", B, self.tangents))
 
     def torque(self, space, u):
-        B = self.sample_flux(space, u)
-        br = np.einsum("sd,sd->s", B, self.normals)
-        bt = np.einsum("sd,sd->s", B, self.tangents)
+        br, bt = self.sample_flux(space, u)
         return float(np.dot(self.weights, br * bt))
 
     def torque_gradient(self, space, u):
         """d torque / d nodal u as a full-length vector."""
-        B = self.sample_flux(space, u)
-        br = np.einsum("sd,sd->s", B, self.normals)
-        bt = np.einsum("sd,sd->s", B, self.tangents)
+        br, bt = self.sample_flux(space, u)
         curls = space.curls[self.elements]                     # (s, 3, 2)
         cn = np.einsum("sid,sd->si", curls, self.normals)
         ct = np.einsum("sid,sd->si", curls, self.tangents)
@@ -201,6 +203,8 @@ class MachineProblem:
         # one factored tangent shared by every state solve and adjoint
         self.tangents = TangentCache(self.space, self.dofmap)
         self.newton_log = []        # NewtonInfo of every state solve, in order
+        self._basis = None          # (design key, states, adjoints)
+        self.bases_built = 0        # one factorization each
 
         m = mesh.n_elements
         rid = mesh.region_id
@@ -262,22 +266,16 @@ class MachineProblem:
             return float(np.asarray(q, dtype=float)[0])
         return self.spec.phi0
 
-    def source_density(self, alpha, q):
-        """Element-wise current density at one rotor position."""
+    def _coil_density(self, angle, phase, wave=np.sin):
+        """Element-wise j_peak * wave(angle + coil offset + phase) in the coils."""
         out = np.zeros(self.mesh.n_elements)
-        phase = self._phase(q)
         for elems, offset, sign in self._coils:
-            out[elems] = sign * self.spec.j_peak * np.sin(
-                POLE_PAIRS * alpha + offset + phase)
+            out[elems] = sign * self.spec.j_peak * wave(angle + offset + phase)
         return out
 
-    def _source_density_dphase(self, alpha, q):
-        out = np.zeros(self.mesh.n_elements)
-        phase = self._phase(q)
-        for elems, offset, sign in self._coils:
-            out[elems] = sign * self.spec.j_peak * np.cos(
-                POLE_PAIRS * alpha + offset + phase)
-        return out
+    def source_density(self, alpha, q):
+        """Element-wise current density at one rotor position."""
+        return self._coil_density(POLE_PAIRS * alpha, self._phase(q))
 
     # -- materials ------------------------------------------------------------
 
@@ -348,33 +346,71 @@ class MachineProblem:
         self.newton_log.append(info)
         return u, info
 
-    def states(self, design, q=None):
-        """States at every rotor position, in order.
+    def _linear_basis(self, design):
+        """Linear-iron states and adjoints: magnet rows R_0 (and R_90), J_s, J_c."""
+        space, dofmap, q = self.space, self.dofmap, self.scenario.q_hat
+        zero = np.zeros((self.mesh.n_elements, 2))
+        turns = (0.0, np.pi / 2) if self.scenario.co_rotate_magnets else (0.0,)
+        hs = [self.respond_factory(design, q, a)(zero) for a in turns]
+        # magnet loads are minus the flux divergence of h(B = 0)
+        loads = [-space.flux_divergence(h) for h, _ in hs] + [
+            space.load_vector(self._coil_density(0.0, 0.0, wave))
+            for wave in (np.cos, np.sin)]
+        try:    # a throwaway cache: the LU is dropped on return
+            lu = TangentCache(space, dofmap).lu(hs[0][1])
+        except RuntimeError as exc:
+            raise SolverError("singular tangent system of the linear-iron basis") from exc
+        states = dofmap.expand(lu.solve(dofmap.reduce_vector(
+            np.column_stack(loads)))).T
+        rhs = dofmap.reduce_vector(np.column_stack(
+            [self.torque_probe.torque_gradient(space, u) for u in states]))
+        self.bases_built += 1
+        return states, dofmap.expand(lu.solve(rhs, trans="T")).T
 
-        With nonlinear iron each position's Newton starts from the previous
-        position's state; linear iron converges in one step from any start.
-        """
+    def _from_basis(self, design, q, row):
+        """Basis states (row 0) or adjoints (row 1) combined at every position.
+
+        Currents at th = p*alpha + phase are sin(th) J_s + cos(th) J_c, and
+        co-rotating remanence is cos(alpha) R_0 + sin(alpha) R_90."""
+        key = np.asarray(design, dtype=bool).tobytes()
+        if self._basis is None or self._basis[0] != key:
+            self._basis = (key,) + self._linear_basis(design)
+        alphas = self.alphas()
+        theta = POLE_PAIRS * alphas + self._phase(q)
+        magnets = ([np.cos(alphas), np.sin(alphas)]
+                   if self.scenario.co_rotate_magnets else [np.ones_like(alphas)])
+        weights = np.column_stack(magnets + [np.sin(theta), np.cos(theta)])
+        return list(weights @ self._basis[1 + row])
+
+    def states(self, design, q=None, starts=None):
+        """States at every rotor position, in order: the design's basis
+        combined (linear iron), or Newton from starts[n] (a nearby q's states)
+        when given, else from the previous position's state."""
         q = self._q_array(q)
+        if self.spec.iron_linear:
+            return self._from_basis(design, q, 0)
         out = []
         for n in range(self.scenario.n_positions):
-            u0 = out[-1] if out and not self.spec.iron_linear else None
+            u0 = starts[n] if starts is not None else (out[-1] if out else None)
             out.append(self.solve_position(design, q, n, u0)[0])
         return out
 
     def torque(self, u):
         return self.torque_probe.torque(self.space, u)
 
-    def objective(self, design, q=None):
+    def objective(self, design, q=None, starts=None):
         """Objective value and the per-position states that produced it."""
-        states = self.states(design, q)
+        states = self.states(design, q, starts)
         torques = np.array([self.torque(u) for u in states])
         return float(-np.mean(torques)), states
 
     def adjoints(self, design, q=None, states=None):
         q = self._q_array(q)
+        n_pos = self.scenario.n_positions
+        if self.spec.iron_linear:
+            return [p / n_pos for p in self._from_basis(design, q, 1)]
         states = self.states(design, q) if states is None else states
         alphas = self.alphas()
-        n_pos = self.scenario.n_positions
         out = []
         for n, u in enumerate(states):
             respond = self.respond_factory(design, q, alphas[n])
@@ -410,7 +446,7 @@ class MachineProblem:
 
         if binding == "phase":
             for n, p in enumerate(adjoints):
-                dj = self._source_density_dphase(alphas[n], q)
+                dj = self._coil_density(POLE_PAIRS * alphas[n], q[0], np.cos)
                 grad[0] -= float(self.space.load_vector(dj) @ p)
             return grad
 

@@ -212,7 +212,10 @@ class ParameterObjective:
     def _entry(self, q):
         key = np.asarray(q, dtype=float).tobytes()
         if key not in self._memo:
-            value, states = self.problem.objective(self.design, q)
+            # nonlinear Newton starts each position at the nearest solved q
+            near = min(self._memo.values(), default={"states": None},
+                       key=lambda e: np.linalg.norm(e["q"] - q))
+            value, states = self.problem.objective(self.design, q, near["states"])
             self.n_evaluations += 1
             self._memo[key] = {"q": np.asarray(q, dtype=float), "value": value,
                                "states": states, "adjoints": None, "grad": None}
@@ -228,9 +231,8 @@ class ParameterObjective:
     def value_grad(self, q):
         e = self._entry(q)
         if e["grad"] is None:
-            e["adjoints"] = self.problem.adjoints(self.design, e["q"], e["states"])
-            e["grad"] = self.problem.grad_q(self.design, e["q"], e["states"],
-                                            e["adjoints"])
+            e["grad"] = self.problem.grad_q(self.design, e["q"],
+                                            *self.solution_pack(q))
         return e["value"], e["grad"]
 
     def solution_pack(self, q):

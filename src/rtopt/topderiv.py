@@ -168,7 +168,7 @@ class TDTable:
 
     f_par/f_perp have shape (n_t,) without a knee axis or (n_t, n_q) with
     one. Interpolation is monotone piecewise-cubic in t and linear in q;
-    queries outside the sampled box are clamped (with a warning).
+    queries outside the sampled box are clamped, counted and warned once.
     """
 
     direction: str
@@ -190,6 +190,7 @@ class TDTable:
         self._par_interp = self._build(self.f_par)
         self._perp_interp = self._build(self.f_perp)
         self._clamp_warned = False
+        self.clamped_rows = 0       # queried rows clamped so far
 
     def _build(self, values):
         if self.q is None:
@@ -201,8 +202,8 @@ class TDTable:
     def has_knee_axis(self):
         return self.q is not None
 
-    def _warn_clamp(self, what):
-        if not self._clamp_warned:
+    def _warn_clamp(self, what, rows):
+        if rows.any() and not self._clamp_warned:
             log.warning("sensitivity table query clamped (%s outside sampled range)",
                         what)
             self._clamp_warned = True
@@ -237,18 +238,20 @@ class TDTable:
         if not hit.any():
             return out
         tq = t[hit]
-        if np.any(tq > self.t[-1] + 1e-12):
-            self._warn_clamp("flux magnitude")
+        clamped = tq > self.t[-1] + 1e-12
+        self._warn_clamp("flux magnitude", clamped)
         tq = np.clip(tq, self.t[0], self.t[-1])
         if self.q is not None:
             if knee is None:
                 raise UsageError("table has a knee axis; per-element knees required")
             qq = np.broadcast_to(np.asarray(knee, dtype=float), t.shape)[hit]
-            if np.any(qq < self.q[0] - 1e-12) or np.any(qq > self.q[-1] + 1e-12):
-                self._warn_clamp("knee")
+            outside = (qq < self.q[0] - 1e-12) | (qq > self.q[-1] + 1e-12)
+            self._warn_clamp("knee", outside)
+            clamped |= outside
             qq = np.clip(qq, self.q[0], self.q[-1])
         else:
             qq = None
+        self.clamped_rows += int(clamped.sum())
         par, perp = self._columns(tq, qq)
         e_par = U[hit] / t[hit][:, None]
         e_perp = np.column_stack([-e_par[:, 1], e_par[:, 0]])

@@ -148,9 +148,9 @@ def test_optimize_missing_tables(tmp_path):
     assert main(["optimize", cfg]) == 2
 
 
-SUMMARY_KEYS = {"evaluations", "final_objective", "format", "iron_fraction",
-                "iterations", "newton", "scenario", "status", "trace_rows",
-                "worst_parameters"}
+SUMMARY_KEYS = {"clamped_rows", "evaluations", "final_objective", "format",
+                "iron_fraction", "iterations", "linear_bases", "newton",
+                "scenario", "status", "trace_rows", "worst_parameters"}
 
 
 def read_artifacts(rundir):
@@ -185,12 +185,10 @@ def test_optimize_nominal_artifacts(tables_ready, capsys):
     assert (rc == 4) == (summary["status"] == "stalled")
     assert 0.0 <= summary["iron_fraction"] <= 1.0
     assert summary["worst_parameters"] == [np.deg2rad(-60.0)]
-    # linear iron: every state solve is one full Newton step
-    newton = summary["newton"]
-    assert newton["solves"] >= summary["evaluations"]
-    assert newton["iterations"] == newton["solves"]
-    assert newton["max_iterations"] == 1
-    assert newton["rejected_trials"] == 0
+    # linear iron: no Newton solve, one basis (one factorization) per design
+    assert summary["newton"] == {"solves": 0, "iterations": 0,
+                                 "max_iterations": 0, "rejected_trials": 0}
+    assert summary["linear_bases"] == summary["evaluations"]
     assert final.startswith(b"RTOLS1\n")
     svg = (rundir / "design_final.svg").read_text()
     assert svg.lstrip().startswith("<svg")
@@ -223,6 +221,30 @@ def test_optimize_robust_artifacts(tables_ready):
     rows = [row.split(",") for row in trace.splitlines()[1:]]
     last = [r for r in rows if r[4] == "1"][-1]
     assert [float(v) for v in last[6].split(";")] == [q]
+
+
+def test_summary_counts_clamped_rows(tables_ready, tmp_path):
+    # linear iron reaches fluxes beyond the toy tables' t_max = 12
+    shutil.copytree(tables_ready["out"] / "tables", tmp_path / "lin" / "tables")
+    cfg = write_cfg(tmp_path / "lin.cfg", tmp_path / "lin")
+    assert main(["optimize", cfg, "--mode", "nominal"]) in (0, 4)
+    summary = json.loads((tmp_path / "lin" / "nominal" / "summary.json")
+                         .read_text())
+    assert summary["clamped_rows"] > 0
+    # saturating iron stays inside t_max = 5 and the knee axis of SCAL
+    scal = (BASE.replace("max_iterations = 12", "max_iterations = 1")
+            .replace("iron_linear = true", "iron_linear = false")
+            .replace("name = ANG", "name = SCAL")
+            .replace("q_hat_deg = -60\ninterval_deg = -75, -45\n", "")
+            .replace("t_max = 12.0", "t_max = 5.0"))
+    cfg = write_cfg(tmp_path / "scal.cfg", tmp_path / "scal", base=scal,
+                    algorithm="n_q = 3")
+    assert main(["precompute-td", cfg]) == 0
+    assert main(["optimize", cfg, "--mode", "robust"]) in (0, 4)
+    summary = json.loads((tmp_path / "scal" / "robust" / "summary.json")
+                         .read_text())
+    assert summary["newton"]["solves"] > 0 and summary["linear_bases"] == 0
+    assert summary["clamped_rows"] == 0
 
 
 def test_robust_needs_uncertainty(tables_ready, tmp_path):
@@ -292,7 +314,8 @@ def test_singular_tangent_exit_code(tmp_path, monkeypatch, caplog):
     monkeypatch.setattr(MachineProblem, "respond_factory", no_stiffness)
     cfg = write_cfg(tmp_path / "run.cfg", tmp_path / "o")
     assert main(["audit", cfg, "--kind", "fdcheck"]) == 3
-    assert "singular tangent system at Newton step 1" in caplog.text
+    # linear iron: the basis factorization refuses it, before any Newton step
+    assert "singular tangent system of the linear-iron basis" in caplog.text
 
 
 def test_audit_sweep(tables_ready, capsys):

@@ -392,7 +392,7 @@ def test_linear_iron_factors_once_per_design(toy_mesh, linear_spec,
     problem.adjoints(design, q2, problem.objective(design, q2)[1])
     assert len(splu_calls) == 1                 # another q, same tangent
 
-    # the shared factorization gives the cache-less results bit for bit
+    # the basis reproduces cache-less Newton states and adjoints
     space, dofmap = problem.space, problem.dofmap
     for n, alpha in enumerate(problem.alphas()):
         respond = problem.respond_factory(design, q, alpha)
@@ -400,10 +400,10 @@ def test_linear_iron_factors_once_per_design(toy_mesh, linear_spec,
         u, _ = newton_solve(space, dofmap, respond, load,
                             tol=problem.solver.newton_tol,
                             max_iter=problem.solver.newton_max_iter)
-        assert np.array_equal(u, states[n])
+        assert np.linalg.norm(states[n] - u) <= 1e-10 * np.linalg.norm(u)
         rhs = problem.torque_probe.torque_gradient(space, u) / len(states)
         p = adjoint_solve(space, dofmap, respond, u, rhs)
-        assert np.array_equal(p, adjoints[n])
+        assert np.linalg.norm(adjoints[n] - p) <= 1e-10 * np.linalg.norm(p)
 
     calls = len(splu_calls)
     problem.objective(~design, q)

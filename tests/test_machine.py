@@ -6,7 +6,7 @@ import pytest
 
 from rtopt import machine
 from rtopt.errors import ConfigurationError, UsageError
-from rtopt.fem import newton_summary
+from rtopt.fem import adjoint_solve, newton_summary
 from rtopt.laws import MU0
 from rtopt.machine import (COILS, POLE_PAIRS, MachineProblem, MaterialSpec,
                            Scenario, TorqueProbe)
@@ -135,6 +135,53 @@ def test_knee_plumbing(toy_mesh, toy_problem):
                   == 2.2)
 
 
+PHASE = np.array([np.deg2rad(-60.0)])
+LINEAR_CASES = {
+    "NOM": (Scenario(name="NOM", n_positions=3), None),
+    "ANG": (Scenario(name="ANG", n_positions=3, q_hat=PHASE), PHASE + 0.2),
+    "SCAL": (Scenario(name="SCAL", n_positions=3, q_hat=np.array([2.2])),
+             np.array([2.0])),
+    "co_rotate_magnets": (Scenario(name="ANG", n_positions=3, q_hat=PHASE,
+                                   co_rotate_magnets=True), PHASE - 0.1),
+    "frozen_alpha": (Scenario(name="ANG", n_positions=3, q_hat=PHASE,
+                              frozen_alpha=0.1), PHASE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LINEAR_CASES))
+def test_linear_basis_matches_newton(toy_mesh, linear_spec, case):
+    # Newton stays the oracle: every position solved on its own, from zero
+    scen, q = LINEAR_CASES[case]
+    problem = MachineProblem(toy_mesh, linear_spec, scen)
+    design = np.random.default_rng(3).random(len(problem.design_elements)) > 0.5
+    states = problem.states(design, q)
+    adjoints = problem.adjoints(design, q, states)
+    assert problem.newton_log == [] and problem.bases_built == 1
+    space, dofmap = problem.space, problem.dofmap
+    for n, alpha in enumerate(problem.alphas()):
+        u, _ = problem.solve_position(design, q, n)
+        assert np.linalg.norm(states[n] - u) <= 1e-10 * np.linalg.norm(u)
+        respond = problem.respond_factory(design, problem._q_array(q), alpha)
+        rhs = problem.torque_probe.torque_gradient(space, u) / len(states)
+        p = adjoint_solve(space, dofmap, respond, u, rhs)
+        assert np.linalg.norm(adjoints[n] - p) <= 1e-10 * np.linalg.norm(p)
+
+
+@pytest.mark.parametrize("co_rotate", [False, True])
+def test_linear_phase_gradient_matches_fd(toy_mesh, linear_spec, co_rotate):
+    problem = MachineProblem(toy_mesh, linear_spec,
+                             Scenario(name="ANG", n_positions=3, q_hat=PHASE,
+                                      co_rotate_magnets=co_rotate))
+    design = np.random.default_rng(4).random(len(problem.design_elements)) > 0.5
+    q = PHASE + 0.15
+    grad = problem.grad_q(design, q)
+    h = 1e-6
+    fd = (problem.objective(design, q + h)[0]
+          - problem.objective(design, q - h)[0]) / (2 * h)
+    assert abs(grad[0] - fd) <= 1e-7 * abs(fd)
+    assert problem.bases_built == 1             # every q shares one basis
+
+
 @pytest.mark.parametrize("name", ["SCAL", "DIST"])
 def test_linear_iron_knee_gradient_matches_fd(toy_mesh, linear_spec, name):
     # the linear iron law has no knee, so J is flat in every knee parameter
@@ -211,9 +258,10 @@ def test_warm_started_positions_match_cold_solves(toy_mesh, monkeypatch):
         "solves": 6, "iterations": sum(its), "max_iterations": max(its),
         "rejected_trials": sum(i.rejected for i in infos)}
 
-    # linear iron converges in one step from any start: no chaining
+    # linear iron combines one basis per design: no Newton solve at all
     solves.clear()
     linear = MachineProblem(toy_mesh, MaterialSpec(iron_linear=True),
                             Scenario(name="NOM", n_positions=3))
     linear.states(design)
-    assert [started for started, _ in solves] == [False] * 3
+    assert solves == [] and linear.newton_log == []
+    assert linear.bases_built == 1

@@ -4,9 +4,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from rtopt import machine
 from rtopt.errors import ConfigurationError, SolverError, UsageError
 from rtopt.levelset import NominalEvaluator
-from rtopt.machine import MachineProblem
+from rtopt.machine import MachineProblem, MaterialSpec, Scenario
 from rtopt.robust import (BallSet, InnerParams, IntervalSet,
                           ParameterObjective, RobustEvaluator, inner_maximize)
 
@@ -187,6 +188,37 @@ def test_parameter_objective_memo(toy_problem):
     assert g.shape == (1,)
     obj.value(np.array([np.deg2rad(-50.0)]))
     assert obj.n_evaluations == 2
+
+
+def test_new_q_starts_from_nearest_solved_q(toy_mesh, monkeypatch):
+    # saturating iron: each position of a new q starts Newton from the state
+    # of the nearest q already solved, and converges to the cold solution
+    starts = []
+    newton_solve = machine.newton_solve
+
+    def spy(*args, **kwargs):
+        starts.append(kwargs["u0"])
+        return newton_solve(*args, **kwargs)
+
+    monkeypatch.setattr(machine, "newton_solve", spy)
+    problem = MachineProblem(toy_mesh, MaterialSpec(),
+                             Scenario(name="DIST", n_positions=2,
+                                      q_hat=np.full(9, 2.2)))
+    design = np.random.default_rng(6).random(len(problem.design_elements)) > 0.5
+    obj = ParameterObjective(problem, design)
+    far, near, new = np.full(9, 2.5), np.full(9, 2.2), np.full(9, 2.25)
+    obj.value(far)
+    obj.value(near)
+    del starts[:]
+    warm = obj.solution_pack(new)[0]
+    assert all(u0 is u for u0, u in zip(starts, obj.solution_pack(near)[0],
+                                        strict=True))
+    del starts[:]
+    cold = problem.states(design, new)
+    assert starts[0] is None
+    tol = problem.solver.newton_tol
+    for uw, uc in zip(warm, cold):
+        assert np.linalg.norm(uw - uc) <= 10 * tol * np.linalg.norm(uc)
 
 
 def test_singleton_robust_matches_nominal(toy_problem, linear_tables):
