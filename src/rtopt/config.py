@@ -152,7 +152,6 @@ KEYS = {
         "name": ("scenario", "name", str.upper),
         "n_positions": ("scenario", "n_positions", _int),
         "co_rotate_magnets": ("scenario", "co_rotate_magnets", _bool),
-        "frozen_alpha_deg": ("scenario", "frozen_alpha", _deg),
         "q_hat_deg": ("set", "q_hat_deg", _float),
         "interval_deg": ("set", "interval_deg", _pair),
         "q_hat_knee": ("set", "q_hat_knee", _float),

@@ -247,10 +247,12 @@ class TangentCache:
     """The factored reduced tangent of the last element tangent dh seen.
 
     The tangent depends on the state only through dh, so an equal dh reuses
-    the cached LU without assembling: adjoints share the LU of the converged
-    state, and linear-law correctors of one flip direction share one LU. A
-    different dh drops the entry before the new tangent is assembled and
-    factored, so at most one factorization is alive per cache.
+    the cached LU without assembling: linear-law correctors of one flip
+    direction share one LU, and so do repeated adjoints at one state. A
+    nonlinear adjoint never hits, as Newton's last LU is at the iterate
+    before the converged state. A different dh drops the entry before the
+    new tangent is assembled and factored, so at most one factorization is
+    alive per cache.
     """
 
     def __init__(self, space, dofmap):
@@ -340,9 +342,9 @@ def adjoint_solve(space, dofmap, respond, u, objective_gradient_full,
                   cache=None):
     """Solve K(u)^T p = dJ/du for the adjoint state p (full-length vector).
 
-    K(u) is factored through cache (fresh when omitted); when the state
-    solve left the tangent at u there, its LU is reused and solved
-    transposed.
+    K(u) is factored through cache (fresh when omitted) and solved
+    transposed; an equal tangent already there (a linear law's, or an
+    earlier adjoint's at u) is reused.
     """
     tangents = TangentCache(space, dofmap) if cache is None else cache
     _, dh = respond(space.element_curl(u))

@@ -111,7 +111,6 @@ class Evaluation:
     value: float
     sensitivity: np.ndarray
     q_star: np.ndarray | None = None
-    inner_iterations: int = 0
 
 
 @dataclass
@@ -228,11 +227,10 @@ class NominalEvaluator:
     """Objective and smoothed sensitivity of the machine problem at fixed q.
 
     A nominal run is the worst-case evaluation with the parameter pinned:
-    worst_case returns the fixed q without inner iterations, and
-    RobustEvaluator overrides it with the inner maximization. Each design
-    opens one robust.ParameterObjective, the only memo of states and
-    adjoints, and the field is the plain objective's sensitivity frozen at
-    the chosen q.
+    worst_case returns the fixed q, and RobustEvaluator overrides it with
+    the inner maximization. Each design opens one robust.ParameterObjective,
+    the only memo of states and adjoints, and the field is the plain
+    objective's sensitivity frozen at the chosen q.
     """
 
     def __init__(self, problem, iron_to_air, air_to_iron, q=None):
@@ -242,8 +240,8 @@ class NominalEvaluator:
         self.q = problem._q_array(q)
 
     def worst_case(self, objective):
-        """Parameter the design is scored at, and the inner iterations spent."""
-        return self.q, 0
+        """Parameter the design is scored at."""
+        return self.q
 
     def design_key(self, psi):
         return self.problem.design_from_levelset(psi).tobytes()
@@ -253,13 +251,12 @@ class NominalEvaluator:
         from . import robust
 
         objective = robust.ParameterObjective(self.problem, design)
-        q, iterations = self.worst_case(objective)
+        q = self.worst_case(objective)
         value = objective.value(q)
         states, adjoints = objective.solution_pack(q)
         g_elem = robust.robust_td_field(self.problem, design, self.iron_to_air,
                                         self.air_to_iron, q, states, adjoints)
-        return Evaluation(value, g_elem, q_star=q.copy(),
-                          inner_iterations=iterations)
+        return Evaluation(value, g_elem, q_star=q.copy())
 
     def __call__(self, psi):
         ev = self.field(self.problem.design_from_levelset(psi))

@@ -92,7 +92,6 @@ class Scenario:
     n_positions: int = 11
     q_hat: np.ndarray = field(default_factory=lambda: np.zeros(0))
     co_rotate_magnets: bool = False
-    frozen_alpha: float | None = None
 
     @property
     def binding(self):
@@ -200,8 +199,6 @@ class MachineProblem:
         self.solver = solver or SolverOptions()
         self.space = P1Space(mesh)
         self.dofmap = DofMap(mesh)
-        # one factored tangent shared by every state solve and adjoint
-        self.tangents = TangentCache(self.space, self.dofmap)
         self.newton_log = []        # NewtonInfo of every state solve, in order
         self._basis = None          # (design key, states, adjoints)
         self.bases_built = 0        # one factorization each
@@ -257,8 +254,6 @@ class MachineProblem:
 
     def alphas(self):
         n = self.scenario.n_positions
-        if self.scenario.frozen_alpha is not None:
-            return np.full(n, float(self.scenario.frozen_alpha))
         return POSITION_SWEEP * np.arange(1, n + 1) / n
 
     def _phase(self, q):
@@ -341,8 +336,7 @@ class MachineProblem:
         load = self.space.load_vector(self.source_density(alpha, q))
         u, info = newton_solve(self.space, self.dofmap, respond, load, u0=u0,
                                tol=self.solver.newton_tol,
-                               max_iter=self.solver.newton_max_iter,
-                               cache=self.tangents)
+                               max_iter=self.solver.newton_max_iter)
         self.newton_log.append(info)
         return u, info
 
@@ -415,8 +409,7 @@ class MachineProblem:
         for n, u in enumerate(states):
             respond = self.respond_factory(design, q, alphas[n])
             rhs = self.torque_probe.torque_gradient(self.space, u) / n_pos
-            out.append(adjoint_solve(self.space, self.dofmap, respond, u, rhs,
-                                     cache=self.tangents))
+            out.append(adjoint_solve(self.space, self.dofmap, respond, u, rhs))
         return out
 
     def td_inputs(self, states, adjoints):

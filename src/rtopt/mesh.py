@@ -82,6 +82,27 @@ def _ring_nodes(radii, thetas):
     return np.column_stack([r * np.cos(t), r * np.sin(t)])
 
 
+def _polar_triangles(n_rings, n_theta, closed):
+    """Central fan and two triangles per cell of a `_ring_nodes` grid.
+
+    Node 1 + ring * n_theta + j sits on ring `ring` at angle index j, node 0
+    at the origin. A closed ring wraps j around and flips the cell diagonal
+    for j >= n_theta / 2, so the disk is mirror symmetric about the x axis;
+    an open sector has n_theta - 1 cells per ring.
+    """
+    j = np.arange(n_theta if closed else n_theta - 1)
+    j1 = (j + 1) % n_theta
+    mirror = closed & (j >= n_theta // 2)
+    fan = np.column_stack([np.zeros_like(j), 1 + j, 1 + j1])
+    a = 1 + n_theta * np.arange(n_rings - 1)[:, None] + j
+    b = a - j + j1
+    c, d = a + n_theta, b + n_theta
+    cells = np.stack([np.stack([a, b, np.where(mirror, c, d)], axis=-1),
+                      np.stack([np.where(mirror, b, a), d, c], axis=-1)],
+                     axis=2)
+    return np.vstack([fan, cells.reshape(-1, 3)]).astype(np.int32)
+
+
 def _band_radii(r0, r1, dr, minimum=1):
     k = max(minimum, int(round((r1 - r0) / dr)))
     return np.linspace(r0, r1, k + 1)
@@ -125,26 +146,7 @@ def graded_disk_mesh(radius, target_nodes, inclusion_radius=1.0):
     thetas = np.arange(n_t) * (2 * np.pi / n_t)
 
     verts = np.vstack([[[0.0, 0.0]], _ring_nodes(radii, thetas)])
-
-    def nid(ring, j):
-        return 1 + ring * n_t + (j % n_t)
-
-    tris = []
-    # central fan
-    for j in range(n_t):
-        tris.append((0, nid(0, j), nid(0, j + 1)))
-    # ring strips; diagonal flips across the x axis for mirror symmetry
-    for ring in range(len(radii) - 1):
-        for j in range(n_t):
-            a, b = nid(ring, j), nid(ring, j + 1)
-            c, d = nid(ring + 1, j), nid(ring + 1, j + 1)
-            if j < n_t // 2:
-                tris.append((a, b, d))
-                tris.append((a, d, c))
-            else:
-                tris.append((a, b, c))
-                tris.append((b, d, c))
-    tris = np.asarray(tris, dtype=np.int32)
+    tris = _polar_triangles(len(radii), n_t, closed=True)
 
     cent = verts[tris].mean(axis=1)
     rc = np.hypot(cent[:, 0], cent[:, 1])
@@ -157,7 +159,8 @@ def graded_disk_mesh(radius, target_nodes, inclusion_radius=1.0):
         region_names=("inclusion", "exterior"),
         pair_master=np.zeros(0, dtype=np.int32),
         pair_slave=np.zeros(0, dtype=np.int32),
-        dirichlet_nodes=nid(len(radii) - 1, np.arange(n_t)).astype(np.int32),
+        dirichlet_nodes=(1 + (len(radii) - 1) * n_t
+                         + np.arange(n_t)).astype(np.int32),
         meta={"kind": "graded_disk", "radius": float(radius),
               "inclusion_radius": float(inclusion_radius), "n_theta": n_t},
     )
@@ -265,20 +268,7 @@ def build_machine_mesh(geo=None):
     thetas = np.linspace(0.0, geo.sector, m_ang + 1)
     verts = np.vstack([[[0.0, 0.0]], _ring_nodes(radii, thetas)])
     n_t = m_ang + 1
-
-    def nid(ring, j):
-        return 1 + ring * n_t + j
-
-    tris = []
-    for j in range(m_ang):
-        tris.append((0, nid(0, j), nid(0, j + 1)))
-    for ring in range(len(radii) - 1):
-        for j in range(m_ang):
-            a, b = nid(ring, j), nid(ring, j + 1)
-            c, d = nid(ring + 1, j), nid(ring + 1, j + 1)
-            tris.append((a, b, d))
-            tris.append((a, d, c))
-    tris = np.asarray(tris, dtype=np.int32)
+    tris = _polar_triangles(len(radii), n_t, closed=False)
 
     cent = verts[tris].mean(axis=1)
     rc = np.hypot(cent[:, 0], cent[:, 1])
@@ -303,11 +293,9 @@ def build_machine_mesh(geo=None):
     region[coil_band & in_window(geo.coil_C_window)] = MACHINE_REGIONS.index("coil_C")
 
     # straight sector edges: theta=0 is the master side, theta=sector the slave
-    masters = np.array([nid(r, 0) for r in range(len(radii))], dtype=np.int32)
-    slaves = np.array([nid(r, m_ang) for r in range(len(radii))], dtype=np.int32)
-
-    last = len(radii) - 1
-    outer_nodes = np.array([nid(last, j) for j in range(m_ang + 1)], dtype=np.int32)
+    masters = (1 + n_t * np.arange(len(radii))).astype(np.int32)
+    slaves = masters + m_ang
+    outer_nodes = masters[-1] + np.arange(n_t, dtype=np.int32)
     # the apex sits on both straight edges, so antiperiodicity pins it to zero
     dirich = np.unique(np.concatenate([outer_nodes, [0]])).astype(np.int32)
     keep = ~np.isin(masters, dirich) & ~np.isin(slaves, dirich)

@@ -249,18 +249,16 @@ def robust_td_field(problem, design, iron_to_air, air_to_iron, q_star,
 
     Iron elements read the knee from q_star. Air elements evaluate the flip
     with the nominal knee: the perturbation nucleates fresh iron whose
-    saturation parameter is not covered by the worst-case vector.
+    saturation parameter is not covered by the worst-case vector. Tables
+    without a knee axis ignore both.
     """
     from .topderiv import generalized_td_field
 
     U, P = problem.td_inputs(states, adjoints)
-    if iron_to_air.has_knee_axis or air_to_iron.has_knee_axis:
-        knee_iron = problem.knee_for_elements(q_star, air_nominal=False)
-        knee_air = problem.knee_for_elements(q_star, air_nominal=True)
-    else:
-        knee_iron = knee_air = None
-    return generalized_td_field(iron_to_air, air_to_iron, U, P, design,
-                                knee_iron, knee_air)
+    return generalized_td_field(
+        iron_to_air, air_to_iron, U, P, design,
+        problem.knee_for_elements(q_star),
+        problem.knee_for_elements(q_star, air_nominal=True))
 
 
 class RobustEvaluator(NominalEvaluator):
@@ -290,7 +288,7 @@ class RobustEvaluator(NominalEvaluator):
         wc = inner_maximize(objective, self.uset, self.starts(),
                             self.inner_params)
         self.previous = wc.q_star.copy()
-        return wc.q_star, wc.iterations
+        return wc.q_star
 
 
 def optimize_robust(problem, iron_to_air, air_to_iron, uset, psi0=None,

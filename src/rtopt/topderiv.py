@@ -183,20 +183,22 @@ class TDTable:
         self.t = np.asarray(self.t, dtype=float)
         self.f_par = np.asarray(self.f_par, dtype=float)
         self.f_perp = np.asarray(self.f_perp, dtype=float)
-        if self.q is not None:
-            self.q = np.asarray(self.q, dtype=float)
         if self.direction not in DIRECTIONS:
             raise UsageError(f"unknown direction {self.direction!r}")
-        self._par_interp = self._build(self.f_par)
-        self._perp_interp = self._build(self.f_perp)
+        shape = (len(self.t),)
+        if self.q is not None:
+            self.q = np.asarray(self.q, dtype=float)
+            shape += (len(self.q),)
+            if np.any(np.diff(self.q) <= 0.0):
+                raise ValueError("knee axis does not strictly increase")
+        if self.f_par.shape != shape or self.f_perp.shape != shape:
+            raise ValueError(f"table blocks do not have shape {shape}")
+        # one interpolant over the stacked columns: f_par of every knee
+        # sample, then f_perp of every knee sample
+        self._interp = PchipInterpolator(self.t, np.column_stack(
+            [self.f_par, self.f_perp]), extrapolate=True)
         self._clamp_warned = False
         self.clamped_rows = 0       # queried rows clamped so far
-
-    def _build(self, values):
-        if self.q is None:
-            return [PchipInterpolator(self.t, values, extrapolate=True)]
-        return [PchipInterpolator(self.t, values[:, j], extrapolate=True)
-                for j in range(values.shape[1])]
 
     @property
     def has_knee_axis(self):
@@ -208,27 +210,11 @@ class TDTable:
                         what)
             self._clamp_warned = True
 
-    def _columns(self, tq, qq):
-        """Interpolated (par, perp) at clamped magnitudes tq and knees qq."""
-        if self.q is None or len(self.q) == 1:
-            return self._par_interp[0](tq), self._perp_interp[0](tq)
-        j = np.clip(np.searchsorted(self.q, qq), 1, len(self.q) - 1)
-        w = (qq - self.q[j - 1]) / (self.q[j] - self.q[j - 1])
-        par = np.empty_like(tq)
-        perp = np.empty_like(tq)
-        for col in np.unique(j):
-            m = j == col
-            par[m] = ((1 - w[m]) * self._par_interp[col - 1](tq[m])
-                      + w[m] * self._par_interp[col](tq[m]))
-            perp[m] = ((1 - w[m]) * self._perp_interp[col - 1](tq[m])
-                       + w[m] * self._perp_interp[col](tq[m]))
-        return par, perp
-
     def evaluate(self, U, P, knee=None):
         """Sensitivity values for flux rows U and adjoint rows P, shape (m,).
 
         knee is a per-row saturation parameter; required when the table has a
-        knee axis bound to the scenario parameters.
+        knee axis, ignored when it has none.
         """
         U = np.atleast_2d(np.asarray(U, dtype=float))
         P = np.atleast_2d(np.asarray(P, dtype=float))
@@ -249,10 +235,18 @@ class TDTable:
             self._warn_clamp("knee", outside)
             clamped |= outside
             qq = np.clip(qq, self.q[0], self.q[-1])
-        else:
-            qq = None
         self.clamped_rows += int(clamped.sum())
-        par, perp = self._columns(tq, qq)
+        vals = self._interp(tq)
+        n_c = vals.shape[1] // 2
+        if n_c == 1:
+            par, perp = vals.T
+        else:
+            # linear in the knee between the bracketing columns j - 1 and j
+            j = np.clip(np.searchsorted(self.q, qq), 1, n_c - 1)
+            w = (qq - self.q[j - 1]) / (self.q[j] - self.q[j - 1])
+            row = np.arange(len(tq))
+            par = (1 - w) * vals[row, j - 1] + w * vals[row, j]
+            perp = (1 - w) * vals[row, n_c + j - 1] + w * vals[row, n_c + j]
         e_par = U[hit] / t[hit][:, None]
         e_perp = np.column_stack([-e_par[:, 1], e_par[:, 0]])
         out[hit] = (par * np.einsum("md,md->m", P[hit], e_par)
@@ -307,24 +301,29 @@ def precompute_tables(materials, exterior_config=None, q_range=None,
 
 
 def generalized_td_field(iron_to_air, air_to_iron, U, P, design_iron,
-                         knee_iron=None, knee_air=None):
+                         knee_iron, knee_air):
     """Signed per-element sensitivity driving the level-set update.
 
     Iron elements carry the iron-to-air rate, air elements minus the
     air-to-iron rate, summed over all rotor positions. U and P have shape
-    (N, m, 2); knees are per-element rows used when tables carry a knee axis.
+    (N, m, 2); knee_iron and knee_air are per-element knees, read only by
+    tables with a knee axis. Each direction is one lookup over the rows of
+    every position.
     """
     design_iron = np.asarray(design_iron, dtype=bool)
-    n_pos, m, _ = np.asarray(U).shape
+    U, P = np.asarray(U), np.asarray(P)
+    n_pos, m, _ = U.shape
     out = np.zeros(m)
     for table, mask, knee, sign in (
             (iron_to_air, design_iron, knee_iron, +1.0),
             (air_to_iron, ~design_iron, knee_air, -1.0)):
         if not mask.any():
             continue
-        k = None if knee is None else np.asarray(knee)[mask]
-        for n in range(n_pos):
-            out[mask] += sign * table.evaluate(U[n][mask], P[n][mask], k)
+        values = table.evaluate(U[:, mask].reshape(-1, 2),
+                                P[:, mask].reshape(-1, 2),
+                                np.tile(np.asarray(knee)[mask], n_pos))
+        for v in values.reshape(n_pos, -1):
+            out[mask] += sign * v
     return out
 
 
@@ -384,7 +383,7 @@ def load_table(path):
         if arr.shape != (rows, cols):
             raise ValueError(f"'{name}' block is not {rows} x {cols}")
         pos += rows
-        return arr if cols > 1 else arr.ravel()
+        return arr
 
     try:
         direction = header("direction")[0]
@@ -398,10 +397,12 @@ def load_table(path):
         q = column(n_q) if n_q else None
         f_par = block("f_par")
         f_perp = block("f_perp")
+        if q is None:       # one column, kept 1-D
+            f_par, f_perp = f_par.ravel(), f_perp.ravel()
         values = (t, f_par, f_perp) if q is None else (t, q, f_par, f_perp)
         if not all(np.all(np.isfinite(v)) for v in values):
             raise FormatError(f"{path}: non-finite table values")
-        # the interpolants refuse axes and blocks that do not match
+        # TDTable refuses axes and blocks that do not match
         return TDTable(direction, t, f_par, f_perp, fingerprint, q=q,
                        meta={"radius": radius, "mesh_nodes": mesh_nodes})
     except (IndexError, ValueError) as exc:

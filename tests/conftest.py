@@ -48,6 +48,32 @@ def linear_tables(linear_spec):
     return precompute_tables(linear_spec, cfg)
 
 
+@pytest.fixture(scope="session")
+def knee_axis_faults():
+    """Rewrites of a valid RTOTD1 text without a knee axis into two-sample
+    knee axes load_table must refuse: blocks of three columns, and axes that
+    descend or repeat a sample. Returns a function text -> {name: text}."""
+
+    def faults(text):
+        lines = text.splitlines()
+        head = next(i for i, line in enumerate(lines) if line.startswith("q "))
+        blocks = lines[head + 1 + int(lines[head].split()[1]):]
+
+        def variant(axis, cols):
+            out = lines[:head] + [f"q {len(axis)}"] + [repr(v) for v in axis]
+            for line in blocks:     # headers "f_par n 1", rows of one value
+                word = line.split()
+                out.append(f"{word[0]} {word[1]} {cols}" if len(word) > 1
+                           else " ".join(word * cols))
+            return "\n".join(out) + "\n"
+
+        return {"extra_column": variant([1.0, 2.0], 3),
+                "descending": variant([2.0, 1.0], 2),
+                "duplicated": variant([1.0, 1.0], 2)}
+
+    return faults
+
+
 @pytest.fixture
 def splu_calls(monkeypatch):
     """Every sparse LU factorization made through rtopt.fem, in order.

@@ -258,7 +258,7 @@ def test_robust_needs_uncertainty(tables_ready, tmp_path):
     assert main(["optimize", cfg, "--mode", "robust"]) == 2
 
 
-def test_corrupt_table_rejected(tables_ready, tmp_path):
+def test_corrupt_table_rejected(tables_ready, tmp_path, knee_axis_faults):
     ws = tables_ready
     out2 = tmp_path / "out2"
     (out2 / "tables").mkdir(parents=True)
@@ -267,6 +267,11 @@ def test_corrupt_table_rejected(tables_ready, tmp_path):
     (out2 / "tables" / "iron_to_air.rtotd").write_text("garbage\n")
     cfg = write_cfg(tmp_path / "c.cfg", out2)
     assert main(["optimize", cfg]) == 2
+    # knee axes that do not match the blocks or do not strictly increase
+    text = (ws["out"] / "tables" / "iron_to_air.rtotd").read_text()
+    for bad in knee_axis_faults(text).values():
+        (out2 / "tables" / "iron_to_air.rtotd").write_text(bad)
+        assert main(["optimize", cfg]) == 2
 
 
 def test_truncated_table_rejected(tables_ready, tmp_path):

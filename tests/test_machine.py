@@ -69,20 +69,6 @@ def test_torque_probe_radius_must_stay_in_gap(toy_mesh):
         TorqueProbe(toy_mesh, 0.0505, 4)
 
 
-def test_frozen_alpha_collapses_positions(toy_mesh, linear_spec):
-    q_hat = np.array([np.deg2rad(-60.0)])
-    kw = dict(q_hat=q_hat.copy(), frozen_alpha=0.1)
-    one = MachineProblem(toy_mesh, linear_spec,
-                         Scenario(name="ANG", n_positions=1, **kw))
-    three = MachineProblem(toy_mesh, linear_spec,
-                           Scenario(name="ANG", n_positions=3, **kw))
-    design = np.ones(len(one.design_elements), dtype=bool)
-    j1, _ = one.objective(design)
-    j3, _ = three.objective(design)
-    assert j1 == pytest.approx(j3, rel=1e-10)
-    assert np.all(three.alphas() == 0.1)
-
-
 def test_linear_objective_scales_quadratically(toy_mesh):
     # without remanence the state is linear in j_peak, torque quadratic
     q_hat = np.array([np.deg2rad(-60.0)])
@@ -143,8 +129,6 @@ LINEAR_CASES = {
              np.array([2.0])),
     "co_rotate_magnets": (Scenario(name="ANG", n_positions=3, q_hat=PHASE,
                                    co_rotate_magnets=True), PHASE - 0.1),
-    "frozen_alpha": (Scenario(name="ANG", n_positions=3, q_hat=PHASE,
-                              frozen_alpha=0.1), PHASE),
 }
 
 

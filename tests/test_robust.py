@@ -265,7 +265,6 @@ def test_nominal_evaluation_solves_once(toy_problem, linear_tables,
                           linear_tables["air_to_iron"])(psi)
     assert len(solve_calls["objective"]) == 1
     assert len(solve_calls["adjoints"]) == 1
-    assert ev.inner_iterations == 0
     assert np.array_equal(ev.q_star, toy_problem.scenario.q_hat)
 
 

@@ -197,14 +197,16 @@ def test_table_roundtrip(tmp_path, linear_tables):
     assert back.q is None
     assert back.meta["radius"] == tab.meta["radius"]
 
-    knee_tab = synthetic_table(q=[1.0, 2.0, 3.0])
-    save_table(knee_tab, tmp_path / "knee.rtotd")
-    back = load_table(tmp_path / "knee.rtotd")
-    assert np.array_equal(back.q, knee_tab.q)
-    assert np.array_equal(back.f_par, knee_tab.f_par)
+    # a single knee sample keeps its one-column blocks 2-D
+    for q in ([1.0, 2.0, 3.0], [2.2]):
+        knee_tab = synthetic_table(q=q)
+        save_table(knee_tab, tmp_path / "knee.rtotd")
+        back = load_table(tmp_path / "knee.rtotd")
+        assert np.array_equal(back.q, knee_tab.q)
+        assert np.array_equal(back.f_par, knee_tab.f_par)
 
 
-def test_load_rejects_malformed(tmp_path):
+def test_load_rejects_malformed(tmp_path, knee_axis_faults):
     bad = tmp_path / "bad.rtotd"
     bad.write_text("RTOMESH1\n")
     with pytest.raises(FormatError):
@@ -215,6 +217,12 @@ def test_load_rejects_malformed(tmp_path):
     bad.write_text("RTOTD1\ndirection sideways\n")
     with pytest.raises(FormatError, match="unknown direction"):
         load_table(bad)
+    # a block column per knee sample, and a strictly increasing knee axis
+    save_table(synthetic_table(), bad)
+    for name, text in knee_axis_faults(bad.read_text()).items():
+        bad.write_text(text)
+        with pytest.raises(FormatError):
+            load_table(bad)
 
 
 def test_load_rejects_truncated_and_nonfinite(tmp_path):
@@ -260,6 +268,32 @@ def test_generalized_field_signs():
     U[:, :, 0] = 1.0
     P[:, :, 0] = 1.0
     design = np.array([True, True, False, False])
-    g = generalized_td_field(i2a, a2i, U, P, design)
+    knees = np.ones(m)          # a table without a knee axis ignores them
+    g = generalized_td_field(i2a, a2i, U, P, design, knees, knees)
     # iron rows take +f_i2a, air rows -f_a2i, summed over both positions
     assert np.allclose(g, [2.0, 2.0, -4.0, -4.0], rtol=1e-12)
+
+    # knee-axis tables: one lookup per direction over all positions equals
+    # one lookup per position, bitwise
+    rng = np.random.default_rng(11)
+    q = np.array([1.0, 1.5, 2.5, 3.0])
+    t = np.linspace(0.0, 4.0, 9)
+    i2a, a2i = (TDTable(d, t, rng.standard_normal((9, 4)),
+                        rng.standard_normal((9, 4)), "x", q=q)
+                for d in DIRECTIONS)
+    n_pos, m = 3, 40
+    U = rng.uniform(-3.0, 3.0, (n_pos, m, 2))
+    U[1, 5] = 0.0
+    P = rng.standard_normal((n_pos, m, 2))
+    design = rng.random(m) > 0.4
+    knee_iron = rng.uniform(0.8, 3.2, m)        # some rows clamp
+    knee_air = rng.uniform(1.0, 3.0, m)
+    g = generalized_td_field(i2a, a2i, U, P, design, knee_iron, knee_air)
+    ref = np.zeros(m)
+    for table, mask, knee, sign in ((i2a, design, knee_iron, 1.0),
+                                    (a2i, ~design, knee_air, -1.0)):
+        for n in range(n_pos):
+            ref[mask] += sign * table.evaluate(U[n][mask], P[n][mask],
+                                               knee[mask])
+    assert np.array_equal(g, ref)
+    assert i2a.clamped_rows > 0
