@@ -33,7 +33,6 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigurationError, FormatError, UsageError, read_format_lines
 from .fem import DofMap, P1Space, TangentCache, newton_solve
@@ -162,13 +161,39 @@ def laws_for_direction(direction, materials, knee):
     raise UsageError(f"unknown direction {direction!r}")
 
 
+def _pchip_coefficients(x, y):
+    """Monotone cubic (Fritsch & Butland, SIAM J. Sci. Stat. Comput. 5(2),
+    1984) through the columns of y (n, k) over x, as power-basis coefficients
+    (4, k * (n - 1)): scipy's PchipInterpolator in its order of operations."""
+    h = np.diff(x)[:, None]
+    m = (y[1:] - y[:-1]) / h
+    d = np.concatenate([m, m])          # two samples: the secant at both ends
+    if len(x) > 2:
+        # weighted harmonic mean inside, zero where the secants change sign
+        # or vanish; a one-sided three-point rule at both ends
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        e = np.where(np.sign(e) != np.sign(m0), 0.0, np.where(
+            (np.sign(m0) != np.sign(m1)) & (np.abs(e) > 3.0 * np.abs(m0)), 3.0 * m0, e))
+        d = np.concatenate([e[:1], inner, e[1:]])
+    c = (d[:-1] + d[1:] - 2 * m) / h
+    # y + 0.0: scipy's sum starts from 0.0, which turns -0.0 into 0.0
+    c = np.stack([c / h, (m - d[:-1]) / h - c, d[:-1], y[:-1] + 0.0])
+    return c.transpose(0, 2, 1).reshape(4, -1)
+
+
 @dataclass
 class TDTable:
     """Sampled topological response of one flip direction.
 
     f_par/f_perp have shape (n_t,) without a knee axis or (n_t, n_q) with
-    one. Interpolation is monotone piecewise-cubic in t and linear in q;
-    queries outside the sampled box are clamped, counted and warned once.
+    one. Interpolation is monotone piecewise-cubic in t (PCHIP, bitwise
+    equal to scipy's) and linear in q; queries outside the sampled box are
+    clamped, counted and warned once.
     """
 
     direction: str
@@ -185,6 +210,8 @@ class TDTable:
         self.f_perp = np.asarray(self.f_perp, dtype=float)
         if self.direction not in DIRECTIONS:
             raise UsageError(f"unknown direction {self.direction!r}")
+        if len(self.t) < 2 or np.any(np.diff(self.t) <= 0.0):
+            raise ValueError("t axis needs at least 2 strictly increasing samples")
         shape = (len(self.t),)
         if self.q is not None:
             self.q = np.asarray(self.q, dtype=float)
@@ -193,10 +220,10 @@ class TDTable:
                 raise ValueError("knee axis does not strictly increase")
         if self.f_par.shape != shape or self.f_perp.shape != shape:
             raise ValueError(f"table blocks do not have shape {shape}")
-        # one interpolant over the stacked columns: f_par of every knee
-        # sample, then f_perp of every knee sample
-        self._interp = PchipInterpolator(self.t, np.column_stack(
-            [self.f_par, self.f_perp]), extrapolate=True)
+        # one PCHIP over the stacked columns: f_par of every knee sample,
+        # then f_perp of every knee sample
+        self._coef = _pchip_coefficients(
+            self.t, np.column_stack([self.f_par, self.f_perp]))
         self._clamp_warned = False
         self.clamped_rows = 0       # queried rows clamped so far
 
@@ -223,10 +250,11 @@ class TDTable:
         hit = t > 0.0
         if not hit.any():
             return out
-        tq = t[hit]
-        clamped = tq > self.t[-1] + 1e-12
+        t_hit, P_hit = t[hit], P[hit]
+        clamped = (t_hit < self.t[0] - 1e-12) | (t_hit > self.t[-1] + 1e-12)
         self._warn_clamp("flux magnitude", clamped)
-        tq = np.clip(tq, self.t[0], self.t[-1])
+        tq = np.clip(t_hit, self.t[0], self.t[-1])
+        n_c = 1 if self.q is None else len(self.q)
         if self.q is not None:
             if knee is None:
                 raise UsageError("table has a knee axis; per-element knees required")
@@ -236,21 +264,32 @@ class TDTable:
             clamped |= outside
             qq = np.clip(qq, self.q[0], self.q[-1])
         self.clamped_rows += int(clamped.sum())
-        vals = self._interp(tq)
-        n_c = vals.shape[1] // 2
+        # interval i with t[i] <= tq < t[i + 1], the last one closed
+        n = len(self.t)
+        i = np.searchsorted(self.t[1:-1], tq, side="right")
         if n_c == 1:
-            par, perp = vals.T
+            cols = np.array([[0], [1]])
         else:
             # linear in the knee between the bracketing columns j - 1 and j
             j = np.clip(np.searchsorted(self.q, qq), 1, n_c - 1)
             w = (qq - self.q[j - 1]) / (self.q[j] - self.q[j - 1])
-            row = np.arange(len(tq))
-            par = (1 - w) * vals[row, j - 1] + w * vals[row, j]
-            perp = (1 - w) * vals[row, n_c + j - 1] + w * vals[row, n_c + j]
-        e_par = U[hit] / t[hit][:, None]
+            cols = np.stack([j - 1, j, n_c + j - 1, n_c + j])
+        # y0 + d0 s + c1 s^2 + c0 s^3, summed and powered as scipy does
+        at = cols * (n - 1) + i
+        s = tq - self.t[i]
+        z = s * s
+        vals = self._coef[3].take(at)
+        for c, power in zip(self._coef[2::-1], (s, z, z * s)):
+            vals += c.take(at) * power
+        if n_c == 1:
+            par, perp = vals
+        else:
+            par = (1 - w) * vals[0] + w * vals[1]
+            perp = (1 - w) * vals[2] + w * vals[3]
+        e_par = U[hit] / t_hit[:, None]
         e_perp = np.column_stack([-e_par[:, 1], e_par[:, 0]])
-        out[hit] = (par * np.einsum("md,md->m", P[hit], e_par)
-                    + perp * np.einsum("md,md->m", P[hit], e_perp))
+        out[hit] = (par * np.einsum("md,md->m", P_hit, e_par)
+                    + perp * np.einsum("md,md->m", P_hit, e_perp))
         return out
 
 

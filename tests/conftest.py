@@ -74,6 +74,39 @@ def knee_axis_faults():
     return faults
 
 
+@pytest.fixture(scope="session")
+def t_axis_faults():
+    """Rewrites of a valid RTOTD1 text into t axes load_table must refuse,
+    with blocks cut to match: a single sample, and axes that descend or
+    repeat a sample. Returns a function text -> {name: text}."""
+
+    def faults(text):
+        lines = text.splitlines()
+        head = next(i for i, line in enumerate(lines) if line.startswith("t "))
+        n = int(lines[head].split()[1])
+        axis = lines[head + 1:head + 1 + n]
+
+        def variant(new_axis):
+            out = lines[:head] + [f"t {len(new_axis)}"] + new_axis
+            pos = head + 1 + n
+            while pos < len(lines):
+                word = lines[pos].split()
+                if word[0] in ("f_par", "f_perp"):     # "f_par n cols", n rows
+                    out.append(f"{word[0]} {len(new_axis)} {word[2]}")
+                    out += lines[pos + 1:pos + 1 + len(new_axis)]
+                    pos += 1 + n
+                else:
+                    out.append(lines[pos])
+                    pos += 1
+            return "\n".join(out) + "\n"
+
+        return {"single_sample": variant(axis[:1]),
+                "descending": variant(axis[::-1]),
+                "repeated": variant(axis[:1] + axis[:-1])}
+
+    return faults
+
+
 @pytest.fixture
 def splu_calls(monkeypatch):
     """Every sparse LU factorization made through rtopt.fem, in order.

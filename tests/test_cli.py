@@ -4,10 +4,14 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rtopt
 from rtopt.cli import main
 from rtopt.levelset import TRACE_HEADER
 from rtopt.machine import MachineProblem
@@ -258,7 +262,8 @@ def test_robust_needs_uncertainty(tables_ready, tmp_path):
     assert main(["optimize", cfg, "--mode", "robust"]) == 2
 
 
-def test_corrupt_table_rejected(tables_ready, tmp_path, knee_axis_faults):
+def test_corrupt_table_rejected(tables_ready, tmp_path, knee_axis_faults,
+                                t_axis_faults):
     ws = tables_ready
     out2 = tmp_path / "out2"
     (out2 / "tables").mkdir(parents=True)
@@ -267,9 +272,10 @@ def test_corrupt_table_rejected(tables_ready, tmp_path, knee_axis_faults):
     (out2 / "tables" / "iron_to_air.rtotd").write_text("garbage\n")
     cfg = write_cfg(tmp_path / "c.cfg", out2)
     assert main(["optimize", cfg]) == 2
-    # knee axes that do not match the blocks or do not strictly increase
+    # knee axes that do not match the blocks or do not strictly increase,
+    # t axes of one sample or that do not strictly increase
     text = (ws["out"] / "tables" / "iron_to_air.rtotd").read_text()
-    for bad in knee_axis_faults(text).values():
+    for bad in [*knee_axis_faults(text).values(), *t_axis_faults(text).values()]:
         (out2 / "tables" / "iron_to_air.rtotd").write_text(bad)
         assert main(["optimize", cfg]) == 2
 
@@ -438,3 +444,19 @@ def test_output_root_env(tmp_path, monkeypatch):
     assert load_config(cfg).output_dir == str(tmp_path / "root" / "rel" / "dir")
     monkeypatch.delenv("RTOPT_OUTPUT_ROOT")
     assert load_config(cfg).output_dir == "rel/dir"
+
+
+def test_cli_imports_leave_out_interpolate_and_optimize():
+    # what the command handlers load; scipy.interpolate alone pulls in
+    # scipy.optimize, scipy.special and scipy.spatial
+    code = ("import sys\n"
+            "import rtopt.cli, rtopt.config, rtopt.levelset, rtopt.robust\n"
+            "import rtopt.topderiv, rtopt.machine, rtopt.mesh, rtopt.render\n"
+            "print(*(m for m in ('scipy.interpolate', 'scipy.optimize')"
+            " if m in sys.modules))\n")
+    src = str(Path(rtopt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == ""

@@ -5,6 +5,7 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from rtopt.errors import FormatError, UsageError
 from rtopt.fem import DofMap, TangentCache
@@ -159,6 +160,75 @@ def test_clamp_warns_once(caplog):
     assert sum("clamped" in r.message for r in caplog.records) == 1
 
 
+def test_clamp_below_first_sample_counted(caplog):
+    t = np.array([1.0, 2.0, 3.0])
+    tab = TDTable("iron_to_air", t, t.copy(), np.zeros(3), "test")
+    U = np.array([[0.5, 0.0], [2.0, 0.0], [0.0, 0.25]])
+    with caplog.at_level(logging.WARNING, logger="rtopt.topderiv"):
+        v = tab.evaluate(U, np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    assert v == pytest.approx([1.0, 2.0, 1.0])          # clamped to t[0]
+    assert tab.clamped_rows == 2
+    assert sum("clamped" in r.message for r in caplog.records) == 1
+
+
+def scipy_lookup(tab, tq, knee=None):
+    """(par, perp) at flux magnitudes tq by scipy's PCHIP over the stacked
+    columns, blended linearly between the bracketing knee samples."""
+    vals = PchipInterpolator(tab.t, np.column_stack([tab.f_par, tab.f_perp]))(
+        np.clip(tq, tab.t[0], tab.t[-1]))
+    n_c = vals.shape[1] // 2
+    if n_c == 1:
+        return vals.T
+    qq = np.clip(knee, tab.q[0], tab.q[-1])
+    j = np.clip(np.searchsorted(tab.q, qq), 1, n_c - 1)
+    w = (qq - tab.q[j - 1]) / (tab.q[j] - tab.q[j - 1])
+    row = np.arange(len(tq))
+    return [(1 - w) * vals[row, c + j - 1] + w * vals[row, c + j] for c in (0, n_c)]
+
+
+def assert_lookup_matches_scipy(tab, tq, knee=None):
+    # flux along e_x: an adjoint along e_x reads f_par, one along e_y f_perp
+    U = np.column_stack([tq, np.zeros_like(tq)])
+    par, perp = scipy_lookup(tab, tq, knee)
+    for P, ref in (([1.0, 0.0], par), ([0.0, 1.0], perp)):
+        assert np.array_equal(tab.evaluate(U, np.tile(P, (len(tq), 1)), knee), ref)
+
+
+def knots_and_neighbours(x, rng, n=200):
+    """x, the floats next to it on both sides, and random points beyond both
+    ends; magnitudes whose square underflows read as zero flux and go."""
+    lo, hi = x[0], x[-1]
+    tq = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf),
+                         rng.uniform(lo - 0.1 * (hi - lo), hi * 1.1, n)])
+    return tq[tq > 1e-100]
+
+
+@pytest.mark.parametrize("n_t", [2, 3, 9, 50])
+def test_lookup_bitwise_equal_to_scipy(n_t):
+    rng = np.random.default_rng(n_t)
+    for even, n_q in ((True, None), (False, None), (True, 3), (False, 3)):
+        t = (np.linspace(0.0, 5.0, n_t) if even
+             else 0.3 + np.cumsum(rng.uniform(0.05, 1.0, n_t)))
+        shape = (n_t,) if n_q is None else (n_t, n_q)
+        # sign-changing secants, and zero secants on flat runs
+        f_par, f_perp = rng.standard_normal(shape), rng.standard_normal(shape)
+        f_par[n_t // 2:] = f_par[n_t // 2]
+        f_perp[rng.random(shape) < 0.3] = 0.0
+        q = None if n_q is None else np.array([1.0, 1.6, 3.0])
+        tab = TDTable("iron_to_air", t, f_par, f_perp, "x", q=q)
+        tq = knots_and_neighbours(t, rng)
+        knee = None if q is None else rng.choice(
+            np.concatenate([q, np.nextafter(q, 0.0), rng.uniform(0.5, 3.5, 5)]),
+            len(tq))
+        assert_lookup_matches_scipy(tab, tq, knee)
+
+
+def test_linear_tables_lookup_bitwise_equal_to_scipy(linear_tables):
+    rng = np.random.default_rng(3)
+    for tab in linear_tables.values():
+        assert_lookup_matches_scipy(tab, knots_and_neighbours(tab.t, rng))
+
+
 def test_knee_axis_bilinear_and_clamped():
     tab = synthetic_table(q=[1.0, 3.0])
     U = np.array([[1.5, 0.0]])
@@ -206,7 +276,7 @@ def test_table_roundtrip(tmp_path, linear_tables):
         assert np.array_equal(back.f_par, knee_tab.f_par)
 
 
-def test_load_rejects_malformed(tmp_path, knee_axis_faults):
+def test_load_rejects_malformed(tmp_path, knee_axis_faults, t_axis_faults):
     bad = tmp_path / "bad.rtotd"
     bad.write_text("RTOMESH1\n")
     with pytest.raises(FormatError):
@@ -217,10 +287,12 @@ def test_load_rejects_malformed(tmp_path, knee_axis_faults):
     bad.write_text("RTOTD1\ndirection sideways\n")
     with pytest.raises(FormatError, match="unknown direction"):
         load_table(bad)
-    # a block column per knee sample, and a strictly increasing knee axis
+    # a block column per knee sample, strictly increasing knee and t axes,
+    # and at least two t samples
     save_table(synthetic_table(), bad)
-    for name, text in knee_axis_faults(bad.read_text()).items():
-        bad.write_text(text)
+    good = bad.read_text()
+    for fault in [*knee_axis_faults(good).values(), *t_axis_faults(good).values()]:
+        bad.write_text(fault)
         with pytest.raises(FormatError):
             load_table(bad)
 
