@@ -298,6 +298,8 @@ def load_config(path):
         raise ConfigurationError("smoothing_eps must be positive")
     if cfg.snapshot_interval < 1:
         raise ConfigurationError("snapshot_interval must be at least 1")
+    if cfg.seed < 0:
+        raise ConfigurationError(f"seed must be non-negative; got {cfg.seed}")
 
     root = os.environ.get("RTOPT_OUTPUT_ROOT")
     if root and not os.path.isabs(cfg.output_dir):

@@ -243,36 +243,14 @@ def elimination_order(row, col, n):
                       options={"SymmetricMode": True}).perm_c.astype(np.int64)
 
 
-class TangentCache:
-    """The factored reduced tangent of the last element tangent dh seen.
-
-    The tangent depends on the state only through dh, so an equal dh reuses
-    the cached LU without assembling: linear-law correctors of one flip
-    direction share one LU, and so do repeated adjoints at one state. A
-    nonlinear adjoint never hits, as Newton's last LU is at the iterate
-    before the converged state. A different dh drops the entry before the
-    new tangent is assembled and factored, so at most one factorization is
-    alive per cache.
-    """
-
-    def __init__(self, space, dofmap):
-        self.space = space
-        self.dofmap = dofmap
-        self._dh = None
-        self._lu = None
-
-    def lu(self, dh):
-        if self._dh is not None and np.array_equal(self._dh, dh):
-            return self._lu
-        self._dh = self._lu = None
-        k_red = self.dofmap.reduce_matrix(self.space.tangent_matrix(dh))
-        self._lu = factorize(k_red, permc_spec="NATURAL")
-        self._dh = np.array(dh, copy=True)
-        return self._lu
+def factor_tangent(space, dofmap, dh):
+    """LU of the reduced tangent of element tangents dh, in natural order."""
+    return factorize(dofmap.reduce_matrix(space.tangent_matrix(dh)),
+                     permc_spec="NATURAL")
 
 
 def newton_solve(space, dofmap, respond, load_full, u0=None, tol=1e-8,
-                 max_iter=50, cache=None):
+                 max_iter=50):
     """Damped Newton for the reduced residual C^T (flux(u) - load).
 
     respond(B) must return (h, dh) arrays of shapes (m, 2) and (m, 2, 2).
@@ -281,10 +259,8 @@ def newton_solve(space, dofmap, respond, load_full, u0=None, tol=1e-8,
     A step d is halved until F(u + alpha d) . d <= (1 - 2 sigma) |F(u) . d|,
     the trapezoid estimate of E(u + alpha d) - E(u) <= sigma alpha F(u) . d,
     exact for linear laws (whose full step passes); stagnation raises SolverError.
-    Tangents are factored through cache (a TangentCache of space and dofmap;
-    a fresh one when omitted).
+    Every step factors its own tangent.
     """
-    tangents = TangentCache(space, dofmap) if cache is None else cache
     u = np.zeros(space.n_nodes) if u0 is None else dofmap.expand(
         dofmap.restrict(np.asarray(u0, dtype=float)))
     load_red = dofmap.reduce_vector(load_full)
@@ -301,9 +277,9 @@ def newton_solve(space, dofmap, respond, load_full, u0=None, tol=1e-8,
         return u, NewtonInfo(0, history, tol_abs, steps, rejected)
 
     for it in range(1, max_iter + 1):
-        # no local keeps the LU, so a cache miss can free it before refactoring
+        # no local keeps the LU, so it is freed before the next one is made
         try:
-            step = -tangents.lu(dh).solve(f)
+            step = -factor_tangent(space, dofmap, dh).solve(f)
         except RuntimeError as exc:
             raise SolverError(f"singular tangent system at Newton step {it}",
                               residual=history[-1], iterations=it) from exc
@@ -338,19 +314,12 @@ def tangent_at(space, dofmap, respond, u):
     return dofmap.reduce_matrix(space.tangent_matrix(dh))
 
 
-def adjoint_solve(space, dofmap, respond, u, objective_gradient_full,
-                  cache=None):
-    """Solve K(u)^T p = dJ/du for the adjoint state p (full-length vector).
-
-    K(u) is factored through cache (fresh when omitted) and solved
-    transposed; an equal tangent already there (a linear law's, or an
-    earlier adjoint's at u) is reused.
-    """
-    tangents = TangentCache(space, dofmap) if cache is None else cache
+def adjoint_solve(space, dofmap, respond, u, objective_gradient_full):
+    """Solve K(u)^T p = dJ/du for the adjoint state p (full-length vector)."""
     _, dh = respond(space.element_curl(u))
     rhs = dofmap.reduce_vector(objective_gradient_full)
     try:
-        lu = tangents.lu(dh)
+        lu = factor_tangent(space, dofmap, dh)
     except RuntimeError as exc:
         raise SolverError("singular adjoint system") from exc
     return dofmap.expand(lu.solve(rhs, trans="T"))

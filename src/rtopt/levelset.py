@@ -229,7 +229,8 @@ class NominalEvaluator:
     A nominal run is the worst-case evaluation with the parameter pinned:
     worst_case returns the fixed q, and RobustEvaluator overrides it with
     the inner maximization. Each design opens one robust.ParameterObjective,
-    the only memo of states and adjoints, and the field is the plain
+    the per-q memo of states and adjoints (linear iron draws them from
+    MachineProblem's per-design basis), and the field is the plain
     objective's sensitivity frozen at the chosen q.
     """
 

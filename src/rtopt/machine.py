@@ -30,8 +30,8 @@ import numpy as np
 
 from . import laws
 from .errors import ConfigurationError, SolverError, UsageError
-from .fem import (DofMap, P1Space, ScreenedSmoother, TangentCache,
-                  adjoint_solve, newton_solve)
+from .fem import (DofMap, P1Space, ScreenedSmoother, adjoint_solve,
+                  factor_tangent, newton_solve)
 from .laws import MU0
 
 log = logging.getLogger(__name__)
@@ -70,18 +70,15 @@ class MaterialSpec:
                              self.k_f if knee is None else knee, self.n_f,
                              self.iron_linear)
 
-    def law_fingerprint(self, knee_mode):
-        """Digest of the iron/air law pair a sensitivity table depends on."""
+    def law_fingerprint(self, knee_axis):
+        """Digest of the iron/air law pair a sensitivity table depends on,
+        sampled over a knee axis or at the fixed knee k_f."""
         import hashlib
 
+        knee = "q-axis" if knee_axis else f"fixed:{self.k_f!r}"
         txt = (f"nu0={self.nu0!r};nu_f={self.nu_f!r};n_f={self.n_f};"
-               f"linear={self.iron_linear};knee={knee_mode}")
+               f"linear={self.iron_linear};knee={knee}")
         return hashlib.sha256(txt.encode()).hexdigest()[:16]
-
-    def knee_mode(self, scenario):
-        if scenario.binding in ("knee", "knee_regions"):
-            return "q-axis"
-        return f"fixed:{self.k_f!r}"
 
 
 @dataclass(frozen=True)
@@ -350,8 +347,8 @@ class MachineProblem:
         loads = [-space.flux_divergence(h) for h, _ in hs] + [
             space.load_vector(self._coil_density(0.0, 0.0, wave))
             for wave in (np.cos, np.sin)]
-        try:    # a throwaway cache: the LU is dropped on return
-            lu = TangentCache(space, dofmap).lu(hs[0][1])
+        try:
+            lu = factor_tangent(space, dofmap, hs[0][1])
         except RuntimeError as exc:
             raise SolverError("singular tangent system of the linear-iron basis") from exc
         states = dofmap.expand(lu.solve(dofmap.reduce_vector(

@@ -111,6 +111,12 @@ class InnerParams:
             raise ConfigurationError("sufficient-increase constant must be in (0, 1/2)")
         if not 0 < self.tau_min <= self.tau_max:
             raise ConfigurationError("need 0 < tau_min <= tau_max")
+        # a shrink factor of 1 or more repeats a refused trial forever
+        if not 0.0 < self.tau_shrink < 1.0 or self.tau_grow < 1.0:
+            raise ConfigurationError("need 0 < tau_shrink < 1 <= tau_grow")
+        if self.step_tol <= 0 or self.max_iterations < 1:
+            raise ConfigurationError(
+                "need inner_step_tol > 0 and inner_max_iterations >= 1")
 
 
 @dataclass
@@ -198,8 +204,10 @@ MEMO_LIMIT = 32
 class ParameterObjective:
     """J(design, q) with lazy adjoint-based gradients and a per-q memo.
 
-    The memo is the only store of states and adjoints: every evaluator opens
-    one objective per design and takes its solutions from here.
+    Every evaluator opens one objective per design and takes its states and
+    adjoints from here. With nonlinear iron the memo is their only store;
+    linear iron combines them from MachineProblem's per-design basis, and
+    the memo keeps the combinations.
     """
 
     def __init__(self, problem, design):

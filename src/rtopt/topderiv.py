@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, UsageError, read_format_lines
-from .fem import DofMap, P1Space, TangentCache, newton_solve
+from .fem import DofMap, P1Space, newton_solve
 from .laws import air_law
 from .mesh import disk_mirror, graded_disk_mesh
 
@@ -90,9 +90,6 @@ class ExteriorProblem:
         self.inclusion = self.mesh.elements_in("inclusion")
         self.exterior = self.mesh.elements_in("exterior")
         self.inclusion_area = float(self.space.areas[self.inclusion].sum())
-        # one factored tangent shared by every corrector solve; with linear
-        # iron each flip direction then costs one factorization for all t
-        self.tangents = TangentCache(self.space, self.dofmap)
         self.newton_log = []        # NewtonInfo of every corrector solve, in order
 
     def solve_corrector(self, U, law_in, law_out):
@@ -118,8 +115,7 @@ class ExteriorProblem:
 
         load = np.zeros(self.space.n_nodes)
         k, info = newton_solve(self.space, self.dofmap, respond, load,
-                               tol=CORRECTOR_TOL, max_iter=CORRECTOR_MAX_ITER,
-                               cache=self.tangents)
+                               tol=CORRECTOR_TOL, max_iter=CORRECTOR_MAX_ITER)
         self.newton_log.append(info)
         return k, info
 
@@ -295,11 +291,14 @@ class TDTable:
 
 def sample_table(materials, direction, exterior_config=None, q_range=None,
                  problem=None):
-    """Sample one direction's table by repeated cold-start corrector solves.
+    """Sample one direction's table by cold-start corrector solves.
 
     materials carries the iron/air constants (a machine MaterialSpec). With
     q_range=(lo, hi) the iron knee sweeps n_q uniform samples and the table
     gains a knee axis; otherwise the nominal knee is used throughout.
+    Saturating iron solves every (t, knee) sample. Linear laws make the
+    corrector and its response pair linear in t and free of the knee, so
+    one solve at t = 1 gives every entry as t times that pair.
     """
     cfg = exterior_config or ExteriorConfig()
     cfg.validate()
@@ -307,27 +306,31 @@ def sample_table(materials, direction, exterior_config=None, q_range=None,
     t_vals = np.linspace(0.0, cfg.t_max, cfg.n_t)
     knees = (np.linspace(q_range[0], q_range[1], cfg.n_q)
              if q_range is not None else np.array([materials.k_f]))
-    knee_mode = "q-axis" if q_range is not None else f"fixed:{materials.k_f!r}"
+
+    def pair(t, knee):
+        law_in, law_out = laws_for_direction(direction, materials, knee)
+        U = np.array([t, 0.0])
+        k, _ = prob.solve_corrector(U, law_in, law_out)
+        return prob.response_pair(k, U, law_in, law_out)
 
     f_par = np.zeros((cfg.n_t, len(knees)))
     f_perp = np.zeros((cfg.n_t, len(knees)))
-    for jq, knee in enumerate(knees):
-        law_in, law_out = laws_for_direction(direction, materials, knee)
-        for it, t in enumerate(t_vals):
-            if t == 0.0:
-                continue
-            U = np.array([t, 0.0])
-            k, _ = prob.solve_corrector(U, law_in, law_out)
-            f_par[it, jq], f_perp[it, jq] = prob.response_pair(
-                k, U, law_in, law_out)
+    if materials.iron_linear:
+        unit_par, unit_perp = pair(1.0, materials.k_f)
+        f_par[1:] = t_vals[1:, None] * unit_par
+        f_perp[1:] = t_vals[1:, None] * unit_perp
+    else:
+        for jq, knee in enumerate(knees):
+            for it in range(1, cfg.n_t):        # t_vals[0] = 0 has no response
+                f_par[it, jq], f_perp[it, jq] = pair(t_vals[it], knee)
 
     meta = {"radius": cfg.radius, "mesh_nodes": prob.mesh.n_nodes,
             "target_nodes": cfg.target_nodes}
-    if q_range is None:
-        return TDTable(direction, t_vals, f_par[:, 0], f_perp[:, 0],
-                       materials.law_fingerprint(knee_mode), meta=meta)
+    if q_range is None:     # one column, kept 1-D
+        f_par, f_perp, knees = f_par[:, 0], f_perp[:, 0], None
     return TDTable(direction, t_vals, f_par, f_perp,
-                   materials.law_fingerprint(knee_mode), q=knees, meta=meta)
+                   materials.law_fingerprint(q_range is not None), q=knees,
+                   meta=meta)
 
 
 def precompute_tables(materials, exterior_config=None, q_range=None,
@@ -451,12 +454,13 @@ def load_table(path):
 
 def check_table_compatibility(table, materials, scenario):
     """Refuse tables whose laws do not match the run configuration."""
-    expected = materials.law_fingerprint(materials.knee_mode(scenario))
+    knee_axis = scenario.binding in ("knee", "knee_regions")
+    expected = materials.law_fingerprint(knee_axis)
     if table.law_fingerprint != expected:
         raise UsageError(
             "sensitivity table law fingerprint "
             f"{table.law_fingerprint} does not match the configured laws "
             f"({expected}); re-run the precompute step")
-    if scenario.binding in ("knee", "knee_regions") and not table.has_knee_axis:
+    if knee_axis and not table.has_knee_axis:
         raise UsageError(
             "scenario varies the saturation knee but the table has no knee axis")

@@ -137,11 +137,11 @@ def test_precompute_audit_output(tables_ready, capsys):
     line = [l for l in out.splitlines() if "slope audit" in l]
     assert len(line) == 1
     assert float(line[0].split()[-1]) < 0.05
-    # the corrector solves report themselves: linear iron takes one Newton
-    # step per table sample, both directions, t > 0
+    # the corrector solves report themselves: linear iron takes one
+    # corrector solve of one Newton step per direction, whatever n_t
     with open(ws["out"] / "tables" / "summary.json") as f:
         summary = json.load(f)
-    assert summary["newton"] == {"solves": 8, "iterations": 8,
+    assert summary["newton"] == {"solves": 2, "iterations": 2,
                                  "max_iterations": 1, "rejected_trials": 0}
     assert 2 * summary["reduced_unknowns"] < summary["mesh_nodes"]
     assert '"reduced_unknowns"' in out

@@ -100,3 +100,24 @@ def test_corrupted_config_loads_or_exits_2(workdir, line_edits, byte_edits):
         logger.removeHandler(messages)
     assert [r.levelno for r in messages.buffer] == [logging.ERROR]
     assert messages.buffer[0].getMessage()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("seed = -1", "seed"),
+    ("tau_shrink = 1", "tau_shrink"),
+    ("tau_shrink = 0", "tau_shrink"),
+    ("tau_grow = 0.5", "tau_grow"),
+    ("inner_step_tol = 0", "inner_step_tol"),
+    ("inner_max_iterations = 0", "inner_max_iterations"),
+], ids=["negative_seed", "shrink_one", "shrink_zero", "grow_below_one",
+        "zero_step_tol", "no_iterations"])
+def test_out_of_range_setting_exits_2(workdir, caplog, line, message):
+    # a negative seed reached the RNG, and tau_shrink = 1 let the inner
+    # ascent repeat a refused trial forever
+    kept = "" if line.startswith("seed") else "seed = 0\n"
+    path = workdir / "range.cfg"
+    path.write_text(TOY.read_text().replace("seed = 0\n", f"{kept}{line}\n"))
+    with pytest.raises(ConfigurationError):
+        load_config(path)
+    assert main(["optimize", str(path)]) == 2
+    assert message in caplog.text

@@ -10,8 +10,8 @@ from scipy.integrate import quad
 from scipy.special import hyp2f1
 
 from rtopt.errors import SolverError
-from rtopt.fem import (DofMap, P1Space, ScreenedSmoother, TangentCache,
-                       adjoint_solve, factorize, newton_solve, tangent_at)
+from rtopt.fem import (DofMap, P1Space, ScreenedSmoother, adjoint_solve,
+                       factor_tangent, factorize, newton_solve, tangent_at)
 from rtopt.laws import NU0, air_law, iron_law
 from rtopt.machine import MachineProblem, MaterialSpec, Scenario
 from smoother_integrals import elementwise_integral, nodal_integral
@@ -97,9 +97,7 @@ def test_newton_monotone_energy():
             s = np.linalg.norm(space.element_curl(u), axis=1)
             return float(space.areas @ iron_energy_density(law, s) - load @ u)
 
-        cache = TangentCache(space, dofmap)
-        u, info = newton_solve(space, dofmap, respond, load, tol=1e-10,
-                               cache=cache)
+        u, info = newton_solve(space, dofmap, respond, load, tol=1e-10)
         assert info.iterations >= 2
         assert info.residuals[-1] <= info.tolerance
         assert len(info.steps) == info.iterations
@@ -113,7 +111,7 @@ def test_newton_monotone_energy():
         for alpha in info.steps:
             h, dh = respond(space.element_curl(iterate))
             f = dofmap.reduce_vector(space.flux_divergence(h)) - load_red
-            step = -cache.lu(dh).solve(f)
+            step = -factor_tangent(space, dofmap, dh).solve(f)
             iterate = dofmap.expand(dofmap.restrict(iterate) + alpha * step)
             energies.append(energy(iterate))
         assert np.array_equal(iterate, u)
@@ -392,7 +390,7 @@ def test_linear_iron_factors_once_per_design(toy_mesh, linear_spec,
     problem.adjoints(design, q2, problem.objective(design, q2)[1])
     assert len(splu_calls) == 1                 # another q, same tangent
 
-    # the basis reproduces cache-less Newton states and adjoints
+    # the basis reproduces per-position Newton states and adjoints
     space, dofmap = problem.space, problem.dofmap
     for n, alpha in enumerate(problem.alphas()):
         respond = problem.respond_factory(design, q, alpha)
@@ -412,14 +410,13 @@ def test_linear_iron_factors_once_per_design(toy_mesh, linear_spec,
 
 def test_nonlinear_newton_factors_every_iteration(splu_calls):
     _, space, dofmap, respond, load = nonlinear_setup()
-    cache = TangentCache(space, dofmap)
-    u, info = newton_solve(space, dofmap, respond, load, tol=1e-10, cache=cache)
+    u, info = newton_solve(space, dofmap, respond, load, tol=1e-10)
     assert info.iterations >= 2
     assert len(splu_calls) == info.iterations
-    # the tangent at the converged state is new; its adjoints share it
+    # the tangent at the converged state is new; each adjoint factors it
+    # again, to the same LU
     w = np.ones(space.n_nodes)
-    p = adjoint_solve(space, dofmap, respond, u, w, cache=cache)
+    p = adjoint_solve(space, dofmap, respond, u, w)
     assert len(splu_calls) == info.iterations + 1
-    assert np.array_equal(adjoint_solve(space, dofmap, respond, u, w,
-                                        cache=cache), p)
-    assert len(splu_calls) == info.iterations + 1
+    assert np.array_equal(adjoint_solve(space, dofmap, respond, u, w), p)
+    assert len(splu_calls) == info.iterations + 2

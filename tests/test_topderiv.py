@@ -8,7 +8,7 @@ import pytest
 from scipy.interpolate import PchipInterpolator
 
 from rtopt.errors import FormatError, UsageError
-from rtopt.fem import DofMap, TangentCache
+from rtopt.fem import DofMap
 from rtopt.laws import NU0, NU_F
 from rtopt.machine import MaterialSpec, Scenario
 from rtopt.topderiv import (DIRECTIONS, ExteriorConfig, ExteriorProblem,
@@ -56,31 +56,51 @@ def test_corrector_matches_truncated_analytic():
 
 
 def test_linear_tables_factor_once_per_direction(linear_spec, splu_calls):
-    cfg = ExteriorConfig(radius=64.0, target_nodes=1500, t_max=12.0, n_t=5)
-    tables = precompute_tables(linear_spec, cfg)
-    assert len(splu_calls) == 2                 # one tangent per direction
+    # one corrector solve at t = 1 per direction serves every t and knee
+    for n_t, q_range in ((2, None), (5, None), (5, (1.8, 2.6))):
+        cfg = ExteriorConfig(radius=64.0, target_nodes=1500, t_max=12.0,
+                             n_t=n_t, n_q=3)
+        prob = ExteriorProblem(cfg)
+        del splu_calls[:]
+        tables = precompute_tables(linear_spec, cfg, q_range, problem=prob)
+        assert len(splu_calls) == 2             # one tangent per direction
+        assert len(prob.newton_log) == 2
+        # an isolated Newton solve at each (t, knee) agrees to round-off
+        for direction in DIRECTIONS:
+            assert_isolated_solves_reproduce(prob, linear_spec,
+                                             tables[direction], rtol=1e-10)
 
-    # a fresh cache for every solve gives the same tables bit for bit, with
-    # linear and with saturating iron
-    prob = ExteriorProblem(cfg)
-    for direction in DIRECTIONS:
-        assert_isolated_solves_reproduce(prob, linear_spec, tables[direction])
-    assert len(splu_calls) == 2 + 2 * (cfg.n_t - 1)
+    # saturating iron solves every sample: the same tables bit for bit
     spec = MaterialSpec()
     for direction in DIRECTIONS:
         table = sample_table(spec, direction, cfg, problem=prob)
-        assert_isolated_solves_reproduce(prob, spec, table)
+        assert_isolated_solves_reproduce(prob, spec, table, rtol=0.0)
 
 
-def assert_isolated_solves_reproduce(prob, spec, table):
-    """Every table entry again, each from one solve with a fresh tangent cache."""
-    law_in, law_out = laws_for_direction(table.direction, spec, spec.k_f)
-    for it in range(1, len(table.t)):
-        prob.tangents = TangentCache(prob.space, prob.dofmap)
-        U = np.array([table.t[it], 0.0])
-        k, _ = prob.solve_corrector(U, law_in, law_out)
-        assert prob.response_pair(k, U, law_in, law_out) == (
-            table.f_par[it], table.f_perp[it])
+def assert_isolated_solves_reproduce(prob, spec, table, rtol):
+    """Every table entry again, each from its own corrector solve, within
+    rtol * max|f_par|."""
+    f_par = table.f_par.reshape(len(table.t), -1)
+    f_perp = table.f_perp.reshape(len(table.t), -1)
+    knees = [spec.k_f] if table.q is None else table.q
+    tol = rtol * np.abs(f_par).max()
+    for jq, knee in enumerate(knees):
+        law_in, law_out = laws_for_direction(table.direction, spec, knee)
+        for it in range(1, len(table.t)):
+            U = np.array([table.t[it], 0.0])
+            k, _ = prob.solve_corrector(U, law_in, law_out)
+            par, perp = prob.response_pair(k, U, law_in, law_out)
+            assert abs(par - f_par[it, jq]) <= tol
+            assert abs(perp - f_perp[it, jq]) <= tol
+
+
+def test_law_fingerprints_pinned():
+    # saved tables carry these digests and must keep loading
+    spec = MaterialSpec()
+    assert spec.law_fingerprint(True) == "d4eac34e45a91d1a"
+    assert spec.law_fingerprint(False) == "e46b2c693d0d2982"
+    linear = MaterialSpec(iron_linear=True)
+    assert linear.law_fingerprint(False) == "3c651b7c8d65dcd2"
 
 
 def test_odd_reduction_matches_full_disk():
@@ -90,7 +110,6 @@ def test_odd_reduction_matches_full_disk():
     prob = ExteriorProblem(cfg)
     full = ExteriorProblem(cfg)
     full.dofmap = DofMap(full.mesh)
-    full.tangents = TangentCache(full.space, full.dofmap)
     assert 2 * prob.dofmap.n_reduced <= full.dofmap.n_reduced
     spec = MaterialSpec()
     for direction in DIRECTIONS:
@@ -325,7 +344,7 @@ def test_compatibility_refusals(linear_tables, linear_spec):
     scal = Scenario(name="SCAL", n_positions=1, q_hat=np.array([2.2]))
     spec = MaterialSpec()
     no_knee = TDTable("iron_to_air", np.array([0.0, 1.0]), np.zeros(2),
-                      np.zeros(2), spec.law_fingerprint("q-axis"))
+                      np.zeros(2), spec.law_fingerprint(True))
     with pytest.raises(UsageError):
         check_table_compatibility(no_knee, spec, scal)
 
