@@ -13,10 +13,12 @@ pairs and Dirichlet nodes are eliminated through a sparse reduction matrix C
 Both operators a Newton step needs are built once per mesh: the curl of a
 nodal vector is one sparse product with a (2m, n) operator G, the flux
 divergence its area-weighted transpose, and element tangent blocks are summed
-straight into the fixed CSC pattern of C^T K C by a sparse scatter. The
-reduced unknowns are numbered in the minimum-degree elimination order of that
-pattern, computed once per mesh, so each tangent is factored in natural order
-with diagonal pivots (every system is symmetric positive definite).
+straight into LAPACK lower band storage of C^T K C by a sparse scatter. The
+reduced unknowns are numbered in the reverse Cuthill-McKee order of the fixed
+pattern (Proc. 24th ACM Nat. Conf., 1969), computed once per mesh, so every
+tangent lies in a narrow band, factored by banded Cholesky (George and Liu,
+Computer Solution of Large Sparse Positive Definite Systems, 1981, ch. 4):
+every system is SPD, and a tangent that is not is refused as singular.
 
 The residual is the gradient of the convex magnetic energy
 E(u) = sum_T |T| w_T(curl u) - load . u (dw_T/dB = h_T, dh_T is SPD), so
@@ -29,8 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import SolverError
 
@@ -103,24 +106,20 @@ class P1Space:
         ty = x * w[0, 1] + y * w[1, 1]
         return (tx[:, None] * x + ty[:, None] * y).transpose(2, 0, 1)
 
-    def mass_matrix(self, elements=None):
+    def mass_matrix(self, elements=slice(None)):
         """Consistent P1 mass matrix, optionally restricted to an element subset."""
-        tri = self.mesh.triangles if elements is None else self.mesh.triangles[elements]
-        areas = self.areas if elements is None else self.areas[elements]
-        local = (areas[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
-        rows = np.repeat(tri, 3, axis=1).ravel()
-        cols = np.tile(tri, (1, 3)).ravel()
-        return sp.coo_matrix((local.ravel(), (rows, cols)),
-                             shape=(self.n_nodes, self.n_nodes)).tocsr()
+        local = self.areas[elements, None, None] / 12.0 * (np.ones((3, 3)) + np.eye(3))
+        return self._assemble(local, elements)
 
-    def stiffness_matrix(self, elements=None):
-        tri = self.mesh.triangles if elements is None else self.mesh.triangles[elements]
-        areas = self.areas if elements is None else self.areas[elements]
-        grads = self.grads if elements is None else self.grads[elements]
-        local = np.einsum("e,eid,ejd->eij", areas, grads, grads)
-        rows = np.repeat(tri, 3, axis=1).ravel()
-        cols = np.tile(tri, (1, 3)).ravel()
-        return sp.coo_matrix((local.ravel(), (rows, cols)),
+    def stiffness_matrix(self, elements=slice(None)):
+        grads = self.grads[elements]
+        return self._assemble(np.einsum("e,eid,ejd->eij", self.areas[elements],
+                                        grads, grads), elements)
+
+    def _assemble(self, local, elements):
+        tri = self.mesh.triangles[elements]
+        return sp.coo_matrix((local.ravel(), (np.repeat(tri, 3, axis=1).ravel(),
+                                              np.tile(tri, (1, 3)).ravel())),
                              shape=(self.n_nodes, self.n_nodes)).tocsr()
 
 
@@ -157,27 +156,29 @@ class DofMap:
         row, col = row.ravel(), col.ravel()
         n_entries = row.size
         entry = np.flatnonzero((row >= 0) & (col >= 0))
-        # The reduced numbering is the elimination order of the fixed
-        # pattern, so every tangent of the mesh factors in natural order.
-        order = elimination_order(row[entry], col[entry], nr)
+        # The reduced numbering is the reverse Cuthill-McKee order of the
+        # fixed pattern, so every tangent of the mesh lies in a narrow band.
+        order = np.argsort(reverse_cuthill_mckee(sp.csr_matrix(
+            (np.ones(len(entry)), (row[entry], col[entry])), shape=(nr, nr)),
+            symmetric_mode=True))
         index[kept] = order[index[kept]]
         row, col = order[row[entry]], order[col[entry]]
         self.free = np.empty_like(free)
         self.free[order] = free
         self.C = sp.csr_matrix((sign[kept], (kept, index[kept])), shape=(n, nr))
-        self.n_full = n
         self.n_reduced = nr
+        self.bandwidth = int(np.max(row - col, initial=0))
 
-        # Scatter of the entries into the CSC data of C^T K C: each goes to
-        # the slot of its reduced row and column with the product of signs.
-        keys, slot = np.unique(col * nr + row, return_inverse=True)
+        # Scatter of the entries on and below the diagonal into the lower
+        # band storage of C^T K C, (bandwidth + 1, nr) in Fortran order: each
+        # goes to the slot of its reduced row and column with the product of
+        # signs, and duplicates sum.
+        lower = row >= col
+        self._slots, slot = np.unique(
+            (row - col + (self.bandwidth + 1) * col)[lower], return_inverse=True)
         signs = (sign[tri][:, None] * sign[tri][None]).ravel()[entry]
-        self._scatter = sp.csr_matrix((signs, (slot, entry)),
-                                      shape=(len(keys), n_entries))
-        pattern = sp.csc_matrix(
-            (np.zeros(len(keys)), keys % nr,
-             np.searchsorted(keys // nr, np.arange(nr + 1))), shape=(nr, nr))
-        self._indices, self._indptr = pattern.indices, pattern.indptr
+        self._scatter = sp.csr_matrix((signs[lower], (slot, entry[lower])),
+                                      shape=(len(self._slots), n_entries))
 
     def reduce_vector(self, v):
         """Adjoint reduction C^T v (for residuals and loads, not coordinates)."""
@@ -188,10 +189,13 @@ class DofMap:
         return np.asarray(u_full)[self.free]
 
     def reduce_matrix(self, blocks):
-        """C^T K C in CSC form, K assembled from (m, 3, 3) element blocks."""
-        data = self._scatter @ blocks.transpose(1, 2, 0).ravel()
-        return sp.csc_matrix((data, self._indices, self._indptr),
-                             shape=(self.n_reduced, self.n_reduced))
+        """Lower band storage of C^T K C, K assembled from (m, 3, 3) blocks.
+
+        Row d, column j holds entry (j + d, j), as BandCholesky reads it.
+        """
+        band = np.zeros((self.bandwidth + 1) * self.n_reduced)
+        band[self._slots] = self._scatter @ blocks.transpose(1, 2, 0).ravel()
+        return band.reshape((self.bandwidth + 1, self.n_reduced), order="F")
 
     def expand(self, v):
         return self.C @ v
@@ -214,39 +218,22 @@ def newton_summary(infos):
             "rejected_trials": sum(info.rejected for info in infos)}
 
 
-def factorize(k_red, permc_spec="MMD_AT_PLUS_A"):
-    """Sparse LU of a reduced tangent or smoother matrix.
+class BandCholesky:
+    """Cholesky factor of an SPD matrix in LAPACK lower band storage (bw + 1, n),
+    factored in place if Fortran-ordered; LinAlgError if not positive definite."""
 
-    Every matrix factored here is symmetric positive definite, so the
-    diagonal is always an admissible pivot and SuperLU takes it. The column
-    ordering is minimum degree on A^T + A unless the caller's numbering
-    already is one (permc_spec="NATURAL").
-    """
-    return spla.splu(k_red, permc_spec=permc_spec, diag_pivot_thresh=0.0,
-                     options={"SymmetricMode": True})
+    def __init__(self, band):
+        self._factor = sla.cholesky_banded(band, overwrite_ab=True, lower=True,
+                                           check_finite=False)
 
-
-def elimination_order(row, col, n):
-    """Position of each index in the order factorize would give the pattern.
-
-    (row, col) are the entries of a symmetric n x n pattern. factorize
-    orders by minimum degree on A^T + A, which depends on the pattern alone;
-    an incomplete LU that drops every entry computes the same column
-    permutation at a fraction of a factorization's cost. The stand-in
-    values (-1 off the diagonal, the column count on it) make it SPD.
-    """
-    g = sp.csc_matrix((np.ones(len(row)), (row, col)), shape=(n, n))
-    g.data[:] = -1.0
-    g.setdiag(np.diff(g.indptr).astype(float))
-    return spla.spilu(g, drop_tol=np.inf, fill_factor=1,
-                      permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                      options={"SymmetricMode": True}).perm_c.astype(np.int64)
+    def solve(self, b):
+        """Solve for one right-hand side (n,) or several as columns (n, k)."""
+        return sla.cho_solve_banded((self._factor, True), b, check_finite=False)
 
 
 def factor_tangent(space, dofmap, dh):
-    """LU of the reduced tangent of element tangents dh, in natural order."""
-    return factorize(dofmap.reduce_matrix(space.tangent_matrix(dh)),
-                     permc_spec="NATURAL")
+    """Cholesky factor of the reduced tangent of element tangents dh."""
+    return BandCholesky(dofmap.reduce_matrix(space.tangent_matrix(dh)))
 
 
 def newton_solve(space, dofmap, respond, load_full, u0=None, tol=1e-8,
@@ -277,10 +264,10 @@ def newton_solve(space, dofmap, respond, load_full, u0=None, tol=1e-8,
         return u, NewtonInfo(0, history, tol_abs, steps, rejected)
 
     for it in range(1, max_iter + 1):
-        # no local keeps the LU, so it is freed before the next one is made
+        # no local keeps the factor, so it is freed before the next one is made
         try:
             step = -factor_tangent(space, dofmap, dh).solve(f)
-        except RuntimeError as exc:
+        except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular tangent system at Newton step {it}",
                               residual=history[-1], iterations=it) from exc
         alpha = 1.0
@@ -309,20 +296,26 @@ def newton_solve(space, dofmap, respond, load_full, u0=None, tol=1e-8,
 
 
 def tangent_at(space, dofmap, respond, u):
-    """Reduced tangent matrix assembled at a converged state."""
+    """Reduced tangent matrix assembled at a converged state, in CSC form."""
     _, dh = respond(space.element_curl(u))
-    return dofmap.reduce_matrix(space.tangent_matrix(dh))
+    band = dofmap.reduce_matrix(space.tangent_matrix(dh))
+    lower = sp.dia_matrix((band, -np.arange(len(band))),
+                          shape=(dofmap.n_reduced,) * 2)
+    return (lower + sp.tril(lower, -1).T).tocsc()
 
 
 def adjoint_solve(space, dofmap, respond, u, objective_gradient_full):
-    """Solve K(u)^T p = dJ/du for the adjoint state p (full-length vector)."""
+    """Solve K(u) p = dJ/du for the adjoint state p (full-length vector).
+
+    The tangent is symmetric, so it is its own adjoint operator.
+    """
     _, dh = respond(space.element_curl(u))
     rhs = dofmap.reduce_vector(objective_gradient_full)
     try:
-        lu = factor_tangent(space, dofmap, dh)
-    except RuntimeError as exc:
+        factor = factor_tangent(space, dofmap, dh)
+    except np.linalg.LinAlgError as exc:
         raise SolverError("singular adjoint system") from exc
-    return dofmap.expand(lu.solve(rhs, trans="T"))
+    return dofmap.expand(factor.solve(rhs))
 
 
 class ScreenedSmoother:
@@ -330,7 +323,8 @@ class ScreenedSmoother:
 
     Solves -eps * lap(g) + g = g_raw with natural boundary conditions on the
     given element subset, which preserves the integral of the input field.
-    The factorization is cached; one instance serves many right-hand sides.
+    The factorization is cached, in the reverse Cuthill-McKee order of the
+    subset's nodes; one instance serves many right-hand sides.
     """
 
     def __init__(self, space, elements, eps):
@@ -338,12 +332,16 @@ class ScreenedSmoother:
         self.elements = np.asarray(elements)
         self.eps = float(eps)
         self.nodes = np.unique(space.mesh.triangles[self.elements].ravel())
-        self._local = np.full(space.n_nodes, -1, dtype=np.int64)
-        self._local[self.nodes] = np.arange(len(self.nodes))
         mass = space.mass_matrix(self.elements)[np.ix_(self.nodes, self.nodes)]
         stiff = space.stiffness_matrix(self.elements)[np.ix_(self.nodes, self.nodes)]
         self.mass = mass.tocsr()
-        self._lu = factorize((self.eps * stiff + mass).tocsc())
+        system = (self.eps * stiff + mass).tocsr()
+        self._order = reverse_cuthill_mckee(system, symmetric_mode=True)
+        lower = sp.tril(system[self._order][:, self._order]).tocoo()
+        diag = lower.row - lower.col
+        band = np.zeros((diag.max() + 1, len(self.nodes)), order="F")
+        band[diag, lower.col] = lower.data
+        self._factor = BandCholesky(band)
 
     def smooth(self, g_elem):
         """Map element-wise values on the subset to nodal values on its nodes."""
@@ -351,7 +349,9 @@ class ScreenedSmoother:
         contrib = (self.space.areas[self.elements] * g_elem / 3.0)
         rhs_full = np.zeros(self.space.n_nodes)
         np.add.at(rhs_full, tri.ravel(), np.repeat(contrib, 3))
-        return self._lu.solve(rhs_full[self.nodes])
+        g = np.empty(len(self.nodes))
+        g[self._order] = self._factor.solve(rhs_full[self.nodes[self._order]])
+        return g
 
     def inner(self, a, b):
         return float(a @ (self.mass @ b))

@@ -348,15 +348,15 @@ class MachineProblem:
             space.load_vector(self._coil_density(0.0, 0.0, wave))
             for wave in (np.cos, np.sin)]
         try:
-            lu = factor_tangent(space, dofmap, hs[0][1])
-        except RuntimeError as exc:
+            factor = factor_tangent(space, dofmap, hs[0][1])
+        except np.linalg.LinAlgError as exc:
             raise SolverError("singular tangent system of the linear-iron basis") from exc
-        states = dofmap.expand(lu.solve(dofmap.reduce_vector(
+        states = dofmap.expand(factor.solve(dofmap.reduce_vector(
             np.column_stack(loads)))).T
         rhs = dofmap.reduce_vector(np.column_stack(
             [self.torque_probe.torque_gradient(space, u) for u in states]))
         self.bases_built += 1
-        return states, dofmap.expand(lu.solve(rhs, trans="T")).T
+        return states, dofmap.expand(factor.solve(rhs)).T
 
     def _from_basis(self, design, q, row):
         """Basis states (row 0) or adjoints (row 1) combined at every position.

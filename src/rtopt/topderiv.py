@@ -239,14 +239,14 @@ class TDTable:
         knee is a per-row saturation parameter; required when the table has a
         knee axis, ignored when it has none.
         """
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        P = np.atleast_2d(np.asarray(P, dtype=float))
-        t = np.linalg.norm(U, axis=-1)
+        ux, uy = np.atleast_2d(np.asarray(U, dtype=float)).T
+        px, py = np.atleast_2d(np.asarray(P, dtype=float)).T
+        t = np.sqrt(ux * ux + uy * uy)
         out = np.zeros(len(t))
         hit = t > 0.0
         if not hit.any():
             return out
-        t_hit, P_hit = t[hit], P[hit]
+        t_hit = t[hit]
         clamped = (t_hit < self.t[0] - 1e-12) | (t_hit > self.t[-1] + 1e-12)
         self._warn_clamp("flux magnitude", clamped)
         tq = np.clip(t_hit, self.t[0], self.t[-1])
@@ -282,10 +282,10 @@ class TDTable:
         else:
             par = (1 - w) * vals[0] + w * vals[1]
             perp = (1 - w) * vals[2] + w * vals[3]
-        e_par = U[hit] / t_hit[:, None]
-        e_perp = np.column_stack([-e_par[:, 1], e_par[:, 0]])
-        out[hit] = (par * np.einsum("md,md->m", P_hit, e_par)
-                    + perp * np.einsum("md,md->m", P_hit, e_perp))
+        # P . e_U and P . e_U_perp (e_U turned by +90 degrees) as P . U / t
+        # and U x P / t, exact for an adjoint along the flux
+        out[hit] = (par * ((px * ux + py * uy)[hit] / t_hit)
+                    + perp * ((ux * py - uy * px)[hit] / t_hit))
         return out
 
 

@@ -108,17 +108,17 @@ def t_axis_faults():
 
 
 @pytest.fixture
-def splu_calls(monkeypatch):
-    """Every sparse LU factorization made through rtopt.fem, in order.
+def factor_calls(monkeypatch):
+    """Every Cholesky factorization made through rtopt.fem, in order.
 
-    Each call is recorded as (matrix shape, keyword arguments).
+    Each call is recorded as the shape of the band it factors.
     """
     calls = []
-    splu = fem.spla.splu
+    cholesky_banded = fem.sla.cholesky_banded
 
-    def counted(matrix, *args, **kwargs):
-        calls.append((matrix.shape, kwargs))
-        return splu(matrix, *args, **kwargs)
+    def counted(band, *args, **kwargs):
+        calls.append(band.shape)
+        return cholesky_banded(band, *args, **kwargs)
 
-    monkeypatch.setattr(fem.spla, "splu", counted)
+    monkeypatch.setattr(fem.sla, "cholesky_banded", counted)
     return calls

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -11,7 +12,7 @@ from scipy.special import hyp2f1
 
 from rtopt.errors import SolverError
 from rtopt.fem import (DofMap, P1Space, ScreenedSmoother, adjoint_solve,
-                       factor_tangent, factorize, newton_solve, tangent_at)
+                       factor_tangent, newton_solve, tangent_at)
 from rtopt.laws import NU0, air_law, iron_law
 from rtopt.machine import MachineProblem, MaterialSpec, Scenario
 from smoother_integrals import elementwise_integral, nodal_integral
@@ -266,43 +267,59 @@ def test_reduced_numbering_keeps_the_reduction(toy_mesh):
     assert dm.reduce_vector(w) @ v == pytest.approx(w @ u, rel=1e-13)
 
 
+def band_width(dofmap, mesh, numbering):
+    """Widest |i - j| of the reduced tangent pattern under a numbering."""
+    reduced = dofmap.C.tocoo()
+    index = np.full(mesh.n_nodes, -1)
+    index[reduced.row] = numbering[reduced.col]
+    tri = index[mesh.triangles]
+    row, col = np.broadcast_arrays(tri[:, :, None], tri[:, None, :])
+    keep = (row >= 0) & (col >= 0)
+    return int(np.abs(row[keep] - col[keep]).max())
+
+
 def test_reduced_numbering_is_the_elimination_order(toy_mesh):
-    space, dofmap = P1Space(toy_mesh), DofMap(toy_mesh)
-    k = dofmap.reduce_matrix(space.tangent_matrix(
+    # the band holds the whole reduced pattern and no more: its half-width
+    # is the widest |i - j|, and a numbering blind to the pattern is far wider
+    dofmap = DofMap(toy_mesh)
+    nr = dofmap.n_reduced
+    assert dofmap.bandwidth == band_width(dofmap, toy_mesh, np.arange(nr))
+    shuffled = np.random.default_rng(3).permutation(nr)
+    assert 10 * dofmap.bandwidth < band_width(dofmap, toy_mesh, shuffled)
+    space = P1Space(toy_mesh)
+    band = dofmap.reduce_matrix(space.tangent_matrix(
         np.tile(np.eye(2), (toy_mesh.n_elements, 1, 1))))
-    natural = factorize(k, permc_spec="NATURAL")
-    assert np.array_equal(natural.perm_c, np.arange(dofmap.n_reduced))
-    assert np.array_equal(natural.perm_r, natural.perm_c)  # diagonal pivots
-    # numbered by node, the same tangent gets the reduced numbering as its
-    # minimum-degree order, and the same fill; in node order it fills more
-    by_node = np.argsort(dofmap.free)
-    k_node = k[by_node][:, by_node].tocsc()
-    mmd = factorize(k_node)
-    assert np.array_equal(mmd.perm_c, by_node)
-    fill = natural.L.nnz + natural.U.nnz
-    assert fill == mmd.L.nnz + mmd.U.nnz
-    raw = factorize(k_node, permc_spec="NATURAL")
-    assert fill < raw.L.nnz + raw.U.nnz
+    assert band.shape == (dofmap.bandwidth + 1, nr)
+    assert band.flags.f_contiguous       # LAPACK factors it without a copy
 
 
 def test_tangents_factor_in_natural_order_with_diagonal_pivots(toy_mesh,
-                                                               splu_calls):
+                                                               factor_calls):
+    # banded Cholesky eliminates in the band's order and never pivots
     scen = Scenario(name="NOM", n_positions=2)
     problem = MachineProblem(toy_mesh, MaterialSpec(), scen)
     design = np.ones(len(problem.design_elements), dtype=bool)
     _, states = problem.objective(design)
     problem.adjoints(design, states=states)
-    assert len(splu_calls) > 2 * len(states)       # nonlinear: many tangents
-    for shape, kwargs in splu_calls:
-        assert shape == (problem.dofmap.n_reduced,) * 2
-        assert kwargs["permc_spec"] == "NATURAL"
-        assert kwargs["diag_pivot_thresh"] == 0.0
-    # the smoother keeps a minimum-degree order on its own pattern
-    calls = len(splu_calls)
-    problem.smoother()
-    (_, kwargs), = splu_calls[calls:]
-    assert kwargs["permc_spec"] == "MMD_AT_PLUS_A"
-    assert kwargs["diag_pivot_thresh"] == 0.0
+    dofmap = problem.dofmap
+    assert len(factor_calls) > 2 * len(states)     # nonlinear: many tangents
+    assert set(factor_calls) == {(dofmap.bandwidth + 1, dofmap.n_reduced)}
+    # the smoother factors its own pattern, in its own narrow band
+    calls = len(factor_calls)
+    smoother = problem.smoother()
+    (shape,) = factor_calls[calls:]
+    assert shape[1] == len(smoother.nodes)
+    assert 10 * shape[0] < shape[1]
+
+
+def dense_from_band(band):
+    """The symmetric matrix whose lower band storage is band."""
+    n = band.shape[1]
+    a = np.zeros((n, n))
+    for d, diagonal in enumerate(band):
+        j = np.arange(n - d)
+        a[j + d, j] = a[j, j + d] = diagonal[:n - d]
+    return a
 
 
 def test_reduced_tangent_matches_triple_product(toy_mesh):
@@ -324,15 +341,39 @@ def test_reduced_tangent_matches_triple_product(toy_mesh):
     blocks = space.tangent_matrix(dh)
     assert blocks.shape == local.shape
     assert np.abs(blocks - local).max() <= 1e-14 * np.abs(local).max()
-    k_red = dofmap.reduce_matrix(blocks)
+    band = dofmap.reduce_matrix(blocks)
+    assert np.abs(dense_from_band(band) - ref).max() <= 1e-14 * scale
+    # past the last row the band is padding
+    for d, diagonal in enumerate(band):
+        assert not diagonal[dofmap.n_reduced - d:].any()
+    # any (m, 3, 3) layout of the blocks gives the same band
+    band_ref = dofmap.reduce_matrix(local)
+    assert band_ref.shape == band.shape
+    assert np.abs(dense_from_band(band_ref) - ref).max() <= 1e-14 * scale
+    # tangent_at hands out the same matrix in CSC form
+    k_red = tangent_at(space, dofmap, lambda curls: (curls, dh),
+                       np.zeros(n))
     assert k_red.format == "csc"
     assert np.abs(k_red.toarray() - ref).max() <= 1e-14 * scale
-    assert abs(k_red - k_red.T).max() <= 1e-14 * scale
-    # any (m, 3, 3) layout of the blocks, and one fixed pattern for every dh
-    k_ref = dofmap.reduce_matrix(local)
-    assert np.abs(k_ref.toarray() - ref).max() <= 1e-14 * scale
-    assert np.array_equal(k_ref.indices, k_red.indices)
-    assert np.array_equal(k_ref.indptr, k_red.indptr)
+
+
+def test_band_solve_matches_superlu(toy_mesh):
+    # saturating iron at a converged state, one and several right-hand sides
+    scen = Scenario(name="NOM", n_positions=1)
+    problem = MachineProblem(toy_mesh, MaterialSpec(), scen)
+    design = np.ones(len(problem.design_elements), dtype=bool)
+    q = problem.scenario.q_hat
+    u, _ = problem.solve_position(design, q, 0)
+    space, dofmap = problem.space, problem.dofmap
+    respond = problem.respond_factory(design, q, problem.alphas()[0])
+    lu = spla.splu(tangent_at(space, dofmap, respond, u))
+    factor = factor_tangent(space, dofmap,
+                            respond(space.element_curl(u))[1])
+    rng = np.random.default_rng(21)
+    for b in (rng.standard_normal(dofmap.n_reduced),
+              rng.standard_normal((dofmap.n_reduced, 3))):
+        ref = lu.solve(b)
+        assert np.linalg.norm(factor.solve(b) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_curl_and_divergence_operators(toy_mesh):
@@ -375,7 +416,7 @@ def test_smoother_preserves_constants_and_integrals():
 
 
 def test_linear_iron_factors_once_per_design(toy_mesh, linear_spec,
-                                             splu_calls):
+                                             factor_calls):
     scen = Scenario(name="ANG", n_positions=3, q_hat=np.deg2rad([-60.0]))
     problem = MachineProblem(toy_mesh, linear_spec, scen)
     rng = np.random.default_rng(5)
@@ -384,11 +425,11 @@ def test_linear_iron_factors_once_per_design(toy_mesh, linear_spec,
 
     _, states = problem.objective(design, q)
     adjoints = problem.adjoints(design, q, states)
-    assert len(splu_calls) == 1                 # all positions and adjoints
+    assert len(factor_calls) == 1                 # all positions and adjoints
 
     q2 = q + np.deg2rad(7.0)
     problem.adjoints(design, q2, problem.objective(design, q2)[1])
-    assert len(splu_calls) == 1                 # another q, same tangent
+    assert len(factor_calls) == 1                 # another q, same tangent
 
     # the basis reproduces per-position Newton states and adjoints
     space, dofmap = problem.space, problem.dofmap
@@ -403,20 +444,20 @@ def test_linear_iron_factors_once_per_design(toy_mesh, linear_spec,
         p = adjoint_solve(space, dofmap, respond, u, rhs)
         assert np.linalg.norm(adjoints[n] - p) <= 1e-10 * np.linalg.norm(p)
 
-    calls = len(splu_calls)
+    calls = len(factor_calls)
     problem.objective(~design, q)
-    assert len(splu_calls) == calls + 1         # a new design is a new tangent
+    assert len(factor_calls) == calls + 1         # a new design is a new tangent
 
 
-def test_nonlinear_newton_factors_every_iteration(splu_calls):
+def test_nonlinear_newton_factors_every_iteration(factor_calls):
     _, space, dofmap, respond, load = nonlinear_setup()
     u, info = newton_solve(space, dofmap, respond, load, tol=1e-10)
     assert info.iterations >= 2
-    assert len(splu_calls) == info.iterations
+    assert len(factor_calls) == info.iterations
     # the tangent at the converged state is new; each adjoint factors it
-    # again, to the same LU
+    # again, to the same factor
     w = np.ones(space.n_nodes)
     p = adjoint_solve(space, dofmap, respond, u, w)
-    assert len(splu_calls) == info.iterations + 1
+    assert len(factor_calls) == info.iterations + 1
     assert np.array_equal(adjoint_solve(space, dofmap, respond, u, w), p)
-    assert len(splu_calls) == info.iterations + 2
+    assert len(factor_calls) == info.iterations + 2
