@@ -106,20 +106,24 @@ class P1Space:
         ty = x * w[0, 1] + y * w[1, 1]
         return (tx[:, None] * x + ty[:, None] * y).transpose(2, 0, 1)
 
-    def mass_matrix(self, elements=slice(None)):
+    def mass_matrix(self, elements=None):
         """Consistent P1 mass matrix, optionally restricted to an element subset."""
-        local = self.areas[elements, None, None] / 12.0 * (np.ones((3, 3)) + np.eye(3))
-        return self._assemble(local, elements)
+        tri = self.mesh.triangles if elements is None else self.mesh.triangles[elements]
+        areas = self.areas if elements is None else self.areas[elements]
+        local = (areas[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
+        rows = np.repeat(tri, 3, axis=1).ravel()
+        cols = np.tile(tri, (1, 3)).ravel()
+        return sp.coo_matrix((local.ravel(), (rows, cols)),
+                             shape=(self.n_nodes, self.n_nodes)).tocsr()
 
-    def stiffness_matrix(self, elements=slice(None)):
-        grads = self.grads[elements]
-        return self._assemble(np.einsum("e,eid,ejd->eij", self.areas[elements],
-                                        grads, grads), elements)
-
-    def _assemble(self, local, elements):
-        tri = self.mesh.triangles[elements]
-        return sp.coo_matrix((local.ravel(), (np.repeat(tri, 3, axis=1).ravel(),
-                                              np.tile(tri, (1, 3)).ravel())),
+    def stiffness_matrix(self, elements=None):
+        tri = self.mesh.triangles if elements is None else self.mesh.triangles[elements]
+        areas = self.areas if elements is None else self.areas[elements]
+        grads = self.grads if elements is None else self.grads[elements]
+        local = np.einsum("e,eid,ejd->eij", areas, grads, grads)
+        rows = np.repeat(tri, 3, axis=1).ravel()
+        cols = np.tile(tri, (1, 3)).ravel()
+        return sp.coo_matrix((local.ravel(), (rows, cols)),
                              shape=(self.n_nodes, self.n_nodes)).tocsr()
 
 
@@ -234,6 +238,14 @@ class BandCholesky:
 def factor_tangent(space, dofmap, dh):
     """Cholesky factor of the reduced tangent of element tangents dh."""
     return BandCholesky(dofmap.reduce_matrix(space.tangent_matrix(dh)))
+
+
+def tangent_product(space, dofmap, dh, x):
+    """C^T K C x for element tangents dh, one reduced vector per column of x."""
+    m = len(dh)
+    b = (space._curl_op @ dofmap.expand(x)).reshape(m, 2, -1)
+    h = space.areas[:, None, None] * (dh @ b)
+    return dofmap.reduce_vector(space._curl_op.T @ h.reshape(2 * m, -1))
 
 
 def newton_solve(space, dofmap, respond, load_full, u0=None, tol=1e-8,

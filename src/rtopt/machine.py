@@ -31,7 +31,7 @@ import numpy as np
 from . import laws
 from .errors import ConfigurationError, SolverError, UsageError
 from .fem import (DofMap, P1Space, ScreenedSmoother, adjoint_solve,
-                  factor_tangent, newton_solve)
+                  factor_tangent, newton_solve, tangent_product)
 from .laws import MU0
 
 log = logging.getLogger(__name__)
@@ -347,16 +347,25 @@ class MachineProblem:
         loads = [-space.flux_divergence(h) for h, _ in hs] + [
             space.load_vector(self._coil_density(0.0, 0.0, wave))
             for wave in (np.cos, np.sin)]
+        dh = hs[0][1]
         try:
-            factor = factor_tangent(space, dofmap, hs[0][1])
+            factor = factor_tangent(space, dofmap, dh)
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular tangent system of the linear-iron basis") from exc
-        states = dofmap.expand(factor.solve(dofmap.reduce_vector(
+
+        def solve(b):
+            # One step of iterative refinement: the linear-iron tangent is
+            # ill-conditioned (about 1e7), and the unrefined torque depends on
+            # the factorization in the 12th digit.
+            x = factor.solve(b)
+            return x + factor.solve(b - tangent_product(space, dofmap, dh, x))
+
+        states = dofmap.expand(solve(dofmap.reduce_vector(
             np.column_stack(loads)))).T
         rhs = dofmap.reduce_vector(np.column_stack(
             [self.torque_probe.torque_gradient(space, u) for u in states]))
         self.bases_built += 1
-        return states, dofmap.expand(factor.solve(rhs)).T
+        return states, dofmap.expand(solve(rhs)).T
 
     def _from_basis(self, design, q, row):
         """Basis states (row 0) or adjoints (row 1) combined at every position.
