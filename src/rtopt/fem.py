@@ -212,6 +212,7 @@ class NewtonInfo:
     tolerance: float
     steps: list                 # accepted step lengths
     rejected: int               # trial steps refused by the energy test
+    warm: bool                  # started from a given u0, not from zero
 
 
 def newton_summary(infos):
@@ -219,7 +220,8 @@ def newton_summary(infos):
     its = [info.iterations for info in infos]
     return {"solves": len(its), "iterations": sum(its),
             "max_iterations": max(its, default=0),
-            "rejected_trials": sum(info.rejected for info in infos)}
+            "rejected_trials": sum(info.rejected for info in infos),
+            "warm_starts": sum(info.warm for info in infos)}
 
 
 class BandCholesky:
@@ -260,6 +262,7 @@ def newton_solve(space, dofmap, respond, load_full, u0=None, tol=1e-8,
     exact for linear laws (whose full step passes); stagnation raises SolverError.
     Every step factors its own tangent.
     """
+    warm = u0 is not None
     u = np.zeros(space.n_nodes) if u0 is None else dofmap.expand(
         dofmap.restrict(np.asarray(u0, dtype=float)))
     load_red = dofmap.reduce_vector(load_full)
@@ -273,7 +276,7 @@ def newton_solve(space, dofmap, respond, load_full, u0=None, tol=1e-8,
     tol_abs = tol * max(float(np.linalg.norm(f0)), 1e-300)
     history, steps, rejected = [float(np.linalg.norm(f))], [], 0
     if history[0] <= tol_abs:
-        return u, NewtonInfo(0, history, tol_abs, steps, rejected)
+        return u, NewtonInfo(0, history, tol_abs, steps, rejected, warm)
 
     for it in range(1, max_iter + 1):
         # no local keeps the factor, so it is freed before the next one is made
@@ -300,7 +303,7 @@ def newton_solve(space, dofmap, respond, load_full, u0=None, tol=1e-8,
         history.append(float(np.linalg.norm(f)))
         steps.append(alpha)
         if history[-1] <= tol_abs:
-            return u, NewtonInfo(it, history, tol_abs, steps, rejected)
+            return u, NewtonInfo(it, history, tol_abs, steps, rejected, warm)
 
     raise SolverError(
         f"Newton did not reach tolerance in {max_iter} iterations",

@@ -231,7 +231,8 @@ class NominalEvaluator:
     the inner maximization. Each design opens one robust.ParameterObjective,
     the per-q memo of states and adjoints (linear iron draws them from
     MachineProblem's per-design basis), and the field is the plain
-    objective's sensitivity frozen at the chosen q.
+    objective's sensitivity frozen at the chosen q. The position-0 states
+    of the last design evaluated are where the next design's Newton starts.
     """
 
     def __init__(self, problem, iron_to_air, air_to_iron, q=None):
@@ -239,6 +240,7 @@ class NominalEvaluator:
         self.iron_to_air = iron_to_air
         self.air_to_iron = air_to_iron
         self.q = problem._q_array(q)
+        self._position0 = []
 
     def worst_case(self, objective):
         """Parameter the design is scored at."""
@@ -251,10 +253,12 @@ class NominalEvaluator:
         """Evaluation of a design whose sensitivity is the raw element field."""
         from . import robust
 
-        objective = robust.ParameterObjective(self.problem, design)
+        objective = robust.ParameterObjective(self.problem, design,
+                                              self._position0)
         q = self.worst_case(objective)
         value = objective.value(q)
         states, adjoints = objective.solution_pack(q)
+        self._position0 = objective.position0()
         g_elem = robust.robust_td_field(self.problem, design, self.iron_to_air,
                                         self.air_to_iron, q, states, adjoints)
         return Evaluation(value, g_elem, q_star=q.copy())

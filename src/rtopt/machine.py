@@ -382,23 +382,23 @@ class MachineProblem:
         weights = np.column_stack(magnets + [np.sin(theta), np.cos(theta)])
         return list(weights @ self._basis[1 + row])
 
-    def states(self, design, q=None, starts=None):
+    def states(self, design, q=None, starts=()):
         """States at every rotor position, in order: the design's basis
-        combined (linear iron), or Newton from starts[n] (a nearby q's states)
-        when given, else from the previous position's state."""
+        combined (linear iron), or Newton from starts[n] (a nearby state)
+        where given, else from the previous position's state."""
         q = self._q_array(q)
         if self.spec.iron_linear:
             return self._from_basis(design, q, 0)
         out = []
         for n in range(self.scenario.n_positions):
-            u0 = starts[n] if starts is not None else (out[-1] if out else None)
+            u0 = starts[n] if n < len(starts) else (out[-1] if out else None)
             out.append(self.solve_position(design, q, n, u0)[0])
         return out
 
     def torque(self, u):
         return self.torque_probe.torque(self.space, u)
 
-    def objective(self, design, q=None, starts=None):
+    def objective(self, design, q=None, starts=()):
         """Objective value and the per-position states that produced it."""
         states = self.states(design, q, starts)
         torques = np.array([self.torque(u) for u in states])

@@ -207,12 +207,15 @@ class ParameterObjective:
     Every evaluator opens one objective per design and takes its states and
     adjoints from here. With nonlinear iron the memo is their only store;
     linear iron combines them from MachineProblem's per-design basis, and
-    the memo keeps the combinations.
+    the memo keeps the combinations. previous holds (q, [state at position
+    0]) pairs of an earlier design (`position0` of its objective), where
+    Newton starts until this design has solved a q of its own.
     """
 
-    def __init__(self, problem, design):
+    def __init__(self, problem, design, previous=()):
         self.problem = problem
         self.design = np.asarray(design, dtype=bool)
+        self.previous = previous
         self._memo = {}
         self._order = []
         self.n_evaluations = 0
@@ -220,10 +223,13 @@ class ParameterObjective:
     def _entry(self, q):
         key = np.asarray(q, dtype=float).tobytes()
         if key not in self._memo:
-            # nonlinear Newton starts each position at the nearest solved q
-            near = min(self._memo.values(), default={"states": None},
-                       key=lambda e: np.linalg.norm(e["q"] - q))
-            value, states = self.problem.objective(self.design, q, near["states"])
+            # nonlinear Newton starts each position at the nearest q this
+            # design solved, else position 0 at the previous design's nearest
+            pool = ([(e["q"], e["states"]) for e in self._memo.values()]
+                    or self.previous)
+            _, starts = min(pool, default=(None, ()),
+                            key=lambda p: np.linalg.norm(p[0] - q))
+            value, states = self.problem.objective(self.design, q, starts)
             self.n_evaluations += 1
             self._memo[key] = {"q": np.asarray(q, dtype=float), "value": value,
                                "states": states, "adjoints": None, "grad": None}
@@ -235,6 +241,10 @@ class ParameterObjective:
 
     def value(self, q):
         return self._entry(q)["value"]
+
+    def position0(self):
+        """(q, [state at position 0]) of every memoized q, in solve order."""
+        return [(e["q"], e["states"][:1]) for e in self._memo.values()]
 
     def value_grad(self, q):
         e = self._entry(q)

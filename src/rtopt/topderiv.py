@@ -92,8 +92,9 @@ class ExteriorProblem:
         self.inclusion_area = float(self.space.areas[self.inclusion].sum())
         self.newton_log = []        # NewtonInfo of every corrector solve, in order
 
-    def solve_corrector(self, U, law_in, law_out):
-        """Corrector k for far-field flux U = (t, 0) and the two laws."""
+    def solve_corrector(self, U, law_in, law_out, u0=None):
+        """Corrector k for far-field flux U = (t, 0) and the two laws, by
+        Newton from u0 (a nearby sample's corrector) or from zero."""
         U = np.asarray(U, dtype=float)
         if U[1] != 0.0:
             raise UsageError("corrector far field must lie along e_x: "
@@ -114,7 +115,7 @@ class ExteriorProblem:
             return h, dh
 
         load = np.zeros(self.space.n_nodes)
-        k, info = newton_solve(self.space, self.dofmap, respond, load,
+        k, info = newton_solve(self.space, self.dofmap, respond, load, u0=u0,
                                tol=CORRECTOR_TOL, max_iter=CORRECTOR_MAX_ITER)
         self.newton_log.append(info)
         return k, info
@@ -291,14 +292,17 @@ class TDTable:
 
 def sample_table(materials, direction, exterior_config=None, q_range=None,
                  problem=None):
-    """Sample one direction's table by cold-start corrector solves.
+    """Sample one direction's table by corrector solves.
 
     materials carries the iron/air constants (a machine MaterialSpec). With
     q_range=(lo, hi) the iron knee sweeps n_q uniform samples and the table
     gains a knee axis; otherwise the nominal knee is used throughout.
-    Saturating iron solves every (t, knee) sample. Linear laws make the
-    corrector and its response pair linear in t and free of the knee, so
-    one solve at t = 1 gives every entry as t times that pair.
+    Saturating iron solves every (t, knee) sample, each continued from its
+    nearest solved sample (Deuflhard, Newton Methods for Nonlinear Problems,
+    2004, ch. 5): the same t at the previous knee, or the previous t at the
+    first knee. Linear laws make the corrector and its response pair linear
+    in t and free of the knee, so one solve at t = 1 gives every entry as t
+    times that pair.
     """
     cfg = exterior_config or ExteriorConfig()
     cfg.validate()
@@ -307,22 +311,27 @@ def sample_table(materials, direction, exterior_config=None, q_range=None,
     knees = (np.linspace(q_range[0], q_range[1], cfg.n_q)
              if q_range is not None else np.array([materials.k_f]))
 
-    def pair(t, knee):
+    def pair(t, knee, u0=None):
         law_in, law_out = laws_for_direction(direction, materials, knee)
         U = np.array([t, 0.0])
-        k, _ = prob.solve_corrector(U, law_in, law_out)
-        return prob.response_pair(k, U, law_in, law_out)
+        k, _ = prob.solve_corrector(U, law_in, law_out, u0)
+        return prob.response_pair(k, U, law_in, law_out), k
 
     f_par = np.zeros((cfg.n_t, len(knees)))
     f_perp = np.zeros((cfg.n_t, len(knees)))
     if materials.iron_linear:
-        unit_par, unit_perp = pair(1.0, materials.k_f)
+        (unit_par, unit_perp), _ = pair(1.0, materials.k_f)
         f_par[1:] = t_vals[1:, None] * unit_par
         f_perp[1:] = t_vals[1:, None] * unit_perp
     else:
+        # column[it]: the last corrector solved at t_vals[it]; t_vals[0] = 0
+        # has no response, so only the first sample starts from zero
+        column = [None] * cfg.n_t
         for jq, knee in enumerate(knees):
-            for it in range(1, cfg.n_t):        # t_vals[0] = 0 has no response
-                f_par[it, jq], f_perp[it, jq] = pair(t_vals[it], knee)
+            for it in range(1, cfg.n_t):
+                u0 = column[it] if jq else column[it - 1]
+                (f_par[it, jq], f_perp[it, jq]), column[it] = pair(
+                    t_vals[it], knee, u0)
 
     meta = {"radius": cfg.radius, "mesh_nodes": prob.mesh.n_nodes,
             "target_nodes": cfg.target_nodes}

@@ -142,7 +142,8 @@ def test_precompute_audit_output(tables_ready, capsys):
     with open(ws["out"] / "tables" / "summary.json") as f:
         summary = json.load(f)
     assert summary["newton"] == {"solves": 2, "iterations": 2,
-                                 "max_iterations": 1, "rejected_trials": 0}
+                                 "max_iterations": 1, "rejected_trials": 0,
+                                 "warm_starts": 0}
     assert 2 * summary["reduced_unknowns"] < summary["mesh_nodes"]
     assert '"reduced_unknowns"' in out
 
@@ -191,7 +192,8 @@ def test_optimize_nominal_artifacts(tables_ready, capsys):
     assert summary["worst_parameters"] == [np.deg2rad(-60.0)]
     # linear iron: no Newton solve, one basis (one factorization) per design
     assert summary["newton"] == {"solves": 0, "iterations": 0,
-                                 "max_iterations": 0, "rejected_trials": 0}
+                                 "max_iterations": 0, "rejected_trials": 0,
+                                 "warm_starts": 0}
     assert summary["linear_bases"] == summary["evaluations"]
     assert final.startswith(b"RTOLS1\n")
     svg = (rundir / "design_final.svg").read_text()

@@ -227,6 +227,7 @@ def test_warm_started_positions_match_cold_solves(toy_mesh, monkeypatch):
     chained, solves[:] = solves[:], []
     cold = [problem.solve_position(design, None, n)[0] for n in range(3)]
     assert [started for started, _ in chained] == [False, True, True]
+    assert [i.warm for _, i in chained + solves] == [False, True, True] + [False] * 3
 
     tol = problem.solver.newton_tol
     for uw, uc, (_, iw), (_, ic) in zip(warm, cold, chained, solves):
@@ -240,7 +241,7 @@ def test_warm_started_positions_match_cold_solves(toy_mesh, monkeypatch):
     its = [i.iterations for i in infos]
     assert newton_summary(problem.newton_log) == {
         "solves": 6, "iterations": sum(its), "max_iterations": max(its),
-        "rejected_trials": sum(i.rejected for i in infos)}
+        "rejected_trials": sum(i.rejected for i in infos), "warm_starts": 2}
 
     # linear iron combines one basis per design: no Newton solve at all
     solves.clear()

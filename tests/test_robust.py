@@ -6,10 +6,12 @@ import pytest
 
 from rtopt import machine
 from rtopt.errors import ConfigurationError, SolverError, UsageError
-from rtopt.levelset import NominalEvaluator
+from rtopt.fem import newton_summary
+from rtopt.levelset import LevelSetOptions, NominalEvaluator, optimize_nominal
 from rtopt.machine import MachineProblem, MaterialSpec, Scenario
 from rtopt.robust import (BallSet, InnerParams, IntervalSet,
                           ParameterObjective, RobustEvaluator, inner_maximize)
+from rtopt.topderiv import ExteriorConfig, precompute_tables
 
 
 def test_interval_basics():
@@ -219,6 +221,91 @@ def test_new_q_starts_from_nearest_solved_q(toy_mesh, monkeypatch):
     tol = problem.solver.newton_tol
     for uw, uc in zip(warm, cold):
         assert np.linalg.norm(uw - uc) <= 10 * tol * np.linalg.norm(uc)
+
+
+def test_new_design_starts_from_previous_design(toy_mesh, monkeypatch):
+    # position 0 of a new design starts at the previous design's position 0
+    # of the nearest q, positions 1... chain; once the design has solved a q
+    # of its own, that q's states win
+    starts = []
+    newton_solve = machine.newton_solve
+
+    def spy(*args, **kwargs):
+        starts.append(kwargs["u0"])
+        return newton_solve(*args, **kwargs)
+
+    monkeypatch.setattr(machine, "newton_solve", spy)
+    problem = MachineProblem(toy_mesh, MaterialSpec(),
+                             Scenario(name="DIST", n_positions=2,
+                                      q_hat=np.full(9, 2.2)))
+    rng = np.random.default_rng(8)
+    n = len(problem.design_elements)
+    old = ParameterObjective(problem, rng.random(n) > 0.5)
+    far, near, new = np.full(9, 2.5), np.full(9, 2.2), np.full(9, 2.25)
+    old.value(far)
+    old.value(near)
+    previous = old.position0()
+    assert np.array_equal([q for q, _ in previous], [far, near])
+    obj = ParameterObjective(problem, rng.random(n) > 0.5, previous)
+    del starts[:]
+    states = obj.solution_pack(new)[0]
+    assert starts[0] is previous[1][1][0]
+    assert starts[1] is states[0]
+    del starts[:]
+    obj.value(far)
+    assert starts[0] is states[0] and starts[1] is states[1]
+
+
+@pytest.fixture(scope="module")
+def saturating_tables():
+    return precompute_tables(MaterialSpec(), ExteriorConfig(
+        radius=64.0, target_nodes=1500, t_max=5.0, n_t=6))
+
+
+def test_descent_warm_start_keeps_cold_path(toy_mesh, saturating_tables,
+                                            monkeypatch):
+    # each new design starts Newton from the previous design's states: the
+    # same trials are accepted and rejected as with cold first positions,
+    # and J ends within the Newton tolerance
+    def run():
+        problem = MachineProblem(toy_mesh, MaterialSpec(),
+                                 Scenario(name="NOM", n_positions=2))
+        psi0 = np.random.default_rng(0).standard_normal(
+            len(problem.design_nodes))
+        result = optimize_nominal(problem, saturating_tables["iron_to_air"],
+                                  saturating_tables["air_to_iron"], psi0,
+                                  LevelSetOptions(max_iterations=4))
+        return result, newton_summary(problem.newton_log), problem.solver
+
+    warm, warm_counts, solver = run()
+    monkeypatch.setattr(ParameterObjective, "position0", lambda self: [])
+    cold, cold_counts, _ = run()
+    accepted = [row.accepted for row in warm.trace]
+    assert warm.iterations >= 3 and not all(accepted)
+    assert accepted == [row.accepted for row in cold.trace]
+    tol = 10 * solver.newton_tol
+    assert abs(warm.value - cold.value) <= tol * abs(cold.value)
+    # only the first design's position 0 starts from zero
+    assert warm_counts["solves"] == cold_counts["solves"] == 2 * warm.evaluations
+    assert warm_counts["warm_starts"] == warm_counts["solves"] - 1
+    assert cold_counts["warm_starts"] == warm.evaluations
+    assert warm_counts["rejected_trials"] < cold_counts["rejected_trials"]
+
+
+def test_objective_keeps_no_design_history(toy_mesh, saturating_tables):
+    problem = MachineProblem(toy_mesh, MaterialSpec(),
+                             Scenario(name="NOM", n_positions=2))
+    rng = np.random.default_rng(5)
+    design = rng.random(len(problem.design_elements)) > 0.5
+    value, states = problem.objective(design)
+    ev = NominalEvaluator(problem, saturating_tables["iron_to_air"],
+                          saturating_tables["air_to_iron"])
+    for _ in range(2):
+        ev.field(rng.random(len(problem.design_elements)) > 0.5)
+    again, states_again = problem.objective(design)
+    assert again == value
+    assert all(np.array_equal(a, b) for a, b in zip(states, states_again,
+                                                    strict=True))
 
 
 def test_singleton_robust_matches_nominal(toy_problem, linear_tables):
