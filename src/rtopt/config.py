@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,6 +48,18 @@ class RunConfig:
     seed: int = 0
     output_dir: str = "runs/out"
     snapshot_interval: int = 10
+
+    def __post_init__(self):
+        if self.psi0_mode not in PSI0_MODES:
+            raise ConfigurationError(
+                f"psi0 must be one of {', '.join(PSI0_MODES)}; "
+                f"got {self.psi0_mode!r}")
+        if self.smoothing_eps is not None and self.smoothing_eps <= 0:
+            raise ConfigurationError("smoothing_eps must be positive")
+        if self.snapshot_interval < 1:
+            raise ConfigurationError("snapshot_interval must be at least 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative; got {self.seed}")
 
     def table_q_range(self):
         """Knee interval the sensitivity tables must span, or None."""
@@ -234,24 +246,25 @@ def _settings(raw, target):
 
 
 def _build_scenario(raw, spec):
-    scen = Scenario(**_settings(raw, "scenario"))
+    settings = _settings(raw, "scenario")
+    name = settings.get("name", Scenario.name)
 
     bounds = _settings(raw, "set")
     uncertainty = None
-    if scen.name == "ANG":
+    if name == "ANG":
         q_hat = np.array([np.deg2rad(bounds.get("q_hat_deg", 6.0))])
         lo, hi = bounds.get("interval_deg", (-9.0, 21.0))
         if not lo < hi:
             raise ConfigurationError("phase interval must have lo < hi")
         uncertainty = IntervalSet(np.array([np.deg2rad(lo)]),
                                   np.array([np.deg2rad(hi)]))
-    elif scen.name == "SCAL":
+    elif name == "SCAL":
         q_hat = np.array([bounds.get("q_hat_knee", spec.k_f)])
         lo, hi = bounds.get("interval_knee", (0.9 * spec.k_f, 1.1 * spec.k_f))
         if not 0 < lo < hi:
             raise ConfigurationError("knee interval must have 0 < lo < hi")
         uncertainty = IntervalSet(np.array([lo]), np.array([hi]))
-    elif scen.name == "DIST":
+    elif name == "DIST":
         q_hat = np.full(ROTOR_BLOCKS + 1, bounds.get("q_hat_knee", spec.k_f))
         radius = bounds.get("ellipsoid_radius", 0.1 * spec.k_f)
         if radius <= 0 or radius >= q_hat.min():
@@ -259,9 +272,9 @@ def _build_scenario(raw, spec):
                 "ellipsoid radius must be positive and keep knees positive")
         uncertainty = BallSet(q_hat.copy(), radius)
     if uncertainty is not None:
-        scen = replace(scen, q_hat=q_hat)
+        settings["q_hat"] = q_hat
 
-    scen.validate()
+    scen = Scenario(**settings)
     if uncertainty is not None and not uncertainty.contains(q_hat, 1e-9):
         raise ConfigurationError(
             "nominal parameter vector lies outside the uncertainty set")
@@ -272,34 +285,17 @@ def load_config(path):
     """Parse and validate one run configuration file."""
     raw = _read_sections(path)
     geometry = MachineGeometry(**_settings(raw, "geometry"))
-    geometry.validate()
     materials = MaterialSpec(**_settings(raw, "materials"))
-    if materials.nu_f <= 0 or materials.k_f <= 0 or materials.n_f < 2:
-        raise ConfigurationError("material constants out of range")
     scenario, uncertainty = _build_scenario(raw, materials)
     exterior = ExteriorConfig(**_settings(raw, "exterior"))
-    exterior.validate()
     levelset = LevelSetOptions(**_settings(raw, "levelset"))
-    levelset.validate()
     inner = InnerParams(**_settings(raw, "inner"))
-    inner.validate()
     solver = SolverOptions(**_settings(raw, "solver"))
-    if solver.newton_tol <= 0 or solver.newton_max_iter < 1:
-        raise ConfigurationError("newton controls out of range")
 
     cfg = RunConfig(geometry=geometry, materials=materials, scenario=scenario,
                     uncertainty=uncertainty, exterior=exterior,
                     levelset=levelset, inner=inner, solver=solver,
                     **_settings(raw, "run"))
-    if cfg.psi0_mode not in PSI0_MODES:
-        raise ConfigurationError(
-            f"psi0 must be one of {', '.join(PSI0_MODES)}; got {cfg.psi0_mode!r}")
-    if cfg.smoothing_eps is not None and cfg.smoothing_eps <= 0:
-        raise ConfigurationError("smoothing_eps must be positive")
-    if cfg.snapshot_interval < 1:
-        raise ConfigurationError("snapshot_interval must be at least 1")
-    if cfg.seed < 0:
-        raise ConfigurationError(f"seed must be non-negative; got {cfg.seed}")
 
     root = os.environ.get("RTOPT_OUTPUT_ROOT")
     if root and not os.path.isabs(cfg.output_dir):

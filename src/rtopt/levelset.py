@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, UsageError, read_format_lines
+from .errors import ConfigurationError, FormatError, UsageError, read_format_lines
 
 LEVELSET_FORMAT = "RTOLS1"
 
@@ -36,8 +36,7 @@ class LevelSetOptions:
     step_shrink: float = 0.5
     step_grow: float = 1.5
 
-    def validate(self):
-        from .errors import ConfigurationError
+    def __post_init__(self):
         if not (0 < self.step_min <= self.step_init <= self.step_max <= 1.0):
             raise ConfigurationError(
                 "need 0 < step_min <= step_init <= step_max <= 1")
@@ -154,16 +153,15 @@ def drive(evaluator, psi0, geometry, options=None, snapshot=None):
     """Fixed-point descent on the level-set sphere.
 
     evaluator(psi) returns an Evaluation whose sensitivity is a nodal field
-    over the same dofs as psi; geometry supplies the mass inner product and
+    over the same dofs as psi, and evaluator.design_key(psi) is equal for
+    fields of one design; geometry supplies the mass inner product and
     norm of those fields (the design region's ScreenedSmoother). Steps are
     accepted only on strict decrease of the value; the step fraction
     persists across iterations, growing after each accepted step and
     shrinking on rejection down to step_min.
     """
     opts = options or LevelSetOptions()
-    opts.validate()
     t0 = time.perf_counter()
-    design_key = getattr(evaluator, "design_key", None)
 
     psi = normalize(np.asarray(psi0, dtype=float), geometry)
     ev = evaluator(psi)
@@ -178,7 +176,7 @@ def drive(evaluator, psi0, geometry, options=None, snapshot=None):
 
     tol = np.radians(opts.angle_tol_deg)
     k = 0
-    key = design_key(psi) if design_key is not None else None
+    key = evaluator.design_key(psi)
     status = STATUS_MAX_ITERATIONS
     while True:
         drift = abs(geometry.norm(psi) - 1.0)
@@ -191,7 +189,7 @@ def drive(evaluator, psi0, geometry, options=None, snapshot=None):
             status = STATUS_MAX_ITERATIONS
             break
         trial = slerp_update(psi, g_hat, s, theta)
-        if design_key is not None and design_key(trial) == key:
+        if evaluator.design_key(trial) == key:
             # no element changes material: the objective cannot move, so
             # realign psi inside the design's equivalence class for free
             psi = normalize(trial, geometry)
@@ -204,8 +202,7 @@ def drive(evaluator, psi0, geometry, options=None, snapshot=None):
             psi, ev = trial, trial_ev
             g_hat = normalize(ev.sensitivity, geometry)
             theta = angle_between(psi, g_hat, geometry)
-            if design_key is not None:
-                key = design_key(psi)
+            key = evaluator.design_key(psi)
             trace.append(TraceRow(k, ev.value, np.degrees(theta), s, True,
                                   time.perf_counter() - t0, ev.q_star))
             if snapshot is not None:

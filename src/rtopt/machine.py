@@ -64,6 +64,10 @@ class MaterialSpec:
     j_peak: float = 23.7e6
     phi0: float = np.deg2rad(6.0)
 
+    def __post_init__(self):
+        if self.nu_f <= 0 or self.k_f <= 0 or self.n_f < 2:
+            raise ConfigurationError("material constants out of range")
+
     def iron_law(self, knee=None):
         """The iron law of these constants, with its knee at k_f or knee."""
         return laws.iron_law(self.nu0, self.nu_f,
@@ -100,7 +104,7 @@ class Scenario:
         return {"NOM": 0, "ANG": 1, "SCAL": 1,
                 "DIST": ROTOR_BLOCKS + 1}[self.name]
 
-    def validate(self):
+    def __post_init__(self):
         if self.name not in ("NOM", "ANG", "SCAL", "DIST"):
             raise ConfigurationError(f"unknown scenario {self.name!r}")
         if self.n_positions < 1:
@@ -112,10 +116,14 @@ class Scenario:
                 f"got shape {q.shape}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverOptions:
     newton_tol: float = 1e-8
     newton_max_iter: int = 50
+
+    def __post_init__(self):
+        if self.newton_tol <= 0 or self.newton_max_iter < 1:
+            raise ConfigurationError("newton controls out of range")
 
 
 class TorqueProbe:
@@ -192,7 +200,6 @@ class MachineProblem:
         self.mesh = mesh
         self.spec = materials or MaterialSpec()
         self.scenario = scenario or Scenario()
-        self.scenario.validate()
         self.solver = solver or SolverOptions()
         self.space = P1Space(mesh)
         self.dofmap = DofMap(mesh)

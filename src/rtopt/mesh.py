@@ -206,7 +206,7 @@ class MachineGeometry:
     coil_C_window: tuple = (np.deg2rad(31.0), np.deg2rad(43.0))
     target_nodes: int = 4000
 
-    def validate(self):
+    def __post_init__(self):
         radii = (0.0, self.r_shaft, self.r_design, self.r_gap_outer, self.r_outer)
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ConfigurationError("machine radii must be strictly increasing")
@@ -251,7 +251,6 @@ def _machine_ring_radii(geo, m_ang):
 def build_machine_mesh(geo=None):
     """Mesh one 45-degree pole; returns a Mesh with the nine machine regions."""
     geo = geo or MachineGeometry()
-    geo.validate()
 
     # calibrate the angular count so node totals land near the target
     best = None

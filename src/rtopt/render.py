@@ -57,12 +57,11 @@ def _contour_segments(points, triangles, values):
     return np.stack(ends, axis=1)
 
 
-def render_design_svg(mesh, design=None, psi=None, design_nodes=None,
-                      title="design"):
+def render_design_svg(mesh, design, psi, design_nodes, title="design"):
     """Return the SVG document for one design as a string.
 
-    design is the per-design-element iron mask; psi (with design_nodes) adds
-    the zero contour. Either may be omitted.
+    design is the per-design-element iron mask; psi, the nodal level set on
+    design_nodes, gives the zero contour.
     """
     pts = mesh.vertices * MM
     names = mesh.region_names
@@ -88,10 +87,6 @@ def render_design_svg(mesh, design=None, psi=None, design_nodes=None,
               f'width="{width:.3f}" height="{height:.3f}" fill="#fbfbfc"/>\n')
 
     hair = 0.0015 * max(width, height)
-    design_idx = None
-    if "design" in names:
-        design_idx = names.index("design")
-
     for name in names:
         if name == "design":
             continue
@@ -103,41 +98,31 @@ def render_design_svg(mesh, design=None, psi=None, design_nodes=None,
                   f'stroke-width="{hair:.4f}" '
                   f'd="{_path_for(flipped, tris)}"/>\n')
 
-    if design_idx is not None:
-        elems = np.flatnonzero(rid == design_idx)
-        tris = mesh.triangles[elems]
-        if design is None:
-            mask = np.ones(len(elems), dtype=bool)
-        else:
-            mask = np.asarray(design, dtype=bool)
-            if mask.shape != (len(elems),):
-                raise UsageError("design mask length does not match the mesh")
-        for fill, sel in ((DESIGN_IRON_FILL, mask), (DESIGN_AIR_FILL, ~mask)):
-            if not sel.any():
-                continue
-            buf.write(f'<path fill="{fill}" stroke="{fill}" '
-                      f'stroke-width="{hair:.4f}" '
-                      f'd="{_path_for(flipped, tris[sel])}"/>\n')
+    tris = mesh.triangles[mesh.elements_in("design")]
+    mask = np.asarray(design, dtype=bool)
+    if mask.shape != (len(tris),):
+        raise UsageError("design mask length does not match the mesh")
+    for fill, sel in ((DESIGN_IRON_FILL, mask), (DESIGN_AIR_FILL, ~mask)):
+        if not sel.any():
+            continue
+        buf.write(f'<path fill="{fill}" stroke="{fill}" '
+                  f'stroke-width="{hair:.4f}" '
+                  f'd="{_path_for(flipped, tris[sel])}"/>\n')
 
-        if psi is not None:
-            if design_nodes is None:
-                raise UsageError("psi needs design_nodes to locate its values")
-            full = np.zeros(mesh.n_nodes)
-            full[np.asarray(design_nodes)] = np.asarray(psi, dtype=float)
-            segs = _contour_segments(flipped, tris, full)
-            if len(segs):
-                d = ("M%.3f %.3fL%.3f %.3f" * len(segs)) % tuple(
-                    segs.ravel().tolist())
-                buf.write(f'<path fill="none" stroke="{CONTOUR_STROKE}" '
-                          f'stroke-width="{3 * hair:.4f}" '
-                          f'stroke-linecap="round" d="{d}"/>\n')
+    full = np.zeros(mesh.n_nodes)
+    full[np.asarray(design_nodes)] = np.asarray(psi, dtype=float)
+    segs = _contour_segments(flipped, tris, full)
+    if len(segs):
+        d = ("M%.3f %.3fL%.3f %.3f" * len(segs)) % tuple(segs.ravel().tolist())
+        buf.write(f'<path fill="none" stroke="{CONTOUR_STROKE}" '
+                  f'stroke-width="{3 * hair:.4f}" '
+                  f'stroke-linecap="round" d="{d}"/>\n')
 
     buf.write("</svg>\n")
     return buf.getvalue()
 
 
-def save_design_svg(path, mesh, design=None, psi=None, design_nodes=None,
-                    title="design"):
+def save_design_svg(path, mesh, design, psi, design_nodes, title="design"):
     doc = render_design_svg(mesh, design, psi, design_nodes, title)
     with open(path, "w") as f:
         f.write(doc)

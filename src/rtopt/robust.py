@@ -106,7 +106,7 @@ class InnerParams:
     gamma: float = 0.1
     max_iterations: int = 100
 
-    def validate(self):
+    def __post_init__(self):
         if not 0.0 < self.gamma < 0.5:
             raise ConfigurationError("sufficient-increase constant must be in (0, 1/2)")
         if not 0 < self.tau_min <= self.tau_max:
@@ -166,7 +166,6 @@ def inner_maximize(objective, uset, starts, params=None):
     start are logged and skipped, all starts failing is an error.
     """
     params = params or InnerParams()
-    params.validate()
     dedup = []
     for s in starts:
         s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -217,7 +216,6 @@ class ParameterObjective:
         self.design = np.asarray(design, dtype=bool)
         self.previous = previous
         self._memo = {}
-        self._order = []
         self.n_evaluations = 0
 
     def _entry(self, q):
@@ -233,10 +231,8 @@ class ParameterObjective:
             self.n_evaluations += 1
             self._memo[key] = {"q": np.asarray(q, dtype=float), "value": value,
                                "states": states, "adjoints": None, "grad": None}
-            self._order.append(key)
-            if len(self._order) > MEMO_LIMIT:
-                old = self._order.pop(0)
-                del self._memo[old]
+            if len(self._memo) > MEMO_LIMIT:
+                del self._memo[next(iter(self._memo))]
         return self._memo[key]
 
     def value(self, q):

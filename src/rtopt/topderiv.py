@@ -59,7 +59,7 @@ class ExteriorConfig:
     n_t: int = 50
     n_q: int = 10
 
-    def validate(self):
+    def __post_init__(self):
         if self.radius <= 2.0:
             raise ConfigurationError("exterior truncation radius must exceed 2")
         if self.n_t < 2:
@@ -75,7 +75,6 @@ class ExteriorProblem:
 
     def __init__(self, config=None):
         self.config = config or ExteriorConfig()
-        self.config.validate()
         self.mesh = graded_disk_mesh(self.config.radius, self.config.target_nodes)
         self.space = P1Space(self.mesh)
         # lower-half nodes are slaves (sign -1) of their mirrors; the nodes
@@ -305,7 +304,6 @@ def sample_table(materials, direction, exterior_config=None, q_range=None,
     times that pair.
     """
     cfg = exterior_config or ExteriorConfig()
-    cfg.validate()
     prob = problem or ExteriorProblem(cfg)
     t_vals = np.linspace(0.0, cfg.t_max, cfg.n_t)
     knees = (np.linspace(q_range[0], q_range[1], cfg.n_q)

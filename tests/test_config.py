@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import logging
 import logging.handlers
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtopt.cli import main
-from rtopt.config import load_config
+from rtopt.config import RunConfig, load_config
 from rtopt.errors import ConfigurationError
 from rtopt.levelset import LevelSetOptions
-from rtopt.machine import MaterialSpec, SolverOptions
+from rtopt.machine import MaterialSpec, Scenario, SolverOptions
 from rtopt.mesh import MachineGeometry
 from rtopt.robust import InnerParams
 from rtopt.topderiv import ExteriorConfig
@@ -49,6 +50,41 @@ def test_empty_config_keeps_dataclass_defaults(workdir):
     assert cfg.levelset == LevelSetOptions()
     assert cfg.inner == InnerParams()
     assert cfg.solver == SolverOptions()
+
+
+def _valid_settings(cls):
+    """Constructor arguments of one valid option object of type cls."""
+    if cls is not RunConfig:
+        return {}
+    return dict(geometry=MachineGeometry(), materials=MaterialSpec(),
+                scenario=Scenario(), uncertainty=None,
+                exterior=ExteriorConfig(), levelset=LevelSetOptions(),
+                inner=InnerParams(), solver=SolverOptions())
+
+
+# one refused value per option type, with its message
+BAD_VALUES = [
+    (LevelSetOptions, {"max_iterations": 0}, "max_iterations must be at least 1"),
+    (InnerParams, {"gamma": 0.9}, "sufficient-increase constant"),
+    (ExteriorConfig, {"n_t": 1}, "need at least two flux magnitudes"),
+    (MachineGeometry, {"r_shaft": 0.06}, "machine radii must be strictly"),
+    (Scenario, {"n_positions": 0}, "at least one rotor position"),
+    (MaterialSpec, {"n_f": 1}, "material constants out of range"),
+    (SolverOptions, {"newton_tol": 0.0}, "newton controls out of range"),
+    (RunConfig, {"seed": -1}, "seed must be non-negative"),
+]
+
+
+@pytest.mark.parametrize("cls, bad, message", BAD_VALUES,
+                         ids=[cls.__name__ for cls, _, _ in BAD_VALUES])
+def test_option_objects_are_checked_when_built(cls, bad, message):
+    # a library caller that builds an option object gets the configuration
+    # error there, not a solver failure at the object's first use
+    kwargs = _valid_settings(cls)
+    with pytest.raises(ConfigurationError, match=message):
+        cls(**kwargs, **bad)
+    with pytest.raises(ConfigurationError, match=message):
+        replace(cls(**kwargs), **bad)
 
 
 def _edit_lines(lines, kind, a, b, text):

@@ -104,6 +104,9 @@ class LinearObjective:
         self.calls += 1
         return Evaluation(-self.geo.inner(self.m, psi), 2.5 * self.m)
 
+    def design_key(self, psi):
+        return psi.tobytes()
+
 
 def test_drive_converges_on_linear_objective(geo):
     rng = np.random.default_rng(0)
@@ -128,6 +131,9 @@ def test_drive_stalls_on_flat_objective(geo):
             target = np.zeros(16)
             target[1] = 1.0
             return Evaluation(5.0, target)
+
+        def design_key(self, psi):
+            return psi.tobytes()
 
     psi0 = np.zeros(16)
     psi0[0] = 1.0

@@ -8,8 +8,8 @@ from rtopt import machine
 from rtopt.errors import ConfigurationError, UsageError
 from rtopt.fem import adjoint_solve, newton_summary
 from rtopt.laws import MU0
-from rtopt.machine import (COILS, POLE_PAIRS, MachineProblem, MaterialSpec,
-                           Scenario, TorqueProbe)
+from rtopt.machine import (COILS, POLE_PAIRS, ROTOR_BLOCKS, MachineProblem,
+                           MaterialSpec, Scenario, TorqueProbe)
 
 
 def test_phase_advance_matches_position_advance(toy_problem):
@@ -166,10 +166,10 @@ def test_linear_phase_gradient_matches_fd(toy_mesh, linear_spec, co_rotate):
     assert problem.bases_built == 1             # every q shares one basis
 
 
-@pytest.mark.parametrize("name", ["SCAL", "DIST"])
-def test_linear_iron_knee_gradient_matches_fd(toy_mesh, linear_spec, name):
+@pytest.mark.parametrize("name, n_q", [("SCAL", 1), ("DIST", ROTOR_BLOCKS + 1)],
+                         ids=["SCAL", "DIST"])
+def test_linear_iron_knee_gradient_matches_fd(toy_mesh, linear_spec, name, n_q):
     # the linear iron law has no knee, so J is flat in every knee parameter
-    n_q = Scenario(name=name).n_q
     problem = MachineProblem(toy_mesh, linear_spec,
                              Scenario(name=name, n_positions=1,
                                       q_hat=np.full(n_q, 2.2)))

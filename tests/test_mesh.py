@@ -81,11 +81,11 @@ def test_machine_mesh_deterministic():
 
 def test_machine_geometry_validation():
     with pytest.raises(ConfigurationError):
-        MachineGeometry(r_shaft=0.06).validate()
+        MachineGeometry(r_shaft=0.06)
     with pytest.raises(ConfigurationError):
-        MachineGeometry(magnet_r=(0.01, 0.047)).validate()
+        MachineGeometry(magnet_r=(0.01, 0.047))
     with pytest.raises(ConfigurationError):
-        MachineGeometry(coil_A_window=(0.2, 1.2)).validate()
+        MachineGeometry(coil_A_window=(0.2, 1.2))
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,7 @@ from rtopt.errors import ConfigurationError, SolverError, UsageError
 from rtopt.fem import newton_summary
 from rtopt.levelset import LevelSetOptions, NominalEvaluator, optimize_nominal
 from rtopt.machine import MachineProblem, MaterialSpec, Scenario
-from rtopt.robust import (BallSet, InnerParams, IntervalSet,
+from rtopt.robust import (MEMO_LIMIT, BallSet, InnerParams, IntervalSet,
                           ParameterObjective, RobustEvaluator, inner_maximize)
 from rtopt.topderiv import ExteriorConfig, precompute_tables
 
@@ -174,7 +174,7 @@ def test_inner_params_validation():
         inner_maximize(Quad1D(), IntervalSet([0.0], [1.0]),
                        [np.array([0.5])], InnerParams(gamma=0.9))
     with pytest.raises(ConfigurationError):
-        InnerParams(tau_min=0.5, tau_max=0.1).validate()
+        InnerParams(tau_min=0.5, tau_max=0.1)
 
 
 def test_parameter_objective_memo(toy_problem):
@@ -190,6 +190,20 @@ def test_parameter_objective_memo(toy_problem):
     assert g.shape == (1,)
     obj.value(np.array([np.deg2rad(-50.0)]))
     assert obj.n_evaluations == 2
+
+
+def test_parameter_objective_memo_evicts_oldest_q(toy_problem):
+    # the memo holds the MEMO_LIMIT most recently solved q
+    design = np.ones(len(toy_problem.design_elements), dtype=bool)
+    obj = ParameterObjective(toy_problem, design)
+    qs = np.deg2rad(np.linspace(-75.0, -45.0, MEMO_LIMIT + 1))[:, None]
+    for q in qs:
+        obj.value(q)
+    assert obj.n_evaluations == MEMO_LIMIT + 1
+    obj.value(qs[0])
+    assert obj.n_evaluations == MEMO_LIMIT + 2
+    obj.value(qs[-1])
+    assert obj.n_evaluations == MEMO_LIMIT + 2
 
 
 def test_new_q_starts_from_nearest_solved_q(toy_mesh, monkeypatch):
