@@ -54,11 +54,11 @@ class RunConfig:
             raise ConfigurationError(
                 f"psi0 must be one of {', '.join(PSI0_MODES)}; "
                 f"got {self.psi0_mode!r}")
-        if self.smoothing_eps is not None and self.smoothing_eps <= 0:
+        if self.smoothing_eps is not None and not self.smoothing_eps > 0:
             raise ConfigurationError("smoothing_eps must be positive")
-        if self.snapshot_interval < 1:
+        if not self.snapshot_interval >= 1:
             raise ConfigurationError("snapshot_interval must be at least 1")
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise ConfigurationError(f"seed must be non-negative; got {self.seed}")
 
     def table_q_range(self):

@@ -52,22 +52,17 @@ class P1Space:
                             - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
         if np.any(self.areas <= 0):
             raise SolverError("mesh has non-positive triangle areas")
-        # gradients of the three barycentric basis functions on each element
+        # edge i of each element, counter-clockwise and opposite vertex i
         e0 = p[:, 2] - p[:, 1]
         e1 = p[:, 0] - p[:, 2]
         e2 = p[:, 1] - p[:, 0]
         edges = np.stack([e0, e1, e2], axis=1)            # (m, 3, 2)
-        rot = np.empty_like(edges)                        # outward-normal rotation
-        rot[..., 0] = -edges[..., 1]
-        rot[..., 1] = edges[..., 0]
-        self.grads = rot / (2.0 * self.areas)[:, None, None]
-        # curl phi = (d phi/dy, -d phi/dx), stored component-major as (2, 3, m)
-        # so that element-wise products run along the element axis; curls is
-        # the (m, 3, 2) view of it
+        # grad phi_i is edge i turned a quarter counter-clockwise over 2|T|, so
+        # curl phi_i = (d phi_i/dy, -d phi_i/dx) is edge i over 2|T|. It is stored
+        # component-major as (2, 3, m) so that element-wise products run along
+        # the element axis; curls is the (m, 3, 2) view of it
         m = len(tri)
-        curls = np.empty((2, 3, m))
-        curls[0] = self.grads[..., 1].T
-        curls[1] = -self.grads[..., 0].T
+        curls = np.ascontiguousarray((edges / (2.0 * self.areas)[:, None, None]).T)
         self.curls = curls.transpose(2, 1, 0)
         # the curl operator G: row 2e + d of G u is component d of B on element e
         self._curl_op = sp.csr_matrix(
@@ -106,24 +101,16 @@ class P1Space:
         ty = x * w[0, 1] + y * w[1, 1]
         return (tx[:, None] * x + ty[:, None] * y).transpose(2, 0, 1)
 
-    def mass_matrix(self, elements=None):
-        """Consistent P1 mass matrix, optionally restricted to an element subset."""
-        tri = self.mesh.triangles if elements is None else self.mesh.triangles[elements]
-        areas = self.areas if elements is None else self.areas[elements]
-        local = (areas[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
-        rows = np.repeat(tri, 3, axis=1).ravel()
-        cols = np.tile(tri, (1, 3)).ravel()
-        return sp.coo_matrix((local.ravel(), (rows, cols)),
-                             shape=(self.n_nodes, self.n_nodes)).tocsr()
+    def mass_blocks(self):
+        """Consistent P1 mass element blocks (|T| / 12)(1 + I), shape (m, 3, 3)."""
+        return (self.areas[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
 
-    def stiffness_matrix(self, elements=None):
-        tri = self.mesh.triangles if elements is None else self.mesh.triangles[elements]
-        areas = self.areas if elements is None else self.areas[elements]
-        grads = self.grads if elements is None else self.grads[elements]
-        local = np.einsum("e,eid,ejd->eij", areas, grads, grads)
+    def mass_matrix(self):
+        """Consistent P1 mass matrix."""
+        tri = self.mesh.triangles
         rows = np.repeat(tri, 3, axis=1).ravel()
         cols = np.tile(tri, (1, 3)).ravel()
-        return sp.coo_matrix((local.ravel(), (rows, cols)),
+        return sp.coo_matrix((self.mass_blocks().ravel(), (rows, cols)),
                              shape=(self.n_nodes, self.n_nodes)).tocsr()
 
 
@@ -334,39 +321,27 @@ def adjoint_solve(space, dofmap, respond, u, objective_gradient_full):
 
 
 class ScreenedSmoother:
-    """Screened projection (eps*K + M) g_nodal = M_rhs g_elem on a submesh.
+    """Screened projection (eps*K + M) g_nodal = M_rhs g_elem on a mesh.
 
-    Solves -eps * lap(g) + g = g_raw with natural boundary conditions on the
-    given element subset, which preserves the integral of the input field.
-    The factorization is cached, in the reverse Cuthill-McKee order of the
-    subset's nodes; one instance serves many right-hand sides.
+    Solves -eps * lap(g) + g = g_raw with natural boundary conditions, which
+    preserve the integral of g_raw, on a mesh that constrains no node (such as
+    MachineProblem.design_mesh). Like every tangent, the system is assembled,
+    numbered and factored once by P1Space, DofMap and BandCholesky.
     """
 
-    def __init__(self, space, elements, eps):
-        self.space = space
-        self.elements = np.asarray(elements)
-        self.eps = float(eps)
-        self.nodes = np.unique(space.mesh.triangles[self.elements].ravel())
-        mass = space.mass_matrix(self.elements)[np.ix_(self.nodes, self.nodes)]
-        stiff = space.stiffness_matrix(self.elements)[np.ix_(self.nodes, self.nodes)]
-        self.mass = mass.tocsr()
-        system = (self.eps * stiff + mass).tocsr()
-        self._order = reverse_cuthill_mckee(system, symmetric_mode=True)
-        lower = sp.tril(system[self._order][:, self._order]).tocoo()
-        diag = lower.row - lower.col
-        band = np.zeros((diag.max() + 1, len(self.nodes)), order="F")
-        band[diag, lower.col] = lower.data
-        self._factor = BandCholesky(band)
+    def __init__(self, mesh, eps):
+        self.space = P1Space(mesh)
+        self.dofmap = DofMap(mesh)
+        self.mass = self.space.mass_matrix()
+        # eps K is the tangent of dh = eps I, as curl . curl = grad . grad in 2-D
+        dh = np.broadcast_to(float(eps) * np.eye(2), (mesh.n_elements, 2, 2))
+        blocks = self.space.tangent_matrix(dh) + self.space.mass_blocks()
+        self._factor = BandCholesky(self.dofmap.reduce_matrix(blocks))
 
     def smooth(self, g_elem):
-        """Map element-wise values on the subset to nodal values on its nodes."""
-        tri = self.space.mesh.triangles[self.elements]
-        contrib = (self.space.areas[self.elements] * g_elem / 3.0)
-        rhs_full = np.zeros(self.space.n_nodes)
-        np.add.at(rhs_full, tri.ravel(), np.repeat(contrib, 3))
-        g = np.empty(len(self.nodes))
-        g[self._order] = self._factor.solve(rhs_full[self.nodes[self._order]])
-        return g
+        """Map element-wise values to nodal values of the mesh."""
+        rhs = self.dofmap.reduce_vector(self.space.load_vector(g_elem))
+        return self.dofmap.expand(self._factor.solve(rhs))
 
     def inner(self, a, b):
         return float(a @ (self.mass @ b))

@@ -42,9 +42,9 @@ class LevelSetOptions:
                 "need 0 < step_min <= step_init <= step_max <= 1")
         if not (0 < self.step_shrink < 1 < self.step_grow):
             raise ConfigurationError("need step_shrink < 1 < step_grow")
-        if self.angle_tol_deg <= 0:
+        if not self.angle_tol_deg > 0:
             raise ConfigurationError("angle tolerance must be positive")
-        if self.max_iterations < 1:
+        if not self.max_iterations >= 1:
             raise ConfigurationError("max_iterations must be at least 1")
 
 
@@ -109,7 +109,7 @@ class Evaluation:
 
     value: float
     sensitivity: np.ndarray
-    q_star: np.ndarray | None = None
+    q_star: np.ndarray          # the parameter scored at; empty for NOM
 
 
 @dataclass
@@ -120,11 +120,10 @@ class TraceRow:
     step: float
     accepted: bool
     wall_seconds: float
-    q_star: np.ndarray | None
+    q_star: np.ndarray
 
     def as_csv(self):
-        q = ("" if self.q_star is None
-             else ";".join(repr(float(v)) for v in np.atleast_1d(self.q_star)))
+        q = ";".join(repr(float(v)) for v in np.atleast_1d(self.q_star))
         return (f"{self.k},{float(self.value)!r},{float(self.theta_deg)!r},"
                 f"{float(self.step)!r},{int(self.accepted)},"
                 f"{self.wall_seconds:.3f},{q}")
@@ -232,11 +231,11 @@ class NominalEvaluator:
     of the last design evaluated are where the next design's Newton starts.
     """
 
-    def __init__(self, problem, iron_to_air, air_to_iron, q=None):
+    def __init__(self, problem, iron_to_air, air_to_iron):
         self.problem = problem
         self.iron_to_air = iron_to_air
         self.air_to_iron = air_to_iron
-        self.q = problem._q_array(q)
+        self.q = np.asarray(problem.scenario.q_hat, dtype=float)
         self._position0 = []
 
     def worst_case(self, objective):
@@ -258,7 +257,7 @@ class NominalEvaluator:
         self._position0 = objective.position0()
         g_elem = robust.robust_td_field(self.problem, design, self.iron_to_air,
                                         self.air_to_iron, q, states, adjoints)
-        return Evaluation(value, g_elem, q_star=q.copy())
+        return Evaluation(value, g_elem, q.copy())
 
     def __call__(self, psi):
         ev = self.field(self.problem.design_from_levelset(psi))

@@ -24,7 +24,7 @@ the iron law of `MaterialSpec` with those per-element knees.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,7 +65,7 @@ class MaterialSpec:
     phi0: float = np.deg2rad(6.0)
 
     def __post_init__(self):
-        if self.nu_f <= 0 or self.k_f <= 0 or self.n_f < 2:
+        if not (self.nu_f > 0 and self.k_f > 0 and self.n_f >= 2):
             raise ConfigurationError("material constants out of range")
 
     def iron_law(self, knee=None):
@@ -107,13 +107,15 @@ class Scenario:
     def __post_init__(self):
         if self.name not in ("NOM", "ANG", "SCAL", "DIST"):
             raise ConfigurationError(f"unknown scenario {self.name!r}")
-        if self.n_positions < 1:
+        if not self.n_positions >= 1:
             raise ConfigurationError("scenario needs at least one rotor position")
         q = np.asarray(self.q_hat, dtype=float)
         if q.shape != (self.n_q,):
             raise ConfigurationError(
                 f"scenario {self.name} expects a nominal q of length {self.n_q}, "
                 f"got shape {q.shape}")
+        if not np.all(np.isfinite(q)):
+            raise ConfigurationError(f"scenario {self.name} nominal q must be finite")
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,7 @@ class SolverOptions:
     newton_max_iter: int = 50
 
     def __post_init__(self):
-        if self.newton_tol <= 0 or self.newton_max_iter < 1:
+        if not (self.newton_tol > 0 and self.newton_max_iter >= 1):
             raise ConfigurationError("newton controls out of range")
 
 
@@ -214,9 +216,14 @@ class MachineProblem:
         self.design_elements = mesh.elements_in("design")
         if len(self.design_elements) == 0:
             raise ConfigurationError("mesh has no design region")
-        self.design_nodes = np.unique(mesh.triangles[self.design_elements].ravel())
-        self._node_local = np.full(mesh.n_nodes, -1, dtype=np.int64)
-        self._node_local[self.design_nodes] = np.arange(len(self.design_nodes))
+        # the design region as a mesh of its own, constraining no node
+        self.design_nodes, tri = np.unique(mesh.triangles[self.design_elements],
+                                           return_inverse=True)
+        empty = np.zeros(0, dtype=np.int32)
+        self.design_mesh = replace(
+            mesh, vertices=mesh.vertices[self.design_nodes], triangles=tri.reshape(-1, 3),
+            region_id=rid[self.design_elements], pair_master=empty, pair_slave=empty,
+            dirichlet_nodes=empty)
 
         always_air = np.isin(rid, [idx[n] for n in
                                    ("shaft", "air_gap", "coil_A", "coil_B", "coil_C")])
@@ -483,14 +490,12 @@ class MachineProblem:
         psi = np.asarray(psi, dtype=float)
         if psi.shape != (len(self.design_nodes),):
             raise UsageError("level set vector does not match the design nodes")
-        tri = self._node_local[self.mesh.triangles[self.design_elements]]
-        return psi[tri].mean(axis=1) > 0.0
+        return psi[self.design_mesh.triangles].mean(axis=1) > 0.0
 
     def smoother(self):
         """The design region's screened smoother, built on first use."""
         if self._smoother is None:
-            self._smoother = ScreenedSmoother(self.space, self.design_elements,
-                                              self.smoothing_eps)
+            self._smoother = ScreenedSmoother(self.design_mesh, self.smoothing_eps)
         return self._smoother
 
     def knee_for_elements(self, q, air_nominal=False):

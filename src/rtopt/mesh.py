@@ -208,15 +208,15 @@ class MachineGeometry:
 
     def __post_init__(self):
         radii = (0.0, self.r_shaft, self.r_design, self.r_gap_outer, self.r_outer)
-        if any(b <= a for a, b in zip(radii, radii[1:])):
+        if not all(b > a for a, b in zip(radii, radii[1:])):
             raise ConfigurationError("machine radii must be strictly increasing")
         if not (self.r_shaft <= self.magnet_r[0] < self.magnet_r[1] <= self.r_design):
             raise ConfigurationError("magnet band must sit inside the design annulus")
         if not (self.r_gap_outer <= self.coil_r[0] < self.coil_r[1] <= self.r_outer):
             raise ConfigurationError("coil band must sit inside the stator")
-        if self.sector <= 0 or self.sector > np.pi:
+        if not 0 < self.sector <= np.pi:
             raise ConfigurationError("sector angle out of range")
-        if self.target_nodes < 200:
+        if not self.target_nodes >= 200:
             raise ConfigurationError("target_nodes too small for the machine sector")
         for lo, hi in (self.magnet1_window, self.magnet2_window,
                        self.coil_A_window, self.coil_B_window, self.coil_C_window):
@@ -347,27 +347,25 @@ def _zip_rings(ids_out, ang_out, ids_in, ang_in):
     return tris
 
 
-def refine_disc_patch(mesh, center, radius, region="design", cavity=None):
+def refine_disc_patch(mesh, center, radius, cavity):
     """Remesh a neighborhood of one point so a disc of the given radius is an
     exact union of elements.
 
-    Elements with a vertex inside the cavity radius (default 1.4x the disc)
-    are carved out and refilled with a polar fan: uniform rings through the
-    circle itself, then geometrically growing rings out to the cavity rim so
-    the local field perturbation stays resolved even when the disc is much
-    smaller than the ambient elements. All touched elements must belong to
-    one region and stay clear of boundaries and interface rings. Returns the
-    new mesh, the ids of the elements tiling the disc, and the mask of the old
-    elements that were kept; they precede the patch in the new ordering.
+    Elements with a vertex inside the cavity radius are carved out and
+    refilled with a polar fan: uniform rings through the circle itself, then
+    geometrically growing rings out to the cavity rim so the local field
+    perturbation stays resolved even when the disc is much smaller than the
+    ambient elements. All touched elements must belong to the design region
+    and stay clear of boundaries and interface rings. Returns the new mesh,
+    the ids of the elements tiling the disc, and the mask of the old elements
+    that were kept; they precede the patch in the new ordering.
     """
     center = np.asarray(center, dtype=float)
     if radius <= 0:
         raise UsageError("disc radius must be positive")
-    if cavity is None:
-        cavity = 1.4 * radius
     if cavity < 1.2 * radius:
         raise UsageError("cavity radius must exceed the disc radius")
-    target = mesh.region_index(region)
+    target = mesh.region_index("design")
     dist = np.hypot(mesh.vertices[:, 0] - center[0],
                     mesh.vertices[:, 1] - center[1])
     cut = dist < cavity

@@ -68,6 +68,8 @@ class BallSet:
     def __init__(self, center, radius):
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
         self.radius = float(radius)
+        if not (np.all(np.isfinite(self.center)) and 0.0 < self.radius < np.inf):
+            raise ConfigurationError("ball center must be finite, its radius positive")
 
     @property
     def dim(self):
@@ -112,9 +114,9 @@ class InnerParams:
         if not 0 < self.tau_min <= self.tau_max:
             raise ConfigurationError("need 0 < tau_min <= tau_max")
         # a shrink factor of 1 or more repeats a refused trial forever
-        if not 0.0 < self.tau_shrink < 1.0 or self.tau_grow < 1.0:
+        if not (0.0 < self.tau_shrink < 1.0 and self.tau_grow >= 1.0):
             raise ConfigurationError("need 0 < tau_shrink < 1 <= tau_grow")
-        if self.step_tol <= 0 or self.max_iterations < 1:
+        if not (self.step_tol > 0 and self.max_iterations >= 1):
             raise ConfigurationError(
                 "need inner_step_tol > 0 and inner_max_iterations >= 1")
 

@@ -60,13 +60,15 @@ class ExteriorConfig:
     n_q: int = 10
 
     def __post_init__(self):
-        if self.radius <= 2.0:
+        if not self.radius > 2.0:
             raise ConfigurationError("exterior truncation radius must exceed 2")
-        if self.n_t < 2:
+        if not np.isfinite(self.radius):
+            raise ConfigurationError("exterior truncation radius must be finite")
+        if not self.n_t >= 2:
             raise ConfigurationError("need at least two flux magnitudes (n_t >= 2)")
-        if self.n_q < 1:
+        if not self.n_q >= 1:
             raise ConfigurationError("need at least one knee sample (n_q >= 1)")
-        if self.t_max <= 0:
+        if not self.t_max > 0:
             raise ConfigurationError("t_max must be positive")
 
 

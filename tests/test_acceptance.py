@@ -39,8 +39,7 @@ def report(capsys, num, name, ok):
 
 
 def element_means(problem, psi):
-    tri = problem._node_local[problem.mesh.triangles[problem.design_elements]]
-    return psi[tri].mean(axis=1)
+    return psi[problem.design_mesh.triangles].mean(axis=1)
 
 
 @pytest.fixture(scope="module")

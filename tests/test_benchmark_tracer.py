@@ -1,8 +1,11 @@
 """The benchmark still finds what it uses of rtopt: every function its
-tracer wraps, and every name its robust-linear output check calls."""
+tracer wraps, every name its robust-linear output check calls, and the
+solve calls its launcher marks."""
 from __future__ import annotations
 
 import importlib.util
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -46,3 +49,39 @@ def test_robust_linear_oracle_matches_the_objective(toy_mesh, linear_spec,
     for q in (phase_set.lower, phase_set.upper, q_hat):
         value, _ = problem.objective(design, q)
         assert abs(oracle(q) - value) <= workloads.ORACLE_RTOL * abs(value)
+
+
+def launch(tmp_path, mode, *cli_args):
+    """Run perfbench/launch.py on one CLI command; its exit code and marks."""
+    marks = tmp_path / "marks.json"
+    marks.unlink(missing_ok=True)
+    env = {k: v for k, v in os.environ.items() if k != "RTOPT_OUTPUT_ROOT"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "launch.py"), mode,
+         str(marks), *cli_args], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120)
+    return done, json.loads(marks.read_text())
+
+
+def test_launcher_marks_the_solve_of_every_command(tmp_path):
+    # perfbench/launch.py times the solve by patching the entry points the
+    # CLI calls; a command that reached its solve another way would leave a
+    # mark unset, and every benchmark run would read as failed
+    text = (ROOT / "configs" / "toy.cfg").read_text()
+    for old, new in (("exterior_target_nodes = 4000", "exterior_target_nodes = 500"),
+                     ("n_t = 13", "n_t = 4"),
+                     ("max_iterations = 40", "max_iterations = 1"),
+                     ("directory = runs/toy", "directory = out")):
+        assert old in text
+        text = text.replace(old, new)
+    (tmp_path / "tiny.cfg").write_text(text)
+
+    done, marks = launch(tmp_path, "plain", "precompute-td", "tiny.cfg")
+    assert done.returncode == 0, done.stderr
+    assert marks["solve_start"] is not None and marks["solve_end"] is not None
+    for mode in ("nominal", "robust"):
+        done, marks = launch(tmp_path, "setup", "optimize", "tiny.cfg",
+                             "--mode", mode)
+        assert done.returncode == 0, done.stderr
+        assert marks["solve_start"] is not None

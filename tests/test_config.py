@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import logging
 import logging.handlers
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from rtopt.errors import ConfigurationError
 from rtopt.levelset import LevelSetOptions
 from rtopt.machine import MaterialSpec, Scenario, SolverOptions
 from rtopt.mesh import MachineGeometry
-from rtopt.robust import InnerParams
+from rtopt.robust import BallSet, InnerParams
 from rtopt.topderiv import ExteriorConfig
 
 TOY = Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"
@@ -54,6 +55,8 @@ def test_empty_config_keeps_dataclass_defaults(workdir):
 
 def _valid_settings(cls):
     """Constructor arguments of one valid option object of type cls."""
+    if cls is BallSet:
+        return dict(center=[1.0, 2.0], radius=0.5)
     if cls is not RunConfig:
         return {}
     return dict(geometry=MachineGeometry(), materials=MaterialSpec(),
@@ -73,18 +76,49 @@ BAD_VALUES = [
     (SolverOptions, {"newton_tol": 0.0}, "newton controls out of range"),
     (RunConfig, {"seed": -1}, "seed must be non-negative"),
 ]
+# values no `x <= 0`-style comparison refuses, with the id of each case
+NON_FINITE = [
+    ("MaterialSpec-k_f", MaterialSpec, {"k_f": np.nan},
+     "material constants out of range"),
+    ("MaterialSpec-nu_f", MaterialSpec, {"nu_f": np.nan},
+     "material constants out of range"),
+    ("SolverOptions-nan", SolverOptions, {"newton_tol": np.nan},
+     "newton controls out of range"),
+    ("LevelSetOptions-nan", LevelSetOptions, {"angle_tol_deg": np.nan},
+     "angle tolerance must be positive"),
+    ("ExteriorConfig-t_max", ExteriorConfig, {"t_max": np.nan},
+     "t_max must be positive"),
+    ("ExteriorConfig-radius", ExteriorConfig, {"radius": np.inf},
+     "exterior truncation radius must be finite"),
+    ("InnerParams-nan", InnerParams, {"step_tol": np.nan},
+     "need inner_step_tol > 0"),
+    ("Scenario-nan", Scenario, {"name": "ANG", "q_hat": [np.nan]},
+     "scenario ANG nominal q must be finite"),
+    ("MachineGeometry-nan", MachineGeometry, {"r_design": np.nan},
+     "machine radii must be strictly"),
+    ("RunConfig-nan", RunConfig, {"smoothing_eps": np.nan},
+     "smoothing_eps must be positive"),
+    ("BallSet-center", BallSet, {"center": [0.0, np.nan]},
+     "ball center must be finite, its radius positive"),
+    ("BallSet-radius-nan", BallSet, {"radius": np.nan},
+     "ball center must be finite, its radius positive"),
+    ("BallSet-radius-negative", BallSet, {"radius": -1.0},
+     "ball center must be finite, its radius positive"),
+]
 
 
-@pytest.mark.parametrize("cls, bad, message", BAD_VALUES,
-                         ids=[cls.__name__ for cls, _, _ in BAD_VALUES])
+@pytest.mark.parametrize(
+    "cls, bad, message", BAD_VALUES + [case[1:] for case in NON_FINITE],
+    ids=[cls.__name__ for cls, _, _ in BAD_VALUES] + [c[0] for c in NON_FINITE])
 def test_option_objects_are_checked_when_built(cls, bad, message):
     # a library caller that builds an option object gets the configuration
     # error there, not a solver failure at the object's first use
     kwargs = _valid_settings(cls)
     with pytest.raises(ConfigurationError, match=message):
-        cls(**kwargs, **bad)
-    with pytest.raises(ConfigurationError, match=message):
-        replace(cls(**kwargs), **bad)
+        cls(**{**kwargs, **bad})
+    if is_dataclass(cls):
+        with pytest.raises(ConfigurationError, match=message):
+            replace(cls(**kwargs), **bad)
 
 
 def _edit_lines(lines, kind, a, b, text):

@@ -1,6 +1,8 @@
 """P1 solver kernels: manufactured solution, tangent, adjoint, smoother."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -315,7 +317,7 @@ def test_tangents_factor_in_natural_order_with_diagonal_pivots(toy_mesh,
     calls = len(factor_calls)
     smoother = problem.smoother()
     (shape,) = factor_calls[calls:]
-    assert shape[1] == len(smoother.nodes)
+    assert shape[1] == len(problem.design_nodes)
     assert 10 * shape[0] < shape[1]
 
 
@@ -420,11 +422,14 @@ def test_curl_and_divergence_operators(toy_mesh):
     assert u @ div == pytest.approx(terms.sum(), abs=1e-13 * np.abs(terms).sum())
 
 
+def free_square_mesh(n):
+    """The unit square with no constrained node: natural boundary conditions."""
+    return replace(unit_square_mesh(n), dirichlet_nodes=np.zeros(0, dtype=np.int32))
+
+
 def test_smoother_preserves_constants_and_integrals():
-    mesh = unit_square_mesh(10)
-    space = P1Space(mesh)
-    elements = np.arange(mesh.n_elements)
-    sm = ScreenedSmoother(space, elements, eps=1e-3)
+    mesh = free_square_mesh(10)
+    sm = ScreenedSmoother(mesh, eps=1e-3)
 
     g = sm.smooth(np.full(mesh.n_elements, 2.5))
     assert np.max(np.abs(g - 2.5)) <= 1e-13
@@ -434,6 +439,33 @@ def test_smoother_preserves_constants_and_integrals():
     g = sm.smooth(raw)
     assert nodal_integral(sm, g) == pytest.approx(
         elementwise_integral(sm, raw), rel=1e-12)
+
+
+def screened_system(space, eps):
+    """eps K + M and the element-to-node load matrix, assembled by scipy."""
+    tri, areas = space.mesh.triangles, space.areas
+    blocks = (eps * np.einsum("e,eid,ejd->eij", areas, space.curls, space.curls)
+              + areas[:, None, None] / 12.0 * (np.ones((3, 3)) + np.eye(3)))
+    rows, cols = np.repeat(tri, 3, axis=1).ravel(), np.tile(tri, (1, 3)).ravel()
+    system = sp.coo_matrix((blocks.ravel(), (rows, cols))).tocsr()
+    load = sp.coo_matrix((np.repeat(areas / 3.0, 3),
+                          (tri.ravel(), np.repeat(np.arange(len(tri)), 3)))).tocsr()
+    return system, load
+
+
+@pytest.mark.parametrize("domain", ["square", "toy_design"])
+def test_smoothed_field_solves_the_screened_system(domain, request):
+    if domain == "square":
+        eps = 1e-3
+        sm = ScreenedSmoother(free_square_mesh(10), eps)
+    else:
+        problem = request.getfixturevalue("toy_problem")
+        eps, sm = problem.smoothing_eps, problem.smoother()
+    raw = np.random.default_rng(11).standard_normal(sm.space.mesh.n_elements)
+    g = sm.smooth(raw)
+    system, load = screened_system(sm.space, eps)
+    rhs = load @ raw
+    assert np.linalg.norm(system @ g - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
 def test_linear_iron_factors_once_per_design(toy_mesh, linear_spec,

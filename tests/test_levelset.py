@@ -102,7 +102,7 @@ class LinearObjective:
 
     def __call__(self, psi):
         self.calls += 1
-        return Evaluation(-self.geo.inner(self.m, psi), 2.5 * self.m)
+        return Evaluation(-self.geo.inner(self.m, psi), 2.5 * self.m, np.zeros(0))
 
     def design_key(self, psi):
         return psi.tobytes()
@@ -130,7 +130,7 @@ def test_drive_stalls_on_flat_objective(geo):
         def __call__(self, psi):
             target = np.zeros(16)
             target[1] = 1.0
-            return Evaluation(5.0, target)
+            return Evaluation(5.0, target, np.zeros(0))
 
         def design_key(self, psi):
             return psi.tobytes()
@@ -177,7 +177,7 @@ def test_drive_realigns_without_evaluating(geo):
 
 
 def test_trace_format():
-    row = TraceRow(0, 1.0, 2.0, 0.5, True, 0.125, None)
+    row = TraceRow(0, 1.0, 2.0, 0.5, True, 0.125, np.zeros(0))
     assert row.as_csv() == "0,1.0,2.0,0.5,1,0.125,"
     val = -1625.0112451259006
     row = TraceRow(3, val, 12.25, 0.75, False, 0.125, np.array([1.5, -2.0]))

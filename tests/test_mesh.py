@@ -137,7 +137,7 @@ def test_disc_patch_rejections(sector):
     with pytest.raises(UsageError):
         refine_disc_patch(sector, (0.040, 0.008), 2 * h, cavity=7 * h)
     with pytest.raises(UsageError):
-        refine_disc_patch(sector, (0.03, 0.01), -1.0)
+        refine_disc_patch(sector, (0.03, 0.01), -1.0, cavity=7 * h)
     # a cavity reaching the antiperiodic ray would strand constrained nodes
     with pytest.raises(UsageError):
         refine_disc_patch(sector, (0.03, 0.002), 2 * h, cavity=7 * h)
