@@ -8,6 +8,7 @@ import logging
 import numpy as np
 
 from .errors import ConfigurationError, SolverError
+from .laws import NU0
 from .levelset import NominalEvaluator
 from .machine import MachineProblem
 from .mesh import refine_disc_patch
@@ -165,7 +166,7 @@ def linear_slopes(tables, materials):
     Rows are (direction, slope, closed-form slope, relative deviation,
     max |f_perp| / max |f_par|), read at the first knee of a knee axis.
     """
-    nu0, nu_f = materials.nu0, materials.nu_f
+    nu0, nu_f = NU0, materials.nu_f
     expected = {
         "iron_to_air": 2.0 * nu_f * (nu0 - nu_f) / (nu0 + nu_f),
         "air_to_iron": -2.0 * nu0 * (nu0 - nu_f) / (nu0 + nu_f),

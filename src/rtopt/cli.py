@@ -333,7 +333,7 @@ def main(argv=None):
         if args.command == "audit":
             return cmd_audit(cfg, args.kind, args.design)
         return cmd_render(cfg, args.design, args.out)
-    except (ConfigurationError, UsageError, FormatError) as exc:
+    except (ConfigurationError, UsageError, FormatError, OSError) as exc:
         log.error("%s", exc)
         return EXIT_CONFIG
     except SolverError as exc:

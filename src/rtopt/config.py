@@ -180,15 +180,7 @@ KEYS = {
         "angle_tol_deg": ("levelset", "angle_tol_deg", _float),
         "step_init": ("levelset", "step_init", _float),
         "step_min": ("levelset", "step_min", _float),
-        "step_max": ("levelset", "step_max", _float),
-        "step_shrink": ("levelset", "step_shrink", _float),
-        "step_grow": ("levelset", "step_grow", _float),
         "inner_step_tol": ("inner", "step_tol", _float),
-        "tau_min": ("inner", "tau_min", _float),
-        "tau_max": ("inner", "tau_max", _float),
-        "tau_shrink": ("inner", "tau_shrink", _float),
-        "tau_grow": ("inner", "tau_grow", _float),
-        "sufficient_increase": ("inner", "gamma", _float),
         "inner_max_iterations": ("inner", "max_iterations", _int),
         "newton_tol": ("solver", "newton_tol", _float),
         "newton_max_iter": ("solver", "newton_max_iter", _int),

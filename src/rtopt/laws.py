@@ -60,7 +60,6 @@ class MaterialLaw:
     """One isotropic constitutive law; kind is "air" or "iron"."""
 
     kind: str
-    nu0: float = NU0
     nu_f: float = NU_F
     k_f: float = K_F
     n_f: int = N_F
@@ -75,12 +74,12 @@ class MaterialLaw:
         b = np.asarray(b, dtype=float)
         eye = np.eye(2)
         if self.kind == "air" or self.linear:
-            nu = self.nu0 if self.kind == "air" else self.nu_f
+            nu = NU0 if self.kind == "air" else self.nu_f
             return nu * b, np.broadcast_to(nu * eye, b.shape + (2,)).copy()
         k = self.k_f if knee is None else knee
         s = np.linalg.norm(b, axis=-1)
-        c = self.nu_f - self.nu0
-        nu = self.nu0 + c * iron_knee_factor(k, s, self.n_f)
+        c = self.nu_f - NU0
+        nu = NU0 + c * iron_knee_factor(k, s, self.n_f)
         gos = iron_knee_factor_ds_over_s(k, s, self.n_f)
         dh = (nu[..., None, None] * eye
               + (c * gos)[..., None, None] * (b[..., :, None] * b[..., None, :]))
@@ -95,10 +94,9 @@ class MaterialLaw:
         return self.response(b)[1]
 
 
-def air_law(nu0=NU0):
-    return MaterialLaw(kind="air", nu0=nu0)
+def air_law():
+    return MaterialLaw(kind="air")
 
 
-def iron_law(nu0=NU0, nu_f=NU_F, k_f=K_F, n_f=N_F, linear=False):
-    return MaterialLaw(kind="iron", nu0=nu0, nu_f=nu_f, k_f=k_f, n_f=n_f,
-                       linear=linear)
+def iron_law(nu_f=NU_F, k_f=K_F, n_f=N_F, linear=False):
+    return MaterialLaw(kind="iron", nu_f=nu_f, k_f=k_f, n_f=n_f, linear=linear)

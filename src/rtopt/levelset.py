@@ -23,25 +23,23 @@ STATUS_CONVERGED = "converged"
 STATUS_STALLED = "stalled"
 STATUS_MAX_ITERATIONS = "max_iterations"
 
+STEP_GROW, STEP_SHRINK = 1.5, 0.5
+
 
 @dataclass(frozen=True)
 class LevelSetOptions:
-    """Loop controls; defaults follow the benchmark parameter table."""
+    """Loop controls (benchmark parameter table). The step fraction starts
+    at step_init, grows by STEP_GROW up to 1 after each accepted step and
+    shrinks by STEP_SHRINK down to step_min."""
 
     max_iterations: int = 100
     angle_tol_deg: float = 2.0
     step_init: float = 0.5
     step_min: float = 0.05
-    step_max: float = 1.0
-    step_shrink: float = 0.5
-    step_grow: float = 1.5
 
     def __post_init__(self):
-        if not (0 < self.step_min <= self.step_init <= self.step_max <= 1.0):
-            raise ConfigurationError(
-                "need 0 < step_min <= step_init <= step_max <= 1")
-        if not (0 < self.step_shrink < 1 < self.step_grow):
-            raise ConfigurationError("need step_shrink < 1 < step_grow")
+        if not 0 < self.step_min <= self.step_init <= 1.0:
+            raise ConfigurationError("need 0 < step_min <= step_init <= 1")
         if not self.angle_tol_deg > 0:
             raise ConfigurationError("angle tolerance must be positive")
         if not self.max_iterations >= 1:
@@ -206,7 +204,7 @@ def drive(evaluator, psi0, geometry, options=None, snapshot=None):
                                   time.perf_counter() - t0, ev.q_star))
             if snapshot is not None:
                 snapshot(k, psi)
-            s = min(s * opts.step_grow, opts.step_max)
+            s = min(s * STEP_GROW, 1.0)
         else:
             trace.append(TraceRow(k, trial_ev.value, np.degrees(theta), s,
                                   False, time.perf_counter() - t0,
@@ -214,7 +212,7 @@ def drive(evaluator, psi0, geometry, options=None, snapshot=None):
             if s <= opts.step_min * (1.0 + 1e-12):
                 status = STATUS_STALLED
                 break
-            s = max(s * opts.step_shrink, opts.step_min)
+            s = max(s * STEP_SHRINK, opts.step_min)
 
     return LevelSetResult(psi, ev.value, status, k, ev.q_star, trace, n_eval)
 

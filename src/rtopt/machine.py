@@ -47,20 +47,19 @@ POLE_PAIRS = 4
 # DIST knee blocks of the design region: 4 angular x 2 radial
 ROTOR_BLOCKS = 8
 
+# remanence directions of magnet1 and magnet2
+MAGNET_PHI = (np.deg2rad(30.0), np.deg2rad(15.0))
+
 
 @dataclass(frozen=True)
 class MaterialSpec:
     """Material constants of the benchmark machine."""
 
-    nu0: float = laws.NU0
     nu_f: float = laws.NU_F
     k_f: float = laws.K_F
     n_f: int = laws.N_F
     iron_linear: bool = False
-    nu_m: float = laws.NU_M
     b_r: float = laws.B_R
-    magnet_phi1: float = np.deg2rad(30.0)
-    magnet_phi2: float = np.deg2rad(15.0)
     j_peak: float = 23.7e6
     phi0: float = np.deg2rad(6.0)
 
@@ -70,9 +69,8 @@ class MaterialSpec:
 
     def iron_law(self, knee=None):
         """The iron law of these constants, with its knee at k_f or knee."""
-        return laws.iron_law(self.nu0, self.nu_f,
-                             self.k_f if knee is None else knee, self.n_f,
-                             self.iron_linear)
+        return laws.iron_law(self.nu_f, self.k_f if knee is None else knee,
+                             self.n_f, self.iron_linear)
 
     def law_fingerprint(self, knee_axis):
         """Digest of the iron/air law pair a sensitivity table depends on,
@@ -80,7 +78,7 @@ class MaterialSpec:
         import hashlib
 
         knee = "q-axis" if knee_axis else f"fixed:{self.k_f!r}"
-        txt = (f"nu0={self.nu0!r};nu_f={self.nu_f!r};n_f={self.n_f};"
+        txt = (f"nu0={laws.NU0!r};nu_f={self.nu_f!r};n_f={self.n_f};"
                f"linear={self.iron_linear};knee={knee}")
         return hashlib.sha256(txt.encode()).hexdigest()[:16]
 
@@ -295,8 +293,7 @@ class MachineProblem:
     def _remanence(self, alpha):
         rem = np.zeros((self.mesh.n_elements, 2))
         shift = alpha if self.scenario.co_rotate_magnets else 0.0
-        for elems, phi in ((self._magnet1, self.spec.magnet_phi1),
-                           (self._magnet2, self.spec.magnet_phi2)):
+        for elems, phi in zip((self._magnet1, self._magnet2), MAGNET_PHI):
             rem[elems] = self.spec.b_r * np.array(
                 [np.cos(phi + shift), np.sin(phi + shift)])
         return rem
@@ -315,17 +312,16 @@ class MachineProblem:
         magnets = np.concatenate([self._magnet1, self._magnet2])
         kf = self._knee_values(q)[iron]
         rem = self._remanence(alpha)[magnets]
-        spec = self.spec
-        iron_law = spec.iron_law()
+        iron_law = self.spec.iron_law()
         eye = np.eye(2)
 
         def respond(B):
             h = np.empty_like(B)
             dh = np.empty(B.shape + (2,))
-            h[air] = spec.nu0 * B[air]
-            dh[air] = spec.nu0 * eye
-            h[magnets] = spec.nu_m * (B[magnets] - rem)
-            dh[magnets] = spec.nu_m * eye
+            h[air] = laws.NU0 * B[air]
+            dh[air] = laws.NU0 * eye
+            h[magnets] = laws.NU_M * (B[magnets] - rem)
+            dh[magnets] = laws.NU_M * eye
             h[iron], dh[iron] = iron_law.response(B[iron], kf)
             return h, dh
 
@@ -473,7 +469,7 @@ class MachineProblem:
             return grad
         kf = self._knee_values(q)[active]
         areas = self.space.areas[active]
-        c = self.spec.nu_f - self.spec.nu0
+        c = self.spec.nu_f - laws.NU0
         for u, p in zip(states, adjoints):
             Bu = self.space.element_curl(u)[active]
             Bp = self.space.element_curl(p)[active]

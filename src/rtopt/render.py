@@ -6,6 +6,7 @@ marching the design triangles. Coordinates are emitted in millimeters.
 """
 from __future__ import annotations
 
+import html
 import io
 
 import numpy as np
@@ -82,7 +83,7 @@ def render_design_svg(mesh, design, psi, design_nodes, title="design"):
               f'viewBox="{xmin - pad:.3f} {ymin - pad:.3f} '
               f'{width:.3f} {height:.3f}" '
               f'width="640" height="{640 * height / width:.0f}">\n')
-    buf.write(f"<title>{title}</title>\n")
+    buf.write(f"<title>{html.escape(title, quote=False)}</title>\n")
     buf.write(f'<rect x="{xmin - pad:.3f}" y="{ymin - pad:.3f}" '
               f'width="{width:.3f}" height="{height:.3f}" fill="#fbfbfc"/>\n')
 

@@ -96,26 +96,21 @@ class BallSet:
 # ---------------------------------------------------------------------------
 # inner maximization
 
+# ascent step tau: its range, its factors after a refused / an accepted trial,
+# and GAMMA of the test J(trial) - J(q) >= (GAMMA / tau) |trial - q|^2
+TAU_MIN, TAU_MAX, TAU_SHRINK, TAU_GROW, GAMMA = 1e-3, 1.0, 0.5, 1.5, 0.1
+
+
 @dataclass(frozen=True)
 class InnerParams:
-    """Projected-gradient ascent controls (benchmark parameter table)."""
+    """Stopping rules of the projected-gradient ascent (benchmark parameter
+    table): a step that moves q by less than step_tol, max_iterations steps,
+    or tau at TAU_MIN without a sufficient increase."""
 
     step_tol: float = 1e-3
-    tau_min: float = 1e-3
-    tau_max: float = 1.0
-    tau_shrink: float = 0.5
-    tau_grow: float = 1.5
-    gamma: float = 0.1
     max_iterations: int = 100
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 0.5:
-            raise ConfigurationError("sufficient-increase constant must be in (0, 1/2)")
-        if not 0 < self.tau_min <= self.tau_max:
-            raise ConfigurationError("need 0 < tau_min <= tau_max")
-        # a shrink factor of 1 or more repeats a refused trial forever
-        if not (0.0 < self.tau_shrink < 1.0 and self.tau_grow >= 1.0):
-            raise ConfigurationError("need 0 < tau_shrink < 1 <= tau_grow")
         if not (self.step_tol > 0 and self.max_iterations >= 1):
             raise ConfigurationError(
                 "need inner_step_tol > 0 and inner_max_iterations >= 1")
@@ -134,7 +129,7 @@ def _ascend(objective, uset, q0, params):
     """One projected-gradient trajectory from q0; returns (q, value, iters, steps)."""
     q = uset.project(np.asarray(q0, dtype=float))
     value, grad = objective.value_grad(q)
-    tau = params.tau_max
+    tau = TAU_MAX
     steps = []
     for it in range(params.max_iterations):
         accepted = False
@@ -143,12 +138,12 @@ def _ascend(objective, uset, q0, params):
             move = trial - q
             move_sq = float(move @ move)
             trial_value = objective.value(trial)
-            if trial_value - value >= (params.gamma / tau) * move_sq:
+            if trial_value - value >= (GAMMA / tau) * move_sq:
                 accepted = True
                 break
-            if tau <= params.tau_min * (1.0 + 1e-12):
+            if tau <= TAU_MIN * (1.0 + 1e-12):
                 break
-            tau = max(tau * params.tau_shrink, params.tau_min)
+            tau = max(tau * TAU_SHRINK, TAU_MIN)
         if not accepted:
             return q, value, it, steps
         steps.append((q.copy(), trial.copy(), trial_value - value, tau))
@@ -157,7 +152,7 @@ def _ascend(objective, uset, q0, params):
         if np.sqrt(move_sq) < params.step_tol:
             return q, value, it + 1, steps
         _, grad = objective.value_grad(q)
-        tau = min(tau * params.tau_grow, params.tau_max)
+        tau = min(tau * TAU_GROW, TAU_MAX)
     return q, value, params.max_iterations, steps
 
 

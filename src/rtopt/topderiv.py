@@ -150,7 +150,7 @@ class ExteriorProblem:
 
 def laws_for_direction(direction, materials, knee):
     """Inclusion and exterior laws for one flip direction at one iron knee."""
-    air = air_law(materials.nu0)
+    air = air_law()
     iron = materials.iron_law(knee)
     if direction == "iron_to_air":
         return air, iron

@@ -6,6 +6,10 @@ configurations here center the phase uncertainty there.
 """
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,7 @@ from rtopt.topderiv import ExteriorConfig, precompute_tables
 
 TOY_Q_HAT = np.array([np.deg2rad(-60.0)])
 TOY_INTERVAL = (np.deg2rad(-75.0), np.deg2rad(-45.0))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="session")
@@ -122,3 +127,14 @@ def factor_calls(monkeypatch):
 
     monkeypatch.setattr(fem.sla, "cholesky_banded", counted)
     return calls
+
+
+@pytest.fixture
+def perfbench_workloads(monkeypatch):
+    """perfbench/workloads.py, loaded unchanged from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads

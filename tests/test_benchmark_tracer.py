@@ -3,7 +3,6 @@ tracer wraps, every name its robust-linear output check calls, and the
 solve calls its launcher marks."""
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -30,16 +29,12 @@ def test_tracer_installs_on_the_sources():
 
 
 def test_robust_linear_oracle_matches_the_objective(toy_mesh, linear_spec,
-                                                    phase_set, monkeypatch):
+                                                    phase_set,
+                                                    perfbench_workloads):
     # the robust-linear output check scores the reported worst case with
     # perfbench/workloads.py::linear_phase_objective; a removed or renamed
     # name it calls would make every robust-linear run read as incorrect
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
-
+    workloads = perfbench_workloads
     q_hat = np.array([np.deg2rad(-60.0)])
     problem = MachineProblem(toy_mesh, linear_spec,
                              Scenario(name="ANG", n_positions=3, q_hat=q_hat))

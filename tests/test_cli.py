@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -436,6 +437,39 @@ def test_undecodable_input_exits_2(ws, tmp_path, caplog):
     design.write_bytes(b"RTOLS1\nmesh \xff\n")
     assert main(["render", ws["cfg"], "--design", str(design)]) == 2
     assert "not a RTOLS1 text file" in caplog.text
+
+
+@pytest.mark.parametrize("case", ["svg_in_missing_dir", "design_is_dir",
+                                  "output_dir_is_file"])
+def test_unopenable_path_exits_2(ws, tmp_path, caplog, case):
+    # a path the OS refuses to open is a bad input, not a traceback
+    if case == "svg_in_missing_dir":
+        from rtopt.config import load_config
+        from rtopt.levelset import save_levelset
+        from rtopt.mesh import build_machine_mesh
+
+        cfg = load_config(ws["cfg"])
+        mesh = build_machine_mesh(cfg.geometry)
+        ids = MachineProblem(mesh, cfg.materials, cfg.scenario).design_nodes
+        design = tmp_path / "design.rtols"
+        save_levelset(np.ones(len(ids)), ids, mesh.fingerprint(), design)
+        named = tmp_path / "nodir" / "x.svg"
+        argv = ["render", ws["cfg"], "--design", str(design),
+                "--out", str(named)]
+    elif case == "design_is_dir":
+        named = tmp_path / "folder.rtols"
+        named.mkdir()
+        argv = ["render", ws["cfg"], "--design", str(named)]
+    else:
+        named = tmp_path / "taken"
+        named.write_text("")
+        argv = ["precompute-td", write_cfg(tmp_path / "run.cfg", named)]
+    caplog.clear()
+    assert main(argv) == 2
+    errors = [r.getMessage() for r in caplog.records
+              if r.levelno >= logging.ERROR]
+    assert len(errors) == 1
+    assert str(named) in errors[0]
 
 
 def test_output_root_env(tmp_path, monkeypatch):

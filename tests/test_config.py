@@ -20,7 +20,8 @@ from rtopt.mesh import MachineGeometry
 from rtopt.robust import BallSet, InnerParams
 from rtopt.topderiv import ExteriorConfig
 
-TOY = Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"
+ROOT = Path(__file__).resolve().parents[1]
+TOY = ROOT / "configs" / "toy.cfg"
 
 # line edits: (kind, line position in [0, 1), second position, replacement)
 LINE_EDITS = st.lists(st.tuples(
@@ -68,7 +69,7 @@ def _valid_settings(cls):
 # one refused value per option type, with its message
 BAD_VALUES = [
     (LevelSetOptions, {"max_iterations": 0}, "max_iterations must be at least 1"),
-    (InnerParams, {"gamma": 0.9}, "sufficient-increase constant"),
+    (InnerParams, {"max_iterations": 0}, "inner_max_iterations >= 1"),
     (ExteriorConfig, {"n_t": 1}, "need at least two flux magnitudes"),
     (MachineGeometry, {"r_shaft": 0.06}, "machine radii must be strictly"),
     (Scenario, {"n_positions": 0}, "at least one rotor position"),
@@ -174,16 +175,11 @@ def test_corrupted_config_loads_or_exits_2(workdir, line_edits, byte_edits):
 
 @pytest.mark.parametrize("line, message", [
     ("seed = -1", "seed"),
-    ("tau_shrink = 1", "tau_shrink"),
-    ("tau_shrink = 0", "tau_shrink"),
-    ("tau_grow = 0.5", "tau_grow"),
     ("inner_step_tol = 0", "inner_step_tol"),
     ("inner_max_iterations = 0", "inner_max_iterations"),
-], ids=["negative_seed", "shrink_one", "shrink_zero", "grow_below_one",
-        "zero_step_tol", "no_iterations"])
+], ids=["negative_seed", "zero_step_tol", "no_iterations"])
 def test_out_of_range_setting_exits_2(workdir, caplog, line, message):
-    # a negative seed reached the RNG, and tau_shrink = 1 let the inner
-    # ascent repeat a refused trial forever
+    # a negative seed reached the RNG
     kept = "" if line.startswith("seed") else "seed = 0\n"
     path = workdir / "range.cfg"
     path.write_text(TOY.read_text().replace("seed = 0\n", f"{kept}{line}\n"))
@@ -191,3 +187,44 @@ def test_out_of_range_setting_exits_2(workdir, caplog, line, message):
         load_config(path)
     assert main(["optimize", str(path)]) == 2
     assert message in caplog.text
+
+
+# the step rules of the descent and the inner ascent, at their old defaults
+REMOVED_KEYS = [("step_max", "1.0"), ("step_shrink", "0.5"),
+                ("step_grow", "1.5"), ("tau_min", "1e-3"), ("tau_max", "1.0"),
+                ("tau_shrink", "0.5"), ("tau_grow", "1.5"),
+                ("sufficient_increase", "0.1")]
+
+
+@pytest.mark.parametrize("key, value", REMOVED_KEYS + [
+    ("tau_shrink", "1"), ("tau_shrink", "0"), ("tau_grow", "0.5"),
+], ids=[key for key, _ in REMOVED_KEYS]
+    + ["shrink_one", "shrink_zero", "grow_below_one"])
+def test_fixed_step_rule_is_not_a_key(workdir, caplog, key, value):
+    # the step rules are module constants (levelset.STEP_*, robust.TAU_* and
+    # GAMMA), so a file that sets one exits 2 at any value, as it had to at
+    # tau_shrink = 1, which let the inner ascent repeat a refused trial forever
+    path = workdir / "removed.cfg"
+    path.write_text(TOY.read_text().replace(
+        "seed = 0\n", f"seed = 0\n{key} = {value}\n"))
+    message = f"unknown key '{key}' in [algorithm]"
+    with pytest.raises(ConfigurationError) as refused:
+        load_config(path)
+    assert str(refused.value) == message
+    caplog.clear()
+    assert main(["optimize", str(path)]) == 2
+    assert message in caplog.text
+
+
+def test_shipped_and_benchmark_configs_load(tmp_path, perfbench_workloads):
+    # a key left in a shipped config or a benchmark template after its
+    # removal would make every run of it exit 2
+    paths = sorted((ROOT / "configs").glob("*.cfg"))
+    for name, workload in perfbench_workloads.WORKLOADS.items():
+        path = tmp_path / f"{name}.cfg"
+        workload.write_config(path, 1, tmp_path / name)
+        paths.append(path)
+    assert {path.stem for path in paths} >= {
+        "toy", "yoke", "audit3k", "benchmark", *perfbench_workloads.WORKLOADS}
+    for path in paths:
+        load_config(path)

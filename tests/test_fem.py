@@ -79,7 +79,7 @@ def nonlinear_setup(scale=1e5):
 
 def iron_energy_density(law, s):
     """w(s) = int_0^s h(t) dt of the saturating iron law, in closed form."""
-    nu0, nu_f, k, n = law.nu0, law.nu_f, law.k_f, law.n_f
+    nu0, nu_f, k, n = NU0, law.nu_f, law.k_f, law.n_f
     z = s / k
     return (0.5 * nu0 * s**2 + (nu_f - nu0) * k**2 * 0.5 * z**2
             * hyp2f1(1.0 / n, 2.0 / n, 1.0 + 2.0 / n, -z**n))

@@ -6,6 +6,7 @@ import pytest
 
 from rtopt import laws
 from rtopt.laws import air_law, iron_law
+from rtopt.machine import MAGNET_PHI
 
 rng = np.random.default_rng(42)
 
@@ -54,14 +55,12 @@ def test_iron_linear_flag():
 
 def test_magnet_remanence_annihilates(toy_problem):
     # the magnets are linear in the machine's response: h = nu_m (b - b_r e_phi)
-    spec = toy_problem.spec
     design = np.ones(len(toy_problem.design_elements), dtype=bool)
     respond = toy_problem.respond_factory(design, toy_problem.scenario.q_hat,
                                           0.0)
     B = np.zeros((toy_problem.mesh.n_elements, 2))
     magnets = []
-    for name, phi in (("magnet1", spec.magnet_phi1),
-                      ("magnet2", spec.magnet_phi2)):
+    for name, phi in zip(("magnet1", "magnet2"), MAGNET_PHI):
         elems = toy_problem.mesh.elements_in(name)
         B[elems] = laws.B_R * np.array([np.cos(phi), np.sin(phi)])
         magnets.append(elems)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
 
@@ -45,3 +46,13 @@ def test_render_content(toy_mesh):
     assert len(ends) == 2 * np.count_nonzero(pos.any(1) & ~pos.all(1))
     gap = np.linalg.norm(ends[:, None, :] - zeros[None, :, :], axis=2).min(1)
     assert gap.max() <= 1e-3
+
+
+def test_title_is_escaped(toy_mesh):
+    # the title is the design file's base name, which may hold & and <
+    design_elems = toy_mesh.elements_in("design")
+    nodes = np.unique(toy_mesh.triangles[design_elems])
+    doc = render_design_svg(toy_mesh, np.ones(len(design_elems), dtype=bool),
+                            np.ones(len(nodes)), nodes, title="a&b<c>")
+    title = ET.fromstring(doc).find("{http://www.w3.org/2000/svg}title")
+    assert title.text == "a&b<c>"

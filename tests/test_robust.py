@@ -9,7 +9,7 @@ from rtopt.errors import ConfigurationError, SolverError, UsageError
 from rtopt.fem import newton_summary
 from rtopt.levelset import LevelSetOptions, NominalEvaluator, optimize_nominal
 from rtopt.machine import MachineProblem, MaterialSpec, Scenario
-from rtopt.robust import (MEMO_LIMIT, BallSet, InnerParams, IntervalSet,
+from rtopt.robust import (GAMMA, MEMO_LIMIT, BallSet, InnerParams, IntervalSet,
                           ParameterObjective, RobustEvaluator, inner_maximize)
 from rtopt.topderiv import ExteriorConfig, precompute_tables
 
@@ -134,7 +134,7 @@ def test_inner_maximize_sufficient_increase_audit():
     assert res.accepted_steps
     for q_from, q_to, gain, tau in res.accepted_steps:
         move = float((q_to - q_from) @ (q_to - q_from))
-        assert gain >= (params.gamma / tau) * move - 1e-15
+        assert gain >= (GAMMA / tau) * move - 1e-15
 
 
 class Broken:
@@ -172,9 +172,9 @@ def test_worst_case_tries_each_start_once(toy_problem, linear_tables,
 def test_inner_params_validation():
     with pytest.raises(ConfigurationError):
         inner_maximize(Quad1D(), IntervalSet([0.0], [1.0]),
-                       [np.array([0.5])], InnerParams(gamma=0.9))
+                       [np.array([0.5])], InnerParams(step_tol=0.0))
     with pytest.raises(ConfigurationError):
-        InnerParams(tau_min=0.5, tau_max=0.1)
+        InnerParams(max_iterations=0)
 
 
 def test_parameter_objective_memo(toy_problem):
