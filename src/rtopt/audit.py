@@ -11,7 +11,7 @@ from .errors import ConfigurationError, SolverError
 from .laws import NU0
 from .levelset import NominalEvaluator
 from .machine import MachineProblem
-from .mesh import refine_disc_patch
+from .mesh import SECTOR, refine_disc_patch
 
 log = logging.getLogger(__name__)
 
@@ -75,14 +75,13 @@ def tdcheck_candidates(problem, design, g, cavity):
     # the carve removes any triangle with a vertex inside the cavity, so
     # clearance is measured to the vertices of non-design triangles
     other_verts = mesh.vertices[np.unique(mesh.triangles[other].ravel())]
-    sector = mesh.meta["sector"]
     rr = np.hypot(cen[:, 0], cen[:, 1])
     tt = np.arctan2(cen[:, 1], cen[:, 0])
     need = cavity + h
 
     ok = []
     for e in range(len(cen)):
-        if min(rr[e] * np.sin(tt[e]), rr[e] * np.sin(sector - tt[e])) <= need:
+        if min(rr[e] * np.sin(tt[e]), rr[e] * np.sin(SECTOR - tt[e])) <= need:
             continue
         gap = np.hypot(*(other_verts - cen[e]).T).min()
         if gap <= need:

@@ -48,6 +48,7 @@ def _load_tables(cfg):
     from .topderiv import check_table_compatibility, load_table
 
     tables = {}
+    span = cfg.table_q_range()
     for direction, fname in TABLE_FILES.items():
         path = os.path.join(_table_dir(cfg), fname)
         if not os.path.exists(path):
@@ -57,6 +58,11 @@ def _load_tables(cfg):
         if table.direction != direction:
             raise UsageError(f"{path}: holds direction {table.direction!r}")
         check_table_compatibility(table, cfg.materials, cfg.scenario)
+        if span is not None and not table.q[0] <= span[0] < span[1] <= table.q[-1]:
+            raise UsageError(
+                f"{path}: knee axis {float(table.q[0])!r} to {float(table.q[-1])!r}"
+                f" does not span the configured knee interval {span[0]!r} to "
+                f"{span[1]!r}; re-run precompute-td")
         tables[direction] = table
     return tables
 

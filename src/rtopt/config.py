@@ -64,7 +64,7 @@ class RunConfig:
     def table_q_range(self):
         """Knee interval the sensitivity tables must span, or None."""
         if self.scenario.binding == "knee":
-            return self.uncertainty.lower[0], self.uncertainty.upper[0]
+            return float(self.uncertainty.lower[0]), float(self.uncertainty.upper[0])
         if self.scenario.binding == "knee_regions":
             c, r = self.uncertainty.center, self.uncertainty.radius
             return float(c.min() - r), float(c.max() + r)
@@ -141,7 +141,6 @@ KEYS = {
         "r_design": ("geometry", "r_design", _float),
         "r_gap_outer": ("geometry", "r_gap_outer", _float),
         "r_outer": ("geometry", "r_outer", _float),
-        "sector_deg": ("geometry", "sector", _deg),
         "magnet_r": ("geometry", "magnet_r", _pair),
         "coil_r": ("geometry", "coil_r", _pair),
         "magnet1_window_deg": ("geometry", "magnet1_window", _deg_pair),

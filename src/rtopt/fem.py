@@ -229,14 +229,6 @@ def factor_tangent(space, dofmap, dh):
     return BandCholesky(dofmap.reduce_matrix(space.tangent_matrix(dh)))
 
 
-def tangent_product(space, dofmap, dh, x):
-    """C^T K C x for element tangents dh, one reduced vector per column of x."""
-    m = len(dh)
-    b = (space._curl_op @ dofmap.expand(x)).reshape(m, 2, -1)
-    h = space.areas[:, None, None] * (dh @ b)
-    return dofmap.reduce_vector(space._curl_op.T @ h.reshape(2 * m, -1))
-
-
 def newton_solve(space, dofmap, respond, load_full, u0=None, tol=1e-8,
                  max_iter=50):
     """Damped Newton for the reduced residual C^T (flux(u) - load).

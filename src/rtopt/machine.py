@@ -31,8 +31,9 @@ import numpy as np
 from . import laws
 from .errors import ConfigurationError, SolverError, UsageError
 from .fem import (DofMap, P1Space, ScreenedSmoother, adjoint_solve,
-                  factor_tangent, newton_solve, tangent_product)
+                  factor_tangent, newton_solve)
 from .laws import MU0
+from .mesh import POLE_PAIRS, SECTOR
 
 log = logging.getLogger(__name__)
 
@@ -41,8 +42,6 @@ POSITION_SWEEP = np.deg2rad(15.0)
 # phase offsets and slot signs of the three winding regions
 COILS = (("coil_A", 0.0, +1.0), ("coil_B", 2 * np.pi / 3, -1.0),
          ("coil_C", 4 * np.pi / 3, +1.0))
-
-POLE_PAIRS = 4
 
 # DIST knee blocks of the design region: 4 angular x 2 radial
 ROTOR_BLOCKS = 8
@@ -136,10 +135,9 @@ class TorqueProbe:
 
     def __init__(self, mesh, radius, n_points):
         self.radius = float(radius)
-        sector = mesh.meta["sector"]
         if n_points < 8:
             raise ConfigurationError("torque probe needs at least 8 sample points")
-        theta = np.linspace(0.0, sector, n_points)
+        theta = np.linspace(0.0, SECTOR, n_points)
         pts = self.radius * np.column_stack([np.cos(theta), np.sin(theta)])
 
         gap = mesh.elements_in("air_gap")
@@ -161,11 +159,11 @@ class TorqueProbe:
         owner = inside.argmax(axis=1)
         self.elements = gap[owner]
 
-        weights = np.full(n_points, sector / (n_points - 1))
+        weights = np.full(n_points, SECTOR / (n_points - 1))
         weights[0] *= 0.5
         weights[-1] *= 0.5
         # full-machine prefactor: (r^2/mu0) and sector multiplicity
-        self.weights = weights * (self.radius**2 / MU0) * (2 * np.pi / sector)
+        self.weights = weights * (self.radius**2 / MU0) * (2 * np.pi / SECTOR)
         self.normals = np.column_stack([np.cos(theta), np.sin(theta)])
         self.tangents = np.column_stack([-np.sin(theta), np.cos(theta)])
         self._tri_nodes = mesh.triangles[self.elements]
@@ -232,10 +230,9 @@ class MachineProblem:
         self._coils = [(mesh.elements_in(name), off, sign) for name, off, sign in COILS]
 
         cen = mesh.centroids()[self.design_elements]
-        sector = mesh.meta["sector"]
         r_in = mesh.meta["r_shaft"]
         r_out = mesh.meta["r_design"]
-        ang = np.minimum((np.arctan2(cen[:, 1], cen[:, 0]) / (sector / 4)).astype(int),
+        ang = np.minimum((np.arctan2(cen[:, 1], cen[:, 0]) / (SECTOR / 4)).astype(int),
                          3)
         rad = (np.hypot(cen[:, 0], cen[:, 1]) >= 0.5 * (r_in + r_out)).astype(int)
         self.design_block = (2 * ang + rad).astype(np.int64)
@@ -357,25 +354,16 @@ class MachineProblem:
         loads = [-space.flux_divergence(h) for h, _ in hs] + [
             space.load_vector(self._coil_density(0.0, 0.0, wave))
             for wave in (np.cos, np.sin)]
-        dh = hs[0][1]
         try:
-            factor = factor_tangent(space, dofmap, dh)
+            factor = factor_tangent(space, dofmap, hs[0][1])
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular tangent system of the linear-iron basis") from exc
-
-        def solve(b):
-            # One step of iterative refinement: the linear-iron tangent is
-            # ill-conditioned (about 1e7), and the unrefined torque depends on
-            # the factorization in the 12th digit.
-            x = factor.solve(b)
-            return x + factor.solve(b - tangent_product(space, dofmap, dh, x))
-
-        states = dofmap.expand(solve(dofmap.reduce_vector(
+        states = dofmap.expand(factor.solve(dofmap.reduce_vector(
             np.column_stack(loads)))).T
         rhs = dofmap.reduce_vector(np.column_stack(
             [self.torque_probe.torque_gradient(space, u) for u in states]))
         self.bases_built += 1
-        return states, dofmap.expand(solve(rhs)).T
+        return states, dofmap.expand(factor.solve(rhs)).T
 
     def _from_basis(self, design, q, row):
         """Basis states (row 0) or adjoints (row 1) combined at every position.

@@ -20,6 +20,10 @@ MACHINE_REGIONS = (
     "coil_A", "coil_B", "coil_C", "air_gap", "shaft",
 )
 
+# the meshed sector is one pole pitch; the machine has 2 * POLE_PAIRS poles
+POLE_PAIRS = 4
+SECTOR = np.pi / POLE_PAIRS
+
 
 @dataclass
 class Mesh:
@@ -189,14 +193,13 @@ class MachineGeometry:
     The layout is a stand-in with the qualitative features of an interior
     permanent magnet machine: shaft, design annulus with two magnet pockets,
     air gap, stator with three coil slots. Angular windows are (lo, hi) pairs
-    within the sector.
+    within the sector, which is one pole pitch (SECTOR).
     """
 
     r_shaft: float = 0.020
     r_design: float = 0.050
     r_gap_outer: float = 0.051
     r_outer: float = 0.080
-    sector: float = np.pi / 4
     magnet_r: tuple = (0.040, 0.047)
     magnet1_window: tuple = (np.deg2rad(4.0), np.deg2rad(18.0))
     magnet2_window: tuple = (np.deg2rad(27.0), np.deg2rad(41.0))
@@ -214,19 +217,17 @@ class MachineGeometry:
             raise ConfigurationError("magnet band must sit inside the design annulus")
         if not (self.r_gap_outer <= self.coil_r[0] < self.coil_r[1] <= self.r_outer):
             raise ConfigurationError("coil band must sit inside the stator")
-        if not 0 < self.sector <= np.pi:
-            raise ConfigurationError("sector angle out of range")
         if not self.target_nodes >= 200:
             raise ConfigurationError("target_nodes too small for the machine sector")
         for lo, hi in (self.magnet1_window, self.magnet2_window,
                        self.coil_A_window, self.coil_B_window, self.coil_C_window):
-            if not (0.0 <= lo < hi <= self.sector):
+            if not (0.0 <= lo < hi <= SECTOR):
                 raise ConfigurationError("angular window outside the sector")
 
 
 def _machine_ring_radii(geo, m_ang):
     """Ring radii: band boundaries are exact rings, spacing tracks r*dtheta."""
-    dth = geo.sector / m_ang
+    dth = SECTOR / m_ang
     bands = [
         (geo.r_shaft, geo.magnet_r[0], 1),
         (geo.magnet_r[0], geo.magnet_r[1], 1),
@@ -264,7 +265,7 @@ def build_machine_mesh(geo=None):
     m_ang = best[1]
 
     radii = _machine_ring_radii(geo, m_ang)
-    thetas = np.linspace(0.0, geo.sector, m_ang + 1)
+    thetas = np.linspace(0.0, SECTOR, m_ang + 1)
     verts = np.vstack([[[0.0, 0.0]], _ring_nodes(radii, thetas)])
     n_t = m_ang + 1
     tris = _polar_triangles(len(radii), n_t, closed=False)
@@ -307,9 +308,8 @@ def build_machine_mesh(geo=None):
         pair_master=masters[keep],
         pair_slave=slaves[keep],
         dirichlet_nodes=dirich,
-        meta={"kind": "machine_sector", "m_ang": m_ang, "sector": float(geo.sector),
-              "r_design": float(geo.r_design), "r_shaft": float(geo.r_shaft),
-              "r_gap_outer": float(geo.r_gap_outer)},
+        meta={"kind": "machine_sector", "m_ang": m_ang, "r_design": float(geo.r_design),
+              "r_shaft": float(geo.r_shaft), "r_gap_outer": float(geo.r_gap_outer)},
     )
     for name in MACHINE_REGIONS:
         if len(mesh.elements_in(name)) == 0:

@@ -1,6 +1,6 @@
 """The benchmark still finds what it uses of rtopt: every function its
 tracer wraps, every name its robust-linear output check calls, and the
-solve calls its launcher marks."""
+solve calls its launcher marks; and every workload passes its output check."""
 from __future__ import annotations
 
 import json
@@ -10,7 +10,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from rtopt.cli import main
 from rtopt.machine import MachineProblem, Scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,3 +82,23 @@ def test_launcher_marks_the_solve_of_every_command(tmp_path):
                              "--mode", mode)
         assert done.returncode == 0, done.stderr
         assert marks["solve_start"] is not None
+
+
+BENCHMARK_WORKLOADS = ("nominal-nonlinear", "robust-linear", "tables-knee")
+
+
+@pytest.mark.parametrize("name", BENCHMARK_WORKLOADS)
+def test_benchmark_output_checks_pass(tmp_path, perfbench_workloads, name):
+    # a benchmark run whose artifacts fail perfbench/workloads.py::Checker
+    # reads as incorrect; run each workload's command at seed 1 in process
+    workloads = perfbench_workloads
+    assert set(workloads.WORKLOADS) == set(BENCHMARK_WORKLOADS)
+    workload = workloads.WORKLOADS[name]
+    path, outdir = str(tmp_path / "run.cfg"), str(tmp_path / "out")
+    workload.write_config(path, 1, outdir)
+    if workload.needs_tables:
+        assert main(["precompute-td", path]) == 0
+    assert main(workload.cli_args(path)) in (0, 4)
+    assert workloads.missing_artifacts(workload, outdir) == []
+    outcome = workloads.read_outcome(workload, outdir)
+    assert workloads.Checker(workload, path).check(outdir, outcome) == []

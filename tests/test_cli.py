@@ -53,6 +53,15 @@ def write_cfg(path, out_dir, algorithm="", base=None):
     return str(path)
 
 
+def scal_base(knee_keys=""):
+    # saturating iron, SCAL with knee_keys in place of the ANG keys, one step
+    return (BASE.replace("max_iterations = 12", "max_iterations = 1")
+            .replace("iron_linear = true", "iron_linear = false")
+            .replace("name = ANG", "name = SCAL")
+            .replace("q_hat_deg = -60\ninterval_deg = -75, -45\n", knee_keys)
+            .replace("t_max = 12.0", "t_max = 5.0"))
+
+
 @pytest.fixture(scope="module")
 def ws(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -239,18 +248,36 @@ def test_summary_counts_clamped_rows(tables_ready, tmp_path):
                          .read_text())
     assert summary["clamped_rows"] > 0
     # saturating iron stays inside t_max = 5 and the knee axis of SCAL
-    scal = (BASE.replace("max_iterations = 12", "max_iterations = 1")
-            .replace("iron_linear = true", "iron_linear = false")
-            .replace("name = ANG", "name = SCAL")
-            .replace("q_hat_deg = -60\ninterval_deg = -75, -45\n", "")
-            .replace("t_max = 12.0", "t_max = 5.0"))
-    cfg = write_cfg(tmp_path / "scal.cfg", tmp_path / "scal", base=scal,
+    cfg = write_cfg(tmp_path / "scal.cfg", tmp_path / "scal", base=scal_base(),
                     algorithm="n_q = 3")
     assert main(["precompute-td", cfg]) == 0
     assert main(["optimize", cfg, "--mode", "robust"]) in (0, 4)
     summary = json.loads((tmp_path / "scal" / "robust" / "summary.json")
                          .read_text())
     assert summary["newton"]["solves"] > 0 and summary["linear_bases"] == 0
+    assert summary["clamped_rows"] == 0
+
+
+def test_tables_must_span_the_knee_interval(tmp_path, caplog):
+    # the law fingerprint records a knee axis but not its range, so tables
+    # sampled over a narrower interval clamped every knee query outside it
+    out = tmp_path / "out"
+
+    def cfg(name, knee):
+        return write_cfg(tmp_path / f"{name}.cfg", out, algorithm="n_q = 3",
+                         base=scal_base(f"q_hat_knee = 2.2\ninterval_knee = {knee}\n"))
+
+    assert main(["precompute-td", cfg("narrow", "2.1, 2.3")]) == 0
+    caplog.clear()
+    assert main(["optimize", cfg("wide", "1.6, 2.8"), "--mode", "robust"]) == 2
+    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
+    message = record.getMessage()
+    for part in ("iron_to_air.rtotd", "2.1 to 2.3", "1.6 to 2.8",
+                 "re-run precompute-td"):
+        assert part in message
+    assert not (out / "robust").exists()
+    assert main(["optimize", cfg("narrow", "2.1, 2.3"), "--mode", "robust"]) in (0, 4)
+    summary = json.loads((out / "robust" / "summary.json").read_text())
     assert summary["clamped_rows"] == 0
 
 

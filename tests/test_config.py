@@ -216,6 +216,21 @@ def test_fixed_step_rule_is_not_a_key(workdir, caplog, key, value):
     assert message in caplog.text
 
 
+def test_sector_is_not_a_key(workdir, caplog):
+    # the winding, the pole count and the antiperiodic pairing fix the sector
+    # at one pole pitch; at 90 degrees the machine still solved, wrongly
+    path = workdir / "sector.cfg"
+    path.write_text(TOY.read_text().replace(
+        "[geometry]\n", "[geometry]\nsector_deg = 45\n"))
+    message = "unknown key 'sector_deg' in [geometry]"
+    with pytest.raises(ConfigurationError) as refused:
+        load_config(path)
+    assert str(refused.value) == message
+    caplog.clear()
+    assert main(["audit", "--kind", "sweep", str(path)]) == 2
+    assert message in caplog.text
+
+
 def test_shipped_and_benchmark_configs_load(tmp_path, perfbench_workloads):
     # a key left in a shipped config or a benchmark template after its
     # removal would make every run of it exit 2

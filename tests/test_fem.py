@@ -14,8 +14,7 @@ from scipy.special import hyp2f1
 
 from rtopt.errors import SolverError
 from rtopt.fem import (DofMap, P1Space, ScreenedSmoother, adjoint_solve,
-                       factor_tangent, newton_solve, tangent_at,
-                       tangent_product)
+                       factor_tangent, newton_solve, tangent_at)
 from rtopt.laws import NU0, air_law, iron_law
 from rtopt.machine import MachineProblem, MaterialSpec, Scenario
 from smoother_integrals import elementwise_integral, nodal_integral
@@ -383,20 +382,6 @@ def test_band_solve_matches_superlu(toy_mesh):
               rng.standard_normal((dofmap.n_reduced, 3))):
         ref = lu.solve(b)
         assert np.linalg.norm(factor.solve(b) - ref) <= 1e-12 * np.linalg.norm(ref)
-
-
-def test_tangent_product_matches_reduced_tangent(toy_mesh):
-    space, dofmap = P1Space(toy_mesh), DofMap(toy_mesh)
-    rng = np.random.default_rng(23)
-    a = rng.standard_normal((toy_mesh.n_elements, 2, 2))
-    dh = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(2)
-    k_red = tangent_at(space, dofmap, lambda curls: (curls, dh),
-                       np.zeros(toy_mesh.n_nodes))
-    x = rng.standard_normal((dofmap.n_reduced, 3))
-    ref = k_red @ x
-    product = tangent_product(space, dofmap, dh, x)
-    assert product.shape == ref.shape
-    assert np.abs(product - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_curl_and_divergence_operators(toy_mesh):

@@ -6,7 +6,7 @@ import pytest
 
 from rtopt.errors import ConfigurationError, UsageError
 from rtopt.fem import DofMap, P1Space
-from rtopt.mesh import (MachineGeometry, build_machine_mesh, disk_mirror,
+from rtopt.mesh import (SECTOR, MachineGeometry, build_machine_mesh, disk_mirror,
                         graded_disk_mesh, refine_disc_patch)
 from square_mesh import unit_square_mesh
 
@@ -64,11 +64,10 @@ def test_machine_regions_and_pairs():
     vs = mesh.vertices[mesh.pair_slave]
     assert np.allclose(np.hypot(*vm.T), np.hypot(*vs.T), rtol=1e-12)
     assert np.allclose(np.arctan2(vm[:, 1], vm[:, 0]), 0.0, atol=1e-12)
-    sector = mesh.meta["sector"]
-    assert np.allclose(np.arctan2(vs[:, 1], vs[:, 0]), sector, rtol=1e-9)
+    assert np.allclose(np.arctan2(vs[:, 1], vs[:, 0]), SECTOR, rtol=1e-9)
     # sector area, polygon deficit allowed
     geo = MachineGeometry()
-    assert P1Space(mesh).areas.sum() == pytest.approx(0.5 * geo.sector * geo.r_outer**2,
+    assert P1Space(mesh).areas.sum() == pytest.approx(0.5 * SECTOR * geo.r_outer**2,
                                                rel=1e-2)
 
 
