@@ -108,8 +108,7 @@ def cmd_precompute(cfg):
              cfg.exterior.radius, cfg.exterior.n_t,
              "" if q_range is None else f", knee axis {q_range}")
     problem = ExteriorProblem(cfg.exterior)
-    tables = precompute_tables(cfg.materials, cfg.exterior, q_range,
-                               problem=problem)
+    tables = precompute_tables(cfg.materials, problem, q_range)
     for direction, table in tables.items():
         path = os.path.join(outdir, TABLE_FILES[direction])
         save_table(table, path)
@@ -156,6 +155,7 @@ def _write_summary(path, cfg, result, problem, design, tables):
         "iron_fraction": _iron_fraction(problem, design),
         "newton": newton_summary(problem.newton_log),
         "linear_bases": problem.bases_built,
+        "objective_evaluations": problem.objective_evaluations,
         "clamped_rows": sum(t.clamped_rows for t in tables.values()),
         "trace_rows": len(result.trace),
     }

@@ -204,6 +204,7 @@ class MachineProblem:
         self.newton_log = []        # NewtonInfo of every state solve, in order
         self._basis = None          # (design key, states, adjoints)
         self.bases_built = 0        # one factorization each
+        self.objective_evaluations = 0
 
         m = mesh.n_elements
         rid = mesh.region_id
@@ -398,6 +399,7 @@ class MachineProblem:
 
     def objective(self, design, q=None, starts=()):
         """Objective value and the per-position states that produced it."""
+        self.objective_evaluations += 1
         states = self.states(design, q, starts)
         torques = np.array([self.torque(u) for u in states])
         return float(-np.mean(torques)), states

@@ -291,13 +291,13 @@ class TDTable:
         return out
 
 
-def sample_table(materials, direction, exterior_config=None, q_range=None,
-                 problem=None):
-    """Sample one direction's table by corrector solves.
+def sample_table(materials, direction, problem, q_range=None):
+    """Sample one direction's table by corrector solves on an ExteriorProblem.
 
-    materials carries the iron/air constants (a machine MaterialSpec). With
-    q_range=(lo, hi) the iron knee sweeps n_q uniform samples and the table
-    gains a knee axis; otherwise the nominal knee is used throughout.
+    materials carries the iron/air constants (a machine MaterialSpec), and
+    problem.config the t axis. With q_range=(lo, hi) the iron knee sweeps
+    n_q uniform samples and the table gains a knee axis; otherwise the
+    nominal knee is used throughout.
     Saturating iron solves every (t, knee) sample, each continued from its
     nearest solved sample (Deuflhard, Newton Methods for Nonlinear Problems,
     2004, ch. 5): the same t at the previous knee, or the previous t at the
@@ -305,8 +305,7 @@ def sample_table(materials, direction, exterior_config=None, q_range=None,
     in t and free of the knee, so one solve at t = 1 gives every entry as t
     times that pair.
     """
-    cfg = exterior_config or ExteriorConfig()
-    prob = problem or ExteriorProblem(cfg)
+    cfg = problem.config
     t_vals = np.linspace(0.0, cfg.t_max, cfg.n_t)
     knees = (np.linspace(q_range[0], q_range[1], cfg.n_q)
              if q_range is not None else np.array([materials.k_f]))
@@ -314,8 +313,8 @@ def sample_table(materials, direction, exterior_config=None, q_range=None,
     def pair(t, knee, u0=None):
         law_in, law_out = laws_for_direction(direction, materials, knee)
         U = np.array([t, 0.0])
-        k, _ = prob.solve_corrector(U, law_in, law_out, u0)
-        return prob.response_pair(k, U, law_in, law_out), k
+        k, _ = problem.solve_corrector(U, law_in, law_out, u0)
+        return problem.response_pair(k, U, law_in, law_out), k
 
     f_par = np.zeros((cfg.n_t, len(knees)))
     f_perp = np.zeros((cfg.n_t, len(knees)))
@@ -333,7 +332,7 @@ def sample_table(materials, direction, exterior_config=None, q_range=None,
                 (f_par[it, jq], f_perp[it, jq]), column[it] = pair(
                     t_vals[it], knee, u0)
 
-    meta = {"radius": cfg.radius, "mesh_nodes": prob.mesh.n_nodes,
+    meta = {"radius": cfg.radius, "mesh_nodes": problem.mesh.n_nodes,
             "target_nodes": cfg.target_nodes}
     if q_range is None:     # one column, kept 1-D
         f_par, f_perp, knees = f_par[:, 0], f_perp[:, 0], None
@@ -342,12 +341,9 @@ def sample_table(materials, direction, exterior_config=None, q_range=None,
                    meta=meta)
 
 
-def precompute_tables(materials, exterior_config=None, q_range=None,
-                      problem=None):
-    """Both flip directions with one shared exterior discretization."""
-    cfg = exterior_config or ExteriorConfig()
-    prob = problem or ExteriorProblem(cfg)
-    return {d: sample_table(materials, d, cfg, q_range, problem=prob)
+def precompute_tables(materials, problem, q_range=None):
+    """Both flip directions on one ExteriorProblem."""
+    return {d: sample_table(materials, d, problem, q_range)
             for d in DIRECTIONS}
 
 

@@ -17,7 +17,7 @@ from rtopt import fem
 from rtopt.machine import MachineProblem, MaterialSpec, Scenario
 from rtopt.mesh import MachineGeometry, build_machine_mesh
 from rtopt.robust import IntervalSet
-from rtopt.topderiv import ExteriorConfig, precompute_tables
+from rtopt.topderiv import ExteriorConfig, ExteriorProblem, precompute_tables
 
 TOY_Q_HAT = np.array([np.deg2rad(-60.0)])
 TOY_INTERVAL = (np.deg2rad(-75.0), np.deg2rad(-45.0))
@@ -50,7 +50,7 @@ def toy_problem(toy_mesh, linear_spec):
 def linear_tables(linear_spec):
     # t_max covers the largest design-region flux the linear law reaches
     cfg = ExteriorConfig(target_nodes=4000, t_max=12.0, n_t=13)
-    return precompute_tables(linear_spec, cfg)
+    return precompute_tables(linear_spec, ExteriorProblem(cfg))
 
 
 @pytest.fixture(scope="session")

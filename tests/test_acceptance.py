@@ -150,7 +150,7 @@ def test_criterion_05_descent_invariants(capsys):
     mesh = build_machine_mesh(cfg.geometry)
     problem = MachineProblem(mesh, cfg.materials, cfg.scenario, cfg.solver,
                              smoothing_eps=cfg.smoothing_eps)
-    tables = precompute_tables(cfg.materials, cfg.exterior,
+    tables = precompute_tables(cfg.materials, ExteriorProblem(cfg.exterior),
                                cfg.table_q_range())
     geometry = problem.smoother()
     norms = []

@@ -14,6 +14,7 @@ import pytest
 
 import rtopt
 from rtopt.cli import main
+from rtopt.laws import K_F
 from rtopt.levelset import TRACE_HEADER
 from rtopt.machine import MachineProblem
 
@@ -165,7 +166,8 @@ def test_optimize_missing_tables(tmp_path):
 
 SUMMARY_KEYS = {"clamped_rows", "evaluations", "final_objective", "format",
                 "iron_fraction", "iterations", "linear_bases", "newton",
-                "scenario", "status", "trace_rows", "worst_parameters"}
+                "objective_evaluations", "scenario", "status", "trace_rows",
+                "worst_parameters"}
 
 
 def read_artifacts(rundir):
@@ -205,6 +207,8 @@ def test_optimize_nominal_artifacts(tables_ready, capsys):
                                  "max_iterations": 0, "rejected_trials": 0,
                                  "warm_starts": 0}
     assert summary["linear_bases"] == summary["evaluations"]
+    # nominal: one objective call (at q_hat) per design
+    assert summary["objective_evaluations"] == summary["evaluations"]
     assert final.startswith(b"RTOLS1\n")
     svg = (rundir / "design_final.svg").read_text()
     assert svg.lstrip().startswith("<svg")
@@ -256,6 +260,24 @@ def test_summary_counts_clamped_rows(tables_ready, tmp_path):
                          .read_text())
     assert summary["newton"]["solves"] > 0 and summary["linear_bases"] == 0
     assert summary["clamped_rows"] == 0
+
+
+def test_dist_robust_end_to_end(tmp_path):
+    # DIST: nine knees in a ball of the default radius 0.1 * k_f around k_f.
+    # The ascent from q_hat and the previous worst case finds q*; a single
+    # design step takes a few dozen Newton solves, not hundreds
+    cfg = write_cfg(tmp_path / "dist.cfg", tmp_path / "dist",
+                    base=scal_base().replace("name = SCAL", "name = DIST"),
+                    algorithm="n_q = 3")
+    assert main(["precompute-td", cfg]) == 0
+    assert main(["optimize", cfg, "--mode", "robust"]) in (0, 4)
+    summary = json.loads((tmp_path / "dist" / "robust" / "summary.json")
+                         .read_text())
+    q = np.array(summary["worst_parameters"])
+    assert q.shape == (9,)
+    assert np.linalg.norm(q - K_F) <= 0.1 * K_F * (1 + 1e-9)
+    assert summary["newton"]["solves"] <= 40
+    assert summary["objective_evaluations"] >= summary["evaluations"]
 
 
 def test_tables_must_span_the_knee_interval(tmp_path, caplog):

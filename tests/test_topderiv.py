@@ -62,7 +62,7 @@ def test_linear_tables_factor_once_per_direction(linear_spec, factor_calls):
                              n_t=n_t, n_q=3)
         prob = ExteriorProblem(cfg)
         del factor_calls[:]
-        tables = precompute_tables(linear_spec, cfg, q_range, problem=prob)
+        tables = precompute_tables(linear_spec, prob, q_range)
         assert len(factor_calls) == 2             # one tangent per direction
         assert len(prob.newton_log) == 2
         # an isolated Newton solve at each (t, knee) agrees to round-off
@@ -74,7 +74,7 @@ def test_linear_tables_factor_once_per_direction(linear_spec, factor_calls):
     # neighbour: the entries of isolated cold solves up to the tolerance
     spec = MaterialSpec()
     for direction in DIRECTIONS:
-        table = sample_table(spec, direction, cfg, problem=prob)
+        table = sample_table(spec, direction, prob)
         assert_isolated_solves_reproduce(prob, spec, table, rtol=1e-9)
 
 
@@ -100,8 +100,8 @@ SWEEP = ExteriorConfig(radius=64.0, target_nodes=1500, t_max=5.0, n_t=4, n_q=3)
 
 def test_saturating_tables_repeat_bitwise():
     spec = MaterialSpec()
-    first, second = (precompute_tables(spec, SWEEP, (1.8, 2.6))
-                     for _ in range(2))
+    first, second = (precompute_tables(spec, ExteriorProblem(SWEEP),
+                                       (1.8, 2.6)) for _ in range(2))
     for direction in DIRECTIONS:
         for name in ("f_par", "f_perp"):
             assert np.array_equal(getattr(first[direction], name),
@@ -123,7 +123,7 @@ def test_knee_sweep_continues_from_solved_neighbours(monkeypatch):
     monkeypatch.setattr(ExteriorProblem, "solve_corrector", spy)
     spec = MaterialSpec()
     prob = ExteriorProblem(SWEEP)
-    table = sample_table(spec, "iron_to_air", SWEEP, (1.8, 2.6), problem=prob)
+    table = sample_table(spec, "iron_to_air", prob, (1.8, 2.6))
     n = SWEEP.n_t - 1
     assert len(calls) == n * SWEEP.n_q
     assert calls[0][0] is None
