@@ -11,7 +11,8 @@ default. The full grammar is documented in the README.
 reader). Unknown-key detection and parsing both read it. Only keys present
 in the file reach their target, so every default lives in the target's
 dataclass; `_build_scenario` adds the scenario-set defaults no dataclass
-holds (the ANG phase defaults and the ones derived from ``k_f``).
+holds (the ANG phase defaults and the ones derived from ``k_f``) and refuses
+a scenario-set key its scenario does not read (`SET_KEYS`).
 """
 from __future__ import annotations
 
@@ -193,6 +194,11 @@ KEYS = {
     },
 }
 
+# the "set" keys each scenario reads; a file setting any other one fails
+SET_KEYS = {"NOM": (), "ANG": ("q_hat_deg", "interval_deg"),
+            "SCAL": ("q_hat_knee", "interval_knee"),
+            "DIST": ("q_hat_knee", "ellipsoid_radius")}
+
 
 def _read_sections(path):
     """Raw values of the file's keys, as section -> key -> string."""
@@ -241,6 +247,10 @@ def _build_scenario(raw, spec):
     name = settings.get("name", Scenario.name)
 
     bounds = _settings(raw, "set")
+    for key in bounds:
+        if name in SET_KEYS and key not in SET_KEYS[name]:
+            raise ConfigurationError(
+                f"[scenario] {key} is not read by scenario {name}")
     uncertainty = None
     if name == "ANG":
         q_hat = np.array([np.deg2rad(bounds.get("q_hat_deg", 6.0))])

@@ -4,9 +4,9 @@ The uncertainty set is an interval (the load angle of ANG, the shared knee
 of SCAL) or a Euclidean ball around the nominal knees (DIST). The outer
 loop and the evaluator are the nominal ones; the only difference is where
 q comes from: each iterate first maximizes the objective over the set with
-a projected-gradient ascent (from the nominal q, the previous worst case
-and an interval's two ends), and the sensitivity field is the one of the
-plain objective frozen at the maximizer. For a locally Lipschitz
+a projected-gradient ascent from the set's own start points (an
+interval's two ends, a ball's centre), and the sensitivity field is the
+one of the plain objective frozen at the maximizer. For a locally Lipschitz
 max-function with a unique maximizer that frozen gradient is the
 generalized gradient, so no subdifferential machinery is needed.
 """
@@ -14,7 +14,7 @@ generalized gradient, so no subdifferential machinery is needed.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,11 +88,11 @@ class BallSet:
         return bool(np.linalg.norm(d) <= self.radius * (1.0 + tol))
 
     def start_points(self):
-        """None: RobustEvaluator.starts adds q_hat and the last worst case;
-        the first trial from q_hat, project(q_hat + grad), is the linearized
-        worst case (Diehl, Bock & Kostina, 2006). Axis starts found the same
-        maximizer at 20 times the cost (the oracle of tests/test_robust.py)."""
-        return []
+        """The centre alone (q_hat in every config): the first trial from it,
+        project(center + grad), is the linearized worst case (Diehl, Bock &
+        Kostina, 2006). Axis starts found the same maximizer at 20 times the
+        cost (the oracle of tests/test_robust.py)."""
+        return [self.center.copy()]
 
 
 # ---------------------------------------------------------------------------
@@ -124,15 +124,13 @@ class WorstCaseResult:
     value: float
     iterations: int
     n_evaluations: int
-    accepted_steps: list = field(default_factory=list)
 
 
 def _ascend(objective, uset, q0, params):
-    """One projected-gradient trajectory from q0; returns (q, value, iters, steps)."""
+    """One projected-gradient trajectory from q0; returns (q, value, iters)."""
     q = uset.project(np.asarray(q0, dtype=float))
     value, grad = objective.value_grad(q)
     tau = TAU_MAX
-    steps = []
     for it in range(params.max_iterations):
         accepted = False
         while True:
@@ -147,15 +145,14 @@ def _ascend(objective, uset, q0, params):
                 break
             tau = max(tau * TAU_SHRINK, TAU_MIN)
         if not accepted:
-            return q, value, it, steps
-        steps.append((q.copy(), trial.copy(), trial_value - value, tau))
+            return q, value, it
         q = trial
         value = trial_value
         if np.sqrt(move_sq) < params.step_tol:
-            return q, value, it + 1, steps
+            return q, value, it + 1
         _, grad = objective.value_grad(q)
         tau = min(tau * TAU_GROW, TAU_MAX)
-    return q, value, params.max_iterations, steps
+    return q, value, params.max_iterations
 
 
 def inner_maximize(objective, uset, starts, params=None):
@@ -175,15 +172,14 @@ def inner_maximize(objective, uset, starts, params=None):
     failures = []
     for idx, q0 in enumerate(dedup):
         try:
-            q, value, iters, steps = _ascend(objective, uset, q0, params)
+            q, value, iters = _ascend(objective, uset, q0, params)
         except SolverError as e:
             log.warning("inner ascent from start %d failed: %s", idx, e)
             failures.append(e)
             continue
         total_iters += iters
         if best is None or value > best.value:
-            best = WorstCaseResult(q, value, iters, objective.n_evaluations,
-                                   steps)
+            best = WorstCaseResult(q, value, iters, objective.n_evaluations)
     if best is None:
         raise SolverError("all inner-maximization starts failed") from failures[-1]
     if not uset.contains(best.q_star, 1e-12):
@@ -285,23 +281,13 @@ class RobustEvaluator(NominalEvaluator):
         if not uset.contains(self.q, 1e-9):
             raise ConfigurationError(
                 "nominal parameter vector lies outside the uncertainty set")
-        self.previous = None
 
     # own entry: a tracer wrapping both classes' __call__ must not nest spans
     __call__ = NominalEvaluator.__call__
 
-    def starts(self):
-        pts = list(self.uset.start_points())
-        pts.append(self.q.copy())
-        if self.previous is not None:
-            pts.append(self.previous.copy())
-        return pts
-
     def worst_case(self, objective):
-        wc = inner_maximize(objective, self.uset, self.starts(),
-                            self.inner_params)
-        self.previous = wc.q_star.copy()
-        return wc.q_star
+        return inner_maximize(objective, self.uset, self.uset.start_points(),
+                              self.inner_params).q_star
 
 
 def optimize_robust(problem, iron_to_air, air_to_iron, uset, psi0=None,

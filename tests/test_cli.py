@@ -114,6 +114,16 @@ def test_unselected_scenario_keys_are_checked(tmp_path, caplog):
     assert "[scenario] interval_deg" in caplog.text
 
 
+def test_foreign_scenario_key_exits_2(tmp_path, caplog):
+    # ANG reads the phase keys only, so a knee-ball radius exits 2
+    cfg = write_cfg(tmp_path / "ang.cfg", tmp_path / "o",
+                    base=BASE.replace("interval_deg = -75, -45\n",
+                                      "interval_deg = -75, -45\n"
+                                      "ellipsoid_radius = 99\n"))
+    assert main(["optimize", cfg]) == 2
+    assert "ellipsoid_radius is not read by scenario ANG" in caplog.text
+
+
 def test_invalid_thread_cap(ws):
     assert main(["--threads", "0", "precompute-td", ws["cfg"]]) == 2
 
@@ -264,7 +274,7 @@ def test_summary_counts_clamped_rows(tables_ready, tmp_path):
 
 def test_dist_robust_end_to_end(tmp_path):
     # DIST: nine knees in a ball of the default radius 0.1 * k_f around k_f.
-    # The ascent from q_hat and the previous worst case finds q*; a single
+    # The ascent from the ball's centre q_hat finds q*; a single
     # design step takes a few dozen Newton solves, not hundreds
     cfg = write_cfg(tmp_path / "dist.cfg", tmp_path / "dist",
                     base=scal_base().replace("name = SCAL", "name = DIST"),

@@ -231,6 +231,33 @@ def test_sector_is_not_a_key(workdir, caplog):
     assert message in caplog.text
 
 
+ANG_KEYS = "q_hat_deg = -60.0\ninterval_deg = -75.0, -45.0\n"
+
+
+@pytest.mark.parametrize("scenario, line", [
+    ("ANG", "ellipsoid_radius = 99"),
+    ("ANG", "interval_knee = 5, 1"),
+    ("ANG", "q_hat_knee = -3"),
+    ("NOM", "interval_deg = 5, -5"),
+    ("SCAL", "q_hat_deg = 6"),
+    ("SCAL", "ellipsoid_radius = 0.2"),
+    ("DIST", "interval_knee = 2.0, 2.4"),
+], ids=["ang_radius", "ang_knee_interval", "ang_knee", "nom_interval",
+        "scal_phase", "scal_radius", "dist_knee_interval"])
+def test_foreign_scenario_key_is_refused(workdir, scenario, line):
+    # a set key the scenario does not read is refused at any value, so a
+    # typo or a left-over key cannot silently leave the set at its default
+    kept = ANG_KEYS if scenario == "ANG" else ""
+    path = workdir / "foreign.cfg"
+    path.write_text(TOY.read_text().replace("name = ANG\n", f"name = {scenario}\n")
+                    .replace(ANG_KEYS, kept + line + "\n"))
+    key = line.split(" =")[0]
+    with pytest.raises(ConfigurationError) as refused:
+        load_config(path)
+    assert str(refused.value) == (
+        f"[scenario] {key} is not read by scenario {scenario}")
+
+
 def test_shipped_and_benchmark_configs_load(tmp_path, perfbench_workloads):
     # a key left in a shipped config or a benchmark template after its
     # removal would make every run of it exit 2

@@ -9,8 +9,9 @@ from rtopt.errors import ConfigurationError, SolverError, UsageError
 from rtopt.fem import newton_summary
 from rtopt.levelset import LevelSetOptions, NominalEvaluator, optimize_nominal
 from rtopt.machine import MachineProblem, MaterialSpec, Scenario
-from rtopt.robust import (GAMMA, MEMO_LIMIT, BallSet, InnerParams, IntervalSet,
-                          ParameterObjective, RobustEvaluator, inner_maximize)
+from rtopt.robust import (GAMMA, MEMO_LIMIT, TAU_MAX, TAU_MIN, BallSet,
+                          InnerParams, IntervalSet, ParameterObjective,
+                          RobustEvaluator, inner_maximize)
 from rtopt.topderiv import ExteriorConfig, ExteriorProblem, precompute_tables
 
 
@@ -59,7 +60,10 @@ def test_ellipsoid_isotropic_projection():
     assert s.contains(p, 1e-9)
     assert not s.contains(np.array([0.8, 0.8]))
     # the ascent from the centre finds the worst case (see the oracle test)
-    assert s.start_points() == []
+    (start,) = s.start_points()
+    assert np.array_equal(start, s.center)
+    start[0] = 99.0                               # a copy, not a view
+    assert s.center[0] == 0.0
 
     center = np.array([1.0, -2.0])
     s = BallSet(center, 0.5)
@@ -126,14 +130,39 @@ def test_inner_maximize_dedups_starts():
     assert a.n_evaluations == b.n_evaluations
 
 
+class RecordingQuad1D(Quad1D):
+    """Quad1D that logs every point where its gradient is asked."""
+
+    def __init__(self):
+        super().__init__()
+        self.points = []
+
+    def value_grad(self, q):
+        self.points.append(float(q[0]))
+        return super().value_grad(q)
+
+
 def test_inner_maximize_sufficient_increase_audit():
+    # the ascent asks for the gradient at its start and after every accepted
+    # step, so consecutive gradient points are accepted steps q -> trial.
+    # The set is symmetric about the maximizer 0.3, so the first trial from
+    # either end (tau = 1 reflects q about 0.3) lands inside it and no trial
+    # is projected: tau = move / gradient
     params = InnerParams()
-    uset = IntervalSet([0.0], [1.0])
-    res = inner_maximize(Quad1D(), uset, uset.start_points(), params)
-    assert res.accepted_steps
-    for q_from, q_to, gain, tau in res.accepted_steps:
-        move = float((q_to - q_from) @ (q_to - q_from))
-        assert gain >= (GAMMA / tau) * move - 1e-15
+    uset = IntervalSet([-0.2], [0.8])
+    steps = 0
+    for start in uset.start_points():
+        f = RecordingQuad1D()
+        inner_maximize(f, uset, [start], params)
+        for q, trial in zip(f.points, f.points[1:]):
+            assert uset.lower[0] < trial < uset.upper[0]
+            move = trial - q
+            tau = move / (-2.0 * (q - 0.3))
+            assert TAU_MIN <= tau <= TAU_MAX
+            gain = f.value([trial]) - f.value([q])
+            assert gain >= (GAMMA / tau) * move ** 2 - 1e-15
+            steps += 1
+    assert steps >= 2
 
 
 class Broken:
@@ -156,16 +185,30 @@ def test_inner_maximize_all_starts_fail():
                        [np.array([0.5])])
 
 
-def test_worst_case_tries_each_start_once(toy_problem, linear_tables,
-                                          phase_set):
-    rob = RobustEvaluator(toy_problem, linear_tables["iron_to_air"],
-                          linear_tables["air_to_iron"], phase_set)
+def _tried_after_a_worst_case(problem, tables, uset):
+    """Points a failing objective is asked at, once the evaluator has found
+    the worst case of another design: the set alone picks the starts."""
+    rob = RobustEvaluator(problem, tables["iron_to_air"],
+                          tables["air_to_iron"], uset)
+    design = np.ones(len(problem.design_elements), dtype=bool)
+    rob.worst_case(ParameterObjective(problem, design))
     broken = Broken()
     with pytest.raises(SolverError, match="all inner-maximization starts"):
         rob.worst_case(broken)
-    # the set's two ends and the nominal q, each asked once
-    tried = [q.tobytes() for q in broken.calls]
-    assert len(tried) == len(set(tried)) == 3
+    return [q.tobytes() for q in broken.calls]
+
+
+def test_worst_case_tries_each_start_once(toy_problem, linear_tables,
+                                          phase_set):
+    # the interval's two ends, each asked once
+    tried = _tried_after_a_worst_case(toy_problem, linear_tables, phase_set)
+    assert tried == [q.tobytes() for q in phase_set.start_points()]
+
+
+def test_ball_worst_case_tries_the_centre_once(toy_problem, linear_tables):
+    ball = BallSet(toy_problem.scenario.q_hat, np.deg2rad(10.0))
+    tried = _tried_after_a_worst_case(toy_problem, linear_tables, ball)
+    assert tried == [ball.center.tobytes()]
 
 
 def test_inner_params_validation():
@@ -322,9 +365,9 @@ def test_objective_keeps_no_design_history(toy_mesh, saturating_tables):
 
 
 def test_ball_worst_case_matches_axis_multistart(toy_mesh, saturating_tables):
-    # a ball offers no start points: the ascents from q_hat and the previous
-    # worst case find the maximizer that ascents from the 2 * dim axis points
-    # and q_hat find, with at most a fifth of the calls. Every ascent stops
+    # a ball offers its centre q_hat alone: the ascent from it finds the
+    # maximizer that ascents from the 2 * dim axis points and q_hat find,
+    # with at most a fifth of the calls. Every ascent stops
     # once a step moves q by less than step_tol, so the oracle's own ascents
     # disagree in J; that spread bounds the J gap.
     ball = BallSet(np.full(9, 2.2), 0.3)
