@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .machine import ROTOR_BLOCKS, MaterialSpec, Scenario, SolverOptions
+from .machine import PHI0, ROTOR_BLOCKS, MaterialSpec, Scenario, SolverOptions
 from .mesh import MachineGeometry
 from .levelset import LevelSetOptions
 from .robust import BallSet, IntervalSet, InnerParams
@@ -125,10 +125,6 @@ def _pair(v):
     return pair
 
 
-def _deg(v):
-    return np.deg2rad(_float(v))
-
-
 def _deg_pair(v):
     lo, hi = _pair(v)
     return (np.deg2rad(lo), np.deg2rad(hi))
@@ -138,17 +134,9 @@ def _deg_pair(v):
 # uncertainty-set keys `_build_scenario` reads, "run" the RunConfig fields
 KEYS = {
     "geometry": {
-        "r_shaft": ("geometry", "r_shaft", _float),
-        "r_design": ("geometry", "r_design", _float),
-        "r_gap_outer": ("geometry", "r_gap_outer", _float),
-        "r_outer": ("geometry", "r_outer", _float),
         "magnet_r": ("geometry", "magnet_r", _pair),
-        "coil_r": ("geometry", "coil_r", _pair),
         "magnet1_window_deg": ("geometry", "magnet1_window", _deg_pair),
         "magnet2_window_deg": ("geometry", "magnet2_window", _deg_pair),
-        "coil_a_window_deg": ("geometry", "coil_A_window", _deg_pair),
-        "coil_b_window_deg": ("geometry", "coil_B_window", _deg_pair),
-        "coil_c_window_deg": ("geometry", "coil_C_window", _deg_pair),
         "target_nodes": ("geometry", "target_nodes", _int),
     },
     "material": {
@@ -158,7 +146,6 @@ KEYS = {
         "b_r": ("materials", "b_r", _float),
         "n_f": ("materials", "n_f", _int),
         "iron_linear": ("materials", "iron_linear", _bool),
-        "phi0_deg": ("materials", "phi0", _deg),
     },
     "scenario": {
         "name": ("scenario", "name", str.upper),
@@ -253,7 +240,8 @@ def _build_scenario(raw, spec):
                 f"[scenario] {key} is not read by scenario {name}")
     uncertainty = None
     if name == "ANG":
-        q_hat = np.array([np.deg2rad(bounds.get("q_hat_deg", 6.0))])
+        q_hat = np.array([np.deg2rad(bounds["q_hat_deg"])
+                          if "q_hat_deg" in bounds else PHI0])
         lo, hi = bounds.get("interval_deg", (-9.0, 21.0))
         if not lo < hi:
             raise ConfigurationError("phase interval must have lo < hi")

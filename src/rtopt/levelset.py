@@ -291,15 +291,22 @@ def save_levelset(psi, node_ids, mesh_fingerprint, path, iteration=0,
 
 def load_levelset(path, expect_fingerprint=None):
     lines = read_format_lines(path, LEVELSET_FORMAT)
+
+    def header(pos, keyword):
+        parts = lines[pos].split()
+        if parts[0] != keyword:
+            raise FormatError(f"{path}: expected '{keyword}' at line {pos + 1}")
+        return parts[1]
+
     try:
-        fingerprint = lines[1].split()[1]
+        fingerprint = header(1, "mesh")
         if expect_fingerprint is not None and fingerprint != expect_fingerprint:
             raise UsageError(
                 f"level-set file {path} was written for mesh {fingerprint}, "
                 f"not the configured mesh {expect_fingerprint}")
-        iteration = int(lines[2].split()[1])
-        value = float(lines[3].split()[1])
-        n = int(lines[4].split()[1])
+        iteration = int(header(2, "iteration"))
+        value = float(header(3, "value"))
+        n = int(header(4, "nodes"))
         if not 0 <= n <= len(lines) - 5:
             raise ValueError(f"{n} nodes announced")
         node_ids = np.empty(n, dtype=int)

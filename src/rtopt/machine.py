@@ -33,15 +33,14 @@ from .errors import ConfigurationError, SolverError, UsageError
 from .fem import (DofMap, P1Space, ScreenedSmoother, adjoint_solve,
                   factor_tangent, newton_solve)
 from .laws import MU0
-from .mesh import POLE_PAIRS, SECTOR
+from .mesh import COILS, POLE_PAIRS, R_DESIGN, R_GAP_OUTER, R_SHAFT, SECTOR
 
 log = logging.getLogger(__name__)
 
 POSITION_SWEEP = np.deg2rad(15.0)
 
-# phase offsets and slot signs of the three winding regions
-COILS = (("coil_A", 0.0, +1.0), ("coil_B", 2 * np.pi / 3, -1.0),
-         ("coil_C", 4 * np.pi / 3, +1.0))
+# load angle of the currents wherever q does not carry it (ANG's default q_hat)
+PHI0 = np.deg2rad(6.0)
 
 # DIST knee blocks of the design region: 4 angular x 2 radial
 ROTOR_BLOCKS = 8
@@ -60,7 +59,6 @@ class MaterialSpec:
     iron_linear: bool = False
     b_r: float = laws.B_R
     j_peak: float = 23.7e6
-    phi0: float = np.deg2rad(6.0)
 
     def __post_init__(self):
         if not (self.nu_f > 0 and self.k_f > 0 and self.n_f >= 2):
@@ -228,14 +226,13 @@ class MachineProblem:
         self._stator = mesh.elements_in("stator_iron")
         self._magnet1 = mesh.elements_in("magnet1")
         self._magnet2 = mesh.elements_in("magnet2")
-        self._coils = [(mesh.elements_in(name), off, sign) for name, off, sign in COILS]
+        self._coils = [(mesh.elements_in(name), off, sign)
+                       for name, _, off, sign in COILS]
 
         cen = mesh.centroids()[self.design_elements]
-        r_in = mesh.meta["r_shaft"]
-        r_out = mesh.meta["r_design"]
         ang = np.minimum((np.arctan2(cen[:, 1], cen[:, 0]) / (SECTOR / 4)).astype(int),
                          3)
-        rad = (np.hypot(cen[:, 0], cen[:, 1]) >= 0.5 * (r_in + r_out)).astype(int)
+        rad = (np.hypot(cen[:, 0], cen[:, 1]) >= 0.5 * (R_SHAFT + R_DESIGN)).astype(int)
         self.design_block = (2 * ang + rad).astype(np.int64)
 
         # entry of q that each element's saturation knee reads; -1 keeps k_f
@@ -247,9 +244,8 @@ class MachineProblem:
             self.knee_index[self._stator] = ROTOR_BLOCKS
             self.knee_index[self.design_elements] = self.design_block
 
-        self.torque_probe = TorqueProbe(
-            mesh, 0.5 * (r_out + mesh.meta["r_gap_outer"]),
-            max(64, 4 * mesh.meta["m_ang"]))
+        self.torque_probe = TorqueProbe(mesh, 0.5 * (R_DESIGN + R_GAP_OUTER),
+                                        max(64, 4 * mesh.meta["m_ang"]))
 
         areas = self.space.areas[self.design_elements]
         self.design_h = float(np.sqrt(2.0 * areas.mean()))
@@ -266,7 +262,7 @@ class MachineProblem:
     def _phase(self, q):
         if self.scenario.binding == "phase":
             return float(np.asarray(q, dtype=float)[0])
-        return self.spec.phi0
+        return PHI0
 
     def _coil_density(self, angle, phase, wave=np.sin):
         """Element-wise j_peak * wave(angle + coil offset + phase) in the coils."""

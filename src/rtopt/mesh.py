@@ -24,6 +24,18 @@ MACHINE_REGIONS = (
 POLE_PAIRS = 4
 SECTOR = np.pi / POLE_PAIRS
 
+# fixed radii (m): shaft, design annulus, air gap, stator, coil band
+R_SHAFT = 0.020
+R_DESIGN = 0.050
+R_GAP_OUTER = 0.051
+R_OUTER = 0.080
+COIL_R = (0.052, 0.064)
+
+# the three winding slots: region, angular window, phase offset, slot sign
+COILS = (("coil_A", (np.deg2rad(1.0), np.deg2rad(13.0)), 0.0, +1.0),
+         ("coil_B", (np.deg2rad(16.0), np.deg2rad(28.0)), 2 * np.pi / 3, -1.0),
+         ("coil_C", (np.deg2rad(31.0), np.deg2rad(43.0)), 4 * np.pi / 3, +1.0))
+
 
 @dataclass
 class Mesh:
@@ -188,58 +200,49 @@ def disk_mirror(mesh):
 
 @dataclass(frozen=True)
 class MachineGeometry:
-    """Geometry of one 45-degree pole of the benchmark machine (meters/radians).
+    """The rotor magnets and mesh size of one pole (meters/radians).
 
     The layout is a stand-in with the qualitative features of an interior
     permanent magnet machine: shaft, design annulus with two magnet pockets,
-    air gap, stator with three coil slots. Angular windows are (lo, hi) pairs
-    within the sector, which is one pole pitch (SECTOR).
+    air gap, stator with three coil slots. The stator and the winding are
+    the module constants above; angular windows are (lo, hi) pairs within
+    the sector, which is one pole pitch (SECTOR).
     """
 
-    r_shaft: float = 0.020
-    r_design: float = 0.050
-    r_gap_outer: float = 0.051
-    r_outer: float = 0.080
     magnet_r: tuple = (0.040, 0.047)
     magnet1_window: tuple = (np.deg2rad(4.0), np.deg2rad(18.0))
     magnet2_window: tuple = (np.deg2rad(27.0), np.deg2rad(41.0))
-    coil_r: tuple = (0.052, 0.064)
-    coil_A_window: tuple = (np.deg2rad(1.0), np.deg2rad(13.0))
-    coil_B_window: tuple = (np.deg2rad(16.0), np.deg2rad(28.0))
-    coil_C_window: tuple = (np.deg2rad(31.0), np.deg2rad(43.0))
     target_nodes: int = 4000
 
     def __post_init__(self):
-        radii = (0.0, self.r_shaft, self.r_design, self.r_gap_outer, self.r_outer)
-        if not all(b > a for a, b in zip(radii, radii[1:])):
-            raise ConfigurationError("machine radii must be strictly increasing")
-        if not (self.r_shaft <= self.magnet_r[0] < self.magnet_r[1] <= self.r_design):
+        if not (R_SHAFT <= self.magnet_r[0] < self.magnet_r[1] <= R_DESIGN):
             raise ConfigurationError("magnet band must sit inside the design annulus")
-        if not (self.r_gap_outer <= self.coil_r[0] < self.coil_r[1] <= self.r_outer):
-            raise ConfigurationError("coil band must sit inside the stator")
         if not self.target_nodes >= 200:
             raise ConfigurationError("target_nodes too small for the machine sector")
-        for lo, hi in (self.magnet1_window, self.magnet2_window,
-                       self.coil_A_window, self.coil_B_window, self.coil_C_window):
+        for lo, hi in (self.magnet1_window, self.magnet2_window):
             if not (0.0 <= lo < hi <= SECTOR):
                 raise ConfigurationError("angular window outside the sector")
+        (lo1, hi1), (lo2, hi2) = self.magnet1_window, self.magnet2_window
+        if lo1 < hi2 and lo2 < hi1:
+            raise ConfigurationError(
+                f"magnet1_window {np.rad2deg(lo1):g}, {np.rad2deg(hi1):g} deg "
+                f"overlaps magnet2_window {np.rad2deg(lo2):g}, {np.rad2deg(hi2):g} deg")
 
 
 def _machine_ring_radii(geo, m_ang):
     """Ring radii: band boundaries are exact rings, spacing tracks r*dtheta."""
     dth = SECTOR / m_ang
     bands = [
-        (geo.r_shaft, geo.magnet_r[0], 1),
+        (R_SHAFT, geo.magnet_r[0], 1),
         (geo.magnet_r[0], geo.magnet_r[1], 1),
-        (geo.magnet_r[1], geo.r_design, 1),
-        (geo.r_design, geo.r_gap_outer, 3),
-        (geo.r_gap_outer, geo.coil_r[0], 1),
-        (geo.coil_r[0], geo.coil_r[1], 1),
-        (geo.coil_r[1], geo.r_outer, 1),
+        (geo.magnet_r[1], R_DESIGN, 1),
+        (R_DESIGN, R_GAP_OUTER, 3),
+        (R_GAP_OUTER, COIL_R[0], 1),
+        (COIL_R[0], COIL_R[1], 1),
+        (COIL_R[1], R_OUTER, 1),
     ]
     # the shaft is magnetically passive; a handful of rings is plenty
-    r_fan = geo.r_shaft / 4
-    radii = [np.geomspace(r_fan, geo.r_shaft, max(4, m_ang // 6))]
+    radii = [np.geomspace(R_SHAFT / 4, R_SHAFT, max(4, m_ang // 6))]
     for r0, r1, kmin in bands:
         if r1 <= r0:
             # coincident band boundaries (e.g. magnets flush with the gap)
@@ -278,19 +281,17 @@ def build_machine_mesh(geo=None):
         return (tc >= win[0]) & (tc < win[1])
 
     region = np.full(len(tris), MACHINE_REGIONS.index("shaft"), dtype=np.int16)
-    design_band = (rc >= geo.r_shaft) & (rc < geo.r_design)
+    design_band = (rc >= R_SHAFT) & (rc < R_DESIGN)
     region[design_band] = MACHINE_REGIONS.index("design")
     magnet_band = design_band & (rc >= geo.magnet_r[0]) & (rc < geo.magnet_r[1])
     region[magnet_band & in_window(geo.magnet1_window)] = MACHINE_REGIONS.index("magnet1")
     region[magnet_band & in_window(geo.magnet2_window)] = MACHINE_REGIONS.index("magnet2")
-    gap_band = (rc >= geo.r_design) & (rc < geo.r_gap_outer)
-    region[gap_band] = MACHINE_REGIONS.index("air_gap")
-    stator_band = rc >= geo.r_gap_outer
+    region[(rc >= R_DESIGN) & (rc < R_GAP_OUTER)] = MACHINE_REGIONS.index("air_gap")
+    stator_band = rc >= R_GAP_OUTER
     region[stator_band] = MACHINE_REGIONS.index("stator_iron")
-    coil_band = stator_band & (rc >= geo.coil_r[0]) & (rc < geo.coil_r[1])
-    region[coil_band & in_window(geo.coil_A_window)] = MACHINE_REGIONS.index("coil_A")
-    region[coil_band & in_window(geo.coil_B_window)] = MACHINE_REGIONS.index("coil_B")
-    region[coil_band & in_window(geo.coil_C_window)] = MACHINE_REGIONS.index("coil_C")
+    coil_band = stator_band & (rc >= COIL_R[0]) & (rc < COIL_R[1])
+    for name, window, _, _ in COILS:
+        region[coil_band & in_window(window)] = MACHINE_REGIONS.index(name)
 
     # straight sector edges: theta=0 is the master side, theta=sector the slave
     masters = (1 + n_t * np.arange(len(radii))).astype(np.int32)
@@ -308,8 +309,7 @@ def build_machine_mesh(geo=None):
         pair_master=masters[keep],
         pair_slave=slaves[keep],
         dirichlet_nodes=dirich,
-        meta={"kind": "machine_sector", "m_ang": m_ang, "r_design": float(geo.r_design),
-              "r_shaft": float(geo.r_shaft), "r_gap_outer": float(geo.r_gap_outer)},
+        meta={"kind": "machine_sector", "m_ang": m_ang},
     )
     for name in MACHINE_REGIONS:
         if len(mesh.elements_in(name)) == 0:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import logging
 import logging.handlers
+import re
 from dataclasses import is_dataclass, replace
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtopt.cli import main
-from rtopt.config import RunConfig, load_config
+from rtopt.config import KEYS, RunConfig, load_config
 from rtopt.errors import ConfigurationError
 from rtopt.levelset import LevelSetOptions
 from rtopt.machine import MaterialSpec, Scenario, SolverOptions
@@ -71,7 +72,7 @@ BAD_VALUES = [
     (LevelSetOptions, {"max_iterations": 0}, "max_iterations must be at least 1"),
     (InnerParams, {"max_iterations": 0}, "inner_max_iterations >= 1"),
     (ExteriorConfig, {"n_t": 1}, "need at least two flux magnitudes"),
-    (MachineGeometry, {"r_shaft": 0.06}, "machine radii must be strictly"),
+    (MachineGeometry, {"magnet_r": (0.01, 0.047)}, "magnet band must sit inside"),
     (Scenario, {"n_positions": 0}, "at least one rotor position"),
     (MaterialSpec, {"n_f": 1}, "material constants out of range"),
     (SolverOptions, {"newton_tol": 0.0}, "newton controls out of range"),
@@ -95,8 +96,8 @@ NON_FINITE = [
      "need inner_step_tol > 0"),
     ("Scenario-nan", Scenario, {"name": "ANG", "q_hat": [np.nan]},
      "scenario ANG nominal q must be finite"),
-    ("MachineGeometry-nan", MachineGeometry, {"r_design": np.nan},
-     "machine radii must be strictly"),
+    ("MachineGeometry-nan", MachineGeometry, {"magnet_r": (np.nan, 0.047)},
+     "magnet band must sit inside"),
     ("RunConfig-nan", RunConfig, {"smoothing_eps": np.nan},
      "smoothing_eps must be positive"),
     ("BallSet-center", BallSet, {"center": [0.0, np.nan]},
@@ -216,19 +217,61 @@ def test_fixed_step_rule_is_not_a_key(workdir, caplog, key, value):
     assert message in caplog.text
 
 
-def test_sector_is_not_a_key(workdir, caplog):
-    # the winding, the pole count and the antiperiodic pairing fix the sector
-    # at one pole pitch; at 90 degrees the machine still solved, wrongly
-    path = workdir / "sector.cfg"
+# the stator, the winding and the load angle, at their old defaults
+FIXED_MACHINE_KEYS = [
+    ("geometry", "sector_deg", "45"), ("geometry", "r_shaft", "0.020"),
+    ("geometry", "r_design", "0.050"), ("geometry", "r_gap_outer", "0.051"),
+    ("geometry", "r_outer", "0.080"), ("geometry", "coil_r", "0.052, 0.064"),
+    ("geometry", "coil_a_window_deg", "1, 13"),
+    ("geometry", "coil_b_window_deg", "16, 28"),
+    ("geometry", "coil_c_window_deg", "31, 43"), ("material", "phi0_deg", "6"),
+]
+
+
+@pytest.mark.parametrize("section, key, value", FIXED_MACHINE_KEYS,
+                         ids=[key for _, key, _ in FIXED_MACHINE_KEYS])
+def test_fixed_machine_data_is_not_a_key(workdir, caplog, section, key, value):
+    # the pole pitch, the radii, the coil slots (mesh.R_*, COIL_R, COILS) and
+    # the load angle (machine.PHI0) are module constants: only the rotor's
+    # iron layout is designed, and at a 90 degree sector the machine solved,
+    # wrongly
+    path = workdir / "fixed.cfg"
     path.write_text(TOY.read_text().replace(
-        "[geometry]\n", "[geometry]\nsector_deg = 45\n"))
-    message = "unknown key 'sector_deg' in [geometry]"
+        f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
+    message = f"unknown key '{key}' in [{section}]"
     with pytest.raises(ConfigurationError) as refused:
         load_config(path)
     assert str(refused.value) == message
     caplog.clear()
-    assert main(["audit", "--kind", "sweep", str(path)]) == 2
+    assert main(["optimize", str(path)]) == 2
     assert message in caplog.text
+
+
+def test_overlapping_magnet_windows_exit_2(workdir, caplog):
+    # magnet 2 silently took the shared degrees of an overlapping magnet 1
+    path = workdir / "magnets.cfg"
+    path.write_text(TOY.read_text().replace(
+        "[geometry]\n", "[geometry]\nmagnet1_window_deg = 4, 30\n"))
+    message = "magnet1_window 4, 30 deg overlaps magnet2_window 27, 41 deg"
+    with pytest.raises(ConfigurationError, match=message):
+        load_config(path)
+    caplog.clear()
+    assert main(["optimize", str(path)]) == 2
+    assert message in caplog.text
+
+
+def test_readme_key_tables_list_the_grammar():
+    # each "[section]" heading of the README's configuration reference is
+    # followed by a table whose first column is exactly that section's keys
+    tables, section = {}, None
+    for line in (ROOT / "README.md").read_text().splitlines():
+        heading = re.fullmatch(r"#+ `?\[(\w+)\]`?.*", line)
+        if heading:
+            section = heading.group(1)
+        elif section and line.startswith("| `"):
+            tables.setdefault(section, []).append(line.split("`")[1])
+    assert {name: sorted(keys) for name, keys in tables.items()} == {
+        name: sorted(keys) for name, keys in KEYS.items()}
 
 
 ANG_KEYS = "q_hat_deg = -60.0\ninterval_deg = -75.0, -45.0\n"

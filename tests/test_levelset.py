@@ -1,6 +1,8 @@
 """Sphere geometry, descent loop statuses, trace format, persistence."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -222,3 +224,9 @@ def test_levelset_rejects_truncated_and_nonfinite(tmp_path):
         path.write_text("\n".join(lines[:6] + [bad_row] + lines[7:]) + "\n")
         with pytest.raises(FormatError):
             load_levelset(path)
+    # the header keywords in reverse order, each value left on its line
+    words = [line.split() for line in lines[1:5]]
+    header = [f"{key[0]} {val[1]}" for key, val in zip(words[::-1], words)]
+    path.write_text("\n".join(lines[:1] + header + lines[5:]) + "\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: expected 'mesh'")):
+        load_levelset(path)

@@ -8,8 +8,9 @@ from rtopt import machine
 from rtopt.errors import ConfigurationError, UsageError
 from rtopt.fem import adjoint_solve, newton_summary
 from rtopt.laws import MU0
-from rtopt.machine import (COILS, POLE_PAIRS, ROTOR_BLOCKS, MachineProblem,
+from rtopt.machine import (POLE_PAIRS, ROTOR_BLOCKS, MachineProblem,
                            MaterialSpec, Scenario, TorqueProbe)
+from rtopt.mesh import COILS
 
 
 def test_phase_advance_matches_position_advance(toy_problem):
@@ -27,7 +28,7 @@ def test_three_phase_currents_balance(toy_problem):
     for alpha in (0.0, 0.11, 0.26):
         j = toy_problem.source_density(alpha, q)
         total = 0.0
-        for name, _, sign in COILS:
+        for name, _, _, sign in COILS:
             e = mesh.elements_in(name)[0]
             total += j[e] / sign
         assert abs(total) <= 1e-9 * toy_problem.spec.j_peak

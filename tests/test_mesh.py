@@ -1,14 +1,19 @@
 """Mesh construction, region bookkeeping, disc-patch surgery."""
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from rtopt.config import load_config
 from rtopt.errors import ConfigurationError, UsageError
 from rtopt.fem import DofMap, P1Space
-from rtopt.mesh import (SECTOR, MachineGeometry, build_machine_mesh, disk_mirror,
-                        graded_disk_mesh, refine_disc_patch)
+from rtopt.mesh import (R_OUTER, SECTOR, MachineGeometry, build_machine_mesh,
+                        disk_mirror, graded_disk_mesh, refine_disc_patch)
 from square_mesh import unit_square_mesh
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_unit_square_counts_and_area():
@@ -66,9 +71,8 @@ def test_machine_regions_and_pairs():
     assert np.allclose(np.arctan2(vm[:, 1], vm[:, 0]), 0.0, atol=1e-12)
     assert np.allclose(np.arctan2(vs[:, 1], vs[:, 0]), SECTOR, rtol=1e-9)
     # sector area, polygon deficit allowed
-    geo = MachineGeometry()
-    assert P1Space(mesh).areas.sum() == pytest.approx(0.5 * SECTOR * geo.r_outer**2,
-                                               rel=1e-2)
+    assert P1Space(mesh).areas.sum() == pytest.approx(0.5 * SECTOR * R_OUTER**2,
+                                                      rel=1e-2)
 
 
 def test_machine_mesh_deterministic():
@@ -78,13 +82,35 @@ def test_machine_mesh_deterministic():
     assert np.array_equal(a.vertices, b.vertices)
 
 
+# mesh digests of the shipped configs: a fixed radius or slot window that
+# drifts from its value moves at least one of them
+SHIPPED_FINGERPRINTS = {"toy": "dfa2c898f63651f2", "yoke": "d4cdc65e10f17e92",
+                        "audit3k": "17aeb6680fb40a02",
+                        "benchmark": "391b378fbd955ab0"}
+
+
+@pytest.mark.parametrize("name, digest", SHIPPED_FINGERPRINTS.items(),
+                         ids=list(SHIPPED_FINGERPRINTS))
+def test_shipped_config_meshes_are_pinned(name, digest):
+    cfg = load_config(CONFIGS / f"{name}.cfg")
+    assert build_machine_mesh(cfg.geometry).fingerprint() == digest
+
+
 def test_machine_geometry_validation():
     with pytest.raises(ConfigurationError):
-        MachineGeometry(r_shaft=0.06)
-    with pytest.raises(ConfigurationError):
         MachineGeometry(magnet_r=(0.01, 0.047))
-    with pytest.raises(ConfigurationError):
-        MachineGeometry(coil_A_window=(0.2, 1.2))
+    with pytest.raises(ConfigurationError, match="outside the sector"):
+        MachineGeometry(magnet2_window=(0.2, 1.2))
+    # overlapping magnet windows are refused in either order; touching ones
+    # (yoke.cfg's layout) are not, as windows are half open
+    deg = np.deg2rad
+    with pytest.raises(ConfigurationError,
+                       match="magnet1_window 4, 30 deg overlaps magnet2_window 27, 41 deg"):
+        MachineGeometry(magnet1_window=(deg(4.0), deg(30.0)))
+    with pytest.raises(ConfigurationError, match="overlaps"):
+        MachineGeometry(magnet1_window=(deg(30.0), deg(44.0)),
+                        magnet2_window=(deg(4.0), deg(31.0)))
+    MachineGeometry(magnet1_window=(deg(4.0), deg(27.0)))
 
 
 @pytest.fixture(scope="module")
