@@ -8,7 +8,7 @@ import logging
 import numpy as np
 
 from .errors import ConfigurationError, SolverError
-from .laws import NU0
+from .laws import NU0, NU_F
 from .levelset import NominalEvaluator
 from .machine import MachineProblem
 from .mesh import SECTOR, refine_disc_patch
@@ -159,16 +159,15 @@ def tdcheck_rows(problem, design, tables, seed, n_samples=5):
     return rows
 
 
-def linear_slopes(tables, materials):
+def linear_slopes(tables):
     """Small-t slope of each linear-iron table against its closed form.
 
     Rows are (direction, slope, closed-form slope, relative deviation,
     max |f_perp| / max |f_par|), read at the first knee of a knee axis.
     """
-    nu0, nu_f = NU0, materials.nu_f
     expected = {
-        "iron_to_air": 2.0 * nu_f * (nu0 - nu_f) / (nu0 + nu_f),
-        "air_to_iron": -2.0 * nu0 * (nu0 - nu_f) / (nu0 + nu_f),
+        "iron_to_air": 2.0 * NU_F * (NU0 - NU_F) / (NU0 + NU_F),
+        "air_to_iron": -2.0 * NU0 * (NU0 - NU_F) / (NU0 + NU_F),
     }
     rows = []
     for direction, table in tables.items():

@@ -123,7 +123,7 @@ def cmd_precompute(cfg):
     if cfg.materials.iron_linear:
         from .audit import linear_slopes
 
-        rows = linear_slopes(tables, cfg.materials)
+        rows = linear_slopes(tables)
         for direction, slope, closed, dev, perp in rows:
             print(f"{direction}: slope {slope:.6g} vs closed form "
                   f"{closed:.6g} (rel dev {dev:.2e}), "

@@ -8,11 +8,12 @@ configuration errors so typos fail loudly instead of silently using a
 default. The full grammar is documented in the README.
 
 `KEYS` is the one table of the grammar: section -> key -> (target, field,
-reader). Unknown-key detection and parsing both read it. Only keys present
-in the file reach their target, so every default lives in the target's
-dataclass; `_build_scenario` adds the scenario-set defaults no dataclass
-holds (the ANG phase defaults and the ones derived from ``k_f``) and refuses
-a scenario-set key its scenario does not read (`SET_KEYS`).
+reader). Unknown-key detection and parsing both read it. Every reader
+refuses an empty value. Only keys present in the file reach their target,
+so every default lives in the target's dataclass; `_build_scenario` adds
+the scenario-set defaults no dataclass holds (the ANG phase defaults and
+the ones derived from ``laws.K_F``) and refuses a scenario-set key its
+scenario does not read (`SET_KEYS`).
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
+from .laws import K_F
 from .machine import PHI0, ROTOR_BLOCKS, MaterialSpec, Scenario, SolverOptions
 from .mesh import MachineGeometry
 from .levelset import LevelSetOptions
@@ -117,12 +119,15 @@ def _pair(v):
     if len(parts) != 2:
         raise _Refused("two numbers")
     try:
-        pair = float(parts[0]), float(parts[1])
-    except ValueError:
-        pair = (np.nan, np.nan)
-    if not np.all(np.isfinite(pair)):
-        raise _Refused("two finite numbers")
-    return pair
+        return _float(parts[0]), _float(parts[1])
+    except _Refused:
+        raise _Refused("two finite numbers") from None
+
+
+def _text(v):
+    if not v:
+        raise _Refused("a non-empty value")
+    return v
 
 
 def _deg_pair(v):
@@ -140,15 +145,10 @@ KEYS = {
         "target_nodes": ("geometry", "target_nodes", _int),
     },
     "material": {
-        "nu_f": ("materials", "nu_f", _float),
-        "k_f": ("materials", "k_f", _float),
-        "j_peak": ("materials", "j_peak", _float),
-        "b_r": ("materials", "b_r", _float),
-        "n_f": ("materials", "n_f", _int),
         "iron_linear": ("materials", "iron_linear", _bool),
     },
     "scenario": {
-        "name": ("scenario", "name", str.upper),
+        "name": ("scenario", "name", lambda v: _text(v).upper()),
         "n_positions": ("scenario", "n_positions", _int),
         "co_rotate_magnets": ("scenario", "co_rotate_magnets", _bool),
         "q_hat_deg": ("set", "q_hat_deg", _float),
@@ -171,12 +171,12 @@ KEYS = {
         "inner_max_iterations": ("inner", "max_iterations", _int),
         "newton_tol": ("solver", "newton_tol", _float),
         "newton_max_iter": ("solver", "newton_max_iter", _int),
-        "psi0": ("run", "psi0_mode", str.lower),
+        "psi0": ("run", "psi0_mode", lambda v: _text(v).lower()),
         "smoothing_eps": ("run", "smoothing_eps", _float),
         "seed": ("run", "seed", _int),
     },
     "output": {
-        "directory": ("run", "output_dir", str),
+        "directory": ("run", "output_dir", _text),
         "snapshot_interval": ("run", "snapshot_interval", _int),
     },
 }
@@ -218,8 +218,8 @@ def _settings(raw, target):
     out = {}
     for section, keys in KEYS.items():
         for key, (owner, field, read) in keys.items():
-            value = raw.get(section, {}).get(key, "")
-            if owner != target or value == "":
+            value = raw.get(section, {}).get(key)
+            if owner != target or value is None:
                 continue
             try:
                 out[field] = read(value)
@@ -229,7 +229,7 @@ def _settings(raw, target):
     return out
 
 
-def _build_scenario(raw, spec):
+def _build_scenario(raw):
     settings = _settings(raw, "scenario")
     name = settings.get("name", Scenario.name)
 
@@ -248,14 +248,14 @@ def _build_scenario(raw, spec):
         uncertainty = IntervalSet(np.array([np.deg2rad(lo)]),
                                   np.array([np.deg2rad(hi)]))
     elif name == "SCAL":
-        q_hat = np.array([bounds.get("q_hat_knee", spec.k_f)])
-        lo, hi = bounds.get("interval_knee", (0.9 * spec.k_f, 1.1 * spec.k_f))
+        q_hat = np.array([bounds.get("q_hat_knee", K_F)])
+        lo, hi = bounds.get("interval_knee", (0.9 * K_F, 1.1 * K_F))
         if not 0 < lo < hi:
             raise ConfigurationError("knee interval must have 0 < lo < hi")
         uncertainty = IntervalSet(np.array([lo]), np.array([hi]))
     elif name == "DIST":
-        q_hat = np.full(ROTOR_BLOCKS + 1, bounds.get("q_hat_knee", spec.k_f))
-        radius = bounds.get("ellipsoid_radius", 0.1 * spec.k_f)
+        q_hat = np.full(ROTOR_BLOCKS + 1, bounds.get("q_hat_knee", K_F))
+        radius = bounds.get("ellipsoid_radius", 0.1 * K_F)
         if radius <= 0 or radius >= q_hat.min():
             raise ConfigurationError(
                 "ellipsoid radius must be positive and keep knees positive")
@@ -275,7 +275,7 @@ def load_config(path):
     raw = _read_sections(path)
     geometry = MachineGeometry(**_settings(raw, "geometry"))
     materials = MaterialSpec(**_settings(raw, "materials"))
-    scenario, uncertainty = _build_scenario(raw, materials)
+    scenario, uncertainty = _build_scenario(raw)
     exterior = ExteriorConfig(**_settings(raw, "exterior"))
     levelset = LevelSetOptions(**_settings(raw, "levelset"))
     inner = InnerParams(**_settings(raw, "inner"))

@@ -307,8 +307,8 @@ def load_levelset(path, expect_fingerprint=None):
         iteration = int(header(2, "iteration"))
         value = float(header(3, "value"))
         n = int(header(4, "nodes"))
-        if not 0 <= n <= len(lines) - 5:
-            raise ValueError(f"{n} nodes announced")
+        if n != len(lines) - 5:
+            raise ValueError(f"{n} nodes announced, {len(lines) - 5} rows")
         node_ids = np.empty(n, dtype=int)
         psi = np.empty(n)
         for i in range(n):

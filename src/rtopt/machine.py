@@ -48,34 +48,28 @@ ROTOR_BLOCKS = 8
 # remanence directions of magnet1 and magnet2
 MAGNET_PHI = (np.deg2rad(30.0), np.deg2rad(15.0))
 
+# peak current density of the winding (A/m^2)
+J_PEAK = 23.7e6
+
 
 @dataclass(frozen=True)
 class MaterialSpec:
-    """Material constants of the benchmark machine."""
+    """Saturating or linear iron; the material constants are module data."""
 
-    nu_f: float = laws.NU_F
-    k_f: float = laws.K_F
-    n_f: int = laws.N_F
     iron_linear: bool = False
-    b_r: float = laws.B_R
-    j_peak: float = 23.7e6
-
-    def __post_init__(self):
-        if not (self.nu_f > 0 and self.k_f > 0 and self.n_f >= 2):
-            raise ConfigurationError("material constants out of range")
 
     def iron_law(self, knee=None):
-        """The iron law of these constants, with its knee at k_f or knee."""
-        return laws.iron_law(self.nu_f, self.k_f if knee is None else knee,
-                             self.n_f, self.iron_linear)
+        """The machine's iron law, with its knee at K_F or knee."""
+        return laws.iron_law(laws.NU_F, laws.K_F if knee is None else knee,
+                             laws.N_F, self.iron_linear)
 
     def law_fingerprint(self, knee_axis):
         """Digest of the iron/air law pair a sensitivity table depends on,
-        sampled over a knee axis or at the fixed knee k_f."""
+        sampled over a knee axis or at the fixed knee K_F."""
         import hashlib
 
-        knee = "q-axis" if knee_axis else f"fixed:{self.k_f!r}"
-        txt = (f"nu0={laws.NU0!r};nu_f={self.nu_f!r};n_f={self.n_f};"
+        knee = "q-axis" if knee_axis else f"fixed:{laws.K_F!r}"
+        txt = (f"nu0={laws.NU0!r};nu_f={laws.NU_F!r};n_f={laws.N_F};"
                f"linear={self.iron_linear};knee={knee}")
         return hashlib.sha256(txt.encode()).hexdigest()[:16]
 
@@ -235,7 +229,7 @@ class MachineProblem:
         rad = (np.hypot(cen[:, 0], cen[:, 1]) >= 0.5 * (R_SHAFT + R_DESIGN)).astype(int)
         self.design_block = (2 * ang + rad).astype(np.int64)
 
-        # entry of q that each element's saturation knee reads; -1 keeps k_f
+        # entry of q that each element's saturation knee reads; -1 keeps K_F
         self.knee_index = np.full(m, -1, dtype=np.int64)
         if self.scenario.binding == "knee":
             self.knee_index[self._stator] = 0
@@ -265,10 +259,10 @@ class MachineProblem:
         return PHI0
 
     def _coil_density(self, angle, phase, wave=np.sin):
-        """Element-wise j_peak * wave(angle + coil offset + phase) in the coils."""
+        """Element-wise J_PEAK * wave(angle + coil offset + phase) in the coils."""
         out = np.zeros(self.mesh.n_elements)
         for elems, offset, sign in self._coils:
-            out[elems] = sign * self.spec.j_peak * wave(angle + offset + phase)
+            out[elems] = sign * J_PEAK * wave(angle + offset + phase)
         return out
 
     def source_density(self, alpha, q):
@@ -278,8 +272,8 @@ class MachineProblem:
     # -- materials ------------------------------------------------------------
 
     def _knee_values(self, q):
-        """Per-element saturation knees: q where `knee_index` binds, else k_f."""
-        kf = np.full(self.mesh.n_elements, self.spec.k_f)
+        """Per-element saturation knees: q where `knee_index` binds, else K_F."""
+        kf = np.full(self.mesh.n_elements, laws.K_F)
         bound = self.knee_index >= 0
         kf[bound] = np.asarray(q)[self.knee_index[bound]]
         return kf
@@ -288,7 +282,7 @@ class MachineProblem:
         rem = np.zeros((self.mesh.n_elements, 2))
         shift = alpha if self.scenario.co_rotate_magnets else 0.0
         for elems, phi in zip((self._magnet1, self._magnet2), MAGNET_PHI):
-            rem[elems] = self.spec.b_r * np.array(
+            rem[elems] = laws.B_R * np.array(
                 [np.cos(phi + shift), np.sin(phi + shift)])
         return rem
 
@@ -455,12 +449,12 @@ class MachineProblem:
             return grad
         kf = self._knee_values(q)[active]
         areas = self.space.areas[active]
-        c = self.spec.nu_f - laws.NU0
+        c = laws.NU_F - laws.NU0
         for u, p in zip(states, adjoints):
             Bu = self.space.element_curl(u)[active]
             Bp = self.space.element_curl(p)[active]
             s = np.linalg.norm(Bu, axis=-1)
-            dg = laws.iron_knee_factor_dk(kf, s, self.spec.n_f)
+            dg = laws.iron_knee_factor_dk(kf, s, laws.N_F)
             w = areas * c * dg * np.einsum("ed,ed->e", Bu, Bp)
             np.add.at(grad, self.knee_index[active], w)
         return grad

@@ -124,6 +124,18 @@ def _band_radii(r0, r1, dr, minimum=1):
     return np.linspace(r0, r1, k + 1)
 
 
+def _closest_count(target, sizes, count):
+    """First of sizes whose count(size) is closest to target; stops past 2.5x."""
+    best = None
+    for size in sizes:
+        n = count(size)
+        if best is None or abs(n - target) < abs(best[0] - target):
+            best = (n, size)
+        if n > 2.5 * target:
+            break
+    return best[1]
+
+
 # ---------------------------------------------------------------------------
 # graded disk (exterior corrector domain)
 
@@ -142,17 +154,15 @@ def graded_disk_mesh(radius, target_nodes, inclusion_radius=1.0):
 
     # nodes ~= n_t * (n_inner + ln(R)/dtheta), dtheta = 2 pi / n_t
     lnR = np.log(radius / inclusion_radius)
-    best = None
-    for n_t in range(8, 4096, 2):
+
+    def rings(n_t):
         dth = 2 * np.pi / n_t
-        n_inner = max(3, int(round(1.0 / dth)))
-        n_outer = max(2, int(np.ceil(lnR / np.log1p(dth))))
-        count = 1 + n_t * (n_inner + n_outer)
-        if best is None or abs(count - target_nodes) < abs(best[0] - target_nodes):
-            best = (count, n_t, n_inner, n_outer)
-        if count > 2.5 * target_nodes:
-            break
-    _, n_t, n_inner, n_outer = best
+        return (max(3, int(round(1.0 / dth))),
+                max(2, int(np.ceil(lnR / np.log1p(dth)))))
+
+    n_t = _closest_count(target_nodes, range(8, 4096, 2),
+                         lambda n_t: 1 + n_t * sum(rings(n_t)))
+    n_inner, n_outer = rings(n_t)
 
     inner = np.linspace(0.0, inclusion_radius, n_inner + 1)[1:]
     ratio = (radius / inclusion_radius) ** (1.0 / n_outer)
@@ -257,15 +267,9 @@ def build_machine_mesh(geo=None):
     geo = geo or MachineGeometry()
 
     # calibrate the angular count so node totals land near the target
-    best = None
-    for m_ang in range(6, 600):
-        n_r = len(_machine_ring_radii(geo, m_ang))
-        count = 1 + n_r * (m_ang + 1)
-        if best is None or abs(count - geo.target_nodes) < abs(best[0] - geo.target_nodes):
-            best = (count, m_ang)
-        if count > 2.5 * geo.target_nodes:
-            break
-    m_ang = best[1]
+    m_ang = _closest_count(
+        geo.target_nodes, range(6, 600),
+        lambda m: 1 + len(_machine_ring_radii(geo, m)) * (m + 1))
 
     radii = _machine_ring_radii(geo, m_ang)
     thetas = np.linspace(0.0, SECTOR, m_ang + 1)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigurationError, FormatError, UsageError, read_format_lines
 from .fem import DofMap, P1Space, newton_solve
-from .laws import air_law
+from .laws import K_F, air_law
 from .mesh import disk_mirror, graded_disk_mesh
 
 log = logging.getLogger(__name__)
@@ -294,8 +294,8 @@ class TDTable:
 def sample_table(materials, direction, problem, q_range=None):
     """Sample one direction's table by corrector solves on an ExteriorProblem.
 
-    materials carries the iron/air constants (a machine MaterialSpec), and
-    problem.config the t axis. With q_range=(lo, hi) the iron knee sweeps
+    materials chooses saturating or linear iron (a machine MaterialSpec),
+    and problem.config the t axis. With q_range=(lo, hi) the iron knee sweeps
     n_q uniform samples and the table gains a knee axis; otherwise the
     nominal knee is used throughout.
     Saturating iron solves every (t, knee) sample, each continued from its
@@ -308,7 +308,7 @@ def sample_table(materials, direction, problem, q_range=None):
     cfg = problem.config
     t_vals = np.linspace(0.0, cfg.t_max, cfg.n_t)
     knees = (np.linspace(q_range[0], q_range[1], cfg.n_q)
-             if q_range is not None else np.array([materials.k_f]))
+             if q_range is not None else np.array([K_F]))
 
     def pair(t, knee, u0=None):
         law_in, law_out = laws_for_direction(direction, materials, knee)
@@ -319,7 +319,7 @@ def sample_table(materials, direction, problem, q_range=None):
     f_par = np.zeros((cfg.n_t, len(knees)))
     f_perp = np.zeros((cfg.n_t, len(knees)))
     if materials.iron_linear:
-        (unit_par, unit_perp), _ = pair(1.0, materials.k_f)
+        (unit_par, unit_perp), _ = pair(1.0, K_F)
         f_par[1:] = t_vals[1:, None] * unit_par
         f_perp[1:] = t_vals[1:, None] * unit_perp
     else:
@@ -444,6 +444,8 @@ def load_table(path):
         q = column(n_q) if n_q else None
         f_par = block("f_par")
         f_perp = block("f_perp")
+        if pos != len(lines):
+            raise FormatError(f"{path}: lines after the 'f_perp' block")
         if q is None:       # one column, kept 1-D
             f_par, f_perp = f_par.ravel(), f_perp.ravel()
         values = (t, f_par, f_perp) if q is None else (t, q, f_par, f_perp)

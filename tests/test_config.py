@@ -74,16 +74,11 @@ BAD_VALUES = [
     (ExteriorConfig, {"n_t": 1}, "need at least two flux magnitudes"),
     (MachineGeometry, {"magnet_r": (0.01, 0.047)}, "magnet band must sit inside"),
     (Scenario, {"n_positions": 0}, "at least one rotor position"),
-    (MaterialSpec, {"n_f": 1}, "material constants out of range"),
     (SolverOptions, {"newton_tol": 0.0}, "newton controls out of range"),
     (RunConfig, {"seed": -1}, "seed must be non-negative"),
 ]
 # values no `x <= 0`-style comparison refuses, with the id of each case
 NON_FINITE = [
-    ("MaterialSpec-k_f", MaterialSpec, {"k_f": np.nan},
-     "material constants out of range"),
-    ("MaterialSpec-nu_f", MaterialSpec, {"nu_f": np.nan},
-     "material constants out of range"),
     ("SolverOptions-nan", SolverOptions, {"newton_tol": np.nan},
      "newton controls out of range"),
     ("LevelSetOptions-nan", LevelSetOptions, {"angle_tol_deg": np.nan},
@@ -217,7 +212,8 @@ def test_fixed_step_rule_is_not_a_key(workdir, caplog, key, value):
     assert message in caplog.text
 
 
-# the stator, the winding and the load angle, at their old defaults
+# the stator, the winding, the load angle and the material constants, at
+# their old defaults
 FIXED_MACHINE_KEYS = [
     ("geometry", "sector_deg", "45"), ("geometry", "r_shaft", "0.020"),
     ("geometry", "r_design", "0.050"), ("geometry", "r_gap_outer", "0.051"),
@@ -225,20 +221,56 @@ FIXED_MACHINE_KEYS = [
     ("geometry", "coil_a_window_deg", "1, 13"),
     ("geometry", "coil_b_window_deg", "16, 28"),
     ("geometry", "coil_c_window_deg", "31, 43"), ("material", "phi0_deg", "6"),
+    ("material", "nu_f", "200"), ("material", "k_f", "2.2"),
+    ("material", "n_f", "12"), ("material", "j_peak", "23.7e6"),
+    ("material", "b_r", "1.216"),
 ]
 
 
 @pytest.mark.parametrize("section, key, value", FIXED_MACHINE_KEYS,
                          ids=[key for _, key, _ in FIXED_MACHINE_KEYS])
 def test_fixed_machine_data_is_not_a_key(workdir, caplog, section, key, value):
-    # the pole pitch, the radii, the coil slots (mesh.R_*, COIL_R, COILS) and
-    # the load angle (machine.PHI0) are module constants: only the rotor's
+    # the pole pitch, the radii, the coil slots (mesh.R_*, COIL_R, COILS),
+    # the load angle (machine.PHI0) and the material constants (laws.NU_F,
+    # K_F, N_F, B_R, machine.J_PEAK) are module constants: only the rotor's
     # iron layout is designed, and at a 90 degree sector the machine solved,
     # wrongly
     path = workdir / "fixed.cfg"
     path.write_text(TOY.read_text().replace(
         f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
     message = f"unknown key '{key}' in [{section}]"
+    with pytest.raises(ConfigurationError) as refused:
+        load_config(path)
+    assert str(refused.value) == message
+    caplog.clear()
+    assert main(["optimize", str(path)]) == 2
+    assert message in caplog.text
+
+
+# one key per reader, with what the reader expects
+EMPTY_VALUES = [
+    ("geometry", "target_nodes", "an integer"),
+    ("geometry", "magnet_r", "two numbers"),
+    ("geometry", "magnet1_window_deg", "two numbers"),
+    ("material", "iron_linear", "a boolean"),
+    ("scenario", "name", "a non-empty value"),
+    ("algorithm", "t_max", "a finite number"),
+    ("algorithm", "psi0", "a non-empty value"),
+    ("output", "directory", "a non-empty value"),
+]
+
+
+@pytest.mark.parametrize("section, key, expected", EMPTY_VALUES,
+                         ids=[key for _, key, _ in EMPTY_VALUES])
+def test_empty_value_exits_2(workdir, caplog, section, key, expected):
+    # an empty value ran with the default: "n_positions =" solved 11
+    # positions and "directory =" wrote to runs/out
+    lines = [line for line in TOY.read_text().splitlines()
+             if not line.startswith(f"{key} =")]
+    at = lines.index(f"[{section}]") + 1
+    path = workdir / "empty_value.cfg"
+    path.write_text("\n".join(lines[:at] + [f"{key} ="] + lines[at:]) + "\n")
+    message = f"[{section}] {key}: expected {expected}, got ''"
     with pytest.raises(ConfigurationError) as refused:
         load_config(path)
     assert str(refused.value) == message

@@ -220,6 +220,10 @@ def test_levelset_rejects_truncated_and_nonfinite(tmp_path):
         path.write_text("\n".join(lines[:cut]) + "\n")
         with pytest.raises(FormatError):
             load_levelset(path)
+    # a row the nodes count does not announce was dropped
+    path.write_text("\n".join(lines + ["4 0.25"]) + "\n")
+    with pytest.raises(FormatError, match=re.escape(str(path))):
+        load_levelset(path)
     for bad_row in ("1 nan", "1 inf", "1", "1 x"):
         path.write_text("\n".join(lines[:6] + [bad_row] + lines[7:]) + "\n")
         with pytest.raises(FormatError):

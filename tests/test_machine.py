@@ -4,10 +4,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rtopt import machine
+from rtopt import laws, machine
 from rtopt.errors import ConfigurationError, UsageError
 from rtopt.fem import adjoint_solve, newton_summary
-from rtopt.laws import MU0
+from rtopt.laws import K_F, MU0
 from rtopt.machine import (POLE_PAIRS, ROTOR_BLOCKS, MachineProblem,
                            MaterialSpec, Scenario, TorqueProbe)
 from rtopt.mesh import COILS
@@ -19,7 +19,7 @@ def test_phase_advance_matches_position_advance(toy_problem):
     q = np.array([0.31])
     a = toy_problem.source_density(0.25 + delta, q)
     b = toy_problem.source_density(0.25, q + POLE_PAIRS * delta)
-    assert np.allclose(a, b, atol=1e-9 * toy_problem.spec.j_peak)
+    assert np.allclose(a, b, atol=1e-9 * machine.J_PEAK)
 
 
 def test_three_phase_currents_balance(toy_problem):
@@ -31,7 +31,7 @@ def test_three_phase_currents_balance(toy_problem):
         for name, _, _, sign in COILS:
             e = mesh.elements_in(name)[0]
             total += j[e] / sign
-        assert abs(total) <= 1e-9 * toy_problem.spec.j_peak
+        assert abs(total) <= 1e-9 * machine.J_PEAK
 
 
 def test_torque_constant_potential_is_zero(toy_problem):
@@ -70,14 +70,15 @@ def test_torque_probe_radius_must_stay_in_gap(toy_mesh):
         TorqueProbe(toy_mesh, 0.0505, 4)
 
 
-def test_linear_objective_scales_quadratically(toy_mesh):
-    # without remanence the state is linear in j_peak, torque quadratic
+def test_linear_objective_scales_quadratically(toy_mesh, monkeypatch):
+    # without remanence the state is linear in J_PEAK, torque quadratic
     q_hat = np.array([np.deg2rad(-60.0)])
     design = None
     vals = []
+    monkeypatch.setattr(laws, "B_R", 0.0)
     for scale in (1.0, 2.0):
-        spec = MaterialSpec(iron_linear=True, b_r=0.0, j_peak=scale * 23.7e6)
-        prob = MachineProblem(toy_mesh, spec,
+        monkeypatch.setattr(machine, "J_PEAK", scale * 23.7e6)
+        prob = MachineProblem(toy_mesh, MaterialSpec(iron_linear=True),
                               Scenario(name="ANG", n_positions=1,
                                        q_hat=q_hat.copy()))
         design = np.ones(len(prob.design_elements), dtype=bool)
@@ -111,7 +112,7 @@ def test_argument_validation(toy_problem):
 def test_knee_plumbing(toy_mesh, toy_problem):
     # phase binding leaves every design element at the material knee
     knees = toy_problem.knee_for_elements(toy_problem.scenario.q_hat)
-    assert np.all(knees == toy_problem.spec.k_f)
+    assert np.all(knees == K_F)
 
     scal = MachineProblem(
         toy_mesh, MaterialSpec(),

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.interpolate import PchipInterpolator
 
 from rtopt.errors import FormatError, UsageError
 from rtopt.fem import DofMap
-from rtopt.laws import NU0, NU_F
+from rtopt.laws import K_F, NU0, NU_F
 from rtopt.machine import MaterialSpec, Scenario
 from rtopt.topderiv import (DIRECTIONS, ExteriorConfig, ExteriorProblem,
                             TDTable, check_table_compatibility,
@@ -83,7 +84,7 @@ def assert_isolated_solves_reproduce(prob, spec, table, rtol):
     rtol * max|f_par|."""
     f_par = table.f_par.reshape(len(table.t), -1)
     f_perp = table.f_perp.reshape(len(table.t), -1)
-    knees = [spec.k_f] if table.q is None else table.q
+    knees = [K_F] if table.q is None else table.q
     tol = rtol * np.abs(f_par).max()
     for jq, knee in enumerate(knees):
         law_in, law_out = laws_for_direction(table.direction, spec, knee)
@@ -147,6 +148,7 @@ def test_law_fingerprints_pinned():
     assert spec.law_fingerprint(False) == "e46b2c693d0d2982"
     linear = MaterialSpec(iron_linear=True)
     assert linear.law_fingerprint(False) == "3c651b7c8d65dcd2"
+    assert linear.law_fingerprint(True) == "c22cccab74cb8b61"
 
 
 def response_magnitude(prob, k, U, law_in, law_out):
@@ -177,7 +179,7 @@ def test_odd_reduction_matches_full_disk():
     assert 2 * prob.dofmap.n_reduced <= full.dofmap.n_reduced
     spec = MaterialSpec()
     for direction in DIRECTIONS:
-        law_in, law_out = laws_for_direction(direction, spec, spec.k_f)
+        law_in, law_out = laws_for_direction(direction, spec, K_F)
         for t in (0.5, 2.0, 5.0):
             U = np.array([t, 0.0])
             k, info = prob.solve_corrector(U, law_in, law_out)
@@ -428,6 +430,10 @@ def test_load_rejects_truncated_and_nonfinite(tmp_path):
         path.write_text("\n".join(lines[:cut]) + "\n")
         with pytest.raises(FormatError):
             load_table(path)
+    # a line after the last block row was ignored
+    path.write_text("\n".join(lines + ["1.0"]) + "\n")
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}: lines after"):
+        load_table(path)
     # a short block row, then a nan in the first f_par row
     row = lines.index(next(l for l in lines if l.startswith("f_par"))) + 1
     for bad_row in (lines[row].rsplit(" ", 1)[0], "nan " + lines[row].split(" ", 1)[1]):
