@@ -22,6 +22,9 @@ EXIT_STALLED = 4
 TABLE_FILES = {"iron_to_air": "iron_to_air.rtotd",
                "air_to_iron": "air_to_iron.rtotd"}
 
+# descent iterations between checkpoint snapshots
+SNAPSHOT_INTERVAL = 10
+
 
 def _apply_thread_cap(n):
     if n is None:
@@ -166,7 +169,7 @@ def _write_summary(path, cfg, result, problem, design, tables):
 
 
 def cmd_optimize(cfg, mode):
-    from .errors import ConfigurationError, SolverError
+    from .errors import SolverError
     from .levelset import optimize_nominal, save_levelset
     from .render import save_design_svg
     from .robust import optimize_robust
@@ -179,7 +182,7 @@ def cmd_optimize(cfg, mode):
     fingerprint = mesh.fingerprint()
 
     def snapshot(k, psi):
-        if k % cfg.snapshot_interval:
+        if k % SNAPSHOT_INTERVAL:
             return
         design = problem.design_from_levelset(psi)
         save_levelset(psi, problem.design_nodes, fingerprint,
@@ -194,12 +197,9 @@ def cmd_optimize(cfg, mode):
                                       tables["air_to_iron"], psi0,
                                       cfg.levelset, snapshot)
         else:
-            if cfg.uncertainty is None:
-                raise ConfigurationError(
-                    "robust mode needs a scenario with an uncertainty set")
             result = optimize_robust(problem, tables["iron_to_air"],
                                      tables["air_to_iron"], cfg.uncertainty,
-                                     psi0, cfg.levelset, cfg.inner, snapshot)
+                                     psi0, cfg.levelset, snapshot)
     except SolverError:
         log.error("state solver failed; partial artifacts kept in %s", rundir)
         raise

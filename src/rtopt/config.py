@@ -28,10 +28,10 @@ from .laws import K_F
 from .machine import PHI0, ROTOR_BLOCKS, MaterialSpec, Scenario, SolverOptions
 from .mesh import MachineGeometry
 from .levelset import LevelSetOptions
-from .robust import BallSet, IntervalSet, InnerParams
+from .robust import BallSet, IntervalSet
 from .topderiv import ExteriorConfig
 
-PSI0_MODES = ("all_iron", "all_air", "random")
+PSI0_MODES = ("all_iron", "random")
 
 
 @dataclass
@@ -44,13 +44,11 @@ class RunConfig:
     uncertainty: object
     exterior: ExteriorConfig
     levelset: LevelSetOptions
-    inner: InnerParams
     solver: SolverOptions
     psi0_mode: str = "all_iron"
     smoothing_eps: float | None = None
     seed: int = 0
     output_dir: str = "runs/out"
-    snapshot_interval: int = 10
 
     def __post_init__(self):
         if self.psi0_mode not in PSI0_MODES:
@@ -59,8 +57,6 @@ class RunConfig:
                 f"got {self.psi0_mode!r}")
         if self.smoothing_eps is not None and not self.smoothing_eps > 0:
             raise ConfigurationError("smoothing_eps must be positive")
-        if not self.snapshot_interval >= 1:
-            raise ConfigurationError("snapshot_interval must be at least 1")
         if not self.seed >= 0:
             raise ConfigurationError(f"seed must be non-negative; got {self.seed}")
 
@@ -76,8 +72,6 @@ class RunConfig:
     def psi0(self, n_nodes):
         if self.psi0_mode == "all_iron":
             return np.ones(n_nodes)
-        if self.psi0_mode == "all_air":
-            return -np.ones(n_nodes)
         rng = np.random.default_rng(self.seed)
         return rng.standard_normal(n_nodes)
 
@@ -164,25 +158,20 @@ KEYS = {
         "n_t": ("exterior", "n_t", _int),
         "n_q": ("exterior", "n_q", _int),
         "max_iterations": ("levelset", "max_iterations", _int),
-        "angle_tol_deg": ("levelset", "angle_tol_deg", _float),
         "step_init": ("levelset", "step_init", _float),
         "step_min": ("levelset", "step_min", _float),
-        "inner_step_tol": ("inner", "step_tol", _float),
-        "inner_max_iterations": ("inner", "max_iterations", _int),
         "newton_tol": ("solver", "newton_tol", _float),
-        "newton_max_iter": ("solver", "newton_max_iter", _int),
         "psi0": ("run", "psi0_mode", lambda v: _text(v).lower()),
         "smoothing_eps": ("run", "smoothing_eps", _float),
         "seed": ("run", "seed", _int),
     },
     "output": {
         "directory": ("run", "output_dir", _text),
-        "snapshot_interval": ("run", "snapshot_interval", _int),
     },
 }
 
 # the "set" keys each scenario reads; a file setting any other one fails
-SET_KEYS = {"NOM": (), "ANG": ("q_hat_deg", "interval_deg"),
+SET_KEYS = {"ANG": ("q_hat_deg", "interval_deg"),
             "SCAL": ("q_hat_knee", "interval_knee"),
             "DIST": ("q_hat_knee", "ellipsoid_radius")}
 
@@ -232,13 +221,14 @@ def _settings(raw, target):
 def _build_scenario(raw):
     settings = _settings(raw, "scenario")
     name = settings.get("name", Scenario.name)
+    if name not in SET_KEYS:
+        raise ConfigurationError(f"unknown scenario {name!r}")
 
     bounds = _settings(raw, "set")
     for key in bounds:
-        if name in SET_KEYS and key not in SET_KEYS[name]:
+        if key not in SET_KEYS[name]:
             raise ConfigurationError(
                 f"[scenario] {key} is not read by scenario {name}")
-    uncertainty = None
     if name == "ANG":
         q_hat = np.array([np.deg2rad(bounds["q_hat_deg"])
                           if "q_hat_deg" in bounds else PHI0])
@@ -253,18 +243,16 @@ def _build_scenario(raw):
         if not 0 < lo < hi:
             raise ConfigurationError("knee interval must have 0 < lo < hi")
         uncertainty = IntervalSet(np.array([lo]), np.array([hi]))
-    elif name == "DIST":
+    else:
         q_hat = np.full(ROTOR_BLOCKS + 1, bounds.get("q_hat_knee", K_F))
         radius = bounds.get("ellipsoid_radius", 0.1 * K_F)
         if radius <= 0 or radius >= q_hat.min():
             raise ConfigurationError(
                 "ellipsoid radius must be positive and keep knees positive")
         uncertainty = BallSet(q_hat.copy(), radius)
-    if uncertainty is not None:
-        settings["q_hat"] = q_hat
 
-    scen = Scenario(**settings)
-    if uncertainty is not None and not uncertainty.contains(q_hat, 1e-9):
+    scen = Scenario(q_hat=q_hat, **settings)
+    if not uncertainty.contains(q_hat, 1e-9):
         raise ConfigurationError(
             "nominal parameter vector lies outside the uncertainty set")
     return scen, uncertainty
@@ -278,12 +266,11 @@ def load_config(path):
     scenario, uncertainty = _build_scenario(raw)
     exterior = ExteriorConfig(**_settings(raw, "exterior"))
     levelset = LevelSetOptions(**_settings(raw, "levelset"))
-    inner = InnerParams(**_settings(raw, "inner"))
     solver = SolverOptions(**_settings(raw, "solver"))
 
     cfg = RunConfig(geometry=geometry, materials=materials, scenario=scenario,
                     uncertainty=uncertainty, exterior=exterior,
-                    levelset=levelset, inner=inner, solver=solver,
+                    levelset=levelset, solver=solver,
                     **_settings(raw, "run"))
 
     root = os.environ.get("RTOPT_OUTPUT_ROOT")

@@ -24,6 +24,8 @@ STATUS_STALLED = "stalled"
 STATUS_MAX_ITERATIONS = "max_iterations"
 
 STEP_GROW, STEP_SHRINK = 1.5, 0.5
+# the descent converges once the angle between psi and the field is below this
+ANGLE_TOL = np.radians(2.0)
 
 
 @dataclass(frozen=True)
@@ -33,15 +35,12 @@ class LevelSetOptions:
     shrinks by STEP_SHRINK down to step_min."""
 
     max_iterations: int = 100
-    angle_tol_deg: float = 2.0
     step_init: float = 0.5
     step_min: float = 0.05
 
     def __post_init__(self):
         if not 0 < self.step_min <= self.step_init <= 1.0:
             raise ConfigurationError("need 0 < step_min <= step_init <= 1")
-        if not self.angle_tol_deg > 0:
-            raise ConfigurationError("angle tolerance must be positive")
         if not self.max_iterations >= 1:
             raise ConfigurationError("max_iterations must be at least 1")
 
@@ -107,7 +106,7 @@ class Evaluation:
 
     value: float
     sensitivity: np.ndarray
-    q_star: np.ndarray          # the parameter scored at; empty for NOM
+    q_star: np.ndarray          # the parameter scored at
 
 
 @dataclass
@@ -171,7 +170,6 @@ def drive(evaluator, psi0, geometry, options=None, snapshot=None):
     if snapshot is not None:
         snapshot(0, psi)
 
-    tol = np.radians(opts.angle_tol_deg)
     k = 0
     key = evaluator.design_key(psi)
     status = STATUS_MAX_ITERATIONS
@@ -179,7 +177,7 @@ def drive(evaluator, psi0, geometry, options=None, snapshot=None):
         drift = abs(geometry.norm(psi) - 1.0)
         if drift > 1e-10:
             psi = normalize(psi, geometry)
-        if theta < tol:
+        if theta < ANGLE_TOL:
             status = STATUS_CONVERGED
             break
         if k >= opts.max_iterations:

@@ -45,11 +45,17 @@ PHI0 = np.deg2rad(6.0)
 # DIST knee blocks of the design region: 4 angular x 2 radial
 ROTOR_BLOCKS = 8
 
+# what each scenario's parameter vector q binds
+BINDINGS = {"ANG": "phase", "SCAL": "knee", "DIST": "knee_regions"}
+
 # remanence directions of magnet1 and magnet2
 MAGNET_PHI = (np.deg2rad(30.0), np.deg2rad(15.0))
 
 # peak current density of the winding (A/m^2)
 J_PEAK = 23.7e6
+
+# damped Newton iteration cap per state solve
+NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -78,23 +84,21 @@ class MaterialSpec:
 class Scenario:
     """What varies across a run: rotor positions and the uncertain parameter."""
 
-    name: str = "NOM"
+    name: str = "ANG"
     n_positions: int = 11
-    q_hat: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    q_hat: np.ndarray = field(default_factory=lambda: np.array([PHI0]))
     co_rotate_magnets: bool = False
 
     @property
     def binding(self):
-        return {"NOM": None, "ANG": "phase", "SCAL": "knee",
-                "DIST": "knee_regions"}[self.name]
+        return BINDINGS[self.name]
 
     @property
     def n_q(self):
-        return {"NOM": 0, "ANG": 1, "SCAL": 1,
-                "DIST": ROTOR_BLOCKS + 1}[self.name]
+        return ROTOR_BLOCKS + 1 if self.name == "DIST" else 1
 
     def __post_init__(self):
-        if self.name not in ("NOM", "ANG", "SCAL", "DIST"):
+        if self.name not in BINDINGS:
             raise ConfigurationError(f"unknown scenario {self.name!r}")
         if not self.n_positions >= 1:
             raise ConfigurationError("scenario needs at least one rotor position")
@@ -110,10 +114,9 @@ class Scenario:
 @dataclass(frozen=True)
 class SolverOptions:
     newton_tol: float = 1e-8
-    newton_max_iter: int = 50
 
     def __post_init__(self):
-        if not (self.newton_tol > 0 and self.newton_max_iter >= 1):
+        if not self.newton_tol > 0:
             raise ConfigurationError("newton controls out of range")
 
 
@@ -331,7 +334,7 @@ class MachineProblem:
         load = self.space.load_vector(self.source_density(alpha, q))
         u, info = newton_solve(self.space, self.dofmap, respond, load, u0=u0,
                                tol=self.solver.newton_tol,
-                               max_iter=self.solver.newton_max_iter)
+                               max_iter=NEWTON_MAX_ITER)
         self.newton_log.append(info)
         return u, info
 
@@ -422,9 +425,6 @@ class MachineProblem:
         """Gradient of J with respect to the scenario parameter vector."""
         q = self._q_array(q)
         binding = self.scenario.binding
-        if binding is None:
-            log.warning("grad_q called on a scenario without parameter bindings")
-            return np.zeros(0)
         if binding != "phase" and self.spec.iron_linear:
             # the linear iron law has no knee, so no state depends on q
             return np.zeros(self.scenario.n_q)
@@ -474,7 +474,6 @@ class MachineProblem:
             self._smoother = ScreenedSmoother(self.design_mesh, self.smoothing_eps)
         return self._smoother
 
-    def knee_for_elements(self, q, air_nominal=False):
-        """Per-design-element knee from q (or the nominal q for air flips)."""
-        q = self.scenario.q_hat if air_nominal else self._q_array(q)
-        return self._knee_values(q)[self.design_elements]
+    def knee_for_elements(self, q):
+        """Per-design-element knee from q."""
+        return self._knee_values(self._q_array(q))[self.design_elements]

@@ -1,14 +1,17 @@
 """Worst-case robust optimization over a convex parameter set.
 
-The uncertainty set is an interval (the load angle of ANG, the shared knee
-of SCAL) or a Euclidean ball around the nominal knees (DIST). The outer
-loop and the evaluator are the nominal ones; the only difference is where
-q comes from: each iterate first maximizes the objective over the set with
-a projected-gradient ascent from the set's own start points (an
-interval's two ends, a ball's centre), and the sensitivity field is the
-one of the plain objective frozen at the maximizer. For a locally Lipschitz
-max-function with a unique maximizer that frozen gradient is the
-generalized gradient, so no subdifferential machinery is needed.
+Every scenario has an uncertainty set around its nominal q_hat: an
+interval (the load angle of ANG, the shared knee of SCAL) or a Euclidean
+ball around the nominal knees (DIST). Nominal mode scores each design at
+q_hat alone. Robust mode runs the same outer loop and evaluator; the only
+difference is where q comes from: each iterate first maximizes the
+objective over the set with a projected-gradient ascent from the set's own
+start points (an interval's two ends, a ball's centre), stopped by the
+fixed rules TAU_*, GAMMA, STEP_TOL and MAX_ITERATIONS, and the sensitivity
+field is the one of the plain objective frozen at the maximizer. For a
+locally Lipschitz max-function with a unique maximizer that frozen
+gradient is the generalized gradient, so no subdifferential machinery is
+needed.
 """
 
 from __future__ import annotations
@@ -101,21 +104,9 @@ class BallSet:
 # ascent step tau: its range, its factors after a refused / an accepted trial,
 # and GAMMA of the test J(trial) - J(q) >= (GAMMA / tau) |trial - q|^2
 TAU_MIN, TAU_MAX, TAU_SHRINK, TAU_GROW, GAMMA = 1e-3, 1.0, 0.5, 1.5, 0.1
-
-
-@dataclass(frozen=True)
-class InnerParams:
-    """Stopping rules of the projected-gradient ascent (benchmark parameter
-    table): a step that moves q by less than step_tol, max_iterations steps,
-    or tau at TAU_MIN without a sufficient increase."""
-
-    step_tol: float = 1e-3
-    max_iterations: int = 100
-
-    def __post_init__(self):
-        if not (self.step_tol > 0 and self.max_iterations >= 1):
-            raise ConfigurationError(
-                "need inner_step_tol > 0 and inner_max_iterations >= 1")
+# the ascent stops after a step that moves q by less than STEP_TOL, after
+# MAX_ITERATIONS steps, or at tau = TAU_MIN without a sufficient increase
+STEP_TOL, MAX_ITERATIONS = 1e-3, 100
 
 
 @dataclass
@@ -126,12 +117,12 @@ class WorstCaseResult:
     n_evaluations: int
 
 
-def _ascend(objective, uset, q0, params):
+def _ascend(objective, uset, q0):
     """One projected-gradient trajectory from q0; returns (q, value, iters)."""
     q = uset.project(np.asarray(q0, dtype=float))
     value, grad = objective.value_grad(q)
     tau = TAU_MAX
-    for it in range(params.max_iterations):
+    for it in range(MAX_ITERATIONS):
         accepted = False
         while True:
             trial = uset.project(q + tau * grad)
@@ -148,20 +139,19 @@ def _ascend(objective, uset, q0, params):
             return q, value, it
         q = trial
         value = trial_value
-        if np.sqrt(move_sq) < params.step_tol:
+        if np.sqrt(move_sq) < STEP_TOL:
             return q, value, it + 1
         _, grad = objective.value_grad(q)
         tau = min(tau * TAU_GROW, TAU_MAX)
-    return q, value, params.max_iterations
+    return q, value, MAX_ITERATIONS
 
 
-def inner_maximize(objective, uset, starts, params=None):
+def inner_maximize(objective, uset, starts):
     """Best projected-gradient ascent result over the given starting points.
 
     objective provides value(q) and value_grad(q); failures of a single
     start are logged and skipped, all starts failing is an error.
     """
-    params = params or InnerParams()
     dedup = []
     for s in starts:
         s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -172,7 +162,7 @@ def inner_maximize(objective, uset, starts, params=None):
     failures = []
     for idx, q0 in enumerate(dedup):
         try:
-            q, value, iters = _ascend(objective, uset, q0, params)
+            q, value, iters = _ascend(objective, uset, q0)
         except SolverError as e:
             log.warning("inner ascent from start %d failed: %s", idx, e)
             failures.append(e)
@@ -267,17 +257,15 @@ def robust_td_field(problem, design, iron_to_air, air_to_iron, q_star,
     return generalized_td_field(
         iron_to_air, air_to_iron, U, P, design,
         problem.knee_for_elements(q_star),
-        problem.knee_for_elements(q_star, air_nominal=True))
+        problem.knee_for_elements(problem.scenario.q_hat))
 
 
 class RobustEvaluator(NominalEvaluator):
     """Worst-case value and frozen-gradient sensitivity for the descent loop."""
 
-    def __init__(self, problem, iron_to_air, air_to_iron, uset,
-                 inner_params=None):
+    def __init__(self, problem, iron_to_air, air_to_iron, uset):
         super().__init__(problem, iron_to_air, air_to_iron)
         self.uset = uset
-        self.inner_params = inner_params or InnerParams()
         if not uset.contains(self.q, 1e-9):
             raise ConfigurationError(
                 "nominal parameter vector lies outside the uncertainty set")
@@ -286,14 +274,14 @@ class RobustEvaluator(NominalEvaluator):
     __call__ = NominalEvaluator.__call__
 
     def worst_case(self, objective):
-        return inner_maximize(objective, self.uset, self.uset.start_points(),
-                              self.inner_params).q_star
+        return inner_maximize(objective, self.uset,
+                              self.uset.start_points()).q_star
 
 
 def optimize_robust(problem, iron_to_air, air_to_iron, uset, psi0=None,
-                    options=None, inner_params=None, snapshot=None):
+                    options=None, snapshot=None):
     """Level-set descent on the worst-case objective."""
     if psi0 is None:
         psi0 = np.ones(len(problem.design_nodes))
-    ev = RobustEvaluator(problem, iron_to_air, air_to_iron, uset, inner_params)
+    ev = RobustEvaluator(problem, iron_to_air, air_to_iron, uset)
     return drive(ev, psi0, problem.smoother(), options, snapshot)

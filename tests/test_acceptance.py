@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from rtopt import robust
 from rtopt.audit import tdcheck_rows
 from rtopt.config import load_config
 from rtopt.laws import NU0, NU_F
@@ -19,8 +20,8 @@ from rtopt.levelset import (LevelSetOptions, NominalEvaluator,
                             check_optimality, optimize_nominal)
 from rtopt.machine import MachineProblem, MaterialSpec, Scenario
 from rtopt.mesh import build_machine_mesh
-from rtopt.robust import (InnerParams, IntervalSet, ParameterObjective,
-                          inner_maximize, optimize_robust)
+from rtopt.robust import (IntervalSet, ParameterObjective, inner_maximize,
+                          optimize_robust)
 from rtopt.topderiv import (ExteriorConfig, ExteriorProblem,
                             laws_for_direction, precompute_tables)
 from closed_forms import linear_corrector, truncated_corrector
@@ -206,15 +207,15 @@ class ScalarFamily:
         return self.value(q), np.array([-2.0 * (q[0] - self.a())])
 
 
-def test_criterion_07_frozen_worstcase_gradient(capsys):
-    params = InnerParams(step_tol=1e-8)
+def test_criterion_07_frozen_worstcase_gradient(capsys, monkeypatch):
+    monkeypatch.setattr(robust, "STEP_TOL", 1e-8)
     worst = 0.0
     for lo, hi in ((-1.0, 1.0), (-1.0, 0.1)):
         uset = IntervalSet([lo], [hi])
 
         def maximize(x):
             obj = ScalarFamily(x)
-            return inner_maximize(obj, uset, uset.start_points(), params)
+            return inner_maximize(obj, uset, uset.start_points())
 
         for x in (-1.2, -0.5, 0.7, 1.1):
             wc = maximize(x)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import rtopt
+from rtopt import machine
 from rtopt.cli import main
 from rtopt.laws import K_F
 from rtopt.levelset import TRACE_HEADER
@@ -41,7 +42,6 @@ seed = 0
 
 [output]
 directory = {out}
-snapshot_interval = 5
 """
 
 
@@ -106,8 +106,8 @@ def test_rotor_block_count_is_not_a_key(tmp_path, caplog):
 
 def test_unselected_scenario_keys_are_checked(tmp_path, caplog):
     # every key is typed, also one the selected scenario does not read
-    cfg = write_cfg(tmp_path / "nom.cfg", tmp_path / "o",
-                    base=BASE.replace("name = ANG", "name = NOM")
+    cfg = write_cfg(tmp_path / "scal.cfg", tmp_path / "o",
+                    base=BASE.replace("name = ANG", "name = SCAL")
                             .replace("interval_deg = -75, -45",
                                      "interval_deg = abc"))
     assert main(["precompute-td", cfg]) == 2
@@ -313,15 +313,15 @@ def test_tables_must_span_the_knee_interval(tmp_path, caplog):
     assert summary["clamped_rows"] == 0
 
 
-def test_robust_needs_uncertainty(tables_ready, tmp_path):
-    ws = tables_ready
-    # NOM scenario has no uncertainty set; tables are compatible with it
-    # only when the knee mode matches, so reuse the linear recipe
-    cfg = write_cfg(tmp_path / "nom.cfg", ws["out"],
+def test_nom_scenario_exits_2(tmp_path, caplog):
+    # nominal is a mode of every scenario: a config without `name` runs ANG
+    # at the machine's load angle, and the old NOM scenario is gone
+    cfg = write_cfg(tmp_path / "nom.cfg", tmp_path / "o",
                     base=BASE.replace("name = ANG", "name = NOM")
                             .replace("q_hat_deg = -60", "")
                             .replace("interval_deg = -75, -45", ""))
-    assert main(["optimize", cfg, "--mode", "robust"]) == 2
+    assert main(["optimize", cfg]) == 2
+    assert "unknown scenario 'NOM'" in caplog.text
 
 
 def test_corrupt_table_rejected(tables_ready, tmp_path, knee_axis_faults,
@@ -362,12 +362,12 @@ def test_law_mismatch_rejected(tables_ready, tmp_path):
     assert main(["optimize", cfg]) == 2
 
 
-def test_solver_failure_exit_code(tmp_path):
+def test_solver_failure_exit_code(tmp_path, monkeypatch):
     # nonlinear iron cannot converge in a single Newton step
+    monkeypatch.setattr(machine, "NEWTON_MAX_ITER", 1)
     cfg = write_cfg(tmp_path / "hard.cfg", tmp_path / "o",
                     base=BASE.replace("iron_linear = true",
-                                      "iron_linear = false"),
-                    algorithm="newton_max_iter = 1")
+                                      "iron_linear = false"))
     assert main(["audit", cfg, "--kind", "fdcheck"]) == 3
 
 
@@ -403,12 +403,14 @@ def test_audit_sweep(tables_ready, capsys):
     assert "worst grid point" in capsys.readouterr().out
 
 
-def test_audit_sweep_rejects_nominal_scenario(tmp_path):
-    cfg = write_cfg(tmp_path / "nom.cfg", tmp_path / "o",
-                    base=BASE.replace("name = ANG", "name = NOM")
+def test_audit_sweep_rejects_nominal_scenario(tmp_path, caplog):
+    # the sweep needs an interval; DIST's knee ball has no grid
+    cfg = write_cfg(tmp_path / "dist.cfg", tmp_path / "o",
+                    base=BASE.replace("name = ANG", "name = DIST")
                             .replace("q_hat_deg = -60", "")
                             .replace("interval_deg = -75, -45", ""))
     assert main(["audit", cfg, "--kind", "sweep"]) == 2
+    assert "sweep audit needs a scenario with interval uncertainty" in caplog.text
 
 
 def test_audit_fdcheck(tables_ready, capsys):

@@ -13,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtopt.cli import main
-from rtopt.config import KEYS, RunConfig, load_config
+from rtopt.config import KEYS, PSI0_MODES, RunConfig, load_config
 from rtopt.errors import ConfigurationError
 from rtopt.levelset import LevelSetOptions
-from rtopt.machine import MaterialSpec, Scenario, SolverOptions
+from rtopt.machine import (BINDINGS, PHI0, MaterialSpec, Scenario,
+                           SolverOptions)
 from rtopt.mesh import MachineGeometry
-from rtopt.robust import BallSet, InnerParams
+from rtopt.robust import BallSet, IntervalSet
 from rtopt.topderiv import ExteriorConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,8 +52,22 @@ def test_empty_config_keeps_dataclass_defaults(workdir):
     assert cfg.materials == MaterialSpec()
     assert cfg.exterior == ExteriorConfig()
     assert cfg.levelset == LevelSetOptions()
-    assert cfg.inner == InnerParams()
     assert cfg.solver == SolverOptions()
+
+
+def test_config_without_scenario_is_ang_at_phi0(workdir):
+    # nominal is a mode, not a scenario: a config that names none runs ANG
+    # at the machine's load angle, with ANG's default interval around it
+    path = workdir / "no_scenario.cfg"
+    text = TOY.read_text()
+    start, end = text.index("[scenario]"), text.index("[algorithm]")
+    path.write_text(text[:start] + text[end:])
+    cfg = load_config(path)
+    assert cfg.scenario.name == Scenario.name == "ANG"
+    assert np.array_equal(cfg.scenario.q_hat, [PHI0])
+    assert isinstance(cfg.uncertainty, IntervalSet)
+    assert np.array_equal(cfg.uncertainty.lower, np.deg2rad([-9.0]))
+    assert np.array_equal(cfg.uncertainty.upper, np.deg2rad([21.0]))
 
 
 def _valid_settings(cls):
@@ -64,13 +79,12 @@ def _valid_settings(cls):
     return dict(geometry=MachineGeometry(), materials=MaterialSpec(),
                 scenario=Scenario(), uncertainty=None,
                 exterior=ExteriorConfig(), levelset=LevelSetOptions(),
-                inner=InnerParams(), solver=SolverOptions())
+                solver=SolverOptions())
 
 
 # one refused value per option type, with its message
 BAD_VALUES = [
     (LevelSetOptions, {"max_iterations": 0}, "max_iterations must be at least 1"),
-    (InnerParams, {"max_iterations": 0}, "inner_max_iterations >= 1"),
     (ExteriorConfig, {"n_t": 1}, "need at least two flux magnitudes"),
     (MachineGeometry, {"magnet_r": (0.01, 0.047)}, "magnet band must sit inside"),
     (Scenario, {"n_positions": 0}, "at least one rotor position"),
@@ -81,14 +95,12 @@ BAD_VALUES = [
 NON_FINITE = [
     ("SolverOptions-nan", SolverOptions, {"newton_tol": np.nan},
      "newton controls out of range"),
-    ("LevelSetOptions-nan", LevelSetOptions, {"angle_tol_deg": np.nan},
-     "angle tolerance must be positive"),
+    ("LevelSetOptions-nan", LevelSetOptions, {"step_min": np.nan},
+     "need 0 < step_min <= step_init <= 1"),
     ("ExteriorConfig-t_max", ExteriorConfig, {"t_max": np.nan},
      "t_max must be positive"),
     ("ExteriorConfig-radius", ExteriorConfig, {"radius": np.inf},
      "exterior truncation radius must be finite"),
-    ("InnerParams-nan", InnerParams, {"step_tol": np.nan},
-     "need inner_step_tol > 0"),
     ("Scenario-nan", Scenario, {"name": "ANG", "q_hat": [np.nan]},
      "scenario ANG nominal q must be finite"),
     ("MachineGeometry-nan", MachineGeometry, {"magnet_r": (np.nan, 0.047)},
@@ -171,14 +183,17 @@ def test_corrupted_config_loads_or_exits_2(workdir, line_edits, byte_edits):
 
 @pytest.mark.parametrize("line, message", [
     ("seed = -1", "seed"),
-    ("inner_step_tol = 0", "inner_step_tol"),
-    ("inner_max_iterations = 0", "inner_max_iterations"),
-], ids=["negative_seed", "zero_step_tol", "no_iterations"])
+    ("step_min = 0", "step_min"),
+    ("max_iterations = 0", "max_iterations"),
+    ("psi0 = all_air", "psi0 must be one of all_iron, random"),
+], ids=["negative_seed", "zero_step_tol", "no_iterations", "psi0_all_air"])
 def test_out_of_range_setting_exits_2(workdir, caplog, line, message):
-    # a negative seed reached the RNG
-    kept = "" if line.startswith("seed") else "seed = 0\n"
+    # a negative seed reached the RNG; the line replaces the toy's own value
+    key = line.split(" =")[0]
+    lines = [x for x in TOY.read_text().splitlines() if not x.startswith(key)]
+    at = lines.index("[algorithm]") + 1
     path = workdir / "range.cfg"
-    path.write_text(TOY.read_text().replace("seed = 0\n", f"{kept}{line}\n"))
+    path.write_text("\n".join(lines[:at] + [line] + lines[at:]) + "\n")
     with pytest.raises(ConfigurationError):
         load_config(path)
     assert main(["optimize", str(path)]) == 2
@@ -212,8 +227,8 @@ def test_fixed_step_rule_is_not_a_key(workdir, caplog, key, value):
     assert message in caplog.text
 
 
-# the stator, the winding, the load angle and the material constants, at
-# their old defaults
+# the stator, the winding, the load angle, the material constants and the
+# algorithm settings no run varied, at their old defaults
 FIXED_MACHINE_KEYS = [
     ("geometry", "sector_deg", "45"), ("geometry", "r_shaft", "0.020"),
     ("geometry", "r_design", "0.050"), ("geometry", "r_gap_outer", "0.051"),
@@ -223,7 +238,11 @@ FIXED_MACHINE_KEYS = [
     ("geometry", "coil_c_window_deg", "31, 43"), ("material", "phi0_deg", "6"),
     ("material", "nu_f", "200"), ("material", "k_f", "2.2"),
     ("material", "n_f", "12"), ("material", "j_peak", "23.7e6"),
-    ("material", "b_r", "1.216"),
+    ("material", "b_r", "1.216"), ("algorithm", "angle_tol_deg", "2.0"),
+    ("algorithm", "inner_step_tol", "1e-3"),
+    ("algorithm", "inner_max_iterations", "100"),
+    ("algorithm", "newton_max_iter", "50"),
+    ("output", "snapshot_interval", "10"),
 ]
 
 
@@ -231,10 +250,12 @@ FIXED_MACHINE_KEYS = [
                          ids=[key for _, key, _ in FIXED_MACHINE_KEYS])
 def test_fixed_machine_data_is_not_a_key(workdir, caplog, section, key, value):
     # the pole pitch, the radii, the coil slots (mesh.R_*, COIL_R, COILS),
-    # the load angle (machine.PHI0) and the material constants (laws.NU_F,
-    # K_F, N_F, B_R, machine.J_PEAK) are module constants: only the rotor's
-    # iron layout is designed, and at a 90 degree sector the machine solved,
-    # wrongly
+    # the load angle (machine.PHI0), the material constants (laws.NU_F,
+    # K_F, N_F, B_R, machine.J_PEAK) and the fixed algorithm settings
+    # (levelset.ANGLE_TOL, robust.STEP_TOL and MAX_ITERATIONS,
+    # machine.NEWTON_MAX_ITER, cli.SNAPSHOT_INTERVAL) are module constants:
+    # only the rotor's iron layout is designed, and at a 90 degree sector the
+    # machine solved, wrongly
     path = workdir / "fixed.cfg"
     path.write_text(TOY.read_text().replace(
         f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
@@ -294,16 +315,25 @@ def test_overlapping_magnet_windows_exit_2(workdir, caplog):
 
 def test_readme_key_tables_list_the_grammar():
     # each "[section]" heading of the README's configuration reference is
-    # followed by a table whose first column is exactly that section's keys
-    tables, section = {}, None
+    # followed by a table whose first column is exactly that section's keys;
+    # the rows of the two keys that take a word list exactly the words
+    tables, rows, section = {}, {}, None
     for line in (ROOT / "README.md").read_text().splitlines():
         heading = re.fullmatch(r"#+ `?\[(\w+)\]`?.*", line)
         if heading:
             section = heading.group(1)
         elif section and line.startswith("| `"):
-            tables.setdefault(section, []).append(line.split("`")[1])
+            key = line.split("`")[1]
+            tables.setdefault(section, []).append(key)
+            rows[section, key] = line
     assert {name: sorted(keys) for name, keys in tables.items()} == {
         name: sorted(keys) for name, keys in KEYS.items()}
+
+    def words(section, key):
+        return set(re.findall(r"`(\w+)`", rows[section, key].split("|")[-2]))
+
+    assert words("scenario", "name") == set(BINDINGS)
+    assert words("algorithm", "psi0") == set(PSI0_MODES)
 
 
 ANG_KEYS = "q_hat_deg = -60.0\ninterval_deg = -75.0, -45.0\n"
@@ -313,11 +343,11 @@ ANG_KEYS = "q_hat_deg = -60.0\ninterval_deg = -75.0, -45.0\n"
     ("ANG", "ellipsoid_radius = 99"),
     ("ANG", "interval_knee = 5, 1"),
     ("ANG", "q_hat_knee = -3"),
-    ("NOM", "interval_deg = 5, -5"),
+    ("DIST", "interval_deg = 5, -5"),
     ("SCAL", "q_hat_deg = 6"),
     ("SCAL", "ellipsoid_radius = 0.2"),
     ("DIST", "interval_knee = 2.0, 2.4"),
-], ids=["ang_radius", "ang_knee_interval", "ang_knee", "nom_interval",
+], ids=["ang_radius", "ang_knee_interval", "ang_knee", "dist_phase",
         "scal_phase", "scal_radius", "dist_knee_interval"])
 def test_foreign_scenario_key_is_refused(workdir, scenario, line):
     # a set key the scenario does not read is refused at any value, so a

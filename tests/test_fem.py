@@ -16,7 +16,8 @@ from rtopt.errors import SolverError
 from rtopt.fem import (DofMap, P1Space, ScreenedSmoother, adjoint_solve,
                        factor_tangent, newton_solve, tangent_at)
 from rtopt.laws import NU0, air_law, iron_law
-from rtopt.machine import MachineProblem, MaterialSpec, Scenario
+from rtopt.machine import (NEWTON_MAX_ITER, MachineProblem, MaterialSpec,
+                           Scenario)
 from smoother_integrals import elementwise_integral, nodal_integral
 from square_mesh import unit_square_mesh
 
@@ -304,7 +305,7 @@ def test_reduced_numbering_is_the_elimination_order(toy_mesh):
 def test_tangents_factor_in_natural_order_with_diagonal_pivots(toy_mesh,
                                                                factor_calls):
     # banded Cholesky eliminates in the band's order and never pivots
-    scen = Scenario(name="NOM", n_positions=2)
+    scen = Scenario(n_positions=2)
     problem = MachineProblem(toy_mesh, MaterialSpec(), scen)
     design = np.ones(len(problem.design_elements), dtype=bool)
     _, states = problem.objective(design)
@@ -367,7 +368,7 @@ def test_reduced_tangent_matches_triple_product(toy_mesh):
 
 def test_band_solve_matches_superlu(toy_mesh):
     # saturating iron at a converged state, one and several right-hand sides
-    scen = Scenario(name="NOM", n_positions=1)
+    scen = Scenario(n_positions=1)
     problem = MachineProblem(toy_mesh, MaterialSpec(), scen)
     design = np.ones(len(problem.design_elements), dtype=bool)
     q = problem.scenario.q_hat
@@ -476,7 +477,7 @@ def test_linear_iron_factors_once_per_design(toy_mesh, linear_spec,
         load = space.load_vector(problem.source_density(alpha, q))
         u, _ = newton_solve(space, dofmap, respond, load,
                             tol=problem.solver.newton_tol,
-                            max_iter=problem.solver.newton_max_iter)
+                            max_iter=NEWTON_MAX_ITER)
         assert np.linalg.norm(states[n] - u) <= 1e-10 * np.linalg.norm(u)
         rhs = problem.torque_probe.torque_gradient(space, u) / len(states)
         p = adjoint_solve(space, dofmap, respond, u, rhs)

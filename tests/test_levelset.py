@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from rtopt import levelset
 from rtopt.errors import FormatError, UsageError
 from rtopt.levelset import (LEVELSET_FORMAT, STATUS_CONVERGED,
                             STATUS_MAX_ITERATIONS, STATUS_STALLED,
@@ -148,11 +149,12 @@ def test_drive_stalls_on_flat_objective(geo):
     assert steps[0] == 0.5 and steps[-1] == pytest.approx(0.05)
 
 
-def test_drive_iteration_cap(geo):
+def test_drive_iteration_cap(geo, monkeypatch):
     rng = np.random.default_rng(1)
     m = unit(rng.standard_normal(16), geo)
     psi0 = unit(rng.standard_normal(16), geo)
-    opts = LevelSetOptions(max_iterations=2, angle_tol_deg=1e-9)
+    monkeypatch.setattr(levelset, "ANGLE_TOL", np.radians(1e-9))
+    opts = LevelSetOptions(max_iterations=2)
     res = drive(LinearObjective(m, geo), psi0, geo, opts)
     assert res.status == STATUS_MAX_ITERATIONS
     assert res.iterations == 2

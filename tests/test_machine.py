@@ -118,14 +118,13 @@ def test_knee_plumbing(toy_mesh, toy_problem):
         toy_mesh, MaterialSpec(),
         Scenario(name="SCAL", n_positions=1, q_hat=np.array([2.2])))
     assert np.all(scal.knee_for_elements(np.array([2.0])) == 2.0)
-    # air flips score against the nominal knee regardless of the q argument
-    assert np.all(scal.knee_for_elements(np.array([2.0]), air_nominal=True)
-                  == 2.2)
+    # air flips score against the nominal knee, q_hat
+    assert np.all(scal.knee_for_elements(scal.scenario.q_hat) == 2.2)
 
 
 PHASE = np.array([np.deg2rad(-60.0)])
 LINEAR_CASES = {
-    "NOM": (Scenario(name="NOM", n_positions=3), None),
+    "default": (Scenario(n_positions=3), None),
     "ANG": (Scenario(name="ANG", n_positions=3, q_hat=PHASE), PHASE + 0.2),
     "SCAL": (Scenario(name="SCAL", n_positions=3, q_hat=np.array([2.2])),
              np.array([2.0])),
@@ -223,7 +222,7 @@ def test_warm_started_positions_match_cold_solves(toy_mesh, monkeypatch):
 
     monkeypatch.setattr(machine, "newton_solve", spy)
     problem = MachineProblem(toy_mesh, MaterialSpec(),
-                             Scenario(name="NOM", n_positions=3))
+                             Scenario(n_positions=3))
     design = np.ones(len(problem.design_elements), dtype=bool)
     warm = problem.states(design)
     chained, solves[:] = solves[:], []
@@ -248,7 +247,7 @@ def test_warm_started_positions_match_cold_solves(toy_mesh, monkeypatch):
     # linear iron combines one basis per design: no Newton solve at all
     solves.clear()
     linear = MachineProblem(toy_mesh, MaterialSpec(iron_linear=True),
-                            Scenario(name="NOM", n_positions=3))
+                            Scenario(n_positions=3))
     linear.states(design)
     assert solves == [] and linear.newton_log == []
     assert linear.bases_built == 1

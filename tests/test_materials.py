@@ -111,4 +111,4 @@ def test_bound_knee_reads_q(toy_mesh):
     q = 2.0 + 0.01 * np.arange(9)
     assert np.array_equal(problem.knee_for_elements(q),
                           q[problem.design_block])
-    assert np.all(problem.knee_for_elements(q, air_nominal=True) == laws.K_F)
+    assert np.all(problem.knee_for_elements(scen.q_hat) == laws.K_F)

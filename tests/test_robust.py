@@ -9,8 +9,8 @@ from rtopt.errors import ConfigurationError, SolverError, UsageError
 from rtopt.fem import newton_summary
 from rtopt.levelset import LevelSetOptions, NominalEvaluator, optimize_nominal
 from rtopt.machine import MachineProblem, MaterialSpec, Scenario
-from rtopt.robust import (GAMMA, MEMO_LIMIT, TAU_MAX, TAU_MIN, BallSet,
-                          InnerParams, IntervalSet, ParameterObjective,
+from rtopt.robust import (GAMMA, MEMO_LIMIT, STEP_TOL, TAU_MAX, TAU_MIN,
+                          BallSet, IntervalSet, ParameterObjective,
                           RobustEvaluator, inner_maximize)
 from rtopt.topderiv import ExteriorConfig, ExteriorProblem, precompute_tables
 
@@ -148,12 +148,11 @@ def test_inner_maximize_sufficient_increase_audit():
     # The set is symmetric about the maximizer 0.3, so the first trial from
     # either end (tau = 1 reflects q about 0.3) lands inside it and no trial
     # is projected: tau = move / gradient
-    params = InnerParams()
     uset = IntervalSet([-0.2], [0.8])
     steps = 0
     for start in uset.start_points():
         f = RecordingQuad1D()
-        inner_maximize(f, uset, [start], params)
+        inner_maximize(f, uset, [start])
         for q, trial in zip(f.points, f.points[1:]):
             assert uset.lower[0] < trial < uset.upper[0]
             move = trial - q
@@ -209,14 +208,6 @@ def test_ball_worst_case_tries_the_centre_once(toy_problem, linear_tables):
     ball = BallSet(toy_problem.scenario.q_hat, np.deg2rad(10.0))
     tried = _tried_after_a_worst_case(toy_problem, linear_tables, ball)
     assert tried == [ball.center.tobytes()]
-
-
-def test_inner_params_validation():
-    with pytest.raises(ConfigurationError):
-        inner_maximize(Quad1D(), IntervalSet([0.0], [1.0]),
-                       [np.array([0.5])], InnerParams(step_tol=0.0))
-    with pytest.raises(ConfigurationError):
-        InnerParams(max_iterations=0)
 
 
 def test_parameter_objective_memo(toy_problem):
@@ -325,7 +316,7 @@ def test_descent_warm_start_keeps_cold_path(toy_mesh, saturating_tables,
     # and J ends within the Newton tolerance
     def run():
         problem = MachineProblem(toy_mesh, MaterialSpec(),
-                                 Scenario(name="NOM", n_positions=2))
+                                 Scenario(n_positions=2))
         psi0 = np.random.default_rng(0).standard_normal(
             len(problem.design_nodes))
         result = optimize_nominal(problem, saturating_tables["iron_to_air"],
@@ -350,7 +341,7 @@ def test_descent_warm_start_keeps_cold_path(toy_mesh, saturating_tables,
 
 def test_objective_keeps_no_design_history(toy_mesh, saturating_tables):
     problem = MachineProblem(toy_mesh, MaterialSpec(),
-                             Scenario(name="NOM", n_positions=2))
+                             Scenario(n_positions=2))
     rng = np.random.default_rng(5)
     design = rng.random(len(problem.design_elements)) > 0.5
     value, states = problem.objective(design)
@@ -368,7 +359,7 @@ def test_ball_worst_case_matches_axis_multistart(toy_mesh, saturating_tables):
     # a ball offers its centre q_hat alone: the ascent from it finds the
     # maximizer that ascents from the 2 * dim axis points and q_hat find,
     # with at most a fifth of the calls. Every ascent stops
-    # once a step moves q by less than step_tol, so the oracle's own ascents
+    # once a step moves q by less than STEP_TOL, so the oracle's own ascents
     # disagree in J; that spread bounds the J gap.
     ball = BallSet(np.full(9, 2.2), 0.3)
     problem = MachineProblem(toy_mesh, MaterialSpec(),
@@ -376,7 +367,6 @@ def test_ball_worst_case_matches_axis_multistart(toy_mesh, saturating_tables):
                                       q_hat=ball.center.copy()))
     ev = RobustEvaluator(problem, saturating_tables["iron_to_air"],
                          saturating_tables["air_to_iron"], ball)
-    params = ev.inner_params
     axes = ball.radius * np.eye(ball.dim)
     oracle_starts = [*(ball.center + axes), *(ball.center - axes), ball.center]
     rng = np.random.default_rng(3)
@@ -387,10 +377,10 @@ def test_ball_worst_case_matches_axis_multistart(toy_mesh, saturating_tables):
         q = ev.worst_case(objective)
         value = objective.value(q)
         oracle = ParameterObjective(problem, design)
-        ends = [inner_maximize(oracle, ball, [s], params) for s in oracle_starts]
+        ends = [inner_maximize(oracle, ball, [s]) for s in oracle_starts]
         best = max(ends, key=lambda wc: wc.value)
         spread = best.value - min(wc.value for wc in ends)
-        assert np.linalg.norm(q - best.q_star) <= params.step_tol
+        assert np.linalg.norm(q - best.q_star) <= STEP_TOL
         assert best.value - value <= max(spread, 1e-8 * abs(value))
         assert 5 * objective.n_evaluations <= oracle.n_evaluations
 
