@@ -160,7 +160,7 @@ def linear_slopes(tables):
     """Small-t slope of each linear-iron table against its closed form.
 
     Rows are (direction, slope, closed-form slope, relative deviation,
-    max |f_perp| / max |f_par|), read at the first knee of a knee axis.
+    max |f_perp| / max |f_par|), read at the first knee.
     """
     expected = {
         "iron_to_air": 2.0 * NU_F * (NU0 - NU_F) / (NU0 + NU_F),
@@ -168,8 +168,7 @@ def linear_slopes(tables):
     }
     rows = []
     for direction, table in tables.items():
-        f1 = table.f_par if table.q is None else table.f_par[:, 0]
-        f2 = table.f_perp if table.q is None else table.f_perp[:, 0]
+        f1, f2 = table.f_par[:, 0], table.f_perp[:, 0]
         slope = float(f1[1] / table.t[1])
         closed = expected[direction]
         rows.append((direction, slope, closed,

@@ -48,24 +48,27 @@ def _table_dir(cfg):
 
 def _load_tables(cfg):
     from .errors import UsageError
+    from .laws import K_F
     from .topderiv import check_table_compatibility, load_table
 
     tables = {}
-    span = cfg.table_q_range()
+    lo, hi = cfg.table_q_range() or (K_F, K_F)
     for direction, fname in TABLE_FILES.items():
         path = os.path.join(_table_dir(cfg), fname)
         if not os.path.exists(path):
             raise UsageError(
                 f"missing sensitivity table {path}; run precompute-td first")
         table = load_table(path)
-        if table.direction != direction:
-            raise UsageError(f"{path}: holds direction {table.direction!r}")
-        check_table_compatibility(table, cfg.materials, cfg.scenario)
-        if span is not None and not table.q[0] <= span[0] < span[1] <= table.q[-1]:
-            raise UsageError(
-                f"{path}: knee axis {float(table.q[0])!r} to {float(table.q[-1])!r}"
-                f" does not span the configured knee interval {span[0]!r} to "
-                f"{span[1]!r}; re-run precompute-td")
+        try:
+            if table.direction != direction:
+                raise UsageError(f"holds direction {table.direction!r}")
+            check_table_compatibility(table, cfg.materials, cfg.scenario)
+            if not table.q[0] <= lo <= hi <= table.q[-1]:
+                raise UsageError(
+                    f"knee axis {float(table.q[0])!r} to {float(table.q[-1])!r} does "
+                    f"not span the run's knees {lo!r} to {hi!r}; re-run precompute-td")
+        except UsageError as exc:
+            raise UsageError(f"{path}: {exc}") from None
         tables[direction] = table
     return tables
 

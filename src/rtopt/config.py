@@ -13,7 +13,7 @@ refuses an empty value. Only keys present in the file reach their target,
 so every default lives in the target's dataclass; `_build_scenario` adds
 the scenario-set defaults no dataclass holds (the ANG phase defaults and
 the ones derived from ``laws.K_F``) and refuses a scenario-set key its
-scenario does not read (`SET_KEYS`).
+scenario does not read (`SET_KEYS`), as `load_config` refuses ``n_q`` in ANG.
 """
 from __future__ import annotations
 
@@ -264,7 +264,15 @@ def load_config(path):
     geometry = MachineGeometry(**_settings(raw, "geometry"))
     materials = MaterialSpec(**_settings(raw, "materials"))
     scenario, uncertainty = _build_scenario(raw)
-    exterior = ExteriorConfig(**_settings(raw, "exterior"))
+    sampling = _settings(raw, "exterior")
+    # ANG samples the one knee K_F; a knee scenario's axis needs both ends
+    if scenario.binding == "phase" and "n_q" in sampling:
+        raise ConfigurationError(
+            f"[algorithm] n_q is not read by scenario {scenario.name}")
+    if scenario.binding != "phase" and sampling.get("n_q", ExteriorConfig.n_q) < 2:
+        raise ConfigurationError(
+            f"[algorithm] n_q: scenario {scenario.name} needs at least 2 knees")
+    exterior = ExteriorConfig(**sampling)
     levelset = LevelSetOptions(**_settings(raw, "levelset"))
     solver = SolverOptions(**_settings(raw, "solver"))
 

@@ -69,14 +69,13 @@ class MaterialSpec:
         return laws.iron_law(laws.NU_F, laws.K_F if knee is None else knee,
                              laws.N_F, self.iron_linear)
 
-    def law_fingerprint(self, knee_axis):
-        """Digest of the iron/air law pair a sensitivity table depends on,
-        sampled over a knee axis or at the fixed knee K_F."""
+    def law_fingerprint(self):
+        """Digest of the iron/air law pair a sensitivity table depends on;
+        the table's knee axis says at which knees it was sampled."""
         import hashlib
 
-        knee = "q-axis" if knee_axis else f"fixed:{laws.K_F!r}"
         txt = (f"nu0={laws.NU0!r};nu_f={laws.NU_F!r};n_f={laws.N_F};"
-               f"linear={self.iron_linear};knee={knee}")
+               f"linear={self.iron_linear}")
         return hashlib.sha256(txt.encode()).hexdigest()[:16]
 
 

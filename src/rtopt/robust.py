@@ -248,8 +248,8 @@ def robust_td_field(problem, design, iron_to_air, air_to_iron, q_star,
 
     Iron elements read the knee from q_star. Air elements evaluate the flip
     with the nominal knee: the perturbation nucleates fresh iron whose
-    saturation parameter is not covered by the worst-case vector. Tables
-    without a knee axis ignore both.
+    saturation parameter is not covered by the worst-case vector. A one-knee
+    table (ANG) reads both only to count clamps.
     """
     from .topderiv import generalized_td_field
 

@@ -11,9 +11,9 @@ corrector equation
 
     int (h(curl k + U) - h(U)) . curl v + int_inclusion (h_in(U) - h_out(U)) . curl v = 0
 
-for far fields U = t e_x on a grid of magnitudes t (and saturation knees q
-when the iron law is parameter-bound), then condensing each solve into the
-response pair (f_par, f_perp). Online evaluation rotates the tabulated pair
+for far fields U = t e_x on a grid of magnitudes t and saturation knees q
+(K_F alone where no scenario varies the knee), then condensing each solve
+into the response pair (f_par, f_perp). Online evaluation rotates the pair
 to the local flux direction:  value = f_par * (P . e_U) + f_perp * (P . e_U_perp).
 
 Both laws are isotropic and the disk mesh is mirror symmetric, so for
@@ -23,7 +23,7 @@ Dirichlet, so every tangent is factored at half the full disk's size, while
 Newton and the response pair see the full-length k. Far fields off e_x are
 refused: the table is rotated online and never needs one.
 
-Tables persist as RTOTD1 files tied to a law fingerprint.
+Tables persist as RTOTD2 files tied to a law fingerprint.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .mesh import disk_mirror, graded_disk_mesh
 
 log = logging.getLogger(__name__)
 
-TABLE_FORMAT = "RTOTD1"
+TABLE_FORMAT = "RTOTD2"
 DIRECTIONS = ("iron_to_air", "air_to_iron")
 
 # Newton controls of every corrector solve
@@ -66,8 +66,6 @@ class ExteriorConfig:
             raise ConfigurationError("exterior truncation radius must be finite")
         if not self.n_t >= 2:
             raise ConfigurationError("need at least two flux magnitudes (n_t >= 2)")
-        if not self.n_q >= 1:
-            raise ConfigurationError("need at least one knee sample (n_q >= 1)")
         if not self.t_max > 0:
             raise ConfigurationError("t_max must be positive")
 
@@ -188,8 +186,9 @@ def _pchip_coefficients(x, y):
 class TDTable:
     """Sampled topological response of one flip direction.
 
-    f_par/f_perp have shape (n_t,) without a knee axis or (n_t, n_q) with
-    one. Interpolation is monotone piecewise-cubic in t (PCHIP, bitwise
+    f_par/f_perp have shape (n_t, n_q) over the flux magnitudes t and the
+    strictly increasing knees q; a fixed-knee table has the one knee K_F.
+    Interpolation is monotone piecewise-cubic in t (PCHIP, bitwise
     equal to scipy's) and linear in q; queries outside the sampled box are
     clamped, counted and warned once.
     """
@@ -199,23 +198,19 @@ class TDTable:
     f_par: np.ndarray
     f_perp: np.ndarray
     law_fingerprint: str
-    q: np.ndarray | None = None
+    q: np.ndarray
     meta: dict | None = None
 
     def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float)
-        self.f_par = np.asarray(self.f_par, dtype=float)
-        self.f_perp = np.asarray(self.f_perp, dtype=float)
+        self.t, self.q, self.f_par, self.f_perp = (
+            np.asarray(a, dtype=float) for a in (self.t, self.q, self.f_par, self.f_perp))
         if self.direction not in DIRECTIONS:
             raise UsageError(f"unknown direction {self.direction!r}")
-        if len(self.t) < 2 or np.any(np.diff(self.t) <= 0.0):
-            raise ValueError("t axis needs at least 2 strictly increasing samples")
-        shape = (len(self.t),)
-        if self.q is not None:
-            self.q = np.asarray(self.q, dtype=float)
-            shape += (len(self.q),)
-            if np.any(np.diff(self.q) <= 0.0):
-                raise ValueError("knee axis does not strictly increase")
+        for name, axis, least in (("t", self.t, 2), ("knee", self.q, 1)):
+            if axis.ndim != 1 or len(axis) < least or np.any(np.diff(axis) <= 0.0):
+                raise ValueError(f"{name} axis needs at least {least} strictly "
+                                 "increasing samples")
+        shape = (len(self.t), len(self.q))
         if self.f_par.shape != shape or self.f_perp.shape != shape:
             raise ValueError(f"table blocks do not have shape {shape}")
         # one PCHIP over the stacked columns: f_par of every knee sample,
@@ -225,21 +220,20 @@ class TDTable:
         self._clamp_warned = False
         self.clamped_rows = 0       # queried rows clamped so far
 
-    @property
-    def has_knee_axis(self):
-        return self.q is not None
-
-    def _warn_clamp(self, what, rows):
-        if rows.any() and not self._clamp_warned:
+    def _clip(self, x, axis, what):
+        """x clipped to the sampled axis, and the mask of the rows clamped."""
+        outside = (x < axis[0] - 1e-12) | (x > axis[-1] + 1e-12)
+        if outside.any() and not self._clamp_warned:
             log.warning("sensitivity table query clamped (%s outside sampled range)",
                         what)
             self._clamp_warned = True
+        return np.clip(x, axis[0], axis[-1]), outside
 
-    def evaluate(self, U, P, knee=None):
+    def evaluate(self, U, P, knee):
         """Sensitivity values for flux rows U and adjoint rows P, shape (m,).
 
-        knee is a per-row saturation parameter; required when the table has a
-        knee axis, ignored when it has none.
+        knee is the per-row saturation knee (a scalar broadcasts), clamped to
+        the knee axis like t; a one-knee table reads it only for that clamp.
         """
         ux, uy = np.atleast_2d(np.asarray(U, dtype=float)).T
         px, py = np.atleast_2d(np.asarray(P, dtype=float)).T
@@ -249,21 +243,13 @@ class TDTable:
         if not hit.any():
             return out
         t_hit = t[hit]
-        clamped = (t_hit < self.t[0] - 1e-12) | (t_hit > self.t[-1] + 1e-12)
-        self._warn_clamp("flux magnitude", clamped)
-        tq = np.clip(t_hit, self.t[0], self.t[-1])
-        n_c = 1 if self.q is None else len(self.q)
-        if self.q is not None:
-            if knee is None:
-                raise UsageError("table has a knee axis; per-element knees required")
-            qq = np.broadcast_to(np.asarray(knee, dtype=float), t.shape)[hit]
-            outside = (qq < self.q[0] - 1e-12) | (qq > self.q[-1] + 1e-12)
-            self._warn_clamp("knee", outside)
-            clamped |= outside
-            qq = np.clip(qq, self.q[0], self.q[-1])
-        self.clamped_rows += int(clamped.sum())
+        tq, clamped = self._clip(t_hit, self.t, "flux magnitude")
+        qq, outside = self._clip(
+            np.broadcast_to(np.asarray(knee, dtype=float), t.shape)[hit],
+            self.q, "knee")
+        self.clamped_rows += int((clamped | outside).sum())
         # interval i with t[i] <= tq < t[i + 1], the last one closed
-        n = len(self.t)
+        n, n_c = len(self.t), len(self.q)
         i = np.searchsorted(self.t[1:-1], tq, side="right")
         if n_c == 1:
             cols = np.array([[0], [1]])
@@ -295,9 +281,8 @@ def sample_table(materials, direction, problem, q_range=None):
     """Sample one direction's table by corrector solves on an ExteriorProblem.
 
     materials chooses saturating or linear iron (a machine MaterialSpec),
-    and problem.config the t axis. With q_range=(lo, hi) the iron knee sweeps
-    n_q uniform samples and the table gains a knee axis; otherwise the
-    nominal knee is used throughout.
+    and problem.config the t axis. With q_range=(lo, hi) the knee axis holds
+    n_q uniform samples of the iron knee; without it, the one knee K_F.
     Saturating iron solves every (t, knee) sample, each continued from its
     nearest solved sample (Deuflhard, Newton Methods for Nonlinear Problems,
     2004, ch. 5): the same t at the previous knee, or the previous t at the
@@ -334,11 +319,8 @@ def sample_table(materials, direction, problem, q_range=None):
 
     meta = {"radius": cfg.radius, "mesh_nodes": problem.mesh.n_nodes,
             "target_nodes": cfg.target_nodes}
-    if q_range is None:     # one column, kept 1-D
-        f_par, f_perp, knees = f_par[:, 0], f_perp[:, 0], None
     return TDTable(direction, t_vals, f_par, f_perp,
-                   materials.law_fingerprint(q_range is not None), q=knees,
-                   meta=meta)
+                   materials.law_fingerprint(), q=knees, meta=meta)
 
 
 def precompute_tables(materials, problem, q_range=None):
@@ -353,8 +335,8 @@ def generalized_td_field(iron_to_air, air_to_iron, U, P, design_iron,
 
     Iron elements carry the iron-to-air rate, air elements minus the
     air-to-iron rate, summed over all rotor positions. U and P have shape
-    (N, m, 2); knee_iron and knee_air are per-element knees, read only by
-    tables with a knee axis. Each direction is one lookup over the rows of
+    (N, m, 2); knee_iron and knee_air are per-element knees, looked up on
+    each table's knee axis. Each direction is one lookup over the rows of
     every position.
     """
     design_iron = np.asarray(design_iron, dtype=bool)
@@ -385,20 +367,13 @@ def save_table(table, path):
     meta = table.meta or {}
     buf.write(f"radius {float(meta.get('radius', 0.0))!r}\n")
     buf.write(f"mesh_nodes {meta.get('mesh_nodes', 0)}\n")
-    buf.write(f"t {len(table.t)}\n")
-    for v in table.t:
-        buf.write(f"{float(v)!r}\n")
-    if table.q is None:
-        buf.write("q 0\n")
-    else:
-        buf.write(f"q {len(table.q)}\n")
-        for v in table.q:
+    for name, axis in (("t", table.t), ("q", table.q)):
+        buf.write(f"{name} {len(axis)}\n")
+        for v in axis:
             buf.write(f"{float(v)!r}\n")
-    cols = 1 if table.q is None else len(table.q)
     for name, arr in (("f_par", table.f_par), ("f_perp", table.f_perp)):
-        buf.write(f"{name} {len(table.t)} {cols}\n")
-        rows = arr.reshape(len(table.t), cols)
-        for row in rows:
+        buf.write(f"{name} {len(table.t)} {len(table.q)}\n")
+        for row in arr:
             buf.write(" ".join(repr(float(v)) for v in row) + "\n")
     with open(path, "w") as f:
         f.write(buf.getvalue())
@@ -416,8 +391,11 @@ def load_table(path):
         pos += 1
         return parts[1:]
 
-    def column(n):
+    def column(keyword):
         nonlocal pos
+        n = int(header(keyword)[0])
+        if n < 0:
+            raise ValueError(f"negative '{keyword}' count")
         arr = np.array([float(lines[pos + i]) for i in range(n)])
         pos += n
         return arr
@@ -439,17 +417,13 @@ def load_table(path):
         fingerprint = header("fingerprint")[0]
         radius = float(header("radius")[0])
         mesh_nodes = int(header("mesh_nodes")[0])
-        t = column(int(header("t")[0]))
-        n_q = int(header("q")[0])
-        q = column(n_q) if n_q else None
+        t = column("t")
+        q = column("q")
         f_par = block("f_par")
         f_perp = block("f_perp")
         if pos != len(lines):
             raise FormatError(f"{path}: lines after the 'f_perp' block")
-        if q is None:       # one column, kept 1-D
-            f_par, f_perp = f_par.ravel(), f_perp.ravel()
-        values = (t, f_par, f_perp) if q is None else (t, q, f_par, f_perp)
-        if not all(np.all(np.isfinite(v)) for v in values):
+        if not all(np.all(np.isfinite(v)) for v in (t, q, f_par, f_perp)):
             raise FormatError(f"{path}: non-finite table values")
         # TDTable refuses axes and blocks that do not match
         return TDTable(direction, t, f_par, f_perp, fingerprint, q=q,
@@ -460,14 +434,15 @@ def load_table(path):
 
 
 def check_table_compatibility(table, materials, scenario):
-    """Refuse tables whose laws do not match the run configuration."""
-    knee_axis = scenario.binding in ("knee", "knee_regions")
-    expected = materials.law_fingerprint(knee_axis)
+    """Refuse a table sampled for other laws, or at one knee when the
+    scenario varies the knee. Whether the knee axis spans the run's knees
+    depends on the uncertainty set; `cli._load_tables` checks that."""
+    expected = materials.law_fingerprint()
     if table.law_fingerprint != expected:
         raise UsageError(
             "sensitivity table law fingerprint "
             f"{table.law_fingerprint} does not match the configured laws "
             f"({expected}); re-run the precompute step")
-    if knee_axis and not table.has_knee_axis:
-        raise UsageError(
-            "scenario varies the saturation knee but the table has no knee axis")
+    if scenario.binding != "phase" and len(table.q) < 2:
+        raise UsageError("scenario varies the saturation knee but the table "
+                         "holds one knee sample; re-run precompute-td")

@@ -55,9 +55,10 @@ def linear_tables(linear_spec):
 
 @pytest.fixture(scope="session")
 def knee_axis_faults():
-    """Rewrites of a valid RTOTD1 text without a knee axis into two-sample
-    knee axes load_table must refuse: blocks of three columns, and axes that
-    descend or repeat a sample. Returns a function text -> {name: text}."""
+    """Rewrites of a valid one-knee RTOTD2 text into knee axes load_table
+    must refuse: two samples with blocks of three columns, two samples that
+    descend or repeat, no sample, and a negative sample count. Returns a
+    function text -> {name: text}."""
 
     def faults(text):
         lines = text.splitlines()
@@ -74,16 +75,20 @@ def knee_axis_faults():
 
         return {"extra_column": variant([1.0, 2.0], 3),
                 "descending": variant([2.0, 1.0], 2),
-                "duplicated": variant([1.0, 1.0], 2)}
+                "duplicated": variant([1.0, 1.0], 2),
+                "empty": variant([], 0),
+                # the count alone turns negative; the sample stays
+                "negative_count": text.replace("\nq 1\n", "\nq -1\n", 1)}
 
     return faults
 
 
 @pytest.fixture(scope="session")
 def t_axis_faults():
-    """Rewrites of a valid RTOTD1 text into t axes load_table must refuse,
+    """Rewrites of a valid RTOTD2 text into t axes load_table must refuse,
     with blocks cut to match: a single sample, and axes that descend or
-    repeat a sample. Returns a function text -> {name: text}."""
+    repeat a sample; and a negative sample count ahead of the unchanged
+    axis. Returns a function text -> {name: text}."""
 
     def faults(text):
         lines = text.splitlines()
@@ -107,7 +112,9 @@ def t_axis_faults():
 
         return {"single_sample": variant(axis[:1]),
                 "descending": variant(axis[::-1]),
-                "repeated": variant(axis[:1] + axis[:-1])}
+                "repeated": variant(axis[:1] + axis[:-1]),
+                "negative_count": "\n".join(
+                    lines[:head] + [f"t -{n}"] + lines[head + 1:]) + "\n"}
 
     return faults
 

@@ -96,7 +96,7 @@ def test_criterion_02_linear_slopes(capsys, linear_tables):
     ok = True
     for name, slope in (("iron_to_air", I2A_SLOPE), ("air_to_iron", A2I_SLOPE)):
         tab = linear_tables[name]
-        rel = np.abs(tab.f_par[1:] / (slope * tab.t[1:]) - 1.0)
+        rel = np.abs(tab.f_par[1:, 0] / (slope * tab.t[1:]) - 1.0)
         ok = ok and rel.max() <= 2e-2
         ok = ok and np.abs(tab.f_perp).max() <= 2e-2 * np.abs(tab.f_par).max()
     report(capsys, 2, "linear sensitivity slopes", ok)

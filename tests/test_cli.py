@@ -63,6 +63,12 @@ def scal_base(knee_keys=""):
             .replace("t_max = 12.0", "t_max = 5.0"))
 
 
+def saturating_ang_base():
+    # scal_base with the ANG scenario and its phase keys back
+    return scal_base("q_hat_deg = -60\ninterval_deg = -75, -45\n").replace(
+        "name = SCAL", "name = ANG")
+
+
 @pytest.fixture(scope="module")
 def ws(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -167,6 +173,12 @@ def test_precompute_audit_output(tables_ready, capsys):
                                  "warm_starts": 0}
     assert 2 * summary["reduced_unknowns"] < summary["mesh_nodes"]
     assert '"reduced_unknowns"' in out
+    # ANG samples one column, at the fixed knee K_F
+    lines = (ws["out"] / "tables" / "iron_to_air.rtotd").read_text().splitlines()
+    assert lines[0] == "RTOTD2"
+    head = lines.index("q 1")
+    assert float(lines[head + 1]) == K_F
+    assert lines[head + 2] == "f_par 5 1"
 
 
 def test_optimize_missing_tables(tmp_path):
@@ -291,8 +303,9 @@ def test_dist_robust_end_to_end(tmp_path):
 
 
 def test_tables_must_span_the_knee_interval(tmp_path, caplog):
-    # the law fingerprint records a knee axis but not its range, so tables
-    # sampled over a narrower interval clamped every knee query outside it
+    # the law fingerprint covers the laws only, not the knees sampled, so
+    # tables sampled over a narrower interval clamped every knee query
+    # outside it
     out = tmp_path / "out"
 
     def cfg(name, knee):
@@ -313,6 +326,36 @@ def test_tables_must_span_the_knee_interval(tmp_path, caplog):
     assert summary["clamped_rows"] == 0
 
 
+def test_one_knee_tables_refused_by_knee_scenario(tmp_path, caplog):
+    # ANG tables of the same (saturating) laws hold the one knee K_F, which
+    # cannot span a knee interval
+    out = tmp_path / "out"
+    ang = write_cfg(tmp_path / "ang.cfg", out, base=saturating_ang_base())
+    assert main(["precompute-td", ang]) == 0
+    caplog.clear()
+    scal = write_cfg(tmp_path / "scal.cfg", out, base=scal_base(),
+                     algorithm="n_q = 3")
+    assert main(["optimize", scal]) == 2
+    (record,) = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert "iron_to_air.rtotd" in record.getMessage()
+    assert "one knee sample" in record.getMessage()
+    assert not (out / "nominal").exists()
+
+
+def test_ang_runs_on_knee_axis_tables(tmp_path):
+    # tables of the same laws sampled over a knee interval around K_F serve
+    # an ANG run, which reads them at K_F
+    out = tmp_path / "out"
+    scal = write_cfg(tmp_path / "scal.cfg", out, base=scal_base(),
+                     algorithm="n_q = 3")
+    assert main(["precompute-td", scal]) == 0
+    ang = write_cfg(tmp_path / "ang.cfg", out, base=saturating_ang_base())
+    for mode in ("nominal", "robust"):
+        assert main(["optimize", ang, "--mode", mode]) in (0, 4)
+        summary = json.loads((out / mode / "summary.json").read_text())
+        assert summary["scenario"] == "ANG" and summary["clamped_rows"] == 0
+
+
 def test_nom_scenario_exits_2(tmp_path, caplog):
     # nominal is a mode of every scenario: a config without `name` runs ANG
     # at the machine's load angle, and the old NOM scenario is gone
@@ -324,7 +367,7 @@ def test_nom_scenario_exits_2(tmp_path, caplog):
     assert "unknown scenario 'NOM'" in caplog.text
 
 
-def test_corrupt_table_rejected(tables_ready, tmp_path, knee_axis_faults,
+def test_corrupt_table_rejected(tables_ready, tmp_path, caplog, knee_axis_faults,
                                 t_axis_faults):
     ws = tables_ready
     out2 = tmp_path / "out2"
@@ -340,6 +383,13 @@ def test_corrupt_table_rejected(tables_ready, tmp_path, knee_axis_faults,
     for bad in [*knee_axis_faults(text).values(), *t_axis_faults(text).values()]:
         (out2 / "tables" / "iron_to_air.rtotd").write_text(bad)
         assert main(["optimize", cfg]) == 2
+    # RTOTD1 wrote ANG tables without a knee axis; its files are refused
+    # by their tag, naming the file
+    table = out2 / "tables" / "iron_to_air.rtotd"
+    table.write_text(text.replace("RTOTD2", "RTOTD1", 1))
+    caplog.clear()
+    assert main(["optimize", cfg]) == 2
+    assert f"{table}: expected a RTOTD2 file" in caplog.text
 
 
 def test_truncated_table_rejected(tables_ready, tmp_path):

@@ -363,6 +363,29 @@ def test_foreign_scenario_key_is_refused(workdir, scenario, line):
         f"[scenario] {key} is not read by scenario {scenario}")
 
 
+@pytest.mark.parametrize("scenario, line, message", [
+    ("ANG", "n_q = 3", "[algorithm] n_q is not read by scenario ANG"),
+    ("SCAL", "n_q = 1", "[algorithm] n_q: scenario SCAL needs at least 2 knees"),
+    ("DIST", "n_q = 0", "[algorithm] n_q: scenario DIST needs at least 2 knees"),
+], ids=["ang_sets_n_q", "scal_one_knee", "dist_no_knee"])
+def test_knee_count_follows_the_scenario(workdir, caplog, scenario, line, message):
+    # ANG samples the one knee K_F; a knee scenario's table needs an axis
+    # of at least two knees, or optimize would refuse the tables afterwards
+    text = TOY.read_text().replace("name = ANG\n", f"name = {scenario}\n")
+    if scenario != "ANG":
+        text = text.replace(ANG_KEYS, "")
+    path = workdir / "knees.cfg"
+    path.write_text(text.replace("[algorithm]\n", f"[algorithm]\n{line}\n"))
+    with pytest.raises(ConfigurationError) as refused:
+        load_config(path)
+    assert str(refused.value) == message
+    assert main(["precompute-td", str(path)]) == 2
+    assert message in caplog.text
+    if scenario != "ANG":
+        path.write_text(text.replace("[algorithm]\n", "[algorithm]\nn_q = 2\n"))
+        assert load_config(path).exterior.n_q == 2
+
+
 def test_shipped_and_benchmark_configs_load(tmp_path, perfbench_workloads):
     # a key left in a shipped config or a benchmark template after its
     # removal would make every run of it exit 2

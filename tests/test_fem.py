@@ -18,6 +18,7 @@ from rtopt.fem import (DofMap, P1Space, ScreenedSmoother, adjoint_solve,
 from rtopt.laws import NU0, air_law, iron_law
 from rtopt.machine import (NEWTON_MAX_ITER, MachineProblem, MaterialSpec,
                            Scenario)
+from rtopt.mesh import refine_disc_patch
 from smoother_integrals import elementwise_integral, nodal_integral
 from square_mesh import unit_square_mesh
 
@@ -300,6 +301,21 @@ def test_reduced_numbering_is_the_elimination_order(toy_mesh):
         np.tile(np.eye(2), (toy_mesh.n_elements, 1, 1))))
     assert band.shape == (dofmap.bandwidth + 1, nr)
     assert band.flags.f_contiguous       # LAPACK factors it without a copy
+
+
+def test_disc_patch_keeps_a_narrow_band(toy_mesh):
+    # the disc patches of `audit --kind tdcheck` append their nodes after
+    # the mesh's own, so numbering the unknowns in node order (25 against
+    # RCM's 36 on the plain toy mesh) would couple the patch to nodes a whole
+    # mesh away; RCM renumbers the patch into the band
+    h = float(np.sqrt(2.0 * P1Space(toy_mesh).areas[
+        toy_mesh.elements_in("design")].mean()))
+    center = 0.03 * np.array([np.cos(np.pi / 8), np.sin(np.pi / 8)])
+    mesh, _, _ = refine_disc_patch(toy_mesh, center, h, cavity=7 * h)
+    dofmap = DofMap(mesh)
+    assert dofmap.bandwidth <= 3 * DofMap(toy_mesh).bandwidth
+    node_order = np.argsort(np.argsort(dofmap.free))
+    assert band_width(dofmap, mesh, node_order) > 10 * dofmap.bandwidth
 
 
 def test_tangents_factor_in_natural_order_with_diagonal_pivots(toy_mesh,

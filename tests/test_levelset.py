@@ -206,7 +206,7 @@ def test_levelset_roundtrip(tmp_path):
     with pytest.raises(UsageError):
         load_levelset(path, expect_fingerprint="other")
     bad = tmp_path / "bad.rtols"
-    bad.write_text("RTOTD1\n")
+    bad.write_text("RTOTD2\n")
     with pytest.raises(FormatError):
         load_levelset(bad)
     # value defaults to nan when not recorded

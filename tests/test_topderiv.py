@@ -26,17 +26,20 @@ A2I_SLOPE = -2.0 * NU0 * (NU0 - NU_F) / (NU0 + NU_F)
 def test_linear_law_slopes(linear_tables):
     for name, slope in (("iron_to_air", I2A_SLOPE), ("air_to_iron", A2I_SLOPE)):
         tab = linear_tables[name]
+        # an ANG table: one column, sampled at the fixed knee
+        assert np.array_equal(tab.q, [K_F])
+        assert tab.f_par.shape == tab.f_perp.shape == (len(tab.t), 1)
         t = tab.t[1:]
-        rel = np.abs(tab.f_par[1:] / (slope * t) - 1.0)
+        rel = np.abs(tab.f_par[1:, 0] / (slope * t) - 1.0)
         assert rel.max() <= 1e-2, (name, rel.max())
         assert np.abs(tab.f_perp).max() <= 1e-8 * np.abs(tab.f_par).max()
-        assert tab.f_par[0] == 0.0 and tab.f_perp[0] == 0.0
+        assert tab.f_par[0, 0] == 0.0 and tab.f_perp[0, 0] == 0.0
 
 
 def test_linear_response_proportional_to_flux(linear_tables):
     # same discretization at every t, so the ratios agree to roundoff
     tab = linear_tables["iron_to_air"]
-    ratios = tab.f_par[1:] / tab.t[1:]
+    ratios = tab.f_par[1:, 0] / tab.t[1:]
     assert np.abs(ratios / ratios[0] - 1.0).max() <= 1e-8
 
 
@@ -82,11 +85,9 @@ def test_linear_tables_factor_once_per_direction(linear_spec, factor_calls):
 def assert_isolated_solves_reproduce(prob, spec, table, rtol):
     """Every table entry again, each from its own corrector solve, within
     rtol * max|f_par|."""
-    f_par = table.f_par.reshape(len(table.t), -1)
-    f_perp = table.f_perp.reshape(len(table.t), -1)
-    knees = [K_F] if table.q is None else table.q
+    f_par, f_perp = table.f_par, table.f_perp
     tol = rtol * np.abs(f_par).max()
-    for jq, knee in enumerate(knees):
+    for jq, knee in enumerate(table.q):
         law_in, law_out = laws_for_direction(table.direction, spec, knee)
         for it in range(1, len(table.t)):
             U = np.array([table.t[it], 0.0])
@@ -142,13 +143,11 @@ def test_knee_sweep_continues_from_solved_neighbours(monkeypatch):
 
 
 def test_law_fingerprints_pinned():
-    # saved tables carry these digests and must keep loading
-    spec = MaterialSpec()
-    assert spec.law_fingerprint(True) == "d4eac34e45a91d1a"
-    assert spec.law_fingerprint(False) == "e46b2c693d0d2982"
-    linear = MaterialSpec(iron_linear=True)
-    assert linear.law_fingerprint(False) == "3c651b7c8d65dcd2"
-    assert linear.law_fingerprint(True) == "c22cccab74cb8b61"
+    # saved tables carry these digests and must keep loading; the digest
+    # covers the law pair, and each table's knee axis says where it was
+    # sampled
+    assert MaterialSpec().law_fingerprint() == "fd6ac519b6445fee"
+    assert MaterialSpec(iron_linear=True).law_fingerprint() == "7b82cd9a55360ced"
 
 
 def response_magnitude(prob, k, U, law_in, law_out):
@@ -208,11 +207,11 @@ def test_evaluate_rotation_invariant(linear_tables):
     rng = np.random.default_rng(9)
     U = rng.uniform(-1, 1, (40, 2)) * 3.0
     P = rng.standard_normal((40, 2))
-    base = tab.evaluate(U, P)
+    base = tab.evaluate(U, P, K_F)
     for theta in (0.3, 2.0, -1.2):
         c, s = np.cos(theta), np.sin(theta)
         R = np.array([[c, -s], [s, c]])
-        rot = tab.evaluate(U @ R.T, P @ R.T)
+        rot = tab.evaluate(U @ R.T, P @ R.T, K_F)
         assert np.allclose(rot, base, rtol=1e-10, atol=1e-10 * np.abs(base).max())
 
 
@@ -222,26 +221,29 @@ def test_evaluate_linear_in_adjoint(linear_tables):
     U = rng.uniform(-1, 1, (25, 2)) * 2.0
     P1 = rng.standard_normal((25, 2))
     P2 = rng.standard_normal((25, 2))
-    combo = tab.evaluate(U, 0.7 * P1 - 1.3 * P2)
-    parts = 0.7 * tab.evaluate(U, P1) - 1.3 * tab.evaluate(U, P2)
+    combo = tab.evaluate(U, 0.7 * P1 - 1.3 * P2, K_F)
+    parts = 0.7 * tab.evaluate(U, P1, K_F) - 1.3 * tab.evaluate(U, P2, K_F)
     assert np.allclose(combo, parts, rtol=1e-12, atol=1e-12 * np.abs(combo).max())
 
 
 @pytest.mark.parametrize("knees", [None, np.array([1.8, 2.2, 2.6])])
 def test_evaluate_matches_unit_vector_projection(knees):
     # evaluate projects with P . U / t and U x P / t; the projection on the
-    # unit vectors e_U = U / t and e_U_perp agrees to round-off
+    # unit vectors e_U = U / t and e_U_perp agrees to round-off. None is the
+    # one knee K_F, as for sample_table
+    knees = np.array([K_F]) if knees is None else knees
     rng = np.random.default_rng(31)
     t = np.linspace(0.0, 3.0, 7)
-    shape = t.shape if knees is None else (len(t), len(knees))
+    shape = (len(t), len(knees))
     tab = TDTable("iron_to_air", t, rng.standard_normal(shape),
                   rng.standard_normal(shape), "test", q=knees)
     U = rng.uniform(-2.0, 2.0, (200, 2))
     P = rng.standard_normal((200, 2))
     r = np.linalg.norm(U, axis=1)
-    knee = None if knees is None else rng.uniform(knees[0], knees[-1], 200)
-    if knees is None:
-        par, perp = (PchipInterpolator(t, f)(r) for f in (tab.f_par, tab.f_perp))
+    knee = rng.uniform(knees[0], knees[-1], 200)
+    if len(knees) == 1:
+        par, perp = (PchipInterpolator(t, f[:, 0])(r)
+                     for f in (tab.f_par, tab.f_perp))
     else:
         j = np.clip(np.searchsorted(knees, knee), 1, len(knees) - 1)
         w = (knee - knees[j - 1]) / (knees[j] - knees[j - 1])
@@ -262,14 +264,16 @@ def test_evaluate_zero_flux_rows(linear_tables):
     tab = linear_tables["iron_to_air"]
     U = np.array([[0.0, 0.0], [1.0, 0.0]])
     P = np.ones((2, 2))
-    out = tab.evaluate(U, P)
+    out = tab.evaluate(U, P, K_F)
     assert out[0] == 0.0 and out[1] != 0.0
 
 
 def synthetic_table(f_perp_slope=0.0, q=None):
+    """f_par = t at the one knee K_F, or t * q over the knee axis q."""
     t = np.array([0.0, 1.0, 2.0])
     if q is None:
-        return TDTable("iron_to_air", t, t.copy(), f_perp_slope * t, "test")
+        return TDTable("iron_to_air", t, t[:, None], f_perp_slope * t[:, None],
+                       "test", q=[K_F])
     q = np.asarray(q, dtype=float)
     f_par = np.outer(t, q)
     return TDTable("iron_to_air", t, f_par, np.zeros_like(f_par), "test", q=q)
@@ -278,24 +282,24 @@ def synthetic_table(f_perp_slope=0.0, q=None):
 def test_clamp_warns_once(caplog):
     tab = synthetic_table()
     with caplog.at_level(logging.WARNING, logger="rtopt.topderiv"):
-        v = tab.evaluate(np.array([[5.0, 0.0]]), np.array([[1.0, 0.0]]))
+        v = tab.evaluate(np.array([[5.0, 0.0]]), np.array([[1.0, 0.0]]), K_F)
         assert v[0] == pytest.approx(2.0)                  # clamped to t_max
-        tab.evaluate(np.array([[7.0, 0.0]]), np.array([[1.0, 0.0]]))
+        tab.evaluate(np.array([[7.0, 0.0]]), np.array([[1.0, 0.0]]), K_F)
     assert sum("clamped" in r.message for r in caplog.records) == 1
 
 
 def test_clamp_below_first_sample_counted(caplog):
     t = np.array([1.0, 2.0, 3.0])
-    tab = TDTable("iron_to_air", t, t.copy(), np.zeros(3), "test")
+    tab = TDTable("iron_to_air", t, t[:, None], np.zeros((3, 1)), "test", q=[K_F])
     U = np.array([[0.5, 0.0], [2.0, 0.0], [0.0, 0.25]])
     with caplog.at_level(logging.WARNING, logger="rtopt.topderiv"):
-        v = tab.evaluate(U, np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        v = tab.evaluate(U, np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), K_F)
     assert v == pytest.approx([1.0, 2.0, 1.0])          # clamped to t[0]
     assert tab.clamped_rows == 2
     assert sum("clamped" in r.message for r in caplog.records) == 1
 
 
-def scipy_lookup(tab, tq, knee=None):
+def scipy_lookup(tab, tq, knee):
     """(par, perp) at flux magnitudes tq by scipy's PCHIP over the stacked
     columns, blended linearly between the bracketing knee samples."""
     vals = PchipInterpolator(tab.t, np.column_stack([tab.f_par, tab.f_perp]))(
@@ -310,7 +314,7 @@ def scipy_lookup(tab, tq, knee=None):
     return [(1 - w) * vals[row, c + j - 1] + w * vals[row, c + j] for c in (0, n_c)]
 
 
-def assert_lookup_matches_scipy(tab, tq, knee=None):
+def assert_lookup_matches_scipy(tab, tq, knee):
     # flux along e_x: an adjoint along e_x reads f_par, one along e_y f_perp
     U = np.column_stack([tq, np.zeros_like(tq)])
     par, perp = scipy_lookup(tab, tq, knee)
@@ -330,18 +334,20 @@ def knots_and_neighbours(x, rng, n=200):
 @pytest.mark.parametrize("n_t", [2, 3, 9, 50])
 def test_lookup_bitwise_equal_to_scipy(n_t):
     rng = np.random.default_rng(n_t)
-    for even, n_q in ((True, None), (False, None), (True, 3), (False, 3)):
+    for even, q in ((True, [K_F]), (False, [K_F]), (True, [1.0, 1.6, 3.0]),
+                    (False, [1.0, 1.6, 3.0])):
+        q = np.array(q)
         t = (np.linspace(0.0, 5.0, n_t) if even
              else 0.3 + np.cumsum(rng.uniform(0.05, 1.0, n_t)))
-        shape = (n_t,) if n_q is None else (n_t, n_q)
+        shape = (n_t, len(q))
         # sign-changing secants, and zero secants on flat runs
         f_par, f_perp = rng.standard_normal(shape), rng.standard_normal(shape)
         f_par[n_t // 2:] = f_par[n_t // 2]
         f_perp[rng.random(shape) < 0.3] = 0.0
-        q = None if n_q is None else np.array([1.0, 1.6, 3.0])
         tab = TDTable("iron_to_air", t, f_par, f_perp, "x", q=q)
         tq = knots_and_neighbours(t, rng)
-        knee = None if q is None else rng.choice(
+        # knees on, next to and off the axis: a one-knee table clamps them
+        knee = rng.choice(
             np.concatenate([q, np.nextafter(q, 0.0), rng.uniform(0.5, 3.5, 5)]),
             len(tq))
         assert_lookup_matches_scipy(tab, tq, knee)
@@ -350,7 +356,7 @@ def test_lookup_bitwise_equal_to_scipy(n_t):
 def test_linear_tables_lookup_bitwise_equal_to_scipy(linear_tables):
     rng = np.random.default_rng(3)
     for tab in linear_tables.values():
-        assert_lookup_matches_scipy(tab, knots_and_neighbours(tab.t, rng))
+        assert_lookup_matches_scipy(tab, knots_and_neighbours(tab.t, rng), K_F)
 
 
 def test_knee_axis_bilinear_and_clamped():
@@ -360,8 +366,14 @@ def test_knee_axis_bilinear_and_clamped():
     # data is t*q, exactly reproduced by pchip-in-t, linear-in-q
     assert tab.evaluate(U, P, knee=2.0)[0] == pytest.approx(3.0, rel=1e-12)
     assert tab.evaluate(U, P, knee=50.0)[0] == pytest.approx(4.5, rel=1e-12)
-    with pytest.raises(UsageError):
+    with pytest.raises(TypeError):      # the knee is not optional
         tab.evaluate(U, P)
+    # a one-knee table reads the knee only to clamp it, and counts the clamp
+    one = synthetic_table()
+    assert one.evaluate(U, P, knee=K_F)[0] == pytest.approx(1.5, rel=1e-12)
+    assert one.clamped_rows == 0
+    assert one.evaluate(U, P, knee=3.0)[0] == one.evaluate(U, P, knee=K_F)[0]
+    assert one.clamped_rows == 1
 
 
 def test_perp_term_is_signed():
@@ -371,24 +383,25 @@ def test_perp_term_is_signed():
     t0 = 1.2
     U = t0 * np.array([[np.cos(phi), np.sin(phi)]])
     perp = np.array([[-np.sin(phi), np.cos(phi)]])
-    assert tab.evaluate(U, perp)[0] == pytest.approx(t0, rel=1e-12)
-    assert tab.evaluate(U, -perp)[0] == pytest.approx(-t0, rel=1e-12)
+    assert tab.evaluate(U, perp, K_F)[0] == pytest.approx(t0, rel=1e-12)
+    assert tab.evaluate(U, -perp, K_F)[0] == pytest.approx(-t0, rel=1e-12)
     # reflecting both vectors across the x axis flips the perp contribution
-    mirror = tab.evaluate(U * [1, -1], perp * [1, -1])[0]
+    mirror = tab.evaluate(U * [1, -1], perp * [1, -1], K_F)[0]
     assert mirror == pytest.approx(-t0, rel=1e-12)
 
 
 def test_table_roundtrip(tmp_path, linear_tables):
+    # a one-knee (ANG) table round-trips bitwise, its knee included
     tab = linear_tables["air_to_iron"]
     path = tmp_path / "a2i.rtotd"
     save_table(tab, path)
+    assert path.read_text().startswith("RTOTD2\n")
     back = load_table(path)
     assert back.direction == tab.direction
     assert back.law_fingerprint == tab.law_fingerprint
-    assert np.array_equal(back.t, tab.t)
-    assert np.array_equal(back.f_par, tab.f_par)
-    assert np.array_equal(back.f_perp, tab.f_perp)
-    assert back.q is None
+    for name in ("t", "q", "f_par", "f_perp"):
+        assert np.array_equal(getattr(back, name), getattr(tab, name)), name
+    assert np.array_equal(back.q, [K_F])
     assert back.meta["radius"] == tab.meta["radius"]
 
     # a single knee sample keeps its one-column blocks 2-D
@@ -405,20 +418,26 @@ def test_load_rejects_malformed(tmp_path, knee_axis_faults, t_axis_faults):
     bad.write_text("RTOMESH1\n")
     with pytest.raises(FormatError):
         load_table(bad)
-    bad.write_text("RTOTD1\nfingerprint abc\n")
+    bad.write_text("RTOTD2\nfingerprint abc\n")
     with pytest.raises(FormatError):
         load_table(bad)
-    bad.write_text("RTOTD1\ndirection sideways\n")
+    bad.write_text("RTOTD2\ndirection sideways\n")
     with pytest.raises(FormatError, match="unknown direction"):
         load_table(bad)
-    # a block column per knee sample, strictly increasing knee and t axes,
-    # and at least two t samples
+    # a block column per knee sample, strictly increasing knee and t axes
+    # of at least one knee and two t samples, and no negative counts
     save_table(synthetic_table(), bad)
     good = bad.read_text()
+    malformed = f"{re.escape(str(bad))}: truncated or malformed RTOTD2 file"
     for fault in [*knee_axis_faults(good).values(), *t_axis_faults(good).values()]:
         bad.write_text(fault)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=malformed):
             load_table(bad)
+    # the first table format had no knee axis for ANG (`q 0`); its files
+    # are refused by their tag
+    bad.write_text(good.replace("RTOTD2", "RTOTD1", 1))
+    with pytest.raises(FormatError, match=f"{re.escape(str(bad))}: expected a RTOTD2"):
+        load_table(bad)
 
 
 def test_load_rejects_truncated_and_nonfinite(tmp_path):
@@ -450,25 +469,34 @@ def test_compatibility_refusals(linear_tables, linear_spec):
     with pytest.raises(UsageError):
         check_table_compatibility(tab, MaterialSpec(), ang)
 
-    scal = Scenario(name="SCAL", n_positions=1, q_hat=np.array([2.2]))
+    # a knee scenario needs more than one knee; ANG reads any knee axis of
+    # its laws (cli._load_tables checks that the axis spans K_F)
     spec = MaterialSpec()
-    no_knee = TDTable("iron_to_air", np.array([0.0, 1.0]), np.zeros(2),
-                      np.zeros(2), spec.law_fingerprint(True))
-    with pytest.raises(UsageError):
-        check_table_compatibility(no_knee, spec, scal)
+    t = np.array([0.0, 1.0])
+    one_knee = TDTable("iron_to_air", t, np.zeros((2, 1)), np.zeros((2, 1)),
+                       spec.law_fingerprint(), q=[K_F])
+    knee_axis = TDTable("iron_to_air", t, np.zeros((2, 2)), np.zeros((2, 2)),
+                        spec.law_fingerprint(), q=[2.0, 2.4])
+    for name, q_hat in (("SCAL", [K_F]), ("DIST", np.full(9, K_F))):
+        knees = Scenario(name=name, n_positions=1, q_hat=np.array(q_hat))
+        with pytest.raises(UsageError, match="one knee sample"):
+            check_table_compatibility(one_knee, spec, knees)
+        check_table_compatibility(knee_axis, spec, knees)
+    check_table_compatibility(one_knee, spec, ang)
+    check_table_compatibility(knee_axis, spec, ang)
 
 
 def test_generalized_field_signs():
     t = np.array([0.0, 1.0, 2.0])
-    i2a = TDTable("iron_to_air", t, t.copy(), np.zeros(3), "x")
-    a2i = TDTable("air_to_iron", t, 2.0 * t, np.zeros(3), "x")
+    i2a = TDTable("iron_to_air", t, t[:, None], np.zeros((3, 1)), "x", q=[K_F])
+    a2i = TDTable("air_to_iron", t, 2.0 * t[:, None], np.zeros((3, 1)), "x", q=[K_F])
     m = 4
     U = np.zeros((2, m, 2))
     P = np.zeros((2, m, 2))
     U[:, :, 0] = 1.0
     P[:, :, 0] = 1.0
     design = np.array([True, True, False, False])
-    knees = np.ones(m)          # a table without a knee axis ignores them
+    knees = np.ones(m)          # a one-knee table only clamps them
     g = generalized_td_field(i2a, a2i, U, P, design, knees, knees)
     # iron rows take +f_i2a, air rows -f_a2i, summed over both positions
     assert np.allclose(g, [2.0, 2.0, -4.0, -4.0], rtol=1e-12)
