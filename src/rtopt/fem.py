@@ -24,21 +24,160 @@ The residual is the gradient of the convex magnetic energy
 E(u) = sum_T |T| w_T(curl u) - load . u (dw_T/dB = h_T, dh_T is SPD), so
 Newton damps on E by the approximate Armijo test of Hager and Zhang (SIAM J.
 Optim. 16(1), 2005), which reads residuals only, never E itself.
+
+The compiled kernels are scipy's, called without importing the scipy packages
+that wrap them: LAPACK dpbtrf and dpbtrs from scipy.linalg._flapack, and the
+CSR kernels coo_tocsr, csr_has_sorted_indices, csr_sort_indices,
+csr_sum_duplicates, csr_matvec(s) and csc_matvec(s) from
+scipy.sparse._sparsetools. Importing scipy.linalg and scipy.sparse costs about
+0.2 s per process, mostly in code rtopt never runs, and a CLI command is a
+short process. Every sparse operator keeps the arrays scipy.sparse would build
+for it and every product calls the kernel scipy.sparse would call, so results
+are bitwise those of the packages; reverse_cuthill_mckee is a port of scipy's
+that gives the same permutation.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import SolverError
 
+
+def _scipy_extension(package, name):
+    """The compiled module scipy.<package>.<name>, loaded without running the
+    __init__ of scipy or of scipy.<package>.
+
+    It is registered in sys.modules under its full name, so a later import of
+    the package (which imports it) reuses this module object.
+    """
+    full = f"scipy.{package}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.PathFinder.find_spec(
+        full, [os.path.join(d, package) for d in scipy.submodule_search_locations])
+    if spec is None:
+        raise ImportError(f"rtopt.fem needs scipy's compiled module {full}",
+                          name=full)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_lapack = _scipy_extension("linalg", "_flapack")
+_sparsetools = _scipy_extension("sparse", "_sparsetools")
+
 NEWTON_MIN_STEP = 2.0**-20
 NEWTON_ARMIJO = 1e-4        # sufficient-decrease fraction sigma of the energy
+
+
+def _index_dtype(*sizes):
+    """The index type scipy.sparse picks for arrays of these sizes."""
+    return np.int32 if max(sizes) <= np.iinfo(np.int32).max else np.int64
+
+
+@dataclass(frozen=True)
+class Csr:
+    """A sparse (n_rows, n_cols) matrix in the CSR arrays of scipy.sparse.
+
+    Products call the kernel scipy.sparse calls for A @ v and A.T @ v on the
+    same arrays, so they are bitwise the package's.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+    @classmethod
+    def from_triplets(cls, data, row, col, shape):
+        """The matrix scipy.sparse.csr_matrix((data, (row, col)), shape)
+        builds: entries bucketed by row, each row sorted by column, and
+        duplicates summed in that order."""
+        n_rows, n_cols = shape
+        nnz = len(data)
+        index = _index_dtype(nnz, n_rows, n_cols)
+        indptr = np.empty(n_rows + 1, dtype=index)
+        indices = np.empty(nnz, dtype=index)
+        values = np.empty(nnz)
+        _sparsetools.coo_tocsr(n_rows, n_cols, nnz, row.astype(index),
+                               col.astype(index), data, indptr, indices, values)
+        if not _sparsetools.csr_has_sorted_indices(n_rows, indptr, indices):
+            _sparsetools.csr_sort_indices(n_rows, indptr, indices, values)
+        _sparsetools.csr_sum_duplicates(n_rows, n_cols, indptr, indices, values)
+        nnz = indptr[-1]
+        return cls(indptr, indices[:nnz], values[:nnz], shape)
+
+    def __matmul__(self, v):
+        """A v for v of shape (n_cols,) or (n_cols, k)."""
+        return self._product(_sparsetools.csr_matvec, _sparsetools.csr_matvecs,
+                             self.shape, v)
+
+    def rmatmul(self, v):
+        """A^T v for v of shape (n_rows,) or (n_rows, k), by the CSC kernels
+        on the same arrays, as scipy.sparse computes A.T @ v."""
+        return self._product(_sparsetools.csc_matvec, _sparsetools.csc_matvecs,
+                             self.shape[::-1], v)
+
+    def _product(self, matvec, matvecs, shape, v):
+        out = np.zeros(shape[:1] + v.shape[1:])
+        if v.ndim == 1:
+            matvec(*shape, self.indptr, self.indices, self.data, v, out)
+        else:
+            matvecs(*shape, v.shape[1], self.indptr, self.indices, self.data,
+                    v.ravel(), out.ravel())
+        return out
+
+
+def reverse_cuthill_mckee(indptr, indices):
+    """Reverse Cuthill-McKee order of a symmetric pattern in CSR arrays.
+
+    A port of scipy.sparse.csgraph.reverse_cuthill_mckee (symmetric_mode=True)
+    that gives the same permutation: a node's degree is its row length plus
+    one if the row stores its diagonal; each connected component is searched
+    breadth-first from its first unvisited node in np.argsort order of the
+    degrees (in the index type); each node appends its unvisited neighbours,
+    stably sorted by degree; the order found is reversed. The search runs one
+    breadth-first level at a time.
+    """
+    n = len(indptr) - 1
+    lengths = np.diff(indptr)
+    rows = np.repeat(np.arange(n), lengths)
+    has_diagonal = np.zeros(n, dtype=bool)
+    has_diagonal[rows[indices == rows]] = True
+    degree = (lengths + has_diagonal).astype(indices.dtype)
+    visited = np.zeros(n, dtype=bool)
+    levels, n_found = [], 0
+    for seed in np.argsort(degree):
+        if n_found == n:
+            break
+        if visited[seed]:
+            continue
+        level = np.array([seed])
+        while len(level):
+            visited[level] = True
+            levels.append(level)
+            n_found += len(level)
+            # the neighbours of the level, node by node in row order; a node
+            # reached from several joins the first, in degree order
+            lens = lengths[level]
+            shift = np.repeat(indptr[level] - np.cumsum(lens) + lens, lens)
+            reached = indices[np.arange(len(shift)) + shift]
+            parent = np.repeat(np.arange(len(level)), lens)
+            fresh = np.flatnonzero(~visited[reached])
+            _, first = np.unique(reached[fresh], return_index=True)
+            first = fresh[first]
+            level = reached[first[np.lexsort(
+                (first, degree[reached[first]], parent[first]))]]
+    return np.concatenate(levels)[::-1]
 
 
 class P1Space:
@@ -65,10 +204,11 @@ class P1Space:
         curls = np.ascontiguousarray((edges / (2.0 * self.areas)[:, None, None]).T)
         self.curls = curls.transpose(2, 1, 0)
         # the curl operator G: row 2e + d of G u is component d of B on element e
-        self._curl_op = sp.csr_matrix(
-            (self.curls.transpose(0, 2, 1).ravel(),
-             np.repeat(tri, 2, axis=0).ravel(), np.arange(0, 6 * m + 1, 3)),
-            shape=(2 * m, mesh.n_nodes))
+        index = _index_dtype(6 * m, 2 * m, mesh.n_nodes)
+        self._curl_op = Csr(np.arange(0, 6 * m + 1, 3, dtype=index),
+                            np.repeat(tri, 2, axis=0).ravel().astype(index),
+                            self.curls.transpose(0, 2, 1).ravel(),
+                            (2 * m, mesh.n_nodes))
 
     @property
     def n_nodes(self):
@@ -80,7 +220,7 @@ class P1Space:
 
     def flux_divergence(self, hvals):
         """Assemble sum_T |T| h_T . curl phi_i into a nodal vector."""
-        return self._curl_op.T @ (self.areas[:, None] * hvals).ravel()
+        return self._curl_op.rmatmul((self.areas[:, None] * hvals).ravel())
 
     def load_vector(self, j_elem):
         """Assemble sum_T |T| j_T / 3 onto the nodes of T."""
@@ -110,8 +250,8 @@ class P1Space:
         tri = self.mesh.triangles
         rows = np.repeat(tri, 3, axis=1).ravel()
         cols = np.tile(tri, (1, 3)).ravel()
-        return sp.coo_matrix((self.mass_blocks().ravel(), (rows, cols)),
-                             shape=(self.n_nodes, self.n_nodes)).tocsr()
+        return Csr.from_triplets(self.mass_blocks().ravel(), rows, cols,
+                                 (self.n_nodes, self.n_nodes))
 
 
 class DofMap:
@@ -149,14 +289,14 @@ class DofMap:
         entry = np.flatnonzero((row >= 0) & (col >= 0))
         # The reduced numbering is the reverse Cuthill-McKee order of the
         # fixed pattern, so every tangent of the mesh lies in a narrow band.
-        order = np.argsort(reverse_cuthill_mckee(sp.csr_matrix(
-            (np.ones(len(entry)), (row[entry], col[entry])), shape=(nr, nr)),
-            symmetric_mode=True))
+        pattern = Csr.from_triplets(np.ones(len(entry)), row[entry], col[entry],
+                                    (nr, nr))
+        order = np.argsort(reverse_cuthill_mckee(pattern.indptr, pattern.indices))
         index[kept] = order[index[kept]]
         row, col = order[row[entry]], order[col[entry]]
         self.free = np.empty_like(free)
         self.free[order] = free
-        self.C = sp.csr_matrix((sign[kept], (kept, index[kept])), shape=(n, nr))
+        self._reduction = Csr.from_triplets(sign[kept], kept, index[kept], (n, nr))
         self.n_reduced = nr
         self.bandwidth = int(np.max(row - col, initial=0))
 
@@ -168,12 +308,12 @@ class DofMap:
         self._slots, slot = np.unique(
             (row - col + (self.bandwidth + 1) * col)[lower], return_inverse=True)
         signs = (sign[tri][:, None] * sign[tri][None]).ravel()[entry]
-        self._scatter = sp.csr_matrix((signs[lower], (slot, entry[lower])),
-                                      shape=(len(self._slots), n_entries))
+        self._scatter = Csr.from_triplets(signs[lower], slot, entry[lower],
+                                          (len(self._slots), n_entries))
 
     def reduce_vector(self, v):
         """Adjoint reduction C^T v (for residuals and loads, not coordinates)."""
-        return self.C.T @ v
+        return self._reduction.rmatmul(v)
 
     def restrict(self, u_full):
         """Reduced coordinates of a conforming full vector: u_full = C restrict."""
@@ -189,7 +329,7 @@ class DofMap:
         return band.reshape((self.bandwidth + 1, self.n_reduced), order="F")
 
     def expand(self, v):
-        return self.C @ v
+        return self._reduction @ v
 
 
 @dataclass
@@ -216,12 +356,14 @@ class BandCholesky:
     factored in place if Fortran-ordered; LinAlgError if not positive definite."""
 
     def __init__(self, band):
-        self._factor = sla.cholesky_banded(band, overwrite_ab=True, lower=True,
-                                           check_finite=False)
+        self._factor, info = _lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"{info}-th leading minor not positive definite")
 
     def solve(self, b):
         """Solve for one right-hand side (n,) or several as columns (n, k)."""
-        return sla.cho_solve_banded((self._factor, True), b, check_finite=False)
+        return _lapack.dpbtrs(self._factor, b, lower=1)[0]
 
 
 def factor_tangent(space, dofmap, dh):
@@ -291,6 +433,8 @@ def newton_solve(space, dofmap, respond, load_full, u0=None, tol=1e-8,
 
 def tangent_at(space, dofmap, respond, u):
     """Reduced tangent matrix assembled at a converged state, in CSC form."""
+    import scipy.sparse as sp
+
     _, dh = respond(space.element_curl(u))
     band = dofmap.reduce_matrix(space.tangent_matrix(dh))
     lower = sp.dia_matrix((band, -np.arange(len(band))),

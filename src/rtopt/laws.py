@@ -79,8 +79,11 @@ class MaterialLaw:
         k = self.k_f if knee is None else knee
         s = np.linalg.norm(b, axis=-1)
         c = self.nu_f - NU0
-        nu = NU0 + c * iron_knee_factor(k, s, self.n_f)
-        gos = iron_knee_factor_ds_over_s(k, s, self.n_f)
+        # iron_knee_factor and iron_knee_factor_ds_over_s on one p-norm
+        w = _pnorm(k, s, self.n_f)
+        g = k / w
+        nu = NU0 + c * g
+        gos = -g * (s / w) ** (self.n_f - 2) / w**2
         dh = (nu[..., None, None] * eye
               + (c * gos)[..., None, None] * (b[..., :, None] * b[..., None, :]))
         return nu[..., None] * b, dh

@@ -234,7 +234,11 @@ class TDTable:
 
         knee is the per-row saturation knee (a scalar broadcasts), clamped to
         the knee axis like t; a one-knee table reads it only for that clamp.
+        A knee that is not finite (NaN, inf or None) raises ValueError.
         """
+        knee = np.asarray(knee, dtype=float)
+        if not np.isfinite(knee).all():
+            raise ValueError("sensitivity table knee must be finite")
         ux, uy = np.atleast_2d(np.asarray(U, dtype=float)).T
         px, py = np.atleast_2d(np.asarray(P, dtype=float)).T
         t = np.sqrt(ux * ux + uy * uy)
@@ -245,7 +249,7 @@ class TDTable:
         t_hit = t[hit]
         tq, clamped = self._clip(t_hit, self.t, "flux magnitude")
         qq, outside = self._clip(
-            np.broadcast_to(np.asarray(knee, dtype=float), t.shape)[hit],
+            np.broadcast_to(knee, t.shape)[hit],
             self.q, "knee")
         self.clamped_rows += int((clamped | outside).sum())
         # interval i with t[i] <= tq < t[i + 1], the last one closed

@@ -593,17 +593,24 @@ def test_output_root_env(tmp_path, monkeypatch):
     assert load_config(cfg).output_dir == "rel/dir"
 
 
-def test_cli_imports_leave_out_interpolate_and_optimize():
-    # what the command handlers load; scipy.interpolate alone pulls in
-    # scipy.optimize, scipy.special and scipy.spatial
+def test_cli_imports_leave_out_interpolate_and_optimize(tmp_path):
+    # what the command handlers load, and a precompute and a robust run:
+    # scipy.interpolate alone pulls in scipy.optimize, scipy.special and
+    # scipy.spatial, and scipy.linalg and scipy.sparse cost 0.2 s a process;
+    # of scipy, only the two compiled modules rtopt.fem calls are loaded
+    cfg = write_cfg(tmp_path / "run.cfg", tmp_path / "out")
     code = ("import sys\n"
             "import rtopt.cli, rtopt.config, rtopt.levelset, rtopt.robust\n"
             "import rtopt.topderiv, rtopt.machine, rtopt.mesh, rtopt.render\n"
-            "print(*(m for m in ('scipy.interpolate', 'scipy.optimize')"
-            " if m in sys.modules))\n")
+            f"assert rtopt.cli.main(['precompute-td', {cfg!r}]) == 0\n"
+            f"assert rtopt.cli.main(['optimize', {cfg!r}, '--mode', 'robust'])"
+            " in (0, 4)\n"
+            "print(*sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy'))\n")
     src = str(Path(rtopt.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == ""
+    assert run.stdout.splitlines()[-1].split() == [
+        "scipy.linalg._flapack", "scipy.sparse._sparsetools"]

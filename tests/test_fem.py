@@ -2,25 +2,34 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.special import hyp2f1
 
+from rtopt import fem
+from rtopt.config import load_config
 from rtopt.errors import SolverError
-from rtopt.fem import (DofMap, P1Space, ScreenedSmoother, adjoint_solve,
-                       factor_tangent, newton_solve, tangent_at)
+from rtopt.fem import (BandCholesky, DofMap, P1Space, ScreenedSmoother,
+                       adjoint_solve, factor_tangent, newton_solve,
+                       reverse_cuthill_mckee, tangent_at)
 from rtopt.laws import NU0, air_law, iron_law
 from rtopt.machine import (NEWTON_MAX_ITER, MachineProblem, MaterialSpec,
                            Scenario)
-from rtopt.mesh import refine_disc_patch
-from smoother_integrals import elementwise_integral, nodal_integral
+from rtopt.mesh import build_machine_mesh, graded_disk_mesh, refine_disc_patch
+from smoother_integrals import (elementwise_integral, mass_matrix,
+                                nodal_integral)
 from square_mesh import unit_square_mesh
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def linear_respond(curls):
@@ -271,15 +280,35 @@ def test_reduced_numbering_keeps_the_reduction(toy_mesh):
     assert dm.reduce_vector(w) @ v == pytest.approx(w @ u, rel=1e-13)
 
 
-def band_width(dofmap, mesh, numbering):
-    """Widest |i - j| of the reduced tangent pattern under a numbering."""
-    reduced = dofmap.C.tocoo()
+def reduction_matrix(mesh, free):
+    """The reduction C by scipy.sparse, when unknown k is node free[k]: a slave
+    is minus its master and a Dirichlet node is zero."""
+    n, nr = mesh.n_nodes, len(free)
+    index = np.full(n, -1)
+    index[free] = np.arange(nr)
+    index[mesh.pair_slave] = index[mesh.pair_master]
+    sign = np.ones(n)
+    sign[mesh.pair_slave] = -1.0
+    kept = np.flatnonzero(index >= 0)
+    return sp.csr_matrix((sign[kept], (kept, index[kept])), shape=(n, nr))
+
+
+def reduced_pattern(mesh, free):
+    """The pattern of C^T K C by scipy.sparse, when unknown k is node free[k]."""
+    reduced = reduction_matrix(mesh, free).tocoo()
     index = np.full(mesh.n_nodes, -1)
-    index[reduced.row] = numbering[reduced.col]
+    index[reduced.row] = reduced.col
     tri = index[mesh.triangles]
     row, col = np.broadcast_arrays(tri[:, :, None], tri[:, None, :])
     keep = (row >= 0) & (col >= 0)
-    return int(np.abs(row[keep] - col[keep]).max())
+    return sp.csr_matrix((np.ones(np.count_nonzero(keep)),
+                          (row[keep], col[keep])), shape=(len(free),) * 2)
+
+
+def band_width(dofmap, mesh, numbering):
+    """Widest |i - j| of the reduced tangent pattern under a numbering."""
+    pattern = reduced_pattern(mesh, dofmap.free[np.argsort(numbering)]).tocoo()
+    return int(np.abs(pattern.row - pattern.col).max())
 
 
 def test_reduced_numbering_is_the_elimination_order(toy_mesh):
@@ -360,7 +389,8 @@ def test_reduced_tangent_matches_triple_product(toy_mesh):
     k_full = sp.coo_matrix((local.ravel(), (np.repeat(tri, 3, axis=1).ravel(),
                                             np.tile(tri, (1, 3)).ravel())),
                            shape=(n, n)).tocsr()
-    ref = (dofmap.C.T @ k_full @ dofmap.C).toarray()
+    c = reduction_matrix(toy_mesh, dofmap.free)
+    ref = (c.T @ k_full @ c).toarray()
     scale = np.abs(ref).max()
 
     blocks = space.tangent_matrix(dh)
@@ -516,3 +546,116 @@ def test_nonlinear_newton_factors_every_iteration(factor_calls):
     assert len(factor_calls) == info.iterations + 1
     assert np.array_equal(adjoint_solve(space, dofmap, respond, u, w), p)
     assert len(factor_calls) == info.iterations + 2
+
+
+def rcm_meshes():
+    """Meshes whose reduced patterns the RCM port is checked on, built once."""
+    meshes = {name: build_machine_mesh(
+        load_config(CONFIGS / f"{name}.cfg").geometry)
+        for name in ("toy", "audit3k", "benchmark")}
+    meshes["exterior8k"] = graded_disk_mesh(128.0, 8000)
+    toy = meshes["toy"]
+    h = float(np.sqrt(2.0 * P1Space(toy).areas[
+        toy.elements_in("design")].mean()))
+    center = 0.03 * np.array([np.cos(np.pi / 8), np.sin(np.pi / 8)])
+    meshes["toy_disc_patch"] = refine_disc_patch(toy, center, h,
+                                                 cavity=7 * h)[0]
+    return meshes
+
+
+def test_rcm_port_gives_scipys_permutation():
+    # the pattern DofMap orders (unknowns in node order), on every shipped
+    # machine mesh, the tables-knee exterior mesh and a disc patch, whose
+    # nodes come last
+    for name, mesh in rcm_meshes().items():
+        dofmap = DofMap(mesh)
+        nodes = np.sort(dofmap.free)
+        pattern = reduced_pattern(mesh, nodes)
+        ref = csgraph.reverse_cuthill_mckee(pattern, symmetric_mode=True)
+        assert np.array_equal(
+            reverse_cuthill_mckee(pattern.indptr, pattern.indices), ref), name
+        assert np.array_equal(dofmap.free, nodes[ref]), name
+    # two or more components, rows without their diagonal, isolated nodes
+    rng = np.random.default_rng(29)
+    for n in (7, 60, 400):
+        a = sp.random(n, n, density=3.0 / n, random_state=rng)
+        diagonal = np.flatnonzero(rng.random(n) < 0.5)
+        a = a + a.T + sp.coo_matrix((np.ones(len(diagonal)),
+                                     (diagonal, diagonal)), shape=(n, n))
+        a = sp.block_diag((a, a.T), format="csr")
+        assert csgraph.connected_components(a)[0] >= 2
+        ref = csgraph.reverse_cuthill_mckee(a, symmetric_mode=True)
+        assert np.array_equal(reverse_cuthill_mckee(a.indptr, a.indices), ref)
+
+
+def test_sparse_products_equal_scipys(toy_mesh):
+    # every product runs scipy's kernel on the arrays scipy.sparse builds
+    space, dofmap = P1Space(toy_mesh), DofMap(toy_mesh)
+    tri, m, n = toy_mesh.triangles, toy_mesh.n_elements, toy_mesh.n_nodes
+    nr = dofmap.n_reduced
+    rng = np.random.default_rng(31)
+    curl_op = sp.csr_matrix((space.curls.transpose(0, 2, 1).ravel(),
+                             np.repeat(tri, 2, axis=0).ravel(),
+                             np.arange(0, 6 * m + 1, 3)), shape=(2 * m, n))
+    u, h = rng.standard_normal(n), rng.standard_normal((m, 2))
+    assert np.array_equal(space.element_curl(u), (curl_op @ u).reshape(-1, 2))
+    assert np.array_equal(space.flux_divergence(h), curl_op.T @ (
+        space.areas[:, None] * h).ravel())
+
+    c = reduction_matrix(toy_mesh, dofmap.free)
+    for w in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        assert np.array_equal(dofmap.reduce_vector(w), c.T @ w)
+    for v in (rng.standard_normal(nr), rng.standard_normal((nr, 3)),
+              np.asfortranarray(rng.standard_normal((nr, 3)))):
+        assert np.array_equal(dofmap.expand(v), c @ v)
+
+    # the band scatter: entries by reduced row and column, on and below the
+    # diagonal, into the Fortran-ordered lower band storage
+    coo = c.tocoo()
+    index, sign = np.full(n, -1), np.zeros(n)
+    index[coo.row], sign[coo.row] = coo.col, coo.data
+    row, col = np.broadcast_arrays(index[tri.T][:, None], index[tri.T][None])
+    row, col = row.ravel(), col.ravel()
+    entry = np.flatnonzero((row >= 0) & (col >= 0))
+    row, col = row[entry], col[entry]
+    width = dofmap.bandwidth + 1
+    assert width - 1 == np.max(row - col)
+    lower = row >= col
+    slots, slot = np.unique((row - col + width * col)[lower],
+                            return_inverse=True)
+    signs = (sign[tri.T][:, None] * sign[tri.T][None]).ravel()[entry]
+    scatter = sp.csr_matrix((signs[lower], (slot, entry[lower])),
+                            shape=(len(slots), 9 * m))
+    blocks = rng.standard_normal((m, 3, 3))
+    band = np.zeros(width * nr)
+    band[slots] = scatter @ blocks.transpose(1, 2, 0).ravel()
+    assert np.array_equal(dofmap.reduce_matrix(blocks),
+                          band.reshape((width, nr), order="F"))
+
+    smoother = ScreenedSmoother(toy_mesh, 1e-5)
+    a, b = rng.standard_normal(n), rng.standard_normal(n)
+    assert smoother.inner(a, b) == float(a @ (mass_matrix(space) @ b))
+
+
+def test_band_cholesky_equals_scipys(toy_mesh):
+    space, dofmap = P1Space(toy_mesh), DofMap(toy_mesh)
+    rng = np.random.default_rng(37)
+    a = rng.standard_normal((toy_mesh.n_elements, 2, 2))
+    band = dofmap.reduce_matrix(space.tangent_matrix(
+        a @ a.transpose(0, 2, 1) + 0.1 * np.eye(2)))
+    ref = cholesky_banded(band, lower=True)
+    factored = band.copy(order="F")
+    factor = BandCholesky(factored)
+    assert np.array_equal(factored, ref)           # factored in place
+    for b in (rng.standard_normal(dofmap.n_reduced),
+              rng.standard_normal((dofmap.n_reduced, 3))):
+        assert np.array_equal(factor.solve(b), cho_solve_banded((ref, True), b))
+    # the second leading minor of [[1, 2], [2, 1]] is negative
+    with pytest.raises(np.linalg.LinAlgError):
+        BandCholesky(np.array([[1.0, 1.0], [2.0, 0.0]]))
+
+
+def test_missing_scipy_extension_is_named():
+    # the compiled modules are loaded by name, with no other path to fall to
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._no_such_module"):
+        fem._scipy_extension("linalg", "_no_such_module")

@@ -82,6 +82,23 @@ def test_dh_db_matches_fd():
         assert np.allclose(jac[..., :, d], fd, rtol=1e-5, atol=1e-3)
 
 
+def test_iron_response_is_the_knee_factors_bitwise():
+    # h = nu b and dh = nu I + (nu_f - nu0) g'(s)/s b b^T, from the two knee
+    # factor functions, at zero, moderate and overflowing flux, per-row knees
+    b = np.concatenate([np.zeros((1, 2)), rng.standard_normal((200, 2)) * 3.0,
+                        [[1e30, -2e30]]])
+    s = np.linalg.norm(b, axis=-1)
+    c = laws.NU_F - laws.NU0
+    for knee in (None, rng.uniform(1.8, 2.6, len(b))):
+        k = laws.K_F if knee is None else knee
+        nu = laws.NU0 + c * laws.iron_knee_factor(k, s, laws.N_F)
+        gos = laws.iron_knee_factor_ds_over_s(k, s, laws.N_F)
+        h, dh = iron_law().response(b, knee)
+        assert np.array_equal(h, nu[:, None] * b)
+        assert np.array_equal(dh, nu[:, None, None] * np.eye(2) + (c * gos)[
+            :, None, None] * (b[:, :, None] * b[:, None, :]))
+
+
 def test_dh_db_symmetric_positive():
     law = iron_law()
     b = rng.standard_normal((30, 2)) * 3.0

@@ -18,6 +18,7 @@ from rtopt.topderiv import (DIRECTIONS, ExteriorConfig, ExteriorProblem,
                             load_table, precompute_tables, sample_table,
                             save_table)
 from closed_forms import truncated_corrector
+from smoother_integrals import mass_matrix
 
 I2A_SLOPE = 2.0 * NU_F * (NU0 - NU_F) / (NU0 + NU_F)
 A2I_SLOPE = -2.0 * NU0 * (NU0 - NU_F) / (NU0 + NU_F)
@@ -53,7 +54,7 @@ def test_corrector_matches_truncated_analytic():
     assert info.iterations <= 1
     # iron_to_air puts the air inclusion inside an iron exterior
     ref = truncated_corrector(prob.mesh.vertices, cfg.radius, U, NU0, NU_F)
-    mass = prob.space.mass_matrix()
+    mass = mass_matrix(prob.space)
     err = k - ref
     rel = np.sqrt(err @ (mass @ err)) / np.sqrt(ref @ (mass @ ref))
     assert rel <= 2e-2, rel
@@ -374,6 +375,17 @@ def test_knee_axis_bilinear_and_clamped():
     assert one.clamped_rows == 0
     assert one.evaluate(U, P, knee=3.0)[0] == one.evaluate(U, P, knee=K_F)[0]
     assert one.clamped_rows == 1
+
+
+@pytest.mark.parametrize("q", [[K_F], [1.0, 3.0]])
+@pytest.mark.parametrize("knee", [np.nan, np.inf, None, [2.0, np.nan]])
+def test_non_finite_knee_refused(q, knee):
+    # rather than NaN sensitivities with no clamp counted
+    tab = synthetic_table(q=q)
+    U = np.array([[1.5, 0.0], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="knee must be finite"):
+        tab.evaluate(U, np.ones((2, 2)), knee)
+    assert tab.clamped_rows == 0
 
 
 def test_perp_term_is_signed():
