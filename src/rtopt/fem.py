@@ -375,7 +375,8 @@ def newton_solve(space, dofmap, respond, load_full, u0=None, tol=1e-8,
                  max_iter=50):
     """Damped Newton for the reduced residual C^T (flux(u) - load).
 
-    respond(B) must return (h, dh) arrays of shapes (m, 2) and (m, 2, 2).
+    respond(B) must return new (h, dh) arrays of shapes (m, 2) and (m, 2, 2)
+    on every call: a warm start keeps the dh at u0 past the call at zero.
     Convergence is relative to the residual at zero, ||F|| <= tol * ||F(0)||,
     whatever the start u0, so a warm start meets a cold start's accuracy.
     A step d is halved until F(u + alpha d) . d <= (1 - 2 sigma) |F(u) . d|,

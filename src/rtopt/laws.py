@@ -8,10 +8,11 @@ h (A/m):
           (saturating; reduces to nu_f*b at b=0 and to nu0*b as |b| grows;
           `linear=True` freezes it at nu_f*b)
 
-`MaterialLaw.response` is the one evaluation of a law: it returns h and
-dh/db together, and a saturating iron law takes an optional per-row knee.
-The machine's iron elements (knees read from the scenario's parameter
-vector q) and the exterior corrector both evaluate through it.
+`MaterialLaw.response` is the one evaluation of a law: it returns h and the
+symmetric dh/db, written entry by entry, and a saturating iron law takes an
+optional per-row knee; `MaterialLaw.h` shares its reluctivity and builds no
+Jacobian. The machine's iron rows (knees read from the scenario's parameter
+vector q) and the corrector's inclusion and exterior blocks evaluate through it.
 """
 
 from __future__ import annotations
@@ -65,6 +66,18 @@ class MaterialLaw:
     n_f: int = N_F
     linear: bool = False
 
+    def _reluctivity(self, b, knee):
+        """nu = |h|/|b| of the rows b: the constant of a linear law, or per
+        row nu0 + (nu_f - nu0) g(s) with (g, s, w) for a saturating one."""
+        if self.kind == "air" or self.linear:
+            return (NU0 if self.kind == "air" else self.nu_f), None
+        k = self.k_f if knee is None else knee
+        b0, b1 = b[..., 0], b[..., 1]
+        s = np.sqrt(b0 * b0 + b1 * b1)      # bitwise np.linalg.norm(b, axis=-1)
+        w = _pnorm(k, s, self.n_f)
+        g = k / w
+        return NU0 + (self.nu_f - NU0) * g, (g, s, w)
+
     def response(self, b, knee=None):
         """Field strength h(b) and Jacobian dh/db for rows b of shape (..., 2).
 
@@ -72,25 +85,26 @@ class MaterialLaw:
         replaces k_f of a saturating iron law, per row when it is an array.
         """
         b = np.asarray(b, dtype=float)
-        eye = np.eye(2)
-        if self.kind == "air" or self.linear:
-            nu = NU0 if self.kind == "air" else self.nu_f
-            return nu * b, np.broadcast_to(nu * eye, b.shape + (2,)).copy()
-        k = self.k_f if knee is None else knee
-        s = np.linalg.norm(b, axis=-1)
-        c = self.nu_f - NU0
-        # iron_knee_factor and iron_knee_factor_ds_over_s on one p-norm
-        w = _pnorm(k, s, self.n_f)
-        g = k / w
-        nu = NU0 + c * g
-        gos = -g * (s / w) ** (self.n_f - 2) / w**2
-        dh = (nu[..., None, None] * eye
-              + (c * gos)[..., None, None] * (b[..., :, None] * b[..., None, :]))
+        nu, saturating = self._reluctivity(b, knee)
+        if saturating is None:
+            return nu * b, np.broadcast_to(nu * np.eye(2), b.shape + (2,)).copy()
+        # dh = nu I + c g'(s)/s b b^T, g' as iron_knee_factor_ds_over_s on
+        # the same p-norm, written entry by entry
+        g, s, w = saturating
+        cg = (self.nu_f - NU0) * (-g * (s / w) ** (self.n_f - 2) / w**2)
+        b0, b1 = b[..., 0], b[..., 1]
+        dh = np.empty(b.shape + (2,))
+        dh[..., 0, 0] = nu + cg * (b0 * b0)
+        dh[..., 1, 1] = nu + cg * (b1 * b1)
+        # nu * 0.0 keeps the sign of a zero off-diagonal that nu I gives it
+        dh[..., 0, 1] = dh[..., 1, 0] = nu * 0.0 + cg * (b0 * b1)
         return nu[..., None] * b, dh
 
     def h(self, b):
         """Field strength h(b). b has shape (..., 2)."""
-        return self.response(b)[0]
+        b = np.asarray(b, dtype=float)
+        nu, saturating = self._reluctivity(b, None)
+        return (nu if saturating is None else nu[..., None]) * b
 
     def dh_db(self, b):
         """Jacobian dh/db, shape (..., 2, 2). Symmetric positive definite."""

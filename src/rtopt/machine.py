@@ -18,7 +18,8 @@ currents ("phase" binding), one shared iron saturation knee ("knee" binding),
 or one knee per rotor block plus one for the stator ("knee_regions", with
 ROTOR_BLOCKS + 1 entries). MachineProblem decides once, in `knee_index`,
 which entry of q each element's knee reads; every iron row is evaluated by
-the iron law of `MaterialSpec` with those per-element knees.
+the iron law of `MaterialSpec` with those per-element knees. Air and magnet
+rows are linear, h = nu (B - remanence), fixed once per response closure.
 """
 
 from __future__ import annotations
@@ -202,8 +203,6 @@ class MachineProblem:
 
         m = mesh.n_elements
         rid = mesh.region_id
-        names = mesh.region_names
-        idx = {name: names.index(name) for name in names}
         self.design_elements = mesh.elements_in("design")
         if len(self.design_elements) == 0:
             raise ConfigurationError("mesh has no design region")
@@ -216,9 +215,6 @@ class MachineProblem:
             region_id=rid[self.design_elements], pair_master=empty, pair_slave=empty,
             dirichlet_nodes=empty)
 
-        always_air = np.isin(rid, [idx[n] for n in
-                                   ("shaft", "air_gap", "coil_A", "coil_B", "coil_C")])
-        self._always_air = np.flatnonzero(always_air)
         self._stator = mesh.elements_in("stator_iron")
         self._magnet1 = mesh.elements_in("magnet1")
         self._magnet2 = mesh.elements_in("magnet2")
@@ -288,30 +284,27 @@ class MachineProblem:
                 [np.cos(phi + shift), np.sin(phi + shift)])
         return rem
 
-    def _element_sets(self, design):
+    def _iron_elements(self, design):
         design = np.asarray(design, dtype=bool)
         if design.shape != (len(self.design_elements),):
             raise UsageError("design array does not match the design region")
-        iron = np.concatenate([self._stator, self.design_elements[design]])
-        air = np.concatenate([self._always_air, self.design_elements[~design]])
-        return iron, air
+        return np.concatenate([self._stator, self.design_elements[design]])
 
     def respond_factory(self, design, q, alpha):
-        """Material response closure respond(B) -> (h, dh) for assembly."""
-        iron, air = self._element_sets(design)
-        magnets = np.concatenate([self._magnet1, self._magnet2])
+        """Material response closure respond(B) -> (h, dh) for assembly: nu,
+        remanence and dh of the linear rows are fixed here, and each call
+        evaluates the iron law on the iron rows only."""
+        iron = self._iron_elements(design)
         kf = self._knee_values(q)[iron]
-        rem = self._remanence(alpha)[magnets]
         iron_law = self.spec.iron_law()
-        eye = np.eye(2)
+        nu = np.full(self.mesh.n_elements, laws.NU0)
+        nu[self._magnet1] = nu[self._magnet2] = laws.NU_M
+        rem = self._remanence(alpha)
+        dh_lin = nu[:, None, None] * np.eye(2)
 
         def respond(B):
-            h = np.empty_like(B)
-            dh = np.empty(B.shape + (2,))
-            h[air] = laws.NU0 * B[air]
-            dh[air] = laws.NU0 * eye
-            h[magnets] = laws.NU_M * (B[magnets] - rem)
-            dh[magnets] = laws.NU_M * eye
+            h = nu[:, None] * (B - rem)
+            dh = dh_lin.copy()
             h[iron], dh[iron] = iron_law.response(B[iron], kf)
             return h, dh
 

@@ -86,8 +86,11 @@ class ExteriorProblem:
         self.dofmap = DofMap(replace(self.mesh, pair_master=node[pair],
                                      pair_slave=mirror[pair],
                                      dirichlet_nodes=dirichlet))
-        self.inclusion = self.mesh.elements_in("inclusion")
-        self.exterior = self.mesh.elements_in("exterior")
+        # graded_disk_mesh numbers the elements ring by ring from the centre,
+        # so the inclusion is the first block and the exterior the rest
+        n_inc = len(self.mesh.elements_in("inclusion"))
+        self.inclusion = slice(0, n_inc)
+        self.exterior = slice(n_inc, self.mesh.n_elements)
         self.inclusion_area = float(self.space.areas[self.inclusion].sum())
         self.newton_log = []        # NewtonInfo of every corrector solve, in order
 

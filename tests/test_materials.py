@@ -129,3 +129,114 @@ def test_bound_knee_reads_q(toy_mesh):
     assert np.array_equal(problem.knee_for_elements(q),
                           q[problem.design_block])
     assert np.all(problem.knee_for_elements(scen.q_hat) == laws.K_F)
+
+
+# -- the entry-by-entry kernels against the broadcast and gather/scatter
+#    forms they replaced, bitwise and with the sign of every zero
+
+def broadcast_response(law, b, knee=None):
+    """MaterialLaw.response as it was: dh = nu I + c g'(s)/s b b^T built by
+    broadcasting, |b| by np.linalg.norm."""
+    b = np.asarray(b, dtype=float)
+    eye = np.eye(2)
+    if law.kind == "air" or law.linear:
+        nu = laws.NU0 if law.kind == "air" else law.nu_f
+        return nu * b, np.broadcast_to(nu * eye, b.shape + (2,)).copy()
+    k = law.k_f if knee is None else knee
+    s = np.linalg.norm(b, axis=-1)
+    c = law.nu_f - laws.NU0
+    w = laws._pnorm(k, s, law.n_f)
+    g = k / w
+    nu = laws.NU0 + c * g
+    gos = -g * (s / w) ** (law.n_f - 2) / w**2
+    dh = (nu[..., None, None] * eye
+          + (c * gos)[..., None, None] * (b[..., :, None] * b[..., None, :]))
+    return nu[..., None] * b, dh
+
+
+def gather_scatter_respond(problem, design, q, alpha):
+    """MachineProblem.respond_factory as it was: every region's rows
+    gathered from B and scattered into fresh h and dh on every call."""
+    mesh = problem.mesh
+    d = problem.design_elements
+    iron = np.concatenate([mesh.elements_in("stator_iron"), d[design]])
+    always_air = np.flatnonzero(np.isin(mesh.region_id, [
+        mesh.region_index(n)
+        for n in ("shaft", "air_gap", "coil_A", "coil_B", "coil_C")]))
+    air = np.concatenate([always_air, d[~design]])
+    magnets = np.concatenate([mesh.elements_in("magnet1"),
+                              mesh.elements_in("magnet2")])
+    kf = problem._knee_values(q)[iron]
+    rem = problem._remanence(alpha)[magnets]
+    iron_law = problem.spec.iron_law()
+    eye = np.eye(2)
+
+    def respond(B):
+        h = np.empty_like(B)
+        dh = np.empty(B.shape + (2,))
+        h[air] = laws.NU0 * B[air]
+        dh[air] = laws.NU0 * eye
+        h[magnets] = laws.NU_M * (B[magnets] - rem)
+        dh[magnets] = laws.NU_M * eye
+        h[iron], dh[iron] = broadcast_response(iron_law, B[iron], kf)
+        return h, dh
+
+    return respond
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+EDGE_ROWS = np.array([[0.0, 1.0], [1.0, 0.0], [-0.0, 2.0], [0.0, 0.0],
+                      [-0.0, -0.0], [2.0, -0.0], [1e30, -2e30]])
+
+
+@pytest.mark.parametrize("law", [iron_law(), iron_law(k_f=1.9, n_f=9),
+                                 iron_law(linear=True), air_law()],
+                         ids=["saturating", "saturating_k1.9_n9", "linear",
+                              "air"])
+def test_response_equals_the_broadcast_form_bitwise(law):
+    b = np.concatenate([EDGE_ROWS, rng.standard_normal((300, 2)) * 3.0])
+    knees = [None]
+    if law.kind == "iron" and not law.linear:
+        knees.append(rng.uniform(1.8, 2.6, len(b)))
+    for knee in knees:
+        for got, want in zip(law.response(b, knee),
+                             broadcast_response(law, b, knee)):
+            assert_bitwise(got, want)
+    for row in b[:8]:           # one row of shape (2,), as the corrector's U
+        for got, want in zip(law.response(row), broadcast_response(law, row)):
+            assert_bitwise(got, want)
+        assert_bitwise(law.h(row), law.response(row)[0])
+    assert_bitwise(law.h(b), law.response(b)[0])
+
+
+@pytest.mark.parametrize("linear", [False, True])
+def test_respond_equals_the_gather_scatter_form_bitwise(toy_mesh, linear):
+    # a random design, per-element knees from a DIST q, co-rotating magnets
+    # at a rotor angle off zero; B holds the edge rows in every region
+    from rtopt.machine import MachineProblem, MaterialSpec, Scenario
+
+    scen = Scenario(name="DIST", n_positions=3, q_hat=np.full(9, laws.K_F),
+                    co_rotate_magnets=True)
+    problem = MachineProblem(toy_mesh, MaterialSpec(iron_linear=linear), scen)
+    design = rng.random(len(problem.design_elements)) < 0.5
+    q = rng.uniform(1.8, 2.6, 9)
+    alpha = problem.alphas()[1]
+    m = toy_mesh.n_elements
+    B = rng.standard_normal((m, 2)) * 2.0
+    B[rng.permutation(m)[:len(EDGE_ROWS) * 40]] = np.tile(EDGE_ROWS, (40, 1))
+    magnets = toy_mesh.elements_in("magnet1")
+    assert len(magnets) > 0 and design.any() and not design.all()
+    # a magnet row at its remanence gives h = 0 there
+    B[magnets[0]] = laws.B_R * np.array([np.cos(MAGNET_PHI[0] + alpha),
+                                         np.sin(MAGNET_PHI[0] + alpha)])
+    respond = problem.respond_factory(design, q, alpha)
+    want = gather_scatter_respond(problem, design, q, alpha)(B)
+    for _ in range(2):          # the fixed linear rows survive a call
+        for got, ref in zip(respond(B), want):
+            assert_bitwise(got, ref)
+    assert np.array_equal(want[0][magnets[0]], [0.0, 0.0])

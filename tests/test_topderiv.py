@@ -98,6 +98,25 @@ def assert_isolated_solves_reproduce(prob, spec, table, rtol):
             assert abs(perp - f_perp[it, jq]) <= tol
 
 
+@pytest.mark.parametrize("radius,target_nodes", [
+    (2.5, 60), (64.0, 1500), (1000.0, 200), (3.0, 20000), (128.0, 4000),
+    (128.0, 8000), (128.0, 60000)])
+def test_corrector_regions_are_leading_and_trailing_blocks(radius, target_nodes):
+    # graded_disk_mesh numbers the elements ring by ring from the centre, so
+    # the inclusion is elements 0 ... n_inc-1 and the exterior the rest; the
+    # corrector's two slices rely on it
+    prob = ExteriorProblem(ExteriorConfig(radius=radius,
+                                          target_nodes=target_nodes))
+    mesh = prob.mesh
+    inc, ext = mesh.elements_in("inclusion"), mesh.elements_in("exterior")
+    assert 0 < len(inc) < mesh.n_elements
+    assert np.array_equal(inc, np.arange(len(inc)))
+    assert np.array_equal(ext, np.arange(len(inc), mesh.n_elements))
+    element = np.arange(mesh.n_elements)
+    assert np.array_equal(element[prob.inclusion], inc)
+    assert np.array_equal(element[prob.exterior], ext)
+
+
 SWEEP = ExteriorConfig(radius=64.0, target_nodes=1500, t_max=5.0, n_t=4, n_q=3)
 
 
