@@ -12,8 +12,11 @@ pairs and Dirichlet nodes are eliminated through a sparse reduction matrix C
 
 Both operators a Newton step needs are built once per mesh: the curl of a
 nodal vector is one sparse product with a (2m, n) operator G, the flux
-divergence its area-weighted transpose, and element tangent blocks are summed
-straight into LAPACK lower band storage of C^T K C by a sparse scatter. The
+divergence its area-weighted transpose, and, since the element tangent is
+linear in dh, the LAPACK lower band storage of C^T K C is one sparse product
+of a (band slots, 4m) operator with the m Jacobians dh. The operator's
+coefficients are the element blocks of the four unit Jacobians, gathered by
+the sparse scatter that sums any (m, 3, 3) blocks into the band. The
 reduced unknowns are numbered in the reverse Cuthill-McKee order of the fixed
 pattern (Proc. 24th ACM Nat. Conf., 1969), computed once per mesh, so every
 tangent lies in a narrow band, factored by banded Cholesky (George and Liu,
@@ -23,7 +26,9 @@ every system is SPD, and a tangent that is not is refused as singular.
 The residual is the gradient of the convex magnetic energy
 E(u) = sum_T |T| w_T(curl u) - load . u (dw_T/dB = h_T, dh_T is SPD), so
 Newton damps on E by the approximate Armijo test of Hager and Zhang (SIAM J.
-Optim. 16(1), 2005), which reads residuals only, never E itself.
+Optim. 16(1), 2005), which reads residuals only, never E itself. Newton's
+tolerance is relative to F(0), which the caller's field h at zero flux gives
+without a material law evaluation.
 
 The compiled kernels are scipy's, called without importing the scipy packages
 that wrap them: LAPACK dpbtrf and dpbtrs from scipy.linalg._flapack, and the
@@ -31,10 +36,10 @@ CSR kernels coo_tocsr, csr_has_sorted_indices, csr_sort_indices,
 csr_sum_duplicates, csr_matvec(s) and csc_matvec(s) from
 scipy.sparse._sparsetools. Importing scipy.linalg and scipy.sparse costs about
 0.2 s per process, mostly in code rtopt never runs, and a CLI command is a
-short process. Every sparse operator keeps the arrays scipy.sparse would build
-for it and every product calls the kernel scipy.sparse would call, so results
-are bitwise those of the packages; reverse_cuthill_mckee is a port of scipy's
-that gives the same permutation.
+short process. Every sparse operator but the tangent's keeps the arrays
+scipy.sparse would build for it and every product calls the kernel
+scipy.sparse would call, so results are bitwise those of the packages;
+reverse_cuthill_mckee is a port of scipy's that gives the same permutation.
 """
 
 from __future__ import annotations
@@ -54,8 +59,9 @@ def _scipy_extension(package, name):
     """The compiled module scipy.<package>.<name>, loaded without running the
     __init__ of scipy or of scipy.<package>.
 
-    It is registered in sys.modules under its full name, so a later import of
-    the package (which imports it) reuses this module object.
+    Its sys.modules entry, which loading a single-phase extension makes, is
+    removed: it would keep a later import of the package from loading the
+    module as its own, and so from setting it as the package's attribute.
     """
     full = f"scipy.{package}.{name}"
     if full in sys.modules:
@@ -67,8 +73,8 @@ def _scipy_extension(package, name):
         raise ImportError(f"rtopt.fem needs scipy's compiled module {full}",
                           name=full)
     module = importlib.util.module_from_spec(spec)
-    sys.modules[full] = module
     spec.loader.exec_module(module)
+    sys.modules.pop(full, None)
     return module
 
 
@@ -310,6 +316,7 @@ class DofMap:
         signs = (sign[tri][:, None] * sign[tri][None]).ravel()[entry]
         self._scatter = Csr.from_triplets(signs[lower], slot, entry[lower],
                                           (len(self._slots), n_entries))
+        self._tangent = None                # (space, its tangent_band operator)
 
     def reduce_vector(self, v):
         """Adjoint reduction C^T v (for residuals and loads, not coordinates)."""
@@ -324,8 +331,45 @@ class DofMap:
 
         Row d, column j holds entry (j + d, j), as BandCholesky reads it.
         """
+        return self._band(self._scatter @ blocks.transpose(1, 2, 0).ravel())
+
+    def tangent_band(self, space, dh):
+        """reduce_matrix(space.tangent_matrix(dh)), up to rounding, by one
+        sparse product with dh.reshape(-1).
+
+        The element tangent is linear in dh, so the band is a fixed linear
+        map of dh's 4m entries. That map is built on the first call for a
+        space and kept until a call with another space.
+        """
+        if self._tangent is None or self._tangent[0] is not space:
+            self._tangent = (space, self._tangent_operator(space))
+        return self._band(self._tangent[1] @ dh.reshape(-1))
+
+    def _tangent_operator(self, space):
+        """The band slots as a (slots, 4m) matrix acting on dh.reshape(-1):
+        each scatter entry (i, j, e) of sign s contributes
+        s |T_e| curl phi_i[a] curl phi_j[b] to column 4e + 2a + b, the tangent
+        of the unit Jacobian e_a e_b^T. A slot's row lists its entries in the
+        scatter's order, four columns per entry."""
+        m = space.mesh.n_elements
+        entries = self._scatter.indices
+        index = _index_dtype(4 * len(entries), 4 * m)
+        first = 4 * (entries - entries // m * m).astype(index)   # entry (3i + j) m + e
+        columns = np.empty((len(entries), 4), dtype=index)
+        coefs = np.empty((len(entries), 4))
+        for ab in range(4):
+            unit = np.broadcast_to(np.eye(4)[ab].reshape(2, 2), (m, 2, 2))
+            blocks = space.tangent_matrix(unit).transpose(1, 2, 0).ravel()
+            np.multiply(self._scatter.data, blocks.take(entries), out=coefs[:, ab])
+            columns[:, ab] = first + ab
+        return Csr((4 * self._scatter.indptr).astype(index), columns.ravel(),
+                   coefs.ravel(), (len(self._slots), 4 * m))
+
+    def _band(self, slot_values):
+        """Lower band storage, (bandwidth + 1, n_reduced) in Fortran order,
+        holding slot_values in the slots and zeros elsewhere."""
         band = np.zeros((self.bandwidth + 1) * self.n_reduced)
-        band[self._slots] = self._scatter @ blocks.transpose(1, 2, 0).ravel()
+        band[self._slots] = slot_values
         return band.reshape((self.bandwidth + 1, self.n_reduced), order="F")
 
     def expand(self, v):
@@ -340,6 +384,7 @@ class NewtonInfo:
     steps: list                 # accepted step lengths
     rejected: int               # trial steps refused by the energy test
     warm: bool                  # started from a given u0, not from zero
+    evaluations: int            # residuals evaluated, each one respond call
 
 
 def newton_summary(infos):
@@ -348,7 +393,8 @@ def newton_summary(infos):
     return {"solves": len(its), "iterations": sum(its),
             "max_iterations": max(its, default=0),
             "rejected_trials": sum(info.rejected for info in infos),
-            "warm_starts": sum(info.warm for info in infos)}
+            "warm_starts": sum(info.warm for info in infos),
+            "residuals": sum(info.evaluations for info in infos)}
 
 
 class BandCholesky:
@@ -368,15 +414,17 @@ class BandCholesky:
 
 def factor_tangent(space, dofmap, dh):
     """Cholesky factor of the reduced tangent of element tangents dh."""
-    return BandCholesky(dofmap.reduce_matrix(space.tangent_matrix(dh)))
+    return BandCholesky(dofmap.tangent_band(space, dh))
 
 
-def newton_solve(space, dofmap, respond, load_full, u0=None, tol=1e-8,
+def newton_solve(space, dofmap, respond, load_full, h0, u0=None, tol=1e-8,
                  max_iter=50):
     """Damped Newton for the reduced residual C^T (flux(u) - load).
 
     respond(B) must return new (h, dh) arrays of shapes (m, 2) and (m, 2, 2)
-    on every call: a warm start keeps the dh at u0 past the call at zero.
+    on every call. h0 is the element field respond gives at zero flux, so the
+    residual at zero is F(0) = C^T (flux_divergence(h0) - load) without a
+    call to respond.
     Convergence is relative to the residual at zero, ||F|| <= tol * ||F(0)||,
     whatever the start u0, so a warm start meets a cold start's accuracy.
     A step d is halved until F(u + alpha d) . d <= (1 - 2 sigma) |F(u) . d|,
@@ -388,17 +436,24 @@ def newton_solve(space, dofmap, respond, load_full, u0=None, tol=1e-8,
     u = np.zeros(space.n_nodes) if u0 is None else dofmap.expand(
         dofmap.restrict(np.asarray(u0, dtype=float)))
     load_red = dofmap.reduce_vector(load_full)
+    evaluations = 0
 
     def residual(u_full):
+        nonlocal evaluations
+        evaluations += 1
         h, dh = respond(space.element_curl(u_full))
         return dofmap.reduce_vector(space.flux_divergence(h)) - load_red, dh
 
+    def info(iterations):
+        return NewtonInfo(iterations, history, tol_abs, steps, rejected, warm,
+                          evaluations)
+
     f, dh = residual(u)
-    f0 = f if u0 is None else residual(np.zeros(space.n_nodes))[0]
+    f0 = dofmap.reduce_vector(space.flux_divergence(h0)) - load_red if warm else f
     tol_abs = tol * max(float(np.linalg.norm(f0)), 1e-300)
     history, steps, rejected = [float(np.linalg.norm(f))], [], 0
     if history[0] <= tol_abs:
-        return u, NewtonInfo(0, history, tol_abs, steps, rejected, warm)
+        return u, info(0)
 
     for it in range(1, max_iter + 1):
         # no local keeps the factor, so it is freed before the next one is made
@@ -425,7 +480,7 @@ def newton_solve(space, dofmap, respond, load_full, u0=None, tol=1e-8,
         history.append(float(np.linalg.norm(f)))
         steps.append(alpha)
         if history[-1] <= tol_abs:
-            return u, NewtonInfo(it, history, tol_abs, steps, rejected, warm)
+            return u, info(it)
 
     raise SolverError(
         f"Newton did not reach tolerance in {max_iter} iterations",

@@ -290,6 +290,13 @@ class MachineProblem:
             raise UsageError("design array does not match the design region")
         return np.concatenate([self._stator, self.design_elements[design]])
 
+    def _linear_rows(self, alpha):
+        """Reluctivity and remanence of every element as air or magnet:
+        h = nu (B - rem) off the iron."""
+        nu = np.full(self.mesh.n_elements, laws.NU0)
+        nu[self._magnet1] = nu[self._magnet2] = laws.NU_M
+        return nu, self._remanence(alpha)
+
     def respond_factory(self, design, q, alpha):
         """Material response closure respond(B) -> (h, dh) for assembly: nu,
         remanence and dh of the linear rows are fixed here, and each call
@@ -297,9 +304,7 @@ class MachineProblem:
         iron = self._iron_elements(design)
         kf = self._knee_values(q)[iron]
         iron_law = self.spec.iron_law()
-        nu = np.full(self.mesh.n_elements, laws.NU0)
-        nu[self._magnet1] = nu[self._magnet2] = laws.NU_M
-        rem = self._remanence(alpha)
+        nu, rem = self._linear_rows(alpha)
         dh_lin = nu[:, None, None] * np.eye(2)
 
         def respond(B):
@@ -324,7 +329,11 @@ class MachineProblem:
         q = self._q_array(q)
         respond = self.respond_factory(design, q, alpha)
         load = self.space.load_vector(self.source_density(alpha, q))
-        u, info = newton_solve(self.space, self.dofmap, respond, load, u0=u0,
+        # respond(0): the iron law gives 0 at zero flux, and iron carries no
+        # remanence, so nu (0 - rem) holds on every row
+        nu, rem = self._linear_rows(alpha)
+        h0 = nu[:, None] * (0.0 - rem)
+        u, info = newton_solve(self.space, self.dofmap, respond, load, h0, u0=u0,
                                tol=self.solver.newton_tol,
                                max_iter=NEWTON_MAX_ITER)
         self.newton_log.append(info)

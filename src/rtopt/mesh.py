@@ -302,8 +302,10 @@ def build_machine_mesh(geo=None):
     slaves = masters + m_ang
     outer_nodes = masters[-1] + np.arange(n_t, dtype=np.int32)
     # the apex sits on both straight edges, so antiperiodicity pins it to zero
-    dirich = np.unique(np.concatenate([outer_nodes, [0]])).astype(np.int32)
-    keep = ~np.isin(masters, dirich) & ~np.isin(slaves, dirich)
+    dirich = np.concatenate([[0], outer_nodes]).astype(np.int32)
+    is_dirich = np.zeros(len(verts), dtype=bool)
+    is_dirich[dirich] = True
+    keep = ~is_dirich[masters] & ~is_dirich[slaves]
 
     mesh = Mesh(
         vertices=verts,

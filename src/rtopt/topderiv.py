@@ -81,11 +81,12 @@ class ExteriorProblem:
         # on the x axis are their own mirrors and vanish
         mirror = disk_mirror(self.mesh)
         node = np.arange(self.mesh.n_nodes)
-        dirichlet = np.union1d(self.mesh.dirichlet_nodes, node[mirror == node])
-        pair = (mirror > node) & ~np.isin(node, dirichlet)
+        fixed = mirror == node
+        fixed[self.mesh.dirichlet_nodes] = True
+        pair = (mirror > node) & ~fixed
         self.dofmap = DofMap(replace(self.mesh, pair_master=node[pair],
                                      pair_slave=mirror[pair],
-                                     dirichlet_nodes=dirichlet))
+                                     dirichlet_nodes=np.flatnonzero(fixed)))
         # graded_disk_mesh numbers the elements ring by ring from the centre,
         # so the inclusion is the first block and the exterior the rest
         n_inc = len(self.mesh.elements_in("inclusion"))
@@ -102,8 +103,11 @@ class ExteriorProblem:
             raise UsageError("corrector far field must lie along e_x: "
                              "the unknowns assume k odd in y")
         inc, ext = self.inclusion, self.exterior
-        h_in_U = law_in.h(U)
-        h_out_U = law_out.h(U)
+        # U as a one-row array, evaluated as the rows are: a lone (2,) vector
+        # takes numpy's scalar path, whose powers may round otherwise, and
+        # respond(0) must be the law jump exactly
+        h_in_U = law_in.h(U[None])
+        h_out_U = law_out.h(U[None])
         jump = h_in_U - h_out_U
 
         def respond(Bk):
@@ -116,8 +120,11 @@ class ExteriorProblem:
             h[ext] = h_out - h_out_U
             return h, dh
 
+        # respond(0) is the law jump on the inclusion rows and zero elsewhere
+        h0 = np.zeros((self.mesh.n_elements, 2))
+        h0[inc] = jump
         load = np.zeros(self.space.n_nodes)
-        k, info = newton_solve(self.space, self.dofmap, respond, load, u0=u0,
+        k, info = newton_solve(self.space, self.dofmap, respond, load, h0, u0=u0,
                                tol=CORRECTOR_TOL, max_iter=CORRECTOR_MAX_ITER)
         self.newton_log.append(info)
         return k, info

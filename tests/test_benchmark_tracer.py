@@ -102,3 +102,42 @@ def test_benchmark_output_checks_pass(tmp_path, perfbench_workloads, name):
     assert workloads.missing_artifacts(workload, outdir) == []
     outcome = workloads.read_outcome(workload, outdir)
     assert workloads.Checker(workload, path).check(outdir, outcome) == []
+
+
+# Newton records of each workload's command at seed 1, solve by solve:
+# (iterations, rejected trials, warm start); a change to the tangent's
+# assembly or to F(0) that moved a Newton path would show here
+WORKLOAD_NEWTON = {
+    "nominal-nonlinear": [(14, 20, False)] + [
+        (its, 0, True) for its in (7, 7, 12, 6, 9)],
+    "robust-linear": [],
+    "tables-knee": [
+        (its, 0, n % 9 > 0) for n, its in enumerate(
+            (11, 4, 3, 4, 4, 3, 3, 4, 3, 4, 2, 1, 3, 2, 2, 3, 2, 2))],
+}
+
+
+@pytest.mark.parametrize("name", BENCHMARK_WORKLOADS)
+def test_workload_newton_records_pinned(tmp_path, monkeypatch,
+                                        perfbench_workloads, name):
+    from rtopt import machine, topderiv
+
+    workload = perfbench_workloads.WORKLOADS[name]
+    path = str(tmp_path / "run.cfg")
+    workload.write_config(path, 1, str(tmp_path / "out"))
+    if workload.needs_tables:
+        assert main(["precompute-td", path]) == 0
+    infos = []
+    for module in (machine, topderiv):
+        def spy(*args, solve=module.newton_solve, **kwargs):
+            u, info = solve(*args, **kwargs)
+            infos.append(info)
+            return u, info
+        monkeypatch.setattr(module, "newton_solve", spy)
+    assert main(workload.cli_args(path)) in (0, 4)
+    assert [(i.iterations, i.rejected, i.warm)
+            for i in infos] == WORKLOAD_NEWTON[name]
+    # one residual at the start of each solve and one per trial step: the
+    # F(0) of a warm start costs none
+    assert [i.evaluations for i in infos] == [
+        1 + its + rejected for its, rejected, _ in WORKLOAD_NEWTON[name]]

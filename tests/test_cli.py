@@ -168,9 +168,10 @@ def test_precompute_audit_output(tables_ready, capsys):
     # corrector solve of one Newton step per direction, whatever n_t
     with open(ws["out"] / "tables" / "summary.json") as f:
         summary = json.load(f)
+    # (a cold start evaluates the residual at zero and at its one trial)
     assert summary["newton"] == {"solves": 2, "iterations": 2,
                                  "max_iterations": 1, "rejected_trials": 0,
-                                 "warm_starts": 0}
+                                 "warm_starts": 0, "residuals": 4}
     assert 2 * summary["reduced_unknowns"] < summary["mesh_nodes"]
     assert '"reduced_unknowns"' in out
     # ANG samples one column, at the fixed knee K_F
@@ -227,7 +228,7 @@ def test_optimize_nominal_artifacts(tables_ready, capsys):
     # linear iron: no Newton solve, one basis (one factorization) per design
     assert summary["newton"] == {"solves": 0, "iterations": 0,
                                  "max_iterations": 0, "rejected_trials": 0,
-                                 "warm_starts": 0}
+                                 "warm_starts": 0, "residuals": 0}
     assert summary["linear_bases"] == summary["evaluations"]
     # nominal: one objective call (at q_hat) per design
     assert summary["objective_evaluations"] == summary["evaluations"]
@@ -593,24 +594,47 @@ def test_output_root_env(tmp_path, monkeypatch):
     assert load_config(cfg).output_dir == "rel/dir"
 
 
+def run_python(code):
+    """Standard output of a fresh interpreter running code on this rtopt."""
+    src = str(Path(rtopt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_cli_imports_leave_out_interpolate_and_optimize(tmp_path):
     # what the command handlers load, and a precompute and a robust run:
     # scipy.interpolate alone pulls in scipy.optimize, scipy.special and
     # scipy.spatial, and scipy.linalg and scipy.sparse cost 0.2 s a process;
-    # of scipy, only the two compiled modules rtopt.fem calls are loaded
+    # of scipy, only the two compiled modules rtopt.fem calls are loaded, and
+    # they are kept out of sys.modules
     cfg = write_cfg(tmp_path / "run.cfg", tmp_path / "out")
-    code = ("import sys\n"
-            "import rtopt.cli, rtopt.config, rtopt.levelset, rtopt.robust\n"
-            "import rtopt.topderiv, rtopt.machine, rtopt.mesh, rtopt.render\n"
-            f"assert rtopt.cli.main(['precompute-td', {cfg!r}]) == 0\n"
-            f"assert rtopt.cli.main(['optimize', {cfg!r}, '--mode', 'robust'])"
-            " in (0, 4)\n"
-            "print(*sorted(m for m in sys.modules"
-            " if m.split('.')[0] == 'scipy'))\n")
-    src = str(Path(rtopt.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert run.stdout.splitlines()[-1].split() == [
-        "scipy.linalg._flapack", "scipy.sparse._sparsetools"]
+    out = run_python(
+        "import sys\n"
+        "import rtopt.cli, rtopt.config, rtopt.levelset, rtopt.robust\n"
+        "import rtopt.topderiv, rtopt.machine, rtopt.mesh, rtopt.render\n"
+        f"assert rtopt.cli.main(['precompute-td', {cfg!r}]) == 0\n"
+        f"assert rtopt.cli.main(['optimize', {cfg!r}, '--mode', 'robust'])"
+        " in (0, 4)\n"
+        "print(*sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy'), '|',"
+        " rtopt.fem._lapack.__name__, rtopt.fem._sparsetools.__name__)\n")
+    assert out.splitlines()[-1].split() == [
+        "|", "scipy.linalg._flapack", "scipy.sparse._sparsetools"]
+
+
+def test_cli_runs_leave_out_numpy_ma(tmp_path):
+    # a plain np.unique (so np.union1d, and np.isin by sorting) imports
+    # numpy.ma, about 15 ms a process; no command needs it
+    cfg = write_cfg(tmp_path / "run.cfg", tmp_path / "out")
+    out = run_python(
+        "import sys\n"
+        "import rtopt.cli\n"
+        "loaded = []\n"
+        f"for argv in (['precompute-td', {cfg!r}], ['optimize', {cfg!r}],\n"
+        f"             ['optimize', {cfg!r}, '--mode', 'robust']):\n"
+        "    assert rtopt.cli.main(argv) in (0, 4)\n"
+        "    loaded.append('numpy.ma' in sys.modules)\n"
+        "print(*loaded)\n")
+    assert out.splitlines()[-1] == "False False False"

@@ -1,6 +1,9 @@
 """P1 solver kernels: manufactured solution, tangent, adjoint, smoother."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,6 +28,7 @@ from rtopt.laws import NU0, air_law, iron_law
 from rtopt.machine import (NEWTON_MAX_ITER, MachineProblem, MaterialSpec,
                            Scenario)
 from rtopt.mesh import build_machine_mesh, graded_disk_mesh, refine_disc_patch
+from rtopt.topderiv import ExteriorConfig, ExteriorProblem
 from smoother_integrals import (elementwise_integral, mass_matrix,
                                 nodal_integral)
 from square_mesh import unit_square_mesh
@@ -40,6 +44,11 @@ def linear_respond(curls):
     return curls.copy(), dh
 
 
+def zero_flux(respond, space):
+    """respond's h at zero flux, the field newton_solve forms F(0) from."""
+    return respond(np.zeros((space.mesh.n_elements, 2)))[0]
+
+
 def solve_poisson(n):
     mesh = unit_square_mesh(n)
     space = P1Space(mesh)
@@ -47,7 +56,7 @@ def solve_poisson(n):
     cen = mesh.centroids()
     j = 2.0 * np.pi**2 * np.sin(np.pi * cen[:, 0]) * np.sin(np.pi * cen[:, 1])
     u, info = newton_solve(space, dofmap, linear_respond, space.load_vector(j),
-                           tol=1e-12)
+                           zero_flux(linear_respond, space), tol=1e-12)
     return mesh, space, u, info
 
 
@@ -111,7 +120,8 @@ def test_newton_monotone_energy():
             s = np.linalg.norm(space.element_curl(u), axis=1)
             return float(space.areas @ iron_energy_density(law, s) - load @ u)
 
-        u, info = newton_solve(space, dofmap, respond, load, tol=1e-10)
+        u, info = newton_solve(space, dofmap, respond, load,
+                               zero_flux(respond, space), tol=1e-10)
         assert info.iterations >= 2
         assert info.residuals[-1] <= info.tolerance
         assert len(info.steps) == info.iterations
@@ -154,7 +164,8 @@ def test_linear_law_takes_one_full_newton_step(kind, nu_f, log_scale, start,
     # a start of up to ten times the size of the solution, |u| ~ scale / nu
     rng = np.random.default_rng(seed)
     u0 = start * scale / nu * rng.standard_normal(space.n_nodes)
-    u, info = newton_solve(space, dofmap, respond, load, u0=u0, tol=1e-8)
+    u, info = newton_solve(space, dofmap, respond, load,
+                           zero_flux(respond, space), u0=u0, tol=1e-8)
     assert info.iterations == 1
     assert info.steps == [1.0]
     assert info.rejected == 0
@@ -163,16 +174,18 @@ def test_linear_law_takes_one_full_newton_step(kind, nu_f, log_scale, start,
 
 def test_newton_tolerance_is_relative_to_zero_start():
     _, space, dofmap, respond, load = nonlinear_setup()
-    u, info = newton_solve(space, dofmap, respond, load, tol=1e-10)
+    h0 = zero_flux(respond, space)
+    u, info = newton_solve(space, dofmap, respond, load, h0, tol=1e-10)
     assert info.tolerance == pytest.approx(1e-10 * np.linalg.norm(
         dofmap.reduce_vector(load)), rel=1e-12)      # F(0) = -C^T load here
     # started at its own solution, a solve has nothing left to do
-    u2, info2 = newton_solve(space, dofmap, respond, load, u0=u, tol=1e-10)
+    u2, info2 = newton_solve(space, dofmap, respond, load, h0, u0=u,
+                             tol=1e-10)
     assert info2.iterations == 0
     assert info2.tolerance == info.tolerance
     assert np.array_equal(u2, u)
     # from a nearby start it meets the same absolute tolerance
-    u3, info3 = newton_solve(space, dofmap, respond, load, u0=1.1 * u,
+    u3, info3 = newton_solve(space, dofmap, respond, load, h0, u0=1.1 * u,
                              tol=1e-10)
     assert info3.tolerance == info.tolerance
     assert info3.residuals[-1] <= info.tolerance
@@ -187,20 +200,23 @@ def test_singular_tangent_raises_with_diagonal_pivots():
 
     with pytest.raises(SolverError, match="singular tangent system at "
                                           "Newton step 1"):
-        newton_solve(space, dofmap, no_stiffness, load)
+        newton_solve(space, dofmap, no_stiffness, load,
+                     zero_flux(no_stiffness, space))
 
 
 def test_newton_iteration_cap_raises():
     _, space, dofmap, respond, load = nonlinear_setup()
     with pytest.raises(SolverError) as err:
-        newton_solve(space, dofmap, respond, load, tol=1e-12, max_iter=1)
+        newton_solve(space, dofmap, respond, load, zero_flux(respond, space),
+                     tol=1e-12, max_iter=1)
     assert err.value.iterations == 1
     assert err.value.residual > 0
 
 
 def test_tangent_matches_residual_derivative():
     _, space, dofmap, respond, load = nonlinear_setup()
-    u, _ = newton_solve(space, dofmap, respond, load, tol=1e-10)
+    u, _ = newton_solve(space, dofmap, respond, load,
+                        zero_flux(respond, space), tol=1e-10)
     k_red = tangent_at(space, dofmap, respond, u)
     asym = abs(k_red - k_red.T).max()
     assert asym <= 1e-12 * abs(k_red).max()
@@ -228,7 +244,8 @@ def test_adjoint_gradient_matches_fd():
     w = rng.standard_normal(space.n_nodes)
 
     def g_of(s):
-        u, _ = newton_solve(space, dofmap, respond, s * load, tol=1e-12)
+        u, _ = newton_solve(space, dofmap, respond, s * load,
+                            zero_flux(respond, space), tol=1e-12)
         return float(w @ u), u
 
     g0, u0 = g_of(1.0)
@@ -412,6 +429,48 @@ def test_reduced_tangent_matches_triple_product(toy_mesh):
     assert np.abs(k_red.toarray() - ref).max() <= 1e-14 * scale
 
 
+def test_tangent_band_equals_the_reduced_blocks():
+    # the band is linear in dh, so one product gives reduce_matrix of the
+    # element blocks up to the order of the sums: on the machine meshes,
+    # with Dirichlet nodes and antiperiodic slaves, and on the tables-knee
+    # corrector mesh, whose lower half is the mirror slave of the upper
+    rng = np.random.default_rng(43)
+    pairs = [(P1Space(mesh), DofMap(mesh)) for mesh in (
+        build_machine_mesh(load_config(CONFIGS / f"{name}.cfg").geometry)
+        for name in ("toy", "audit3k", "benchmark"))]
+    exterior = ExteriorProblem(ExteriorConfig(radius=128.0, target_nodes=8000))
+    pairs.append((exterior.space, exterior.dofmap))
+    for space, dofmap in pairs:
+        dh = rng.standard_normal((space.mesh.n_elements, 2, 2))   # not symmetric
+        band = dofmap.tangent_band(space, dh)
+        ref = dofmap.reduce_matrix(space.tangent_matrix(dh))
+        assert band.shape == ref.shape and band.flags.f_contiguous
+        assert np.abs(band - ref).max() <= 1e-14 * np.abs(band).max()
+
+
+def test_tangent_operator_is_built_once_per_space(toy_mesh, monkeypatch):
+    # every factored tangent reads one operator, built from the tangents of
+    # the four unit Jacobians on first use
+    assembled = []
+    tangent_matrix = P1Space.tangent_matrix
+
+    def counted(self, dh):
+        assembled.append(self)
+        return tangent_matrix(self, dh)
+
+    monkeypatch.setattr(P1Space, "tangent_matrix", counted)
+    space, dofmap = P1Space(toy_mesh), DofMap(toy_mesh)
+    dh = np.tile(np.eye(2), (toy_mesh.n_elements, 1, 1))
+    factors = [factor_tangent(space, dofmap, s * dh) for s in (1.0, 2.0, 3.0)]
+    assert assembled == [space] * 4
+    b = np.ones(dofmap.n_reduced)
+    assert np.allclose(factors[0].solve(b), 3.0 * factors[2].solve(b),
+                       rtol=1e-12, atol=0.0)
+    other = P1Space(toy_mesh)
+    dofmap.tangent_band(other, dh)
+    assert assembled[4:] == [other] * 4
+
+
 def test_band_solve_matches_superlu(toy_mesh):
     # saturating iron at a converged state, one and several right-hand sides
     scen = Scenario(n_positions=1)
@@ -522,6 +581,7 @@ def test_linear_iron_factors_once_per_design(toy_mesh, linear_spec,
         respond = problem.respond_factory(design, q, alpha)
         load = space.load_vector(problem.source_density(alpha, q))
         u, _ = newton_solve(space, dofmap, respond, load,
+                            zero_flux(respond, space),
                             tol=problem.solver.newton_tol,
                             max_iter=NEWTON_MAX_ITER)
         assert np.linalg.norm(states[n] - u) <= 1e-10 * np.linalg.norm(u)
@@ -536,7 +596,8 @@ def test_linear_iron_factors_once_per_design(toy_mesh, linear_spec,
 
 def test_nonlinear_newton_factors_every_iteration(factor_calls):
     _, space, dofmap, respond, load = nonlinear_setup()
-    u, info = newton_solve(space, dofmap, respond, load, tol=1e-10)
+    u, info = newton_solve(space, dofmap, respond, load,
+                           zero_flux(respond, space), tol=1e-10)
     assert info.iterations >= 2
     assert len(factor_calls) == info.iterations
     # the tangent at the converged state is new; each adjoint factors it
@@ -653,6 +714,22 @@ def test_band_cholesky_equals_scipys(toy_mesh):
     # the second leading minor of [[1, 2], [2, 1]] is negative
     with pytest.raises(np.linalg.LinAlgError):
         BandCholesky(np.array([[1.0, 1.0], [2.0, 0.0]]))
+
+
+def test_scipy_packages_keep_their_extension_modules():
+    # rtopt.fem loads two of scipy's compiled modules without their packages;
+    # a package imported later still holds its own as an attribute
+    code = ("import rtopt.fem\n"
+            "import scipy.linalg, scipy.sparse\n"
+            "print(scipy.linalg._flapack.dpbtrf is rtopt.fem._lapack.dpbtrf,"
+            " scipy.sparse._sparsetools.csr_matvec"
+            " is rtopt.fem._sparsetools.csr_matvec)\n")
+    src = str(Path(fem.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["True", "True"]
 
 
 def test_missing_scipy_extension_is_named():

@@ -211,6 +211,39 @@ def test_dist_knee_gradient_matches_fd(toy_mesh):
     assert np.all(np.abs(grad - fd) <= 1e-4 * np.abs(grad).max())
 
 
+@pytest.mark.parametrize("name,q_hat,co_rotate", [
+    ("ANG", [np.deg2rad(-60.0)], False),
+    ("SCAL", [2.0], False),
+    ("DIST", np.linspace(1.9, 2.5, 9), True)])
+def test_warm_start_tolerance_is_the_residual_at_zero(toy_mesh, monkeypatch,
+                                                      name, q_hat, co_rotate):
+    # solve_position hands newton_solve respond's field at zero flux, so a
+    # warm start's F(0), and with it its tolerance, is bitwise that of a
+    # residual evaluated at zero
+    calls = []
+    newton_solve = machine.newton_solve
+
+    def spy(space, dofmap, respond, load, h0, **kwargs):
+        u, info = newton_solve(space, dofmap, respond, load, h0, **kwargs)
+        calls.append((respond, load, h0, kwargs["tol"], info))
+        return u, info
+
+    monkeypatch.setattr(machine, "newton_solve", spy)
+    problem = MachineProblem(toy_mesh, MaterialSpec(), Scenario(
+        name=name, n_positions=3, q_hat=np.asarray(q_hat),
+        co_rotate_magnets=co_rotate))
+    design = np.random.default_rng(23).random(len(problem.design_elements)) < 0.6
+    problem.states(design)
+    assert [info.warm for *_, info in calls] == [False, True, True]
+    space, dofmap = problem.space, problem.dofmap
+    for respond, load, h0, tol, info in calls:
+        h = respond(np.zeros((toy_mesh.n_elements, 2)))[0]
+        assert np.array_equal(h0, h)
+        f0 = (dofmap.reduce_vector(space.flux_divergence(h))
+              - dofmap.reduce_vector(load))
+        assert info.tolerance == tol * max(float(np.linalg.norm(f0)), 1e-300)
+
+
 def test_warm_started_positions_match_cold_solves(toy_mesh, monkeypatch):
     solves = []
     newton_solve = machine.newton_solve
@@ -242,7 +275,12 @@ def test_warm_started_positions_match_cold_solves(toy_mesh, monkeypatch):
     its = [i.iterations for i in infos]
     assert newton_summary(problem.newton_log) == {
         "solves": 6, "iterations": sum(its), "max_iterations": max(its),
-        "rejected_trials": sum(i.rejected for i in infos), "warm_starts": 2}
+        "rejected_trials": sum(i.rejected for i in infos), "warm_starts": 2,
+        "residuals": sum(i.evaluations for i in infos)}
+    # one residual at the start, warm or cold (F(0) of a warm start comes
+    # from h0), and one per trial step
+    for info in infos:
+        assert info.evaluations == 1 + info.iterations + info.rejected
 
     # linear iron combines one basis per design: no Newton solve at all
     solves.clear()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
+from rtopt import topderiv
 from rtopt.errors import FormatError, UsageError
 from rtopt.fem import DofMap
 from rtopt.laws import K_F, NU0, NU_F
@@ -160,6 +161,37 @@ def test_knee_sweep_continues_from_solved_neighbours(monkeypatch):
     assert len(cold) == len(swept) and not any(info.warm for info in cold)
     assert (sum(info.iterations for info in swept)
             < sum(info.iterations for info in cold))
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS)
+def test_warm_corrector_tolerance_is_the_residual_at_zero(monkeypatch,
+                                                          direction):
+    # solve_corrector hands newton_solve the law jump on the inclusion as
+    # respond's field at zero, so a warm start's tolerance is bitwise that
+    # of a residual evaluated at zero; t = 5/3 at the knee K_F is a sample
+    # where h(U) of a lone (2,) vector rounds otherwise than of the rows
+    calls = []
+    newton_solve = topderiv.newton_solve
+
+    def spy(space, dofmap, respond, load, h0, **kwargs):
+        k, info = newton_solve(space, dofmap, respond, load, h0, **kwargs)
+        calls.append((respond, load, h0, kwargs["tol"], info))
+        return k, info
+
+    monkeypatch.setattr(topderiv, "newton_solve", spy)
+    prob = ExteriorProblem(SWEEP)
+    law_in, law_out = laws_for_direction(direction, MaterialSpec(), K_F)
+    k, _ = prob.solve_corrector([1.0, 0.0], law_in, law_out)
+    for t in (5.0 / 3.0, 2.5):
+        k, _ = prob.solve_corrector([t, 0.0], law_in, law_out, u0=k)
+    assert [info.warm for *_, info in calls] == [False, True, True]
+    space, dofmap = prob.space, prob.dofmap
+    for respond, load, h0, tol, info in calls:
+        h = respond(np.zeros((prob.mesh.n_elements, 2)))[0]
+        assert np.array_equal(h0, h)
+        f0 = (dofmap.reduce_vector(space.flux_divergence(h))
+              - dofmap.reduce_vector(load))
+        assert info.tolerance == tol * max(float(np.linalg.norm(f0)), 1e-300)
 
 
 def test_law_fingerprints_pinned():
