@@ -55,8 +55,8 @@ class RunConfig:
             raise ConfigurationError(
                 f"psi0 must be one of {', '.join(PSI0_MODES)}; "
                 f"got {self.psi0_mode!r}")
-        if self.smoothing_eps is not None and not self.smoothing_eps > 0:
-            raise ConfigurationError("smoothing_eps must be positive")
+        if self.smoothing_eps is not None and not 0 < self.smoothing_eps < np.inf:
+            raise ConfigurationError("smoothing_eps must be positive and finite")
         if not self.seed >= 0:
             raise ConfigurationError(f"seed must be non-negative; got {self.seed}")
 

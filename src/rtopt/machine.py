@@ -9,9 +9,14 @@ where u^n solves the magnetostatic problem at rotor position alpha_n and T is
 the Maxwell stress torque evaluated on a circle inside the air gap. Rotor
 motion is frozen: positions only advance the electrical angle of the phase
 currents (and optionally co-rotate the magnet remanence directions).
-Nonlinear iron solves each position by damped Newton. Linear iron combines
-one basis per design (one factorization, two solves) for every position, q
-and adjoint.
+Sources and torque are linear maps built once per problem: the currents at
+th = p*alpha + phase are sin(th) J_1 + cos(th) J_2 (per slot J_PEAK * sign
+times cos and sin of its offset), loaded as sin(th) L_1 + cos(th) L_2; the
+remanence at rotor angle s is cos(s) R_0 + sin(s) R_90; and T(u) =
+(R u) . (w o S u), R and S the radial and tangential flux at the probe's
+samples. Nonlinear iron solves each position by damped Newton on these
+loads; linear iron combines one basis of them per design (one factorization,
+two solves) for every position, q and adjoint.
 
 The parameter vector q carries scenario uncertainty: the load angle of the
 currents ("phase" binding), one shared iron saturation knee ("knee" binding),
@@ -19,7 +24,7 @@ or one knee per rotor block plus one for the stator ("knee_regions", with
 ROTOR_BLOCKS + 1 entries). MachineProblem decides once, in `knee_index`,
 which entry of q each element's knee reads; every iron row is evaluated by
 the iron law of `MaterialSpec` with those per-element knees. Air and magnet
-rows are linear, h = nu (B - remanence), fixed once per response closure.
+rows are linear, h = nu (B - remanence).
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 
 from . import laws
 from .errors import ConfigurationError, SolverError, UsageError
-from .fem import (DofMap, P1Space, ScreenedSmoother, adjoint_solve,
+from .fem import (Csr, DofMap, P1Space, ScreenedSmoother, adjoint_solve,
                   factor_tangent, newton_solve)
 from .laws import MU0
 from .mesh import COILS, POLE_PAIRS, R_DESIGN, R_GAP_OUTER, R_SHAFT, SECTOR
@@ -116,7 +121,7 @@ class SolverOptions:
     newton_tol: float = 1e-8
 
     def __post_init__(self):
-        if not self.newton_tol > 0:
+        if not 0 < self.newton_tol < np.inf:
             raise ConfigurationError("newton controls out of range")
 
 
@@ -125,15 +130,18 @@ class TorqueProbe:
 
     T = (r^2 / mu0) * integral of B_r * B_t dtheta over the full machine,
     evaluated with trapezoid samples over the meshed sector and multiplied by
-    the number of sectors. B is the element-wise constant P1 flux density.
+    the number of sectors. B is constant per element, so the radial and
+    tangential samples are sparse maps R u, S u: T(u) = (R u) . (w o S u).
     """
 
-    def __init__(self, mesh, radius, n_points):
+    def __init__(self, space, radius, n_points):
+        mesh = space.mesh
         self.radius = float(radius)
         if n_points < 8:
             raise ConfigurationError("torque probe needs at least 8 sample points")
         theta = np.linspace(0.0, SECTOR, n_points)
-        pts = self.radius * np.column_stack([np.cos(theta), np.sin(theta)])
+        normal = np.column_stack([np.cos(theta), np.sin(theta)])
+        pts = self.radius * normal
 
         gap = mesh.elements_in("air_gap")
         if len(gap) == 0:
@@ -151,38 +159,32 @@ class TorqueProbe:
         if not inside.any(axis=1).all():
             raise ConfigurationError(
                 "torque circle leaves the meshed air gap; adjust radius")
-        owner = inside.argmax(axis=1)
-        self.elements = gap[owner]
+        elements = gap[inside.argmax(axis=1)]
 
         weights = np.full(n_points, SECTOR / (n_points - 1))
         weights[0] *= 0.5
         weights[-1] *= 0.5
         # full-machine prefactor: (r^2/mu0) and sector multiplicity
         self.weights = weights * (self.radius**2 / MU0) * (2 * np.pi / SECTOR)
-        self.normals = np.column_stack([np.cos(theta), np.sin(theta)])
-        self.tangents = np.column_stack([-np.sin(theta), np.cos(theta)])
-        self._tri_nodes = mesh.triangles[self.elements]
+        # row s of R (S) is the radial (tangential) part of curl phi_i on the
+        # element holding sample s, over that element's three nodes
+        curls = space.curls[elements]                          # (s, 3, 2)
+        rows = np.repeat(np.arange(n_points), 3)
+        nodes = mesh.triangles[elements].ravel()
+        self.radial, self.tangential = (
+            Csr.from_triplets((curls @ d[:, :, None]).ravel(), rows, nodes,
+                              (n_points, mesh.n_nodes))
+            for d in (normal, np.column_stack([-np.sin(theta), np.cos(theta)])))
 
-    def sample_flux(self, space, u):
-        """Radial and tangential flux density at the samples."""
-        B = space.element_curl(u)[self.elements]
-        return (np.einsum("sd,sd->s", B, self.normals),
-                np.einsum("sd,sd->s", B, self.tangents))
+    def torque(self, u):
+        return float((self.radial @ u) @ (self.weights * (self.tangential @ u)))
 
-    def torque(self, space, u):
-        br, bt = self.sample_flux(space, u)
-        return float(np.dot(self.weights, br * bt))
-
-    def torque_gradient(self, space, u):
-        """d torque / d nodal u as a full-length vector."""
-        br, bt = self.sample_flux(space, u)
-        curls = space.curls[self.elements]                     # (s, 3, 2)
-        cn = np.einsum("sid,sd->si", curls, self.normals)
-        ct = np.einsum("sid,sd->si", curls, self.tangents)
-        contrib = self.weights[:, None] * (cn * bt[:, None] + ct * br[:, None])
-        out = np.zeros(space.n_nodes)
-        np.add.at(out, self._tri_nodes.ravel(), contrib.ravel())
-        return out
+    def torque_gradient(self, u):
+        """d torque / d nodal u, R^T (w o S u) + S^T (w o R u), for one
+        state (n,) or for k states as the columns of u (n, k)."""
+        w = self.weights if np.ndim(u) == 1 else self.weights[:, None]
+        return (self.radial.rmatmul(w * (self.tangential @ u))
+                + self.tangential.rmatmul(w * (self.radial @ u)))
 
 
 class MachineProblem:
@@ -216,10 +218,22 @@ class MachineProblem:
             dirichlet_nodes=empty)
 
         self._stator = mesh.elements_in("stator_iron")
-        self._magnet1 = mesh.elements_in("magnet1")
-        self._magnet2 = mesh.elements_in("magnet2")
-        self._coils = [(mesh.elements_in(name), off, sign)
-                       for name, _, off, sign in COILS]
+        # the winding: currents sin(th) J_1 + cos(th) J_2 and their loads
+        self._currents = np.zeros((2, m))
+        for name, _, offset, sign in COILS:
+            self._currents[:, mesh.elements_in(name)] = (
+                sign * J_PEAK * np.array([np.cos(offset), np.sin(offset)]))[:, None]
+        self._coil_loads = [self.space.load_vector(j) for j in self._currents]
+
+        # air and magnet rows, h = nu (B - rem): the remanence R_0 at rotor
+        # angle 0 and its quarter turn R_90
+        self._nu = np.full(m, laws.NU0)
+        self._rem0 = np.zeros((m, 2))
+        for name, phi in zip(("magnet1", "magnet2"), MAGNET_PHI):
+            elems = mesh.elements_in(name)
+            self._nu[elems] = laws.NU_M
+            self._rem0[elems] = laws.B_R * np.array([np.cos(phi), np.sin(phi)])
+        self._rem90 = np.column_stack([-self._rem0[:, 1], self._rem0[:, 0]])
 
         cen = mesh.centroids()[self.design_elements]
         ang = np.minimum((np.arctan2(cen[:, 1], cen[:, 0]) / (SECTOR / 4)).astype(int),
@@ -236,7 +250,7 @@ class MachineProblem:
             self.knee_index[self._stator] = ROTOR_BLOCKS
             self.knee_index[self.design_elements] = self.design_block
 
-        self.torque_probe = TorqueProbe(mesh, 0.5 * (R_DESIGN + R_GAP_OUTER),
+        self.torque_probe = TorqueProbe(self.space, 0.5 * (R_DESIGN + R_GAP_OUTER),
                                         max(64, 4 * mesh.meta["m_ang"]))
 
         areas = self.space.areas[self.design_elements]
@@ -256,16 +270,14 @@ class MachineProblem:
             return float(np.asarray(q, dtype=float)[0])
         return PHI0
 
-    def _coil_density(self, angle, phase, wave=np.sin):
-        """Element-wise J_PEAK * wave(angle + coil offset + phase) in the coils."""
-        out = np.zeros(self.mesh.n_elements)
-        for elems, offset, sign in self._coils:
-            out[elems] = sign * J_PEAK * wave(angle + offset + phase)
-        return out
+    def _winding(self, alpha, q, pair):
+        """sin(th) pair[0] + cos(th) pair[1] at th = p alpha + phase."""
+        th = POLE_PAIRS * alpha + self._phase(q)
+        return np.sin(th) * pair[0] + np.cos(th) * pair[1]
 
     def source_density(self, alpha, q):
         """Element-wise current density at one rotor position."""
-        return self._coil_density(POLE_PAIRS * alpha, self._phase(q))
+        return self._winding(alpha, q, self._currents)
 
     # -- materials ------------------------------------------------------------
 
@@ -277,25 +289,15 @@ class MachineProblem:
         return kf
 
     def _remanence(self, alpha):
-        rem = np.zeros((self.mesh.n_elements, 2))
-        shift = alpha if self.scenario.co_rotate_magnets else 0.0
-        for elems, phi in zip((self._magnet1, self._magnet2), MAGNET_PHI):
-            rem[elems] = laws.B_R * np.array(
-                [np.cos(phi + shift), np.sin(phi + shift)])
-        return rem
+        """cos(s) R_0 + sin(s) R_90, s = alpha for co-rotating magnets, else 0."""
+        s = alpha if self.scenario.co_rotate_magnets else 0.0
+        return np.cos(s) * self._rem0 + np.sin(s) * self._rem90
 
     def _iron_elements(self, design):
         design = np.asarray(design, dtype=bool)
         if design.shape != (len(self.design_elements),):
             raise UsageError("design array does not match the design region")
         return np.concatenate([self._stator, self.design_elements[design]])
-
-    def _linear_rows(self, alpha):
-        """Reluctivity and remanence of every element as air or magnet:
-        h = nu (B - rem) off the iron."""
-        nu = np.full(self.mesh.n_elements, laws.NU0)
-        nu[self._magnet1] = nu[self._magnet2] = laws.NU_M
-        return nu, self._remanence(alpha)
 
     def respond_factory(self, design, q, alpha):
         """Material response closure respond(B) -> (h, dh) for assembly: nu,
@@ -304,7 +306,7 @@ class MachineProblem:
         iron = self._iron_elements(design)
         kf = self._knee_values(q)[iron]
         iron_law = self.spec.iron_law()
-        nu, rem = self._linear_rows(alpha)
+        nu, rem = self._nu, self._remanence(alpha)
         dh_lin = nu[:, None, None] * np.eye(2)
 
         def respond(B):
@@ -328,11 +330,10 @@ class MachineProblem:
         alpha = self.alphas()[n]
         q = self._q_array(q)
         respond = self.respond_factory(design, q, alpha)
-        load = self.space.load_vector(self.source_density(alpha, q))
+        load = self._winding(alpha, q, self._coil_loads)
         # respond(0): the iron law gives 0 at zero flux, and iron carries no
         # remanence, so nu (0 - rem) holds on every row
-        nu, rem = self._linear_rows(alpha)
-        h0 = nu[:, None] * (0.0 - rem)
+        h0 = self._nu[:, None] * (0.0 - self._remanence(alpha))
         u, info = newton_solve(self.space, self.dofmap, respond, load, h0, u0=u0,
                                tol=self.solver.newton_tol,
                                max_iter=NEWTON_MAX_ITER)
@@ -340,31 +341,28 @@ class MachineProblem:
         return u, info
 
     def _linear_basis(self, design):
-        """Linear-iron states and adjoints: magnet rows R_0 (and R_90), J_s, J_c."""
-        space, dofmap, q = self.space, self.dofmap, self.scenario.q_hat
-        zero = np.zeros((self.mesh.n_elements, 2))
-        turns = (0.0, np.pi / 2) if self.scenario.co_rotate_magnets else (0.0,)
-        hs = [self.respond_factory(design, q, a)(zero) for a in turns]
-        # magnet loads are minus the flux divergence of h(B = 0)
-        loads = [-space.flux_divergence(h) for h, _ in hs] + [
-            space.load_vector(self._coil_density(0.0, 0.0, wave))
-            for wave in (np.cos, np.sin)]
+        """Linear-iron states and adjoints: loads of R_0 (and R_90), L_1, L_2."""
+        space, dofmap = self.space, self.dofmap
+        rems = ([self._rem0, self._rem90] if self.scenario.co_rotate_magnets
+                else [self._rem0])
+        # a magnet load is minus the flux divergence of h(B = 0) = -nu rem
+        loads = [space.flux_divergence(self._nu[:, None] * r)
+                 for r in rems] + self._coil_loads
+        respond = self.respond_factory(design, self.scenario.q_hat, 0.0)
+        _, dh = respond(np.zeros((self.mesh.n_elements, 2)))
         try:
-            factor = factor_tangent(space, dofmap, hs[0][1])
+            factor = factor_tangent(space, dofmap, dh)
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular tangent system of the linear-iron basis") from exc
         states = dofmap.expand(factor.solve(dofmap.reduce_vector(
-            np.column_stack(loads)))).T
-        rhs = dofmap.reduce_vector(np.column_stack(
-            [self.torque_probe.torque_gradient(space, u) for u in states]))
+            np.column_stack(loads))))
+        rhs = dofmap.reduce_vector(self.torque_probe.torque_gradient(states))
         self.bases_built += 1
-        return states, dofmap.expand(factor.solve(rhs)).T
+        return states.T, dofmap.expand(factor.solve(rhs)).T
 
     def _from_basis(self, design, q, row):
-        """Basis states (row 0) or adjoints (row 1) combined at every position.
-
-        Currents at th = p*alpha + phase are sin(th) J_s + cos(th) J_c, and
-        co-rotating remanence is cos(alpha) R_0 + sin(alpha) R_90."""
+        """Basis states (row 0) or adjoints (row 1) combined at every
+        position, with the weights of `_remanence` and `_winding`."""
         key = np.asarray(design, dtype=bool).tobytes()
         if self._basis is None or self._basis[0] != key:
             self._basis = (key,) + self._linear_basis(design)
@@ -389,7 +387,7 @@ class MachineProblem:
         return out
 
     def torque(self, u):
-        return self.torque_probe.torque(self.space, u)
+        return self.torque_probe.torque(u)
 
     def objective(self, design, q=None, starts=()):
         """Objective value and the per-position states that produced it."""
@@ -408,7 +406,7 @@ class MachineProblem:
         out = []
         for n, u in enumerate(states):
             respond = self.respond_factory(design, q, alphas[n])
-            rhs = self.torque_probe.torque_gradient(self.space, u) / n_pos
+            rhs = self.torque_probe.torque_gradient(u) / n_pos
             out.append(adjoint_solve(self.space, self.dofmap, respond, u, rhs))
         return out
 
@@ -431,13 +429,13 @@ class MachineProblem:
             return np.zeros(self.scenario.n_q)
         states = self.states(design, q) if states is None else states
         adjoints = self.adjoints(design, q, states) if adjoints is None else adjoints
-        alphas = self.alphas()
         grad = np.zeros(self.scenario.n_q)
 
         if binding == "phase":
-            for n, p in enumerate(adjoints):
-                dj = self._coil_density(POLE_PAIRS * alphas[n], q[0], np.cos)
-                grad[0] -= float(self.space.load_vector(dj) @ p)
+            # d load / d phase = cos(th) L_1 - sin(th) L_2
+            l1, l2 = self._coil_loads
+            for th, p in zip(POLE_PAIRS * self.alphas() + q[0], adjoints):
+                grad[0] -= np.cos(th) * (l1 @ p) - np.sin(th) * (l2 @ p)
             return grad
 
         # knee bindings: d h / d k on bound iron elements, dotted with the

@@ -66,8 +66,8 @@ class ExteriorConfig:
             raise ConfigurationError("exterior truncation radius must be finite")
         if not self.n_t >= 2:
             raise ConfigurationError("need at least two flux magnitudes (n_t >= 2)")
-        if not self.t_max > 0:
-            raise ConfigurationError("t_max must be positive")
+        if not 0 < self.t_max < np.inf:
+            raise ConfigurationError("t_max must be positive and finite")
 
 
 class ExteriorProblem:
@@ -106,8 +106,8 @@ class ExteriorProblem:
         # U as a one-row array, evaluated as the rows are: a lone (2,) vector
         # takes numpy's scalar path, whose powers may round otherwise, and
         # respond(0) must be the law jump exactly
-        h_in_U = law_in.h(U[None])
-        h_out_U = law_out.h(U[None])
+        (h_in_U,), _ = law_in.response(U[None])
+        (h_out_U,), _ = law_out.response(U[None])
         jump = h_in_U - h_out_U
 
         def respond(Bk):
@@ -141,8 +141,9 @@ class ExteriorProblem:
         inc = self.inclusion
         areas = self.space.areas
 
-        h_in_U, dh_in_U = law_in.response(U)
-        h_out_U, dh_out_U = law_out.response(U)
+        # U as one row, as in solve_corrector
+        (h_in_U,), (dh_in_U,) = law_in.response(U[None])
+        (h_out_U,), (dh_out_U,) = law_out.response(U[None])
 
         b = Bk + U
         rem = np.empty_like(Bk)

@@ -95,10 +95,14 @@ BAD_VALUES = [
 NON_FINITE = [
     ("SolverOptions-nan", SolverOptions, {"newton_tol": np.nan},
      "newton controls out of range"),
+    ("SolverOptions-inf", SolverOptions, {"newton_tol": np.inf},
+     "newton controls out of range"),
     ("LevelSetOptions-nan", LevelSetOptions, {"step_min": np.nan},
      "need 0 < step_min <= step_init <= 1"),
     ("ExteriorConfig-t_max", ExteriorConfig, {"t_max": np.nan},
      "t_max must be positive"),
+    ("ExteriorConfig-t_max-inf", ExteriorConfig, {"t_max": np.inf},
+     "t_max must be positive and finite"),
     ("ExteriorConfig-radius", ExteriorConfig, {"radius": np.inf},
      "exterior truncation radius must be finite"),
     ("Scenario-nan", Scenario, {"name": "ANG", "q_hat": [np.nan]},
@@ -107,6 +111,8 @@ NON_FINITE = [
      "magnet band must sit inside"),
     ("RunConfig-nan", RunConfig, {"smoothing_eps": np.nan},
      "smoothing_eps must be positive"),
+    ("RunConfig-inf", RunConfig, {"smoothing_eps": np.inf},
+     "smoothing_eps must be positive and finite"),
     ("BallSet-center", BallSet, {"center": [0.0, np.nan]},
      "ball center must be finite, its radius positive"),
     ("BallSet-radius-nan", BallSet, {"radius": np.nan},

@@ -585,7 +585,7 @@ def test_linear_iron_factors_once_per_design(toy_mesh, linear_spec,
                             tol=problem.solver.newton_tol,
                             max_iter=NEWTON_MAX_ITER)
         assert np.linalg.norm(states[n] - u) <= 1e-10 * np.linalg.norm(u)
-        rhs = problem.torque_probe.torque_gradient(space, u) / len(states)
+        rhs = problem.torque_probe.torque_gradient(u) / len(states)
         p = adjoint_solve(space, dofmap, respond, u, rhs)
         assert np.linalg.norm(adjoints[n] - p) <= 1e-10 * np.linalg.norm(p)
 

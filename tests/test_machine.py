@@ -55,19 +55,122 @@ def test_torque_gradient_matches_fd(toy_problem):
     u = 1e-3 * rng.standard_normal(toy_problem.mesh.n_nodes)
     d = rng.standard_normal(toy_problem.mesh.n_nodes)
     probe = toy_problem.torque_probe
-    space = toy_problem.space
-    g = probe.torque_gradient(space, u)
+    g = probe.torque_gradient(u)
     eps = 1e-6
-    fd = (probe.torque(space, u + eps * d)
-          - probe.torque(space, u - eps * d)) / (2 * eps)
+    fd = (probe.torque(u + eps * d) - probe.torque(u - eps * d)) / (2 * eps)
     assert float(g @ d) == pytest.approx(fd, rel=1e-8)
 
 
-def test_torque_probe_radius_must_stay_in_gap(toy_mesh):
+def test_torque_probe_radius_must_stay_in_gap(toy_problem):
     with pytest.raises(ConfigurationError):
-        TorqueProbe(toy_mesh, 0.06, 64)
+        TorqueProbe(toy_problem.space, 0.06, 64)
     with pytest.raises(ConfigurationError):
-        TorqueProbe(toy_mesh, 0.0505, 4)
+        TorqueProbe(toy_problem.space, 0.0505, 4)
+
+
+SOURCE_CASES = {
+    "ANG": Scenario(name="ANG", n_positions=3, q_hat=np.array([0.31])),
+    "SCAL": Scenario(name="SCAL", n_positions=3, q_hat=np.array([2.2])),
+    "DIST_co_rotating": Scenario(name="DIST", n_positions=3,
+                                 q_hat=np.full(ROTOR_BLOCKS + 1, K_F),
+                                 co_rotate_magnets=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOURCE_CASES))
+def test_sources_match_the_trigonometric_form(toy_mesh, monkeypatch, case):
+    # the winding's two fixed patterns reproduce J_PEAK sign sin(th + offset)
+    # per slot, and the Newton load its assembled load vector
+    scen = SOURCE_CASES[case]
+    problem = MachineProblem(toy_mesh, MaterialSpec(), scen)
+    loads = []
+
+    def spy(space, dofmap, respond, load, *args, **kwargs):
+        loads.append(load)
+        return newton_solve(space, dofmap, respond, load, *args, **kwargs)
+
+    newton_solve = machine.newton_solve
+    monkeypatch.setattr(machine, "newton_solve", spy)
+    problem.states(np.ones(len(problem.design_elements), dtype=bool))
+    phase = scen.q_hat[0] if scen.binding == "phase" else machine.PHI0
+    for alpha, load in zip(problem.alphas(), loads, strict=True):
+        want = np.zeros(toy_mesh.n_elements)
+        for name, _, offset, sign in COILS:
+            want[toy_mesh.elements_in(name)] = machine.J_PEAK * sign * np.sin(
+                POLE_PAIRS * alpha + phase + offset)
+        got = problem.source_density(alpha, scen.q_hat)
+        assert np.abs(got - want).max() <= 1e-13 * machine.J_PEAK
+        want_load = problem.space.load_vector(want)
+        assert (np.abs(load - want_load).max()
+                <= 1e-13 * np.abs(want_load).max())
+
+
+def test_remanence_is_the_turned_pattern(toy_mesh):
+    # cos(s) R_0 + sin(s) R_90 is B_R e_(phi + s) on each magnet, and R_0
+    # itself wherever the magnets do not co-rotate (s = 0)
+    still = MachineProblem(toy_mesh, MaterialSpec(), Scenario(n_positions=3))
+    turning = MachineProblem(toy_mesh, MaterialSpec(),
+                             Scenario(n_positions=3, co_rotate_magnets=True))
+    for alpha in (0.0, *turning.alphas(), 1.3):
+        for problem, s in ((still, 0.0), (turning, alpha)):
+            want = np.zeros((toy_mesh.n_elements, 2))
+            for name, phi in zip(("magnet1", "magnet2"), machine.MAGNET_PHI):
+                want[toy_mesh.elements_in(name)] = laws.B_R * np.array(
+                    [np.cos(phi + s), np.sin(phi + s)])
+            got = problem._remanence(alpha)
+            if s == 0.0:
+                assert np.array_equal(got, want)
+            assert np.abs(got - want).max() <= 1e-15 * laws.B_R
+
+
+def reference_torque(problem, u):
+    """Torque, its gradient and the sum of |w B_r B_t| over the samples, as
+    TorqueProbe formed them from the element flux: the samples located in
+    the gap by barycentric coordinates, B_r and B_t by einsum, the gradient
+    scattered by np.add.at."""
+    mesh, space, probe = problem.mesh, problem.space, problem.torque_probe
+    theta = np.linspace(0.0, machine.SECTOR, len(probe.weights))
+    normals = np.column_stack([np.cos(theta), np.sin(theta)])
+    tangents = np.column_stack([-np.sin(theta), np.cos(theta)])
+    gap = mesh.elements_in("air_gap")
+    a, b, c = (mesh.vertices[mesh.triangles[gap, i]] for i in range(3))
+    m1, m2 = b - a, c - a
+    det = m1[:, 0] * m2[:, 1] - m1[:, 1] * m2[:, 0]
+    dp = probe.radius * normals[:, None, :] - a[None]
+    l1 = (dp[..., 0] * m2[:, 1] - dp[..., 1] * m2[:, 0]) / det
+    l2 = (m1[:, 0] * dp[..., 1] - m1[:, 1] * dp[..., 0]) / det
+    inside = (l1 >= -1e-9) & (l2 >= -1e-9) & (l1 + l2 <= 1 + 1e-9)
+    elements = gap[inside.argmax(axis=1)]
+    B = space.element_curl(u)[elements]
+    br = np.einsum("sd,sd->s", B, normals)
+    bt = np.einsum("sd,sd->s", B, tangents)
+    curls = space.curls[elements]
+    cn = np.einsum("sid,sd->si", curls, normals)
+    ct = np.einsum("sid,sd->si", curls, tangents)
+    contrib = probe.weights[:, None] * (cn * bt[:, None] + ct * br[:, None])
+    grad = np.zeros(mesh.n_nodes)
+    np.add.at(grad, mesh.triangles[elements].ravel(), contrib.ravel())
+    terms = probe.weights * br * bt
+    return float(np.dot(probe.weights, br * bt)), grad, np.abs(terms).sum()
+
+
+def test_torque_matches_the_element_flux_form(toy_problem):
+    problem, probe = toy_problem, toy_problem.torque_probe
+    design = np.ones(len(problem.design_elements), dtype=bool)
+    rng = np.random.default_rng(9)
+    states = problem.states(design, PHASE + 0.4) + [
+        1e-3 * rng.standard_normal(problem.mesh.n_nodes) for _ in range(3)]
+    for u in states:
+        # the samples' terms cancel to a torque up to 75 times smaller
+        want, want_grad, scale = reference_torque(problem, u)
+        assert abs(problem.torque(u) - want) <= 1e-13 * scale
+        grad = probe.torque_gradient(u)
+        assert np.abs(grad - want_grad).max() <= 1e-13 * np.abs(want_grad).max()
+    # a batch of states as columns is the single calls, bitwise
+    batch = probe.torque_gradient(np.column_stack(states))
+    assert batch.shape == (problem.mesh.n_nodes, len(states))
+    for k, u in enumerate(states):
+        assert np.array_equal(batch[:, k], probe.torque_gradient(u))
 
 
 def test_linear_objective_scales_quadratically(toy_mesh, monkeypatch):
@@ -147,7 +250,7 @@ def test_linear_basis_matches_newton(toy_mesh, linear_spec, case):
         u, _ = problem.solve_position(design, q, n)
         assert np.linalg.norm(states[n] - u) <= 1e-10 * np.linalg.norm(u)
         respond = problem.respond_factory(design, problem._q_array(q), alpha)
-        rhs = problem.torque_probe.torque_gradient(space, u) / len(states)
+        rhs = problem.torque_probe.torque_gradient(u) / len(states)
         p = adjoint_solve(space, dofmap, respond, u, rhs)
         assert np.linalg.norm(adjoints[n] - p) <= 1e-10 * np.linalg.norm(p)
 

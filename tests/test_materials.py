@@ -232,8 +232,7 @@ def test_respond_equals_the_gather_scatter_form_bitwise(toy_mesh, linear):
     magnets = toy_mesh.elements_in("magnet1")
     assert len(magnets) > 0 and design.any() and not design.all()
     # a magnet row at its remanence gives h = 0 there
-    B[magnets[0]] = laws.B_R * np.array([np.cos(MAGNET_PHI[0] + alpha),
-                                         np.sin(MAGNET_PHI[0] + alpha)])
+    B[magnets[0]] = problem._remanence(alpha)[magnets[0]]
     respond = problem.respond_factory(design, q, alpha)
     want = gather_scatter_respond(problem, design, q, alpha)(B)
     for _ in range(2):          # the fixed linear rows survive a call

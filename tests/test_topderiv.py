@@ -194,6 +194,20 @@ def test_warm_corrector_tolerance_is_the_residual_at_zero(monkeypatch,
         assert info.tolerance == tol * max(float(np.linalg.norm(f0)), 1e-300)
 
 
+@pytest.mark.parametrize("direction", DIRECTIONS)
+def test_response_pair_far_field_is_the_row_form(direction):
+    # with k = 0 the quadratic remainder of every row is h(U) - h(U), so the
+    # pair is exactly the row-form jump h_in(U) - h_out(U) when the far field
+    # is evaluated as the rows are; at t = 5/3, K_F a lone (2,) vector rounds
+    # otherwise and leaves its error on every iron row
+    prob = ExteriorProblem(SWEEP)
+    law_in, law_out = laws_for_direction(direction, MaterialSpec(), K_F)
+    U = np.array([5.0 / 3.0, 0.0])
+    jump = (law_in.h(U[None]) - law_out.h(U[None]))[0]
+    pair = prob.response_pair(np.zeros(prob.mesh.n_nodes), U, law_in, law_out)
+    assert pair == (float(jump[0]), float(jump[1]))
+
+
 def test_law_fingerprints_pinned():
     # saved tables carry these digests and must keep loading; the digest
     # covers the law pair, and each table's knee axis says where it was
