@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the saved-file reader."""
+"""Exception types shared across the package, the count check of the option
+types, and the saved-file reader."""
+
+import numbers
 
 
 class RtoptError(Exception):
@@ -24,6 +27,14 @@ class UsageError(RtoptError):
 
 class FormatError(RtoptError):
     """A persisted file has the wrong version string or a malformed layout."""
+
+
+def check_counts(**counts):
+    """Refuse every count that is not an integer (a float, inf, a bool) with
+    ConfigurationError; int and numpy integers pass."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigurationError(f"{name} must be an integer; got {value!r}")
 
 
 def read_format_lines(path, magic):

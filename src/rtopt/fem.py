@@ -22,6 +22,8 @@ pattern (Proc. 24th ACM Nat. Conf., 1969), computed once per mesh, so every
 tangent lies in a narrow band, factored by banded Cholesky (George and Liu,
 Computer Solution of Large Sparse Positive Definite Systems, 1981, ch. 4):
 every system is SPD, and a tangent that is not is refused as singular.
+Tangents whose leading columns no changing element touches can keep those
+columns of the factor and refactor only the rest (KeptColumnsCholesky).
 
 The residual is the gradient of the convex magnetic energy
 E(u) = sum_T |T| w_T(curl u) - load . u (dw_T/dB = h_T, dh_T is SPD), so
@@ -302,6 +304,7 @@ class DofMap:
         row, col = order[row[entry]], order[col[entry]]
         self.free = np.empty_like(free)
         self.free[order] = free
+        self._unknown = index                # node -> reduced unknown, -1 if fixed
         self._reduction = Csr.from_triplets(sign[kept], kept, index[kept], (n, nr))
         self.n_reduced = nr
         self.bandwidth = int(np.max(row - col, initial=0))
@@ -333,9 +336,17 @@ class DofMap:
         """
         return self._band(self._scatter @ blocks.transpose(1, 2, 0).ravel())
 
-    def tangent_band(self, space, dh):
+    def first_unknown(self, triangles):
+        """The lowest reduced unknown that elements with these node triples
+        touch, or n_reduced if they touch none."""
+        touched = self._unknown[triangles]
+        return int(touched[touched >= 0].min(initial=self.n_reduced))
+
+    def tangent_band(self, space, dh, out=None):
         """reduce_matrix(space.tangent_matrix(dh)), up to rounding, by one
-        sparse product with dh.reshape(-1).
+        sparse product with dh.reshape(-1). With out, a Fortran-ordered
+        (bandwidth + 1, k) array, only the band's last k columns are
+        written, into out.
 
         The element tangent is linear in dh, so the band is a fixed linear
         map of dh's 4m entries. That map is built on the first call for a
@@ -343,7 +354,20 @@ class DofMap:
         """
         if self._tangent is None or self._tangent[0] is not space:
             self._tangent = (space, self._tangent_operator(space))
-        return self._band(self._tangent[1] @ dh.reshape(-1))
+        operator = self._tangent[1]
+        if out is None:
+            return self._band(operator @ dh.reshape(-1))
+        # the slots are numbered column by column, so the last columns are a
+        # tail of the slots and of the operator's rows; the product reads
+        # rows through indptr alone, which need not start at 0
+        first = (self.bandwidth + 1) * (self.n_reduced - out.shape[1])
+        tail = np.searchsorted(self._slots, first)
+        rows = Csr(operator.indptr[tail:], operator.indices, operator.data,
+                   (len(self._slots) - tail, operator.shape[1]))
+        flat = out.T.reshape(-1)                # a view: out is Fortran-ordered
+        flat[:] = 0.0
+        flat[self._slots[tail:] - first] = rows @ dh.reshape(-1)
+        return out
 
     def _tangent_operator(self, space):
         """The band slots as a (slots, 4m) matrix acting on dh.reshape(-1):
@@ -417,8 +441,62 @@ def factor_tangent(space, dofmap, dh):
     return BandCholesky(dofmap.tangent_band(space, dh))
 
 
+class KeptColumnsCholesky:
+    """Cholesky factors of the reduced tangents of one mesh whose first
+    `start` columns never change (only elements of fixed dh touch them).
+
+    Then the first start columns of L and the update L21 L21^T they leave on
+    the next bandwidth columns never change either (George and Liu 1981,
+    partitioned factorization). The first call factors whole and keeps
+    both; later calls assemble the columns from start on, subtract the
+    update and factor them in place by dpbtrf. A call returns the instance,
+    whose solve uses the last factor; LinAlgError if it is not SPD.
+    """
+
+    def __init__(self, space, dofmap, start):
+        self.space, self.dofmap, self.start = space, dofmap, start
+        self._factor = None         # the kept columns, then the trailing ones
+        self._update = None         # L21 L21^T in the trailing band's storage
+
+    def __call__(self, dh):
+        start = self.start
+        if self._factor is None:
+            self._factor = BandCholesky(self.dofmap.tangent_band(self.space, dh))
+            self._update = _kept_update(self._factor._factor, start)
+        elif start < self.dofmap.n_reduced:
+            # a Fortran-ordered column slice is contiguous: dpbtrf works in place
+            trailing = self._factor._factor[:, start:]
+            self.dofmap.tangent_band(self.space, dh, out=trailing)
+            trailing[:, :self._update.shape[1]] -= self._update
+            _, info = _lapack.dpbtrf(trailing, lower=1, overwrite_ab=1)
+            if info > 0:
+                raise np.linalg.LinAlgError(
+                    f"{start + info}-th leading minor not positive definite")
+        return self
+
+    def solve(self, b):
+        """Solve with the last factor, as BandCholesky.solve."""
+        return self._factor.solve(b)
+
+
+def _kept_update(factor, start):
+    """L21 L21^T for L21 = L[start:, :start] of a lower band Cholesky factor,
+    in lower band storage (bandwidth + 1, k) of the k columns from start on
+    that it reaches."""
+    kd, n = factor.shape[0] - 1, factor.shape[1]
+    k, c = min(kd, n - start), min(kd, start)
+    # L21 is zero outside its last c columns: L[start + a, start - c + j] is
+    # band entry (a + c - j, start - c + j) where that lies in the band
+    a, j = np.ogrid[:k, :c]
+    d = a + c - j
+    l21 = np.where(d <= kd, factor[np.minimum(d, kd), start - c + j], 0.0)
+    update = l21 @ l21.T
+    d, b = np.ogrid[:kd + 1, :k]
+    return np.where(b + d < k, update[np.minimum(b + d, k - 1), b], 0.0)
+
+
 def newton_solve(space, dofmap, respond, load_full, h0, u0=None, tol=1e-8,
-                 max_iter=50):
+                 max_iter=50, factors=None):
     """Damped Newton for the reduced residual C^T (flux(u) - load).
 
     respond(B) must return new (h, dh) arrays of shapes (m, 2) and (m, 2, 2)
@@ -430,8 +508,11 @@ def newton_solve(space, dofmap, respond, load_full, h0, u0=None, tol=1e-8,
     A step d is halved until F(u + alpha d) . d <= (1 - 2 sigma) |F(u) . d|,
     the trapezoid estimate of E(u + alpha d) - E(u) <= sigma alpha F(u) . d,
     exact for linear laws (whose full step passes); stagnation raises SolverError.
-    Every step factors its own tangent.
+    Every step factors its tangent through factors(dh), which returns an
+    object with solve (a KeptColumnsCholesky, say); by default each tangent
+    is factored whole by factor_tangent.
     """
+    factors = factors or (lambda dh: factor_tangent(space, dofmap, dh))
     warm = u0 is not None
     u = np.zeros(space.n_nodes) if u0 is None else dofmap.expand(
         dofmap.restrict(np.asarray(u0, dtype=float)))
@@ -456,9 +537,9 @@ def newton_solve(space, dofmap, respond, load_full, h0, u0=None, tol=1e-8,
         return u, info(0)
 
     for it in range(1, max_iter + 1):
-        # no local keeps the factor, so it is freed before the next one is made
+        # no local keeps a whole factor, so it is freed before the next is made
         try:
-            step = -factor_tangent(space, dofmap, dh).solve(f)
+            step = -factors(dh).solve(f)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular tangent system at Newton step {it}",
                               residual=history[-1], iterations=it) from exc

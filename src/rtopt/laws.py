@@ -66,10 +66,15 @@ class MaterialLaw:
     n_f: int = N_F
     linear: bool = False
 
+    @property
+    def is_linear(self):
+        """dh/db is the same at every b: air, or iron with linear=True."""
+        return self.kind == "air" or self.linear
+
     def _reluctivity(self, b, knee):
         """nu = |h|/|b| of the rows b: the constant of a linear law, or per
         row nu0 + (nu_f - nu0) g(s) with (g, s, w) for a saturating one."""
-        if self.kind == "air" or self.linear:
+        if self.is_linear:
             return (NU0 if self.kind == "air" else self.nu_f), None
         k = self.k_f if knee is None else knee
         b0, b1 = b[..., 0], b[..., 1]

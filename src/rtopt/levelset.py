@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError, UsageError, read_format_lines
+from .errors import (ConfigurationError, FormatError, UsageError, check_counts,
+                     read_format_lines)
 
 LEVELSET_FORMAT = "RTOLS1"
 
@@ -41,6 +42,7 @@ class LevelSetOptions:
     def __post_init__(self):
         if not 0 < self.step_min <= self.step_init <= 1.0:
             raise ConfigurationError("need 0 < step_min <= step_init <= 1")
+        check_counts(max_iterations=self.max_iterations)
         if not self.max_iterations >= 1:
             raise ConfigurationError("max_iterations must be at least 1")
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import laws
-from .errors import ConfigurationError, SolverError, UsageError
+from .errors import ConfigurationError, SolverError, UsageError, check_counts
 from .fem import (Csr, DofMap, P1Space, ScreenedSmoother, adjoint_solve,
                   factor_tangent, newton_solve)
 from .laws import MU0
@@ -105,6 +105,7 @@ class Scenario:
     def __post_init__(self):
         if self.name not in BINDINGS:
             raise ConfigurationError(f"unknown scenario {self.name!r}")
+        check_counts(n_positions=self.n_positions)
         if not self.n_positions >= 1:
             raise ConfigurationError("scenario needs at least one rotor position")
         q = np.asarray(self.q_hat, dtype=float)

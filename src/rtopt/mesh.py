@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, SolverError, UsageError
+from .errors import ConfigurationError, SolverError, UsageError, check_counts
 
 # Region labels of the benchmark machine sector.
 MACHINE_REGIONS = (
@@ -227,6 +227,7 @@ class MachineGeometry:
     def __post_init__(self):
         if not (R_SHAFT <= self.magnet_r[0] < self.magnet_r[1] <= R_DESIGN):
             raise ConfigurationError("magnet band must sit inside the design annulus")
+        check_counts(target_nodes=self.target_nodes)
         if not self.target_nodes >= 200:
             raise ConfigurationError("target_nodes too small for the machine sector")
         for lo, hi in (self.magnet1_window, self.magnet2_window):

@@ -23,6 +23,19 @@ Dirichlet, so every tangent is factored at half the full disk's size, while
 Newton and the response pair see the full-length k. Far fields off e_x are
 refused: the table is rotated online and never needs one.
 
+A linear law's Jacobian never changes. Let p be the first reduced unknown an
+element of a nonlinear law touches (all of them if both laws are linear).
+Column j of a Cholesky factor reads columns 0..j of the matrix only, so the
+first p columns of L, and the update they leave on the next bandwidth
+columns, are exactly those of every tangent of the two laws:
+ExteriorProblem.factors keeps them from the first factorization
+(fem.KeptColumnsCholesky), and later Newton steps factor the rest. On the
+4k, 8k and 60k-node meshes the reverse Cuthill-McKee order starts at the
+outer boundary, so air_to_iron keeps its air exterior's columns (2,339 of
+3,960 at 8k, 16,999 of 29,625 at 60k), and iron_to_air, whose saturating
+exterior touches unknown 0, factors every tangent whole. On the 2k, 15k
+and 30k-node meshes the order starts in the inclusion and the roles swap.
+
 Tables persist as RTOTD2 files tied to a law fingerprint.
 """
 
@@ -34,8 +47,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError, UsageError, read_format_lines
-from .fem import DofMap, P1Space, newton_solve
+from .errors import (ConfigurationError, FormatError, UsageError, check_counts,
+                     read_format_lines)
+from .fem import DofMap, KeptColumnsCholesky, P1Space, newton_solve
 from .laws import K_F, air_law
 from .mesh import disk_mirror, graded_disk_mesh
 
@@ -64,6 +78,7 @@ class ExteriorConfig:
             raise ConfigurationError("exterior truncation radius must exceed 2")
         if not np.isfinite(self.radius):
             raise ConfigurationError("exterior truncation radius must be finite")
+        check_counts(target_nodes=self.target_nodes, n_t=self.n_t, n_q=self.n_q)
         if not self.n_t >= 2:
             raise ConfigurationError("need at least two flux magnitudes (n_t >= 2)")
         if not 0 < self.t_max < np.inf:
@@ -94,6 +109,22 @@ class ExteriorProblem:
         self.exterior = slice(n_inc, self.mesh.n_elements)
         self.inclusion_area = float(self.space.areas[self.inclusion].sum())
         self.newton_log = []        # NewtonInfo of every corrector solve, in order
+        self._kept = None           # (linear laws, their factor source)
+
+    def factors(self, law_in, law_out):
+        """The KeptColumnsCholesky of these laws' tangents, or None (factor
+        each whole) if a nonlinear law's elements touch unknown 0. It reads
+        the linear laws only, so it serves every t and knee of a direction;
+        only the last one made is kept."""
+        regions = ((self.inclusion, law_in), (self.exterior, law_out))
+        key = tuple(law if law.is_linear else None for _, law in regions)
+        if self._kept is None or self._kept[0] != key:
+            start = min((self.dofmap.first_unknown(self.mesh.triangles[rows])
+                         for rows, law in regions if not law.is_linear),
+                        default=self.dofmap.n_reduced)
+            self._kept = (key, KeptColumnsCholesky(self.space, self.dofmap, start)
+                          if start else None)
+        return self._kept[1]
 
     def solve_corrector(self, U, law_in, law_out, u0=None):
         """Corrector k for far-field flux U = (t, 0) and the two laws, by
@@ -125,7 +156,8 @@ class ExteriorProblem:
         h0[inc] = jump
         load = np.zeros(self.space.n_nodes)
         k, info = newton_solve(self.space, self.dofmap, respond, load, h0, u0=u0,
-                               tol=CORRECTOR_TOL, max_iter=CORRECTOR_MAX_ITER)
+                               tol=CORRECTOR_TOL, max_iter=CORRECTOR_MAX_ITER,
+                               factors=self.factors(law_in, law_out))
         self.newton_log.append(info)
         return k, info
 

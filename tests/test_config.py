@@ -136,6 +136,28 @@ def test_option_objects_are_checked_when_built(cls, bad, message):
             replace(cls(**kwargs), **bad)
 
 
+# count fields: inf, a fraction and a bool each passed every range check
+COUNTS = [(Scenario, "n_positions"), (LevelSetOptions, "max_iterations"),
+          (ExteriorConfig, "n_t"), (ExteriorConfig, "n_q"),
+          (ExteriorConfig, "target_nodes"), (MachineGeometry, "target_nodes")]
+NON_INTEGER = [(cls, name, value) for cls, name in COUNTS
+               for value in (np.inf, 2.5, True)]
+
+
+@pytest.mark.parametrize(
+    "cls, name, value", NON_INTEGER,
+    ids=[f"{cls.__name__}-{name}-{value}" for cls, name, value in NON_INTEGER])
+def test_counts_must_be_integers(cls, name, value):
+    # Scenario(n_positions=2.5) solved three positions past the sweep and
+    # n_positions=inf failed in numpy; numpy integers stay counts
+    kwargs = _valid_settings(cls)
+    with pytest.raises(ConfigurationError,
+                       match=f"{name} must be an integer; got {value!r}"):
+        cls(**{**kwargs, name: value})
+    count = getattr(cls(**kwargs), name)
+    assert getattr(cls(**{**kwargs, name: np.int64(count)}), name) == count
+
+
 def _edit_lines(lines, kind, a, b, text):
     i, j = int(a * len(lines)), int(b * len(lines))
     if kind == "delete":

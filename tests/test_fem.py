@@ -21,14 +21,14 @@ from scipy.special import hyp2f1
 from rtopt import fem
 from rtopt.config import load_config
 from rtopt.errors import SolverError
-from rtopt.fem import (BandCholesky, DofMap, P1Space, ScreenedSmoother,
-                       adjoint_solve, factor_tangent, newton_solve,
-                       reverse_cuthill_mckee, tangent_at)
+from rtopt.fem import (BandCholesky, DofMap, KeptColumnsCholesky, P1Space,
+                       ScreenedSmoother, adjoint_solve, factor_tangent,
+                       newton_solve, reverse_cuthill_mckee, tangent_at)
 from rtopt.laws import NU0, air_law, iron_law
 from rtopt.machine import (NEWTON_MAX_ITER, MachineProblem, MaterialSpec,
                            Scenario)
 from rtopt.mesh import build_machine_mesh, graded_disk_mesh, refine_disc_patch
-from rtopt.topderiv import ExteriorConfig, ExteriorProblem
+from rtopt.topderiv import ExteriorConfig, ExteriorProblem, laws_for_direction
 from smoother_integrals import (elementwise_integral, mass_matrix,
                                 nodal_integral)
 from square_mesh import unit_square_mesh
@@ -714,6 +714,44 @@ def test_band_cholesky_equals_scipys(toy_mesh):
     # the second leading minor of [[1, 2], [2, 1]] is negative
     with pytest.raises(np.linalg.LinAlgError):
         BandCholesky(np.array([[1.0, 1.0], [2.0, 0.0]]))
+
+
+@pytest.mark.parametrize("where", ["zero", "below_bandwidth", "exterior",
+                                   "all"])
+def test_kept_columns_solve_as_the_whole_factor(where):
+    # the columns of the unknowns that no changing element touches are
+    # factored once; every later tangent solves as if factored whole. The
+    # kept columns start: nowhere, inside the first band width, where the
+    # air_to_iron corrector keeps its air exterior, and everywhere
+    prob = ExteriorProblem(ExteriorConfig(radius=64.0, target_nodes=1500))
+    space, dofmap = prob.space, prob.dofmap
+    n, kd = dofmap.n_reduced, dofmap.bandwidth
+    if where == "exterior":
+        start = prob.factors(*laws_for_direction(
+            "air_to_iron", MaterialSpec(), 2.2)).start
+        assert kd < start < n - kd
+    else:
+        start = {"zero": 0, "below_bandwidth": kd // 2, "all": n}[where]
+    first = np.array([dofmap.first_unknown(tri[None])
+                      for tri in prob.mesh.triangles])
+    changing = first >= start
+    rng = np.random.default_rng(59)
+
+    def spd(rows):
+        a = rng.standard_normal((rows, 2, 2))
+        return a @ a.transpose(0, 2, 1) + 0.1 * np.eye(2)
+
+    dh = spd(prob.mesh.n_elements)
+    factors = KeptColumnsCholesky(space, dofmap, start)
+    for _ in range(3):
+        factor = factors(dh)
+        whole = factor_tangent(space, dofmap, dh)
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 2))):
+            ref = whole.solve(b)
+            err = np.linalg.norm(factor.solve(b) - ref)
+            assert err <= 1e-13 * np.linalg.norm(ref), (start, err)
+        dh = dh.copy()
+        dh[changing] = spd(int(changing.sum()))
 
 
 def test_scipy_packages_keep_their_extension_modules():

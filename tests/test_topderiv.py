@@ -9,7 +9,7 @@ import pytest
 from scipy.interpolate import PchipInterpolator
 
 from rtopt import topderiv
-from rtopt.errors import FormatError, UsageError
+from rtopt.errors import FormatError, SolverError, UsageError
 from rtopt.fem import DofMap
 from rtopt.laws import K_F, NU0, NU_F
 from rtopt.machine import MaterialSpec, Scenario
@@ -161,6 +161,70 @@ def test_knee_sweep_continues_from_solved_neighbours(monkeypatch):
     assert len(cold) == len(swept) and not any(info.warm for info in cold)
     assert (sum(info.iterations for info in swept)
             < sum(info.iterations for info in cold))
+
+
+def test_kept_columns_reproduce_the_whole_factor_tables(monkeypatch,
+                                                      factor_calls):
+    # air_to_iron keeps the columns of its air exterior from its first
+    # factorization; iron_to_air, whose saturating exterior touches unknown
+    # 0, factors every tangent whole as before
+    spec = MaterialSpec()
+    kept = ExteriorProblem(SWEEP)
+    tables = precompute_tables(spec, kept, (1.8, 2.6))
+    whole = ExteriorProblem(SWEEP)
+    monkeypatch.setattr(whole, "factors", lambda law_in, law_out: None)
+    calls = len(factor_calls)
+    reference = precompute_tables(spec, whole, (1.8, 2.6))
+    assert len(factor_calls) - calls == sum(i.iterations for i in whole.newton_log)
+
+    def counts(log):
+        return [(i.iterations, i.rejected, i.evaluations) for i in log]
+
+    assert counts(kept.newton_log) == counts(whole.newton_log)
+    iron_to_air = sum(i.iterations for i in kept.newton_log[:len(
+        kept.newton_log) // 2])
+    assert calls == iron_to_air + 1     # and one whole air_to_iron tangent
+    for name in ("f_par", "f_perp"):
+        a, b = (getattr(t["iron_to_air"], name) for t in (tables, reference))
+        assert np.array_equal(a, b)
+        a, b = (getattr(t["air_to_iron"], name) for t in (tables, reference))
+        tol = 1e-12 * np.abs(reference["air_to_iron"].f_par).max()
+        assert np.abs(a - b).max() <= tol
+
+
+class _TurningLaw:
+    """A saturating law whose Jacobian on a block of rows turns negative
+    from its second block evaluation on: Newton's second tangent is not
+    positive definite."""
+
+    is_linear = False
+
+    def __init__(self, law):
+        self.law, self.blocks = law, 0
+
+    def response(self, b):
+        h, dh = self.law.response(b)
+        if len(b) > 1:
+            self.blocks += 1
+            if self.blocks > 1:
+                dh = -dh
+        return h, dh
+
+
+def test_kept_columns_refuse_an_indefinite_tangent_at_the_same_step(
+        monkeypatch):
+    law_in, law_out = laws_for_direction("air_to_iron", MaterialSpec(), K_F)
+    steps = []
+    for keep in (True, False):
+        prob = ExteriorProblem(SWEEP)
+        if keep:
+            assert prob.factors(law_in, law_out) is not None
+        else:
+            monkeypatch.setattr(prob, "factors", lambda law_in, law_out: None)
+        with pytest.raises(SolverError, match="singular tangent system") as exc:
+            prob.solve_corrector([3.0, 0.0], _TurningLaw(law_in), law_out)
+        steps.append(exc.value.iterations)
+    assert steps == [2, 2]
 
 
 @pytest.mark.parametrize("direction", DIRECTIONS)
