@@ -9,7 +9,6 @@ with a step-halving line search that only accepts strict objective decrease.
 
 from __future__ import annotations
 
-import io
 import time
 from dataclasses import dataclass, field
 
@@ -277,16 +276,17 @@ def optimize_nominal(problem, iron_to_air, air_to_iron, psi0=None,
 
 def save_levelset(psi, node_ids, mesh_fingerprint, path, iteration=0,
                   value=None):
-    buf = io.StringIO()
-    buf.write(f"{LEVELSET_FORMAT}\n")
-    buf.write(f"mesh {mesh_fingerprint}\n")
-    buf.write(f"iteration {iteration}\n")
-    buf.write(f"value {'nan' if value is None else repr(float(value))}\n")
-    buf.write(f"nodes {len(psi)}\n")
-    for nid, v in zip(node_ids, psi):
-        buf.write(f"{int(nid)} {float(v)!r}\n")
+    psi = np.asarray(psi, dtype=float)
+    ids = np.asarray(node_ids, dtype=np.int64)
+    if psi.ndim != 1 or psi.shape != ids.shape:
+        raise UsageError(f"{psi.size} level-set values for {ids.size} node ids")
+    if not np.all(np.isfinite(psi)):
+        raise UsageError("non-finite level-set values")
+    value = "nan" if value is None else repr(float(value))
+    rows = "".join([f"{i} {v!r}\n" for i, v in zip(ids.tolist(), psi.tolist())])
     with open(path, "w") as f:
-        f.write(buf.getvalue())
+        f.write(f"{LEVELSET_FORMAT}\nmesh {mesh_fingerprint}\niteration "
+                f"{iteration}\nvalue {value}\nnodes {len(psi)}\n{rows}")
 
 
 def load_levelset(path, expect_fingerprint=None):

@@ -8,6 +8,7 @@ arrays with the convention u[slave] = -u[master].
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,15 +126,15 @@ def _band_radii(r0, r1, dr, minimum=1):
 
 
 def _closest_count(target, sizes, count):
-    """First of sizes whose count(size) is closest to target; stops past 2.5x."""
-    best = None
-    for size in sizes:
-        n = count(size)
-        if best is None or abs(n - target) < abs(best[0] - target):
-            best = (n, size)
-        if n > 2.5 * target:
-            break
-    return best[1]
+    """Size in sizes whose count(size) is closest to target, the smaller on a tie.
+
+    count must increase strictly over sizes, so the answer is the first size
+    whose count reaches target, found by bisection, or the size before it.
+    """
+    i = min(bisect.bisect_left(sizes, target, key=count), len(sizes) - 1)
+    if i and target - count(sizes[i - 1]) <= count(sizes[i]) - target:
+        i -= 1
+    return sizes[i]
 
 
 # ---------------------------------------------------------------------------

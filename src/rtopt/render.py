@@ -30,10 +30,15 @@ CONTOUR_STROKE = "#c8102e"
 MM = 1000.0
 
 
-def _path_for(points, triangles):
-    """One closed subpath per triangle."""
-    xy = points[triangles].ravel().tolist()
-    return ("M%.3f %.3fL%.3f %.3fL%.3f %.3fZ" * len(triangles)) % tuple(xy)
+def _vertex_labels(points):
+    """The "x y" text of every point, each coordinate printed once (%.3f)."""
+    text = ("%.3f %.3f\n" * len(points)) % tuple(points.ravel().tolist())
+    return np.array(text.split("\n")[:-1], dtype=object)
+
+
+def _path_for(labels, triangles):
+    """One closed subpath per triangle, joined from its vertices' labels."""
+    return ("M%sL%sL%sZ" * len(triangles)) % tuple(labels[triangles].flat)
 
 
 def _contour_segments(points, triangles, values):
@@ -64,6 +69,11 @@ def render_design_svg(mesh, design, psi, design_nodes, title="design"):
     design is the per-design-element iron mask; psi, the nodal level set on
     design_nodes, gives the zero contour.
     """
+    psi = np.asarray(psi, dtype=float)
+    if psi.shape != (len(design_nodes),):
+        raise UsageError("level-set length does not match the design nodes")
+    if not np.all(np.isfinite(psi)):
+        raise UsageError("non-finite level-set values")
     pts = mesh.vertices * MM
     names = mesh.region_names
     rid = mesh.region_id
@@ -77,6 +87,7 @@ def render_design_svg(mesh, design, psi, design_nodes, title="design"):
     # SVG y runs downward; flip about the box's vertical center
     flipped = pts.copy()
     flipped[:, 1] = (ymax + ymin) - pts[:, 1]
+    labels = _vertex_labels(flipped)
 
     buf = io.StringIO()
     buf.write('<svg xmlns="http://www.w3.org/2000/svg" '
@@ -97,7 +108,7 @@ def render_design_svg(mesh, design, psi, design_nodes, title="design"):
             continue
         buf.write(f'<path fill="{fill}" stroke="{fill}" '
                   f'stroke-width="{hair:.4f}" '
-                  f'd="{_path_for(flipped, tris)}"/>\n')
+                  f'd="{_path_for(labels, tris)}"/>\n')
 
     tris = mesh.triangles[mesh.elements_in("design")]
     mask = np.asarray(design, dtype=bool)
@@ -108,10 +119,10 @@ def render_design_svg(mesh, design, psi, design_nodes, title="design"):
             continue
         buf.write(f'<path fill="{fill}" stroke="{fill}" '
                   f'stroke-width="{hair:.4f}" '
-                  f'd="{_path_for(flipped, tris[sel])}"/>\n')
+                  f'd="{_path_for(labels, tris[sel])}"/>\n')
 
     full = np.zeros(mesh.n_nodes)
-    full[np.asarray(design_nodes)] = np.asarray(psi, dtype=float)
+    full[np.asarray(design_nodes)] = psi
     segs = _contour_segments(flipped, tris, full)
     if len(segs):
         d = ("M%.3f %.3fL%.3f %.3f" * len(segs)) % tuple(segs.ravel().tolist())

@@ -1,6 +1,7 @@
 """Sphere geometry, descent loop statuses, trace format, persistence."""
 from __future__ import annotations
 
+import io
 import re
 
 import numpy as np
@@ -212,6 +213,53 @@ def test_levelset_roundtrip(tmp_path):
     # value defaults to nan when not recorded
     save_levelset(psi, ids, "deadbeef01", path)
     assert np.isnan(load_levelset(path)[2]["value"])
+
+
+def _reference_levelset_text(psi, node_ids, mesh_fingerprint, iteration=0,
+                              value=None):
+    """Reference .rtols text: one buffer write per row."""
+    buf = io.StringIO()
+    buf.write(f"{LEVELSET_FORMAT}\n")
+    buf.write(f"mesh {mesh_fingerprint}\n")
+    buf.write(f"iteration {iteration}\n")
+    buf.write(f"value {'nan' if value is None else repr(float(value))}\n")
+    buf.write(f"nodes {len(psi)}\n")
+    for nid, v in zip(node_ids, psi):
+        buf.write(f"{int(nid)} {float(v)!r}\n")
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("kind", ["list_ids", "int32_ids", "float32_psi"])
+def test_levelset_text_matches_the_per_row_reference(tmp_path, kind):
+    rng = np.random.default_rng(41)
+    ids = rng.permutation(5000)[:400]
+    psi = rng.standard_normal(400) * 10.0 ** rng.integers(-12, 12, 400)
+    psi[:3] = [0.0, -0.0, 1e-300]
+    ids, psi = {"list_ids": (ids.tolist(), psi),
+                "int32_ids": (ids.astype(np.int32), psi),
+                "float32_psi": (ids, psi.astype(np.float32))}[kind]
+    path = tmp_path / "state.rtols"
+    save_levelset(psi, ids, "deadbeef01", path, iteration=3, value=-2.5)
+    assert path.read_text() == _reference_levelset_text(
+        psi, ids, "deadbeef01", iteration=3, value=-2.5)
+    save_levelset(psi, ids, "deadbeef01", path)
+    assert path.read_text() == _reference_levelset_text(psi, ids, "deadbeef01")
+
+
+@pytest.mark.parametrize("psi, ids", [
+    ([0.5, -1.0, 2.0], [3, 1]),
+    ([0.5, -1.0], [3, 1, 2]),
+    ([0.5, np.nan, 2.0], [3, 1, 2]),
+    ([0.5, -1.0, np.inf], [3, 1, 2]),
+    ([[0.5, -1.0]], [[3, 1]]),
+], ids=["more_values", "more_ids", "nan", "inf", "two_dimensional"])
+def test_save_levelset_refuses_a_bad_field(tmp_path, psi, ids):
+    # zip would drop the unmatched rows, and load_levelset would only find
+    # the file malformed later; nothing is written
+    path = tmp_path / "state.rtols"
+    with pytest.raises(UsageError, match="level-set values"):
+        save_levelset(np.array(psi), ids, "deadbeef01", path)
+    assert not path.exists()
 
 
 def test_levelset_rejects_truncated_and_nonfinite(tmp_path):

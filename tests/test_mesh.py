@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rtopt import mesh as mesh_module
 from rtopt.config import load_config
 from rtopt.errors import ConfigurationError, UsageError
 from rtopt.fem import DofMap, P1Space
@@ -94,6 +95,53 @@ SHIPPED_FINGERPRINTS = {"toy": "dfa2c898f63651f2", "yoke": "d4cdc65e10f17e92",
 def test_shipped_config_meshes_are_pinned(name, digest):
     cfg = load_config(CONFIGS / f"{name}.cfg")
     assert build_machine_mesh(cfg.geometry).fingerprint() == digest
+
+
+def _closest_count_scan(target, sizes, count):
+    """Reference search: every size in turn, up to 2.5x the target."""
+    best = None
+    for size in sizes:
+        n = count(size)
+        if best is None or abs(n - target) < abs(best[0] - target):
+            best = (n, size)
+        if n > 2.5 * target:
+            break
+    return best[1]
+
+
+def test_closest_count_bisection_matches_the_scan():
+    sizes = range(3, 40)
+    for count in (lambda s: 2 * s, lambda s: s * s + 1, lambda s: 10 * s):
+        # from below the first count to above the last, ties included
+        for target in range(0, 2 * count(sizes[-1])):
+            assert (mesh_module._closest_count(target, sizes, count)
+                    == _closest_count_scan(target, sizes, count)), target
+
+
+def test_mesh_builders_size_as_the_scan(monkeypatch):
+    # both callers' counts grow strictly with the size, so bisection picks
+    # the size the scan picks; each search is checked where it happens
+    bisect_search = mesh_module._closest_count
+    searches = []
+
+    def checked(target, sizes, count):
+        size = bisect_search(target, sizes, count)
+        searches.append((target, size, _closest_count_scan(target, sizes,
+                                                           count)))
+        return size
+
+    monkeypatch.setattr(mesh_module, "_closest_count", checked)
+    machine_targets = [*range(200, 16001, 479), 1200, 3000, 4000]
+    disk_targets = [*range(60, 30001, 907), 2000, 4000, 8000]
+    for target in machine_targets:
+        build_machine_mesh(MachineGeometry(target_nodes=target))
+    build_machine_mesh(MachineGeometry(magnet_r=(0.040, 0.050),
+                                       target_nodes=2500))
+    for target in disk_targets:
+        graded_disk_mesh(128.0, target)
+    graded_disk_mesh(4.0, 3000, inclusion_radius=2.0)
+    assert len(searches) == len(machine_targets) + len(disk_targets) + 2
+    assert all(size == scan for _, size, scan in searches), searches
 
 
 def test_machine_geometry_validation():
