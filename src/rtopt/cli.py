@@ -161,6 +161,7 @@ def _write_summary(path, cfg, result, problem, design, tables):
         "iron_fraction": _iron_fraction(problem, design),
         "newton": newton_summary(problem.newton_log),
         "linear_bases": problem.bases_built,
+        "factorizations": problem.factorizations,
         "objective_evaluations": problem.objective_evaluations,
         "clamped_rows": sum(t.clamped_rows for t in tables.values()),
         "trace_rows": len(result.trace),

@@ -18,6 +18,11 @@ samples. Nonlinear iron solves each position by damped Newton on these
 loads; linear iron combines one basis of them per design (one factorization,
 two solves) for every position, q and adjoint.
 
+The tangent does not depend on the rotor angle, only on the flux, so
+position n + 1's Newton started at u_n factors K(u_n) at its first step,
+bitwise the matrix of position n's adjoint: `states` solves that adjoint
+with it there, and `adjoints` factors only the positions no such step did.
+
 The parameter vector q carries scenario uncertainty: the load angle of the
 currents ("phase" binding), one shared iron saturation knee ("knee" binding),
 or one knee per rotor block plus one for the stator ("knee_regions", with
@@ -188,6 +193,18 @@ class TorqueProbe:
                 + self.tangential.rmatmul(w * (self.radial @ u)))
 
 
+class PositionStates(list):
+    """The states of `MachineProblem.states`, one per rotor position, with
+    the adjoints their Newton solves gave on the way: adjoints[n] is
+    position n's, or None where no later solve factored K(u_n). key is the
+    (design, q) they were solved at."""
+
+    def __init__(self, key, n_positions):
+        super().__init__()
+        self.key = key
+        self.adjoints = [None] * n_positions
+
+
 class MachineProblem:
     """State solves, objective, adjoints and sensitivities for one mesh."""
 
@@ -202,6 +219,7 @@ class MachineProblem:
         self.newton_log = []        # NewtonInfo of every state solve, in order
         self._basis = None          # (design key, states, adjoints)
         self.bases_built = 0        # one factorization each
+        self.factorizations = 0     # Newton steps, adjoints, bases, smoother
         self.objective_evaluations = 0
 
         m = mesh.n_elements
@@ -327,7 +345,12 @@ class MachineProblem:
             raise UsageError(f"parameter vector must have length {self.scenario.n_q}")
         return q
 
-    def solve_position(self, design, q, n, u0=None):
+    def _key(self, design, q):
+        return np.asarray(design, dtype=bool).tobytes(), q.tobytes()
+
+    def solve_position(self, design, q, n, u0=None, first_factor=None):
+        """Newton's state at position n, from u0 if given; first_factor is
+        newton_solve's."""
         alpha = self.alphas()[n]
         q = self._q_array(q)
         respond = self.respond_factory(design, q, alpha)
@@ -337,8 +360,10 @@ class MachineProblem:
         h0 = self._nu[:, None] * (0.0 - self._remanence(alpha))
         u, info = newton_solve(self.space, self.dofmap, respond, load, h0, u0=u0,
                                tol=self.solver.newton_tol,
-                               max_iter=NEWTON_MAX_ITER)
+                               max_iter=NEWTON_MAX_ITER,
+                               first_factor=first_factor)
         self.newton_log.append(info)
+        self.factorizations += info.iterations
         return u, info
 
     def _linear_basis(self, design):
@@ -359,6 +384,7 @@ class MachineProblem:
             np.column_stack(loads))))
         rhs = dofmap.reduce_vector(self.torque_probe.torque_gradient(states))
         self.bases_built += 1
+        self.factorizations += 1
         return states.T, dofmap.expand(factor.solve(rhs)).T
 
     def _from_basis(self, design, q, row):
@@ -377,15 +403,29 @@ class MachineProblem:
     def states(self, design, q=None, starts=()):
         """States at every rotor position, in order: the design's basis
         combined (linear iron), or Newton from starts[n] (a nearby state)
-        where given, else from the previous position's state."""
+        where given, else from the previous position's state, whose adjoint
+        the first step's factor then solves (a PositionStates)."""
         q = self._q_array(q)
         if self.spec.iron_linear:
             return self._from_basis(design, q, 0)
-        out = []
+        out = PositionStates(self._key(design, q), self.scenario.n_positions)
         for n in range(self.scenario.n_positions):
-            u0 = starts[n] if n < len(starts) else (out[-1] if out else None)
-            out.append(self.solve_position(design, q, n, u0)[0])
+            chained = n >= len(starts) and n > 0
+            u0 = starts[n] if n < len(starts) else (out[-1] if chained else None)
+            shared = self._adjoint_into(out, n - 1) if chained else None
+            out.append(self.solve_position(design, q, n, u0, shared)[0])
         return out
+
+    def _adjoint_into(self, states, n):
+        """first_factor of a Newton solve started at states[n]: solves
+        position n's adjoint with the factor of K(states[n])."""
+        def solve(factor):
+            rhs = (self.torque_probe.torque_gradient(states[n])
+                   / self.scenario.n_positions)
+            states.adjoints[n] = self.dofmap.expand(
+                factor.solve(self.dofmap.reduce_vector(rhs)))
+
+        return solve
 
     def torque(self, u):
         return self.torque_probe.torque(u)
@@ -403,12 +443,18 @@ class MachineProblem:
         if self.spec.iron_linear:
             return [p / n_pos for p in self._from_basis(design, q, 1)]
         states = self.states(design, q) if states is None else states
+        shared = (states.adjoints if getattr(states, "key", None)
+                  == self._key(design, q) else [None] * len(states))
         alphas = self.alphas()
         out = []
         for n, u in enumerate(states):
+            if shared[n] is not None:
+                out.append(shared[n])
+                continue
             respond = self.respond_factory(design, q, alphas[n])
             rhs = self.torque_probe.torque_gradient(u) / n_pos
             out.append(adjoint_solve(self.space, self.dofmap, respond, u, rhs))
+            self.factorizations += 1
         return out
 
     def td_inputs(self, states, adjoints):
@@ -472,6 +518,7 @@ class MachineProblem:
         """The design region's screened smoother, built on first use."""
         if self._smoother is None:
             self._smoother = ScreenedSmoother(self.design_mesh, self.smoothing_eps)
+            self.factorizations += 1
         return self._smoother
 
     def knee_for_elements(self, q):

@@ -187,10 +187,10 @@ def test_optimize_missing_tables(tmp_path):
     assert main(["optimize", cfg]) == 2
 
 
-SUMMARY_KEYS = {"clamped_rows", "evaluations", "final_objective", "format",
-                "iron_fraction", "iterations", "linear_bases", "newton",
-                "objective_evaluations", "scenario", "status", "trace_rows",
-                "worst_parameters"}
+SUMMARY_KEYS = {"clamped_rows", "evaluations", "factorizations",
+                "final_objective", "format", "iron_fraction", "iterations",
+                "linear_bases", "newton", "objective_evaluations", "scenario",
+                "status", "trace_rows", "worst_parameters"}
 
 
 def read_artifacts(rundir):
@@ -230,6 +230,8 @@ def test_optimize_nominal_artifacts(tables_ready, capsys):
                                  "max_iterations": 0, "rejected_trials": 0,
                                  "warm_starts": 0, "residuals": 0}
     assert summary["linear_bases"] == summary["evaluations"]
+    # the bases and the smoother are all the factorizations
+    assert summary["factorizations"] == summary["linear_bases"] + 1
     # nominal: one objective call (at q_hat) per design
     assert summary["objective_evaluations"] == summary["evaluations"]
     assert final.startswith(b"RTOLS1\n")
@@ -355,6 +357,27 @@ def test_ang_runs_on_knee_axis_tables(tmp_path):
         assert main(["optimize", ang, "--mode", mode]) in (0, 4)
         summary = json.loads((out / mode / "summary.json").read_text())
         assert summary["scenario"] == "ANG" and summary["clamped_rows"] == 0
+
+
+def test_nominal_factorizations_counted(tmp_path, factor_calls):
+    # saturating iron at three positions: each position's Newton started at
+    # the previous state factors that state's tangent, and its adjoint is
+    # solved there, so an evaluation factors its Newton steps and the last
+    # position's adjoint; the smoother factors once per run
+    cfg = write_cfg(tmp_path / "scal.cfg", tmp_path / "scal",
+                    base=scal_base().replace("n_positions = 1",
+                                             "n_positions = 3"),
+                    algorithm="n_q = 3")
+    assert main(["precompute-td", cfg]) == 0
+    del factor_calls[:]
+    assert main(["optimize", cfg, "--mode", "nominal"]) in (0, 4)
+    summary = json.loads((tmp_path / "scal" / "nominal" / "summary.json")
+                         .read_text())
+    assert summary["evaluations"] >= 2
+    assert summary["newton"]["solves"] == 3 * summary["evaluations"]
+    assert summary["factorizations"] == (summary["newton"]["iterations"]
+                                         + summary["evaluations"] + 1)
+    assert summary["factorizations"] == len(factor_calls)
 
 
 def test_nom_scenario_exits_2(tmp_path, caplog):

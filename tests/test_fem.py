@@ -4,6 +4,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -607,6 +608,98 @@ def test_nonlinear_newton_factors_every_iteration(factor_calls):
     assert len(factor_calls) == info.iterations + 1
     assert np.array_equal(adjoint_solve(space, dofmap, respond, u, w), p)
     assert len(factor_calls) == info.iterations + 2
+
+
+def test_first_factor_is_the_tangent_at_the_start():
+    # the first step factors K(u0): handed out, it solves as a fresh factor
+    # of the tangent at u0 does, bitwise; a start that converges makes none
+    _, space, dofmap, respond, load = nonlinear_setup()
+    h0 = zero_flux(respond, space)
+    u0, _ = newton_solve(space, dofmap, respond, load, h0, tol=1e-10)
+    w = np.random.default_rng(3).standard_normal(space.n_nodes)
+    handed = []
+
+    def first_factor(factor):
+        handed.append(dofmap.expand(factor.solve(dofmap.reduce_vector(w))))
+
+    u, info = newton_solve(space, dofmap, respond, 1.5 * load, h0, u0=u0,
+                           tol=1e-10, first_factor=first_factor)
+    assert info.iterations >= 2 and len(handed) == 1
+    assert np.array_equal(handed[0], adjoint_solve(space, dofmap, respond,
+                                                   u0, w))
+    assert np.array_equal(u, newton_solve(space, dofmap, respond, 1.5 * load,
+                                          h0, u0=u0, tol=1e-10)[0])
+    newton_solve(space, dofmap, respond, 1.5 * load, h0, u0=u, tol=1e-10,
+                 first_factor=first_factor)
+    assert len(handed) == 1
+
+
+@pytest.fixture
+def band_factors(monkeypatch):
+    """Weak references to every BandCholesky made, in order. A second live
+    band factor costs page faults worth more than a saved factorization,
+    so making one while an earlier one is alive fails the test."""
+    made = []
+    init = fem.BandCholesky.__init__
+
+    def tracked(self, band):
+        assert all(ref() is None for ref in made), "two live band factors"
+        init(self, band)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(fem.BandCholesky, "__init__", tracked)
+    return made
+
+
+@pytest.mark.parametrize("path", ["whole", "kept_columns", "first_factor"])
+def test_newton_frees_each_factor_before_the_next(path, band_factors):
+    # whenever newton_solve asks for a factor, the one it asked for before
+    # is dead, but for a KeptColumnsCholesky, which refactors in place
+    _, space, dofmap, respond, load = nonlinear_setup()
+    h0 = zero_flux(respond, space)
+    u0, handed = None, []
+    if path == "first_factor":
+        u0, _ = newton_solve(space, dofmap, respond, load, h0, tol=1e-10)
+        load = 1.5 * load
+        del band_factors[:]
+    # every element saturates, so no column is kept: each later tangent is
+    # factored whole in the first one's storage
+    source = (KeptColumnsCholesky(space, dofmap, 0) if path == "kept_columns"
+              else lambda dh: factor_tangent(space, dofmap, dh))
+    returned, storage = [], set()
+
+    def factors(dh):
+        assert all(ref() is None or ref() is source for ref in returned)
+        factor = source(dh)
+        returned.append(weakref.ref(factor))
+        band = factor._factor           # a KeptColumnsCholesky's BandCholesky
+        storage.add(id(getattr(band, "_factor", band)))
+        return factor
+
+    def first_factor(factor):
+        handed.append(factor.solve(dofmap.reduce_vector(load)))
+
+    _, info = newton_solve(
+        space, dofmap, respond, load, h0, u0=u0, tol=1e-10, factors=factors,
+        first_factor=first_factor if path == "first_factor" else None)
+    assert info.iterations >= 2 and len(returned) == info.iterations
+    assert len(handed) == (path == "first_factor")
+    if path == "kept_columns":
+        assert len(band_factors) == 1 and len(storage) == 1
+    else:
+        assert len(band_factors) == info.iterations
+        assert all(ref() is None for ref in band_factors)
+
+
+def test_chained_positions_free_each_factor(toy_mesh, band_factors):
+    # the adjoints solved with the first factors of chained positions keep
+    # no factor alive
+    problem = MachineProblem(toy_mesh, MaterialSpec(), Scenario(
+        name="SCAL", n_positions=3, q_hat=np.array([2.0])))
+    states = problem.states(np.ones(len(problem.design_elements), dtype=bool))
+    assert all(p is not None for p in states.adjoints[:-1])
+    assert len(band_factors) == sum(i.iterations for i in problem.newton_log)
+    assert all(ref() is None for ref in band_factors)
 
 
 def rcm_meshes():

@@ -392,3 +392,73 @@ def test_warm_started_positions_match_cold_solves(toy_mesh, monkeypatch):
     linear.states(design)
     assert solves == [] and linear.newton_log == []
     assert linear.bases_built == 1
+
+
+@pytest.mark.parametrize("name,q_hat,co_rotate", [
+    ("SCAL", [2.0], False),
+    ("DIST", np.linspace(1.9, 2.5, 9), True)])
+def test_chained_positions_share_the_adjoint_factor(toy_mesh, factor_calls,
+                                                    monkeypatch, name, q_hat,
+                                                    co_rotate):
+    # position n + 1's Newton starts at u_n and factors K(u_n) first, the
+    # matrix of position n's adjoint: that adjoint is solved there, bitwise
+    # as with a fresh factor, and only the last position's is factored again
+    n_pos = 4
+    problem = MachineProblem(toy_mesh, MaterialSpec(), Scenario(
+        name=name, n_positions=n_pos, q_hat=np.asarray(q_hat),
+        co_rotate_magnets=co_rotate))
+    rng = np.random.default_rng(23)
+    design = rng.random(len(problem.design_elements)) < 0.6
+    q = problem.scenario.q_hat
+    space, dofmap = problem.space, problem.dofmap
+
+    def fresh(states, q):
+        """Every adjoint through adjoint_solve, each factored afresh."""
+        out = []
+        for alpha, u in zip(problem.alphas(), states):
+            respond = problem.respond_factory(design, q, alpha)
+            rhs = problem.torque_probe.torque_gradient(u) / n_pos
+            out.append(adjoint_solve(space, dofmap, respond, u, rhs))
+        return out
+
+    def solved(states, q):
+        """problem.adjoints and the factorizations it made."""
+        calls = len(factor_calls)
+        adjoints = problem.adjoints(design, q, states)
+        return adjoints, len(factor_calls) - calls
+
+    states = problem.states(design)
+    newton = sum(i.iterations for i in problem.newton_log)
+    assert len(factor_calls) == problem.factorizations == newton
+    adjoints, made = solved(states, q)
+    assert made == 1 and problem.factorizations == newton + 1
+    reference = fresh(states, q)
+    assert all(np.array_equal(p, r) for p, r in zip(adjoints, reference))
+
+    # started at its own converged states, every solve converges at step 0
+    # and factors nothing, so every adjoint is factored, to the same bits
+    again = problem.states(design, starts=states)
+    assert [i.iterations for i in problem.newton_log[-n_pos:]] == [0] * n_pos
+    adjoints, made = solved(again, q)
+    assert made == n_pos
+    assert all(np.array_equal(p, r) for p, r in zip(adjoints, reference))
+
+    # started at another q's states, no position chains to the one before
+    q2 = q * 1.02
+    near = problem.states(design, q2, starts=states)
+    adjoints, made = solved(near, q2)
+    assert made == n_pos
+    assert all(np.array_equal(p, r) for p, r in zip(adjoints, fresh(near, q2)))
+    # the shared adjoints hold for the design and q they were solved at
+    _, made = solved(states, q2)
+    assert made == n_pos
+
+    # positions at one angle: each chained start has converged already and
+    # factors nothing, so its predecessor's adjoint is factored afresh
+    monkeypatch.setattr(problem, "alphas", lambda: np.full(n_pos, 0.1))
+    same = problem.states(design)
+    chained = problem.newton_log[-n_pos + 1:]
+    assert [i.iterations for i in chained] == [0] * (n_pos - 1)
+    adjoints, made = solved(same, q)
+    assert made == n_pos
+    assert all(np.array_equal(p, r) for p, r in zip(adjoints, fresh(same, q)))
