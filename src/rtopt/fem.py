@@ -496,7 +496,7 @@ def _kept_update(factor, start):
 
 
 def newton_solve(space, dofmap, respond, load_full, h0, u0=None, tol=1e-8,
-                 max_iter=50, factors=None, first_factor=None):
+                 max_iter=50, factors=None):
     """Damped Newton for the reduced residual C^T (flux(u) - load).
 
     respond(B) must return new (h, dh) arrays of shapes (m, 2) and (m, 2, 2)
@@ -510,18 +510,13 @@ def newton_solve(space, dofmap, respond, load_full, h0, u0=None, tol=1e-8,
     exact for linear laws (whose full step passes); stagnation raises SolverError.
     Every step factors its tangent through factors(dh), which returns an
     object with solve (a KeptColumnsCholesky, say); by default each tangent
-    is factored whole by factor_tangent. first_factor(factor), if given, is
-    called with the first step's factor, of the tangent at the start, before
-    the step is taken; it must not keep the factor, which is freed before
-    the next step's is made. A start that already converges makes none.
+    is factored whole by factor_tangent. The first call factors the tangent
+    at the start, so the caller may solve its own systems with it there
+    (MachineProblem.states does); a start that already converges makes no
+    call. No factor may outlive its step: Newton drops each one before it
+    asks for the next.
     """
     factors = factors or (lambda dh: factor_tangent(space, dofmap, dh))
-
-    def factor(dh, it):
-        out = factors(dh)
-        if it == 1 and first_factor is not None:
-            first_factor(out)
-        return out
 
     warm = u0 is not None
     u = np.zeros(space.n_nodes) if u0 is None else dofmap.expand(
@@ -549,7 +544,7 @@ def newton_solve(space, dofmap, respond, load_full, h0, u0=None, tol=1e-8,
     for it in range(1, max_iter + 1):
         # no local keeps a whole factor, so it is freed before the next is made
         try:
-            step = -factor(dh, it).solve(f)
+            step = -factors(dh).solve(f)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular tangent system at Newton step {it}",
                               residual=history[-1], iterations=it) from exc

@@ -46,11 +46,11 @@ class LevelSetOptions:
             raise ConfigurationError("max_iterations must be at least 1")
 
 
-def normalize(psi, geometry):
-    """Scale to unit mass-norm; a zero field has no direction."""
+def normalize(psi, geometry, what="level-set field"):
+    """Scale to unit mass-norm; a zero or non-finite `what` has no direction."""
     n = geometry.norm(psi)
     if n <= 0.0 or not np.isfinite(n):
-        raise UsageError("cannot normalize a zero level-set field")
+        raise UsageError(f"cannot normalize a zero or non-finite {what}")
     return psi / n
 
 
@@ -163,7 +163,7 @@ def drive(evaluator, psi0, geometry, options=None, snapshot=None):
     psi = normalize(np.asarray(psi0, dtype=float), geometry)
     ev = evaluator(psi)
     n_eval = 1
-    g_hat = normalize(ev.sensitivity, geometry)
+    g_hat = normalize(ev.sensitivity, geometry, "sensitivity field")
     theta = angle_between(psi, g_hat, geometry)
     s = opts.step_init
     trace = [TraceRow(0, ev.value, np.degrees(theta), s, True,
@@ -196,7 +196,7 @@ def drive(evaluator, psi0, geometry, options=None, snapshot=None):
         if trial_ev.value < ev.value:
             k += 1
             psi, ev = trial, trial_ev
-            g_hat = normalize(ev.sensitivity, geometry)
+            g_hat = normalize(ev.sensitivity, geometry, "sensitivity field")
             theta = angle_between(psi, g_hat, geometry)
             key = evaluator.design_key(psi)
             trace.append(TraceRow(k, ev.value, np.degrees(theta), s, True,
@@ -222,10 +222,10 @@ class NominalEvaluator:
     A nominal run is the worst-case evaluation with the parameter pinned:
     worst_case returns the fixed q, and RobustEvaluator overrides it with
     the inner maximization. Each design opens one robust.ParameterObjective,
-    the per-q memo of states and adjoints (linear iron draws them from
-    MachineProblem's per-design basis), and the field is the plain
-    objective's sensitivity frozen at the chosen q. The position-0 states
-    of the last design evaluated are where the next design's Newton starts.
+    the per-q memo of the states MachineProblem returns with their
+    adjoints, and the field is the plain objective's sensitivity frozen at
+    the chosen q. The position-0 states of the last design evaluated are
+    where the next design's Newton starts.
     """
 
     def __init__(self, problem, iron_to_air, air_to_iron):
@@ -250,10 +250,10 @@ class NominalEvaluator:
                                               self._position0)
         q = self.worst_case(objective)
         value = objective.value(q)
-        states, adjoints = objective.solution_pack(q)
+        states = objective.states(q)
         self._position0 = objective.position0()
         g_elem = robust.robust_td_field(self.problem, design, self.iron_to_air,
-                                        self.air_to_iron, q, states, adjoints)
+                                        self.air_to_iron, q, states)
         return Evaluation(value, g_elem, q.copy())
 
     def __call__(self, psi):

@@ -18,10 +18,11 @@ samples. Nonlinear iron solves each position by damped Newton on these
 loads; linear iron combines one basis of them per design (one factorization,
 two solves) for every position, q and adjoint.
 
-The tangent does not depend on the rotor angle, only on the flux, so
-position n + 1's Newton started at u_n factors K(u_n) at its first step,
-bitwise the matrix of position n's adjoint: `states` solves that adjoint
-with it there, and `adjoints` factors only the positions no such step did.
+`states` returns a PositionStates, the one record of a solved (design, q):
+its states and adjoints. The tangent depends on the flux, not on the rotor
+angle, so position n + 1's Newton started at u_n factors K(u_n) at its
+first step, bitwise the matrix of position n's adjoint: `states` solves it
+there (linear iron fills all from the basis), `adjoints` the rest in place.
 
 The parameter vector q carries scenario uncertainty: the load angle of the
 currents ("phase" binding), one shared iron saturation knee ("knee" binding),
@@ -194,10 +195,10 @@ class TorqueProbe:
 
 
 class PositionStates(list):
-    """The states of `MachineProblem.states`, one per rotor position, with
-    the adjoints their Newton solves gave on the way: adjoints[n] is
-    position n's, or None where no later solve factored K(u_n). key is the
-    (design, q) they were solved at."""
+    """The states of `MachineProblem.states`, one per rotor position, and
+    their adjoints: adjoints[n] is position n's, or None until
+    `MachineProblem.adjoints` solves it. key is the (design, q) they were
+    solved at."""
 
     def __init__(self, key, n_positions):
         super().__init__()
@@ -348,8 +349,8 @@ class MachineProblem:
     def _key(self, design, q):
         return np.asarray(design, dtype=bool).tobytes(), q.tobytes()
 
-    def solve_position(self, design, q, n, u0=None, first_factor=None):
-        """Newton's state at position n, from u0 if given; first_factor is
+    def solve_position(self, design, q, n, u0=None, factors=None):
+        """Newton's state at position n, from u0 if given; factors is
         newton_solve's."""
         alpha = self.alphas()[n]
         q = self._q_array(q)
@@ -360,8 +361,7 @@ class MachineProblem:
         h0 = self._nu[:, None] * (0.0 - self._remanence(alpha))
         u, info = newton_solve(self.space, self.dofmap, respond, load, h0, u0=u0,
                                tol=self.solver.newton_tol,
-                               max_iter=NEWTON_MAX_ITER,
-                               first_factor=first_factor)
+                               max_iter=NEWTON_MAX_ITER, factors=factors)
         self.newton_log.append(info)
         self.factorizations += info.iterations
         return u, info
@@ -387,9 +387,9 @@ class MachineProblem:
         self.factorizations += 1
         return states.T, dofmap.expand(factor.solve(rhs)).T
 
-    def _from_basis(self, design, q, row):
-        """Basis states (row 0) or adjoints (row 1) combined at every
-        position, with the weights of `_remanence` and `_winding`."""
+    def _from_basis(self, design, q):
+        """Basis states and adjoints combined at every position, with the
+        weights of `_remanence` and `_winding`."""
         key = np.asarray(design, dtype=bool).tobytes()
         if self._basis is None or self._basis[0] != key:
             self._basis = (key,) + self._linear_basis(design)
@@ -398,34 +398,39 @@ class MachineProblem:
         magnets = ([np.cos(alphas), np.sin(alphas)]
                    if self.scenario.co_rotate_magnets else [np.ones_like(alphas)])
         weights = np.column_stack(magnets + [np.sin(theta), np.cos(theta)])
-        return list(weights @ self._basis[1 + row])
+        return (weights @ self._basis[1],
+                weights @ self._basis[2] / self.scenario.n_positions)
 
     def states(self, design, q=None, starts=()):
-        """States at every rotor position, in order: the design's basis
-        combined (linear iron), or Newton from starts[n] (a nearby state)
-        where given, else from the previous position's state, whose adjoint
-        the first step's factor then solves (a PositionStates)."""
+        """The PositionStates of every rotor position, in order: the
+        design's basis combined, adjoints too (linear iron), or Newton from
+        starts[n] (a nearby state) where given, else from the previous
+        position's state, whose adjoint the first step's factor solves."""
         q = self._q_array(q)
-        if self.spec.iron_linear:
-            return self._from_basis(design, q, 0)
         out = PositionStates(self._key(design, q), self.scenario.n_positions)
+        if self.spec.iron_linear:
+            out[:], out.adjoints[:] = self._from_basis(design, q)
+            return out
         for n in range(self.scenario.n_positions):
             chained = n >= len(starts) and n > 0
             u0 = starts[n] if n < len(starts) else (out[-1] if chained else None)
-            shared = self._adjoint_into(out, n - 1) if chained else None
-            out.append(self.solve_position(design, q, n, u0, shared)[0])
+            factors = self._chained(out, n - 1) if chained else None
+            out.append(self.solve_position(design, q, n, u0, factors)[0])
         return out
 
-    def _adjoint_into(self, states, n):
-        """first_factor of a Newton solve started at states[n]: solves
-        position n's adjoint with the factor of K(states[n])."""
-        def solve(factor):
-            rhs = (self.torque_probe.torque_gradient(states[n])
-                   / self.scenario.n_positions)
-            states.adjoints[n] = self.dofmap.expand(
-                factor.solve(self.dofmap.reduce_vector(rhs)))
+    def _chained(self, states, n):
+        """factors of a Newton solve started at states[n]: its first call,
+        of K(states[n]), also solves position n's adjoint."""
+        def factors(dh):
+            factor = factor_tangent(self.space, self.dofmap, dh)
+            if states.adjoints[n] is None:
+                rhs = (self.torque_probe.torque_gradient(states[n])
+                       / self.scenario.n_positions)
+                states.adjoints[n] = self.dofmap.expand(
+                    factor.solve(self.dofmap.reduce_vector(rhs)))
+            return factor
 
-        return solve
+        return factors
 
     def torque(self, u):
         return self.torque_probe.torque(u)
@@ -438,23 +443,19 @@ class MachineProblem:
         return float(-np.mean(torques)), states
 
     def adjoints(self, design, q=None, states=None):
+        """The adjoint of every position: states.adjoints, each missing one
+        solved in place, or a new list for states of another (design, q)."""
         q = self._q_array(q)
-        n_pos = self.scenario.n_positions
-        if self.spec.iron_linear:
-            return [p / n_pos for p in self._from_basis(design, q, 1)]
         states = self.states(design, q) if states is None else states
-        shared = (states.adjoints if getattr(states, "key", None)
-                  == self._key(design, q) else [None] * len(states))
+        out = (states.adjoints if getattr(states, "key", None)
+               == self._key(design, q) else [None] * len(states))
         alphas = self.alphas()
-        out = []
         for n, u in enumerate(states):
-            if shared[n] is not None:
-                out.append(shared[n])
-                continue
-            respond = self.respond_factory(design, q, alphas[n])
-            rhs = self.torque_probe.torque_gradient(u) / n_pos
-            out.append(adjoint_solve(self.space, self.dofmap, respond, u, rhs))
-            self.factorizations += 1
+            if out[n] is None:
+                respond = self.respond_factory(design, q, alphas[n])
+                rhs = self.torque_probe.torque_gradient(u) / self.scenario.n_positions
+                out[n] = adjoint_solve(self.space, self.dofmap, respond, u, rhs)
+                self.factorizations += 1
         return out
 
     def td_inputs(self, states, adjoints):
@@ -467,7 +468,7 @@ class MachineProblem:
 
     # -- parameter gradient ----------------------------------------------------
 
-    def grad_q(self, design, q=None, states=None, adjoints=None):
+    def grad_q(self, design, q=None, states=None):
         """Gradient of J with respect to the scenario parameter vector."""
         q = self._q_array(q)
         binding = self.scenario.binding
@@ -475,7 +476,7 @@ class MachineProblem:
             # the linear iron law has no knee, so no state depends on q
             return np.zeros(self.scenario.n_q)
         states = self.states(design, q) if states is None else states
-        adjoints = self.adjoints(design, q, states) if adjoints is None else adjoints
+        adjoints = self.adjoints(design, q, states)
         grad = np.zeros(self.scenario.n_q)
 
         if binding == "phase":

@@ -188,12 +188,11 @@ MEMO_LIMIT = 32
 class ParameterObjective:
     """J(design, q) with lazy adjoint-based gradients and a per-q memo.
 
-    Every evaluator opens one objective per design and takes its states and
-    adjoints from here. With nonlinear iron the memo is their only store;
-    linear iron combines them from MachineProblem's per-design basis, and
-    the memo keeps the combinations. previous holds (q, [state at position
-    0]) pairs of an earlier design (`position0` of its objective), where
-    Newton starts until this design has solved a q of its own.
+    Every evaluator opens one objective per design and takes its states from
+    here: the memo keeps each q's PositionStates, which carry the adjoints
+    that MachineProblem.adjoints fills. previous holds (q, [state at
+    position 0]) pairs of an earlier design (`position0` of its objective),
+    where Newton starts until this design has solved a q of its own.
     """
 
     def __init__(self, problem, design, previous=()):
@@ -215,7 +214,7 @@ class ParameterObjective:
             value, states = self.problem.objective(self.design, q, starts)
             self.n_evaluations += 1
             self._memo[key] = {"q": np.asarray(q, dtype=float), "value": value,
-                               "states": states, "adjoints": None, "grad": None}
+                               "states": states, "grad": None}
             if len(self._memo) > MEMO_LIMIT:
                 del self._memo[next(iter(self._memo))]
         return self._memo[key]
@@ -230,20 +229,15 @@ class ParameterObjective:
     def value_grad(self, q):
         e = self._entry(q)
         if e["grad"] is None:
-            e["grad"] = self.problem.grad_q(self.design, e["q"],
-                                            *self.solution_pack(q))
+            e["grad"] = self.problem.grad_q(self.design, e["q"], e["states"])
         return e["value"], e["grad"]
 
-    def solution_pack(self, q):
-        """States and adjoints at q, solved if not already cached."""
-        e = self._entry(q)
-        if e["adjoints"] is None:
-            e["adjoints"] = self.problem.adjoints(self.design, e["q"], e["states"])
-        return e["states"], e["adjoints"]
+    def states(self, q):
+        """The PositionStates at q, solved if not already memoized."""
+        return self._entry(q)["states"]
 
 
-def robust_td_field(problem, design, iron_to_air, air_to_iron, q_star,
-                    states, adjoints):
+def robust_td_field(problem, design, iron_to_air, air_to_iron, q_star, states):
     """Sensitivity field of the plain objective frozen at the worst case.
 
     Iron elements read the knee from q_star. Air elements evaluate the flip
@@ -253,7 +247,7 @@ def robust_td_field(problem, design, iron_to_air, air_to_iron, q_star,
     """
     from .topderiv import generalized_td_field
 
-    U, P = problem.td_inputs(states, adjoints)
+    U, P = problem.td_inputs(states, problem.adjoints(design, q_star, states))
     return generalized_td_field(
         iron_to_air, air_to_iron, U, P, design,
         problem.knee_for_elements(q_star),

@@ -245,10 +245,13 @@ class TDTable:
     meta: dict | None = None
 
     def __post_init__(self):
-        self.t, self.q, self.f_par, self.f_perp = (
-            np.asarray(a, dtype=float) for a in (self.t, self.q, self.f_par, self.f_perp))
+        self.t, self.q, self.f_par, self.f_perp = arrays = [
+            np.asarray(a, dtype=float) for a in (self.t, self.q, self.f_par, self.f_perp)]
         if self.direction not in DIRECTIONS:
             raise UsageError(f"unknown direction {self.direction!r}")
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise UsageError("non-finite table values sampled to t_max "
+                             f"{float(np.max(self.t))!r}")
         for name, axis, least in (("t", self.t, 2), ("knee", self.q, 1)):
             if axis.ndim != 1 or len(axis) < least or np.any(np.diff(axis) <= 0.0):
                 raise ValueError(f"{name} axis needs at least {least} strictly "

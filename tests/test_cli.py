@@ -380,6 +380,34 @@ def test_nominal_factorizations_counted(tmp_path, factor_calls):
     assert summary["factorizations"] == len(factor_calls)
 
 
+def test_robust_factorizations_counted(tmp_path, factor_calls):
+    # the inner ascent's gradients solve the adjoints no chained Newton
+    # step did, and the field reads them from the same states: every
+    # factorization is counted once
+    cfg = write_cfg(tmp_path / "scal.cfg", tmp_path / "scal",
+                    base=scal_base().replace("n_positions = 1",
+                                             "n_positions = 3"),
+                    algorithm="n_q = 3")
+    assert main(["precompute-td", cfg]) == 0
+    del factor_calls[:]
+    assert main(["optimize", cfg, "--mode", "robust"]) in (0, 4)
+    summary = json.loads((tmp_path / "scal" / "robust" / "summary.json")
+                         .read_text())
+    assert summary["objective_evaluations"] > summary["evaluations"] >= 2
+    assert summary["factorizations"] == len(factor_calls)
+
+
+def test_precompute_refuses_non_finite_tables(tmp_path, caplog):
+    # linear responses overflow when sampled to t_max = 1e308: the table
+    # refuses them, naming t_max, so precompute exits 2 and writes none
+    cfg = write_cfg(tmp_path / "huge.cfg", tmp_path / "o",
+                    base=BASE.replace("t_max = 12.0", "t_max = 1e308"))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["precompute-td", cfg]) == 2
+    assert "non-finite table values sampled to t_max 1e+308" in caplog.text
+    assert list((tmp_path / "o").rglob("*.rtotd")) == []
+
+
 def test_nom_scenario_exits_2(tmp_path, caplog):
     # nominal is a mode of every scenario: a config without `name` runs ANG
     # at the machine's load angle, and the old NOM scenario is gone

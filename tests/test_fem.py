@@ -611,27 +611,31 @@ def test_nonlinear_newton_factors_every_iteration(factor_calls):
 
 
 def test_first_factor_is_the_tangent_at_the_start():
-    # the first step factors K(u0): handed out, it solves as a fresh factor
-    # of the tangent at u0 does, bitwise; a start that converges makes none
+    # the first factors call of a warm-started solve factors K(u0): it
+    # solves as a fresh factor of the tangent at u0 does, bitwise; a start
+    # that converges makes no call
     _, space, dofmap, respond, load = nonlinear_setup()
     h0 = zero_flux(respond, space)
     u0, _ = newton_solve(space, dofmap, respond, load, h0, tol=1e-10)
     w = np.random.default_rng(3).standard_normal(space.n_nodes)
     handed = []
 
-    def first_factor(factor):
+    def factors(dh):
+        factor = factor_tangent(space, dofmap, dh)
         handed.append(dofmap.expand(factor.solve(dofmap.reduce_vector(w))))
+        return factor
 
     u, info = newton_solve(space, dofmap, respond, 1.5 * load, h0, u0=u0,
-                           tol=1e-10, first_factor=first_factor)
-    assert info.iterations >= 2 and len(handed) == 1
+                           tol=1e-10, factors=factors)
+    assert info.iterations >= 2 and len(handed) == info.iterations
     assert np.array_equal(handed[0], adjoint_solve(space, dofmap, respond,
                                                    u0, w))
     assert np.array_equal(u, newton_solve(space, dofmap, respond, 1.5 * load,
                                           h0, u0=u0, tol=1e-10)[0])
+    del handed[:]
     newton_solve(space, dofmap, respond, 1.5 * load, h0, u0=u, tol=1e-10,
-                 first_factor=first_factor)
-    assert len(handed) == 1
+                 factors=factors)
+    assert handed == []
 
 
 @pytest.fixture
@@ -651,14 +655,16 @@ def band_factors(monkeypatch):
     return made
 
 
-@pytest.mark.parametrize("path", ["whole", "kept_columns", "first_factor"])
+@pytest.mark.parametrize("path", ["whole", "kept_columns", "chained"])
 def test_newton_frees_each_factor_before_the_next(path, band_factors):
     # whenever newton_solve asks for a factor, the one it asked for before
-    # is dead, but for a KeptColumnsCholesky, which refactors in place
+    # is dead, but for a KeptColumnsCholesky, which refactors in place; a
+    # chained start also solves with its first factor, as
+    # MachineProblem.states does, and keeps none
     _, space, dofmap, respond, load = nonlinear_setup()
     h0 = zero_flux(respond, space)
     u0, handed = None, []
-    if path == "first_factor":
+    if path == "chained":
         u0, _ = newton_solve(space, dofmap, respond, load, h0, tol=1e-10)
         load = 1.5 * load
         del band_factors[:]
@@ -671,19 +677,17 @@ def test_newton_frees_each_factor_before_the_next(path, band_factors):
     def factors(dh):
         assert all(ref() is None or ref() is source for ref in returned)
         factor = source(dh)
+        if path == "chained" and not returned:
+            handed.append(factor.solve(dofmap.reduce_vector(load)))
         returned.append(weakref.ref(factor))
         band = factor._factor           # a KeptColumnsCholesky's BandCholesky
         storage.add(id(getattr(band, "_factor", band)))
         return factor
 
-    def first_factor(factor):
-        handed.append(factor.solve(dofmap.reduce_vector(load)))
-
-    _, info = newton_solve(
-        space, dofmap, respond, load, h0, u0=u0, tol=1e-10, factors=factors,
-        first_factor=first_factor if path == "first_factor" else None)
+    _, info = newton_solve(space, dofmap, respond, load, h0, u0=u0,
+                           tol=1e-10, factors=factors)
     assert info.iterations >= 2 and len(returned) == info.iterations
-    assert len(handed) == (path == "first_factor")
+    assert len(handed) == (path == "chained")
     if path == "kept_columns":
         assert len(band_factors) == 1 and len(storage) == 1
     else:

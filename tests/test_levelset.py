@@ -150,6 +150,25 @@ def test_drive_stalls_on_flat_objective(geo):
     assert steps[0] == 0.5 and steps[-1] == pytest.approx(0.05)
 
 
+@pytest.mark.parametrize("bad", [0.0, np.nan], ids=["zero", "nan"])
+@pytest.mark.parametrize("live", [0, 1], ids=["first", "accepted"])
+def test_drive_names_a_bad_sensitivity_field(geo, live, bad):
+    # psi stays a unit field; the error names the field that has no
+    # direction, at the first evaluation and after an accepted step
+    class Vanishing(LinearObjective):
+        def __call__(self, psi):
+            ev = super().__call__(psi)
+            if self.calls > live:
+                ev.sensitivity = np.full_like(ev.sensitivity, bad)
+            return ev
+
+    rng = np.random.default_rng(2)
+    m = unit(rng.standard_normal(16), geo)
+    psi0 = unit(rng.standard_normal(16), geo)
+    with pytest.raises(UsageError, match="non-finite sensitivity field"):
+        drive(Vanishing(m, geo), psi0, geo)
+
+
 def test_drive_iteration_cap(geo, monkeypatch):
     rng = np.random.default_rng(1)
     m = unit(rng.standard_normal(16), geo)

@@ -462,3 +462,56 @@ def test_chained_positions_share_the_adjoint_factor(toy_mesh, factor_calls,
     adjoints, made = solved(same, q)
     assert made == n_pos
     assert all(np.array_equal(p, r) for p, r in zip(adjoints, fresh(same, q)))
+
+
+@pytest.mark.parametrize("iron_linear", [True, False], ids=["linear", "saturating"])
+def test_states_are_the_record_of_their_adjoints(toy_mesh, factor_calls,
+                                                 iron_linear):
+    # adjoints fills the adjoints of the states they were solved from, in
+    # place; a second call and grad_q after it factor nothing
+    problem = MachineProblem(toy_mesh, MaterialSpec(iron_linear=iron_linear),
+                             Scenario(name="ANG", n_positions=3, q_hat=PHASE))
+    design = np.random.default_rng(9).random(len(problem.design_elements)) > 0.4
+    q = PHASE + 0.1
+    states = problem.states(design, q)
+    # linear iron fills them at once, Newton all but the last position's
+    assert [p is None for p in states.adjoints] == [False] * 2 + [not iron_linear]
+    adjoints = problem.adjoints(design, q, states)
+    assert adjoints is states.adjoints
+    assert all(p is not None for p in adjoints)
+    calls = len(factor_calls)
+    assert problem.adjoints(design, q, states) is states.adjoints
+    problem.grad_q(design, q, states)
+    assert len(factor_calls) == calls
+
+
+@pytest.mark.parametrize("iron_linear", [True, False], ids=["linear", "saturating"])
+def test_objective_solves_each_adjoint_once(toy_mesh, linear_tables,
+                                            factor_calls, monkeypatch,
+                                            iron_linear):
+    # within one ParameterObjective, the gradient at q and the field at q
+    # read one set of adjoints: saturating iron factors only the last
+    # position's, which no chained Newton step solved; linear iron none
+    from rtopt.robust import ParameterObjective, robust_td_field
+
+    solved = []
+    adjoint_solve_raw = machine.adjoint_solve
+
+    def spy(*args, **kwargs):
+        solved.append(args[3])
+        return adjoint_solve_raw(*args, **kwargs)
+
+    monkeypatch.setattr(machine, "adjoint_solve", spy)
+    problem = MachineProblem(toy_mesh, MaterialSpec(iron_linear=iron_linear),
+                             Scenario(name="ANG", n_positions=3, q_hat=PHASE))
+    design = np.random.default_rng(10).random(len(problem.design_elements)) > 0.4
+    objective = ParameterObjective(problem, design)
+    objective.value(PHASE)
+    calls = len(factor_calls)
+    objective.value_grad(PHASE)
+    robust_td_field(problem, design, linear_tables["iron_to_air"],
+                    linear_tables["air_to_iron"], PHASE, objective.states(PHASE))
+    states = objective.states(PHASE)
+    assert all(p is not None for p in states.adjoints)
+    assert [id(u) for u in solved] == ([] if iron_linear else [id(states[-1])])
+    assert len(factor_calls) - calls == len(solved)

@@ -259,9 +259,8 @@ def test_new_q_starts_from_nearest_solved_q(toy_mesh, monkeypatch):
     obj.value(far)
     obj.value(near)
     del starts[:]
-    warm = obj.solution_pack(new)[0]
-    assert all(u0 is u for u0, u in zip(starts, obj.solution_pack(near)[0],
-                                        strict=True))
+    warm = obj.states(new)
+    assert all(u0 is u for u0, u in zip(starts, obj.states(near), strict=True))
     del starts[:]
     cold = problem.states(design, new)
     assert starts[0] is None
@@ -295,7 +294,7 @@ def test_new_design_starts_from_previous_design(toy_mesh, monkeypatch):
     assert np.array_equal([q for q, _ in previous], [far, near])
     obj = ParameterObjective(problem, rng.random(n) > 0.5, previous)
     del starts[:]
-    states = obj.solution_pack(new)[0]
+    states = obj.states(new)
     assert starts[0] is previous[1][1][0]
     assert starts[1] is states[0]
     del starts[:]

@@ -418,6 +418,21 @@ def test_clamp_warns_once(caplog):
     assert sum("clamped" in r.message for r in caplog.records) == 1
 
 
+@pytest.mark.parametrize("field", ["t", "q", "f_par", "f_perp"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_table_refuses_non_finite_values(field, bad):
+    # a table with an inf or NaN entry is refused where it is made, so no
+    # file of one is ever written
+    arrays = {"t": np.array([0.0, 1.0, 2.0]), "q": np.array([K_F]),
+              "f_par": np.array([[0.0], [1.0], [2.0]]),
+              "f_perp": np.zeros((3, 1))}
+    arrays[field] = arrays[field].copy()
+    arrays[field][-1, ...] = bad
+    with pytest.raises(UsageError, match="non-finite table values"):
+        TDTable("iron_to_air", arrays["t"], arrays["f_par"], arrays["f_perp"],
+                "test", q=arrays["q"])
+
+
 def test_clamp_below_first_sample_counted(caplog):
     t = np.array([1.0, 2.0, 3.0])
     tab = TDTable("iron_to_air", t, t[:, None], np.zeros((3, 1)), "test", q=[K_F])
