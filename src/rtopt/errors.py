@@ -37,16 +37,45 @@ def check_counts(**counts):
             raise ConfigurationError(f"{name} must be an integer; got {value!r}")
 
 
-def read_format_lines(path, magic):
-    """Lines of a saved text file whose first line must be the format tag magic.
+class FormatReader:
+    """Cursor over the lines of a saved text file whose first line is the
+    format tag: header(keyword) returns the words after the keyword on the
+    next line, rows(n) the words of the next n lines. A file that is not
+    UTF-8 text or carries another tag raises FormatError; inside a with
+    block, the IndexError, ValueError or OverflowError of a short or garbled
+    file becomes the one "truncated or malformed" FormatError."""
 
-    A file that is not UTF-8 text or carries another tag raises FormatError.
-    """
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not a {magic} text file") from exc
-    if not lines or lines[0].strip() != magic:
-        raise FormatError(f"{path}: expected a {magic} file")
-    return lines
+    def __init__(self, path, tag):
+        try:
+            with open(path, encoding="utf-8") as f:
+                self.lines = f.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not a {tag} text file") from exc
+        if not self.lines or self.lines[0].strip() != tag:
+            raise FormatError(f"{path}: expected a {tag} file")
+        self.path, self.tag, self.pos = path, tag, 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, (IndexError, ValueError, OverflowError)):
+            raise FormatError(
+                f"{self.path}: truncated or malformed {self.tag} file") from exc
+
+    def header(self, keyword):
+        key, *words = self.lines[self.pos].split()
+        if key != keyword:
+            raise FormatError(
+                f"{self.path}: expected '{keyword}' at line {self.pos + 1}")
+        self.pos += 1
+        return words
+
+    def rows(self, n):
+        if not 0 <= n <= len(self.lines) - self.pos:
+            raise ValueError(f"{n} rows announced at line {self.pos}")
+        self.pos += n
+        return [line.split() for line in self.lines[self.pos - n:self.pos]]
+
+    def at_end(self):
+        return self.pos == len(self.lines)

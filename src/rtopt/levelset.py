@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigurationError, FormatError, UsageError, check_counts,
-                     read_format_lines)
+from .errors import (ConfigurationError, FormatError, FormatReader, UsageError,
+                     check_counts)
 
 LEVELSET_FORMAT = "RTOLS1"
 
@@ -290,34 +290,19 @@ def save_levelset(psi, node_ids, mesh_fingerprint, path, iteration=0,
 
 
 def load_levelset(path, expect_fingerprint=None):
-    lines = read_format_lines(path, LEVELSET_FORMAT)
-
-    def header(pos, keyword):
-        parts = lines[pos].split()
-        if parts[0] != keyword:
-            raise FormatError(f"{path}: expected '{keyword}' at line {pos + 1}")
-        return parts[1]
-
-    try:
-        fingerprint = header(1, "mesh")
+    with FormatReader(path, LEVELSET_FORMAT) as f:
+        fingerprint = f.header("mesh")[0]
         if expect_fingerprint is not None and fingerprint != expect_fingerprint:
             raise UsageError(
                 f"level-set file {path} was written for mesh {fingerprint}, "
                 f"not the configured mesh {expect_fingerprint}")
-        iteration = int(header(2, "iteration"))
-        value = float(header(3, "value"))
-        n = int(header(4, "nodes"))
-        if n != len(lines) - 5:
-            raise ValueError(f"{n} nodes announced, {len(lines) - 5} rows")
-        node_ids = np.empty(n, dtype=int)
-        psi = np.empty(n)
-        for i in range(n):
-            a, b = lines[5 + i].split()
-            node_ids[i] = int(a)
-            psi[i] = float(b)
-    except (IndexError, ValueError) as exc:
-        raise FormatError(
-            f"{path}: truncated or malformed {LEVELSET_FORMAT} file") from exc
+        iteration = int(f.header("iteration")[0])
+        value = float(f.header("value")[0])
+        rows = f.rows(int(f.header("nodes")[0]))
+        if not f.at_end():
+            raise ValueError("rows the 'nodes' count does not announce")
+        node_ids = np.array([int(i) for i, _ in rows], dtype=int)
+        psi = np.array([float(v) for _, v in rows])
     if not np.all(np.isfinite(psi)):
         raise FormatError(f"{path}: non-finite level-set values")
     return psi, node_ids, {"fingerprint": fingerprint, "iteration": iteration,

@@ -47,8 +47,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (ConfigurationError, FormatError, UsageError, check_counts,
-                     read_format_lines)
+from .errors import (ConfigurationError, FormatError, FormatReader, UsageError,
+                     check_counts)
 from .fem import DofMap, KeptColumnsCholesky, P1Space, newton_solve
 from .laws import K_F, air_law
 from .mesh import disk_mirror, graded_disk_mesh
@@ -260,9 +260,14 @@ class TDTable:
         if self.f_par.shape != shape or self.f_perp.shape != shape:
             raise ValueError(f"table blocks do not have shape {shape}")
         # one PCHIP over the stacked columns: f_par of every knee sample,
-        # then f_perp of every knee sample
-        self._coef = _pchip_coefficients(
-            self.t, np.column_stack([self.f_par, self.f_perp]))
+        # then f_perp of every knee sample; t samples too close for the
+        # values (a subnormal spacing) overflow it
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._coef = _pchip_coefficients(
+                self.t, np.column_stack([self.f_par, self.f_perp]))
+        if not np.isfinite(self._coef).all():
+            raise UsageError("non-finite table interpolation of the t samples "
+                             f"to t_max {float(self.t[-1])!r}")
         self._clamp_warned = False
         self.clamped_rows = 0       # queried rows clamped so far
 
@@ -430,57 +435,32 @@ def save_table(table, path):
 
 
 def load_table(path):
-    lines = read_format_lines(path, TABLE_FORMAT)
-    pos = 1
-
-    def header(keyword):
-        nonlocal pos
-        parts = lines[pos].split()
-        if parts[0] != keyword:
-            raise FormatError(f"{path}: expected '{keyword}' at line {pos + 1}")
-        pos += 1
-        return parts[1:]
-
-    def column(keyword):
-        nonlocal pos
-        n = int(header(keyword)[0])
-        if n < 0:
-            raise ValueError(f"negative '{keyword}' count")
-        arr = np.array([float(lines[pos + i]) for i in range(n)])
-        pos += n
-        return arr
-
-    def block(name):
-        nonlocal pos
-        rows, cols = (int(v) for v in header(name))
-        arr = np.array([[float(v) for v in lines[pos + i].split()]
-                        for i in range(rows)])
-        if arr.shape != (rows, cols):
-            raise ValueError(f"'{name}' block is not {rows} x {cols}")
-        pos += rows
-        return arr
-
-    try:
-        direction = header("direction")[0]
+    with FormatReader(path, TABLE_FORMAT) as f:
+        direction = f.header("direction")[0]
         if direction not in DIRECTIONS:
             raise FormatError(f"{path}: unknown direction {direction!r}")
-        fingerprint = header("fingerprint")[0]
-        radius = float(header("radius")[0])
-        mesh_nodes = int(header("mesh_nodes")[0])
-        t = column("t")
-        q = column("q")
-        f_par = block("f_par")
-        f_perp = block("f_perp")
-        if pos != len(lines):
+        fingerprint = f.header("fingerprint")[0]
+        radius = float(f.header("radius")[0])
+        mesh_nodes = int(f.header("mesh_nodes")[0])
+        t, q = (np.array([float(v) for (v,) in f.rows(int(f.header(name)[0]))])
+                for name in ("t", "q"))
+        blocks = []
+        for name in ("f_par", "f_perp"):
+            n, cols = (int(v) for v in f.header(name))
+            blocks.append(np.array([[float(v) for v in row] for row in f.rows(n)]))
+            if blocks[-1].shape != (n, cols):
+                raise ValueError(f"'{name}' block is not {n} x {cols}")
+        if not f.at_end():
             raise FormatError(f"{path}: lines after the 'f_perp' block")
-        if not all(np.all(np.isfinite(v)) for v in (t, q, f_par, f_perp)):
+        if not all(np.all(np.isfinite(v)) for v in (t, q, *blocks)):
             raise FormatError(f"{path}: non-finite table values")
-        # TDTable refuses axes and blocks that do not match
-        return TDTable(direction, t, f_par, f_perp, fingerprint, q=q,
-                       meta={"radius": radius, "mesh_nodes": mesh_nodes})
-    except (IndexError, ValueError) as exc:
-        raise FormatError(
-            f"{path}: truncated or malformed {TABLE_FORMAT} file") from exc
+        # TDTable refuses axes and blocks that do not match, and an
+        # interpolation that overflows
+        try:
+            return TDTable(direction, t, *blocks, fingerprint, q=q,
+                           meta={"radius": radius, "mesh_nodes": mesh_nodes})
+        except UsageError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
 
 
 def check_table_compatibility(table, materials, scenario):

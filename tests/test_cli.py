@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 import rtopt
 from rtopt import machine
 from rtopt.cli import main
+from rtopt.errors import SolverError
 from rtopt.laws import K_F
 from rtopt.levelset import TRACE_HEADER
 from rtopt.machine import MachineProblem
@@ -132,6 +134,22 @@ def test_foreign_scenario_key_exits_2(tmp_path, caplog):
 
 def test_invalid_thread_cap(ws):
     assert main(["--threads", "0", "precompute-td", ws["cfg"]]) == 2
+
+
+def test_thread_cap_exported_before_the_command(tmp_path, monkeypatch):
+    # the cap reaches the BLAS environment and threadpoolctl before the
+    # config is read, so it holds also for a command that exits 2
+    variables = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "NUMEXPR_NUM_THREADS")
+    for var in variables:
+        monkeypatch.setenv(var, "8")
+    limits = []
+    monkeypatch.setitem(sys.modules, "threadpoolctl", types.SimpleNamespace(
+        threadpool_limits=limits.append))
+    assert main(["--threads", "1", "precompute-td",
+                 str(tmp_path / "nope.cfg")]) == 2
+    assert [os.environ[var] for var in variables] == ["1"] * 4
+    assert limits == [1]
 
 
 def test_single_abscissa_rejected(tmp_path):
@@ -408,6 +426,18 @@ def test_precompute_refuses_non_finite_tables(tmp_path, caplog):
     assert list((tmp_path / "o").rglob("*.rtotd")) == []
 
 
+def test_precompute_refuses_tables_it_cannot_interpolate(tmp_path, caplog):
+    # t_max = 1e-320 samples finite responses over a subnormal t spacing,
+    # whose PCHIP slopes overflow: precompute exits 2 naming t_max, warns
+    # nothing (the suite turns warnings into errors) and writes no table
+    cfg = write_cfg(tmp_path / "tiny.cfg", tmp_path / "o",
+                    base=BASE.replace("t_max = 12.0", "t_max = 1e-320"))
+    assert main(["precompute-td", cfg]) == 2
+    assert "non-finite table interpolation of the t samples to t_max 1e-320" \
+        in caplog.text
+    assert list((tmp_path / "o").rglob("*.rtotd")) == []
+
+
 def test_nom_scenario_exits_2(tmp_path, caplog):
     # nominal is a mode of every scenario: a config without `name` runs ANG
     # at the machine's load angle, and the old NOM scenario is gone
@@ -471,6 +501,43 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
                     base=BASE.replace("iron_linear = true",
                                       "iron_linear = false"))
     assert main(["audit", cfg, "--kind", "fdcheck"]) == 3
+
+
+def test_solver_failure_mid_descent_keeps_partial_artifacts(
+        tables_ready, tmp_path, monkeypatch, caplog):
+    # the state solve of the first trial design fails: exit 3, and the
+    # snapshot of iteration 0 stays for inspection
+    out2 = tmp_path / "out2"
+    shutil.copytree(tables_ready["out"] / "tables", out2 / "tables")
+    cfg = write_cfg(tmp_path / "c.cfg", out2)
+    states = MachineProblem.states
+    designs = set()
+
+    def fail_on_second_design(self, design, *args, **kwargs):
+        designs.add(design.tobytes())
+        if len(designs) > 1:
+            raise SolverError("state solve diverged")
+        return states(self, design, *args, **kwargs)
+
+    monkeypatch.setattr(MachineProblem, "states", fail_on_second_design)
+    assert main(["optimize", cfg, "--mode", "nominal"]) == 3
+    rundir = out2 / "nominal"
+    assert f"partial artifacts kept in {rundir}" in caplog.text
+    assert sorted(p.name for p in rundir.iterdir()) == ["checkpoint.rtols",
+                                                        "design_0000.svg"]
+
+
+def test_swapped_tables_rejected(tables_ready, tmp_path, caplog):
+    # each table file must hold the direction its name says
+    tables = tmp_path / "out2" / "tables"
+    tables.mkdir(parents=True)
+    for src, dst in (("iron_to_air", "air_to_iron"), ("air_to_iron", "iron_to_air")):
+        shutil.copy(tables_ready["out"] / "tables" / f"{src}.rtotd",
+                    tables / f"{dst}.rtotd")
+    cfg = write_cfg(tmp_path / "c.cfg", tmp_path / "out2")
+    assert main(["optimize", cfg]) == 2
+    assert (f"{tables / 'iron_to_air.rtotd'}: holds direction 'air_to_iron'"
+            in caplog.text)
 
 
 def test_singular_tangent_exit_code(tmp_path, monkeypatch, caplog):

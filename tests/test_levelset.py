@@ -303,3 +303,14 @@ def test_levelset_rejects_truncated_and_nonfinite(tmp_path):
     path.write_text("\n".join(lines[:1] + header + lines[5:]) + "\n")
     with pytest.raises(FormatError, match=re.escape(f"{path}: expected 'mesh'")):
         load_levelset(path)
+
+
+def test_levelset_node_id_past_int64_is_malformed(tmp_path):
+    # a node id the int64 ids cannot hold is a malformed row, not an
+    # OverflowError
+    path = tmp_path / "state.rtols"
+    save_levelset(np.array([0.5]), [3], "deadbeef01", path)
+    path.write_text(path.read_text().replace("\n3 0.5", "\n" + "9" * 20 + " 0.5"))
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}: truncated "
+                                          "or malformed RTOLS1 file"):
+        load_levelset(path)

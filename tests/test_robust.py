@@ -9,9 +9,9 @@ from rtopt.errors import ConfigurationError, SolverError, UsageError
 from rtopt.fem import newton_summary
 from rtopt.levelset import LevelSetOptions, NominalEvaluator, optimize_nominal
 from rtopt.machine import MachineProblem, MaterialSpec, Scenario
-from rtopt.robust import (GAMMA, MEMO_LIMIT, STEP_TOL, TAU_MAX, TAU_MIN,
-                          BallSet, IntervalSet, ParameterObjective,
-                          RobustEvaluator, inner_maximize)
+from rtopt.robust import (GAMMA, MAX_ITERATIONS, MEMO_LIMIT, STEP_TOL,
+                          TAU_MAX, TAU_MIN, BallSet, IntervalSet,
+                          ParameterObjective, RobustEvaluator, inner_maximize)
 from rtopt.topderiv import ExteriorConfig, ExteriorProblem, precompute_tables
 
 
@@ -162,6 +162,34 @@ def test_inner_maximize_sufficient_increase_audit():
             assert gain >= (GAMMA / tau) * move ** 2 - 1e-15
             steps += 1
     assert steps >= 2
+
+
+class Downhill1D(Linear1D):
+    """2 q, whose gradient points downhill: no trial ever increases it."""
+
+    def value_grad(self, q):
+        return self.value(q), np.array([-2.0])
+
+
+def test_ascent_without_sufficient_increase_keeps_its_start():
+    # tau halves from TAU_MAX to TAU_MIN and no trial is accepted: the start
+    # is returned after 0 iterations
+    f = Downhill1D()
+    res = inner_maximize(f, IntervalSet([-10.0], [10.0]), [np.array([0.0])])
+    assert res.q_star[0] == 0.0 and res.value == 0.0
+    assert res.iterations == 0
+    # the start's value, then one trial per tau: TAU_MAX halved 10 times,
+    # and TAU_MIN
+    assert f.n_evaluations == 1 + int(np.ceil(np.log2(TAU_MAX / TAU_MIN))) + 1
+
+
+def test_ascent_stops_at_the_iteration_cap():
+    # a linear objective on a wide interval: every accepted step moves q by
+    # 2 tau, far above STEP_TOL, so only MAX_ITERATIONS stops the ascent
+    res = inner_maximize(Linear1D(), IntervalSet([0.0], [1e6]),
+                         [np.array([0.0])])
+    assert res.iterations == MAX_ITERATIONS
+    assert res.q_star[0] == 2.0 * TAU_MAX * MAX_ITERATIONS
 
 
 class Broken:

@@ -433,6 +433,26 @@ def test_table_refuses_non_finite_values(field, bad):
                 "test", q=arrays["q"])
 
 
+def test_table_refuses_an_interpolation_that_overflows(tmp_path):
+    # finite samples over a subnormal t spacing: the PCHIP slopes overflow,
+    # so the table is refused where it is made, without a RuntimeWarning
+    t = np.linspace(0.0, 1e-320, 5)
+    f = np.arange(5.0)[:, None]
+    with pytest.raises(UsageError, match="non-finite table interpolation of "
+                                         "the t samples to t_max 1e-320"):
+        TDTable("iron_to_air", t, f, f, "test", q=[K_F])
+    # and a file of such samples is a FormatError naming the file
+    path = tmp_path / "tiny.rtotd"
+    save_table(synthetic_table(), path)
+    text = path.read_text()
+    for old, new in zip(("1.0", "2.0"), ("5e-324", "1e-323")):
+        text = text.replace(f"\n{old}\n", f"\n{new}\n", 1)
+    path.write_text(text)
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}: non-finite "
+                                          "table interpolation"):
+        load_table(path)
+
+
 def test_clamp_below_first_sample_counted(caplog):
     t = np.array([1.0, 2.0, 3.0])
     tab = TDTable("iron_to_air", t, t[:, None], np.zeros((3, 1)), "test", q=[K_F])
