@@ -144,7 +144,6 @@ KEYS = {
     "scenario": {
         "name": ("scenario", "name", lambda v: _text(v).upper()),
         "n_positions": ("scenario", "n_positions", _int),
-        "co_rotate_magnets": ("scenario", "co_rotate_magnets", _bool),
         "q_hat_deg": ("set", "q_hat_deg", _float),
         "interval_deg": ("set", "interval_deg", _pair),
         "q_hat_knee": ("set", "q_hat_knee", _float),

@@ -140,7 +140,7 @@ def _closest_count(target, sizes, count):
 # ---------------------------------------------------------------------------
 # graded disk (exterior corrector domain)
 
-def graded_disk_mesh(radius, target_nodes, inclusion_radius=1.0):
+def graded_disk_mesh(radius, target_nodes):
     """Disk of given radius with a resolved unit inclusion at the origin.
 
     Rings are uniform inside the inclusion and geometric outside so element
@@ -148,13 +148,13 @@ def graded_disk_mesh(radius, target_nodes, inclusion_radius=1.0):
     the x axis, which keeps spurious transverse response components at the
     discretization floor. Node count lands within a factor two of target.
     """
-    if radius <= inclusion_radius:
-        raise ConfigurationError("disk radius must exceed the inclusion radius")
+    if radius <= 1.0:
+        raise ConfigurationError("disk radius must exceed the unit inclusion radius")
     if target_nodes < 60:
         raise ConfigurationError("graded_disk_mesh needs target_nodes >= 60")
 
     # nodes ~= n_t * (n_inner + ln(R)/dtheta), dtheta = 2 pi / n_t
-    lnR = np.log(radius / inclusion_radius)
+    lnR = np.log(radius)
 
     def rings(n_t):
         dth = 2 * np.pi / n_t
@@ -165,9 +165,9 @@ def graded_disk_mesh(radius, target_nodes, inclusion_radius=1.0):
                          lambda n_t: 1 + n_t * sum(rings(n_t)))
     n_inner, n_outer = rings(n_t)
 
-    inner = np.linspace(0.0, inclusion_radius, n_inner + 1)[1:]
-    ratio = (radius / inclusion_radius) ** (1.0 / n_outer)
-    outer = inclusion_radius * ratio ** np.arange(1, n_outer + 1)
+    inner = np.linspace(0.0, 1.0, n_inner + 1)[1:]
+    ratio = radius ** (1.0 / n_outer)
+    outer = ratio ** np.arange(1, n_outer + 1)
     outer[-1] = radius
     radii = np.concatenate([inner, outer])
     thetas = np.arange(n_t) * (2 * np.pi / n_t)
@@ -177,7 +177,7 @@ def graded_disk_mesh(radius, target_nodes, inclusion_radius=1.0):
 
     cent = verts[tris].mean(axis=1)
     rc = np.hypot(cent[:, 0], cent[:, 1])
-    region = np.where(rc < inclusion_radius, 0, 1).astype(np.int16)
+    region = np.where(rc < 1.0, 0, 1).astype(np.int16)
 
     return Mesh(
         vertices=verts,
@@ -188,8 +188,7 @@ def graded_disk_mesh(radius, target_nodes, inclusion_radius=1.0):
         pair_slave=np.zeros(0, dtype=np.int32),
         dirichlet_nodes=(1 + (len(radii) - 1) * n_t
                          + np.arange(n_t)).astype(np.int32),
-        meta={"kind": "graded_disk", "radius": float(radius),
-              "inclusion_radius": float(inclusion_radius), "n_theta": n_t},
+        meta={"kind": "graded_disk", "radius": float(radius), "n_theta": n_t},
     )
 
 

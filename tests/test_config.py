@@ -271,6 +271,7 @@ FIXED_MACHINE_KEYS = [
     ("algorithm", "inner_max_iterations", "100"),
     ("algorithm", "newton_max_iter", "50"),
     ("output", "snapshot_interval", "10"),
+    ("scenario", "co_rotate_magnets", "false"),
 ]
 
 
@@ -281,9 +282,10 @@ def test_fixed_machine_data_is_not_a_key(workdir, caplog, section, key, value):
     # the load angle (machine.PHI0), the material constants (laws.NU_F,
     # K_F, N_F, B_R, machine.J_PEAK) and the fixed algorithm settings
     # (levelset.ANGLE_TOL, robust.STEP_TOL and MAX_ITERATIONS,
-    # machine.NEWTON_MAX_ITER, cli.SNAPSHOT_INTERVAL) are module constants:
-    # only the rotor's iron layout is designed, and at a 90 degree sector the
-    # machine solved, wrongly
+    # machine.NEWTON_MAX_ITER, cli.SNAPSHOT_INTERVAL) are module constants,
+    # and the magnets keep their remanence (machine.MAGNET_PHI) at every
+    # rotor position: only the rotor's iron layout is designed, and at a 90
+    # degree sector the machine solved, wrongly
     path = workdir / "fixed.cfg"
     path.write_text(TOY.read_text().replace(
         f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))

@@ -480,7 +480,7 @@ def test_band_solve_matches_superlu(toy_mesh):
     q = problem.scenario.q_hat
     u, _ = problem.solve_position(design, q, 0)
     space, dofmap = problem.space, problem.dofmap
-    respond = problem.respond_factory(design, q, problem.alphas()[0])
+    respond = problem.respond_factory(design, q)
     lu = spla.splu(tangent_at(space, dofmap, respond, u))
     factor = factor_tangent(space, dofmap,
                             respond(space.element_curl(u))[1])
@@ -578,8 +578,8 @@ def test_linear_iron_factors_once_per_design(toy_mesh, linear_spec,
 
     # the basis reproduces per-position Newton states and adjoints
     space, dofmap = problem.space, problem.dofmap
+    respond = problem.respond_factory(design, q)
     for n, alpha in enumerate(problem.alphas()):
-        respond = problem.respond_factory(design, q, alpha)
         load = space.load_vector(problem.source_density(alpha, q))
         u, _ = newton_solve(space, dofmap, respond, load,
                             zero_flux(respond, space),

@@ -71,9 +71,8 @@ def test_torque_probe_radius_must_stay_in_gap(toy_problem):
 SOURCE_CASES = {
     "ANG": Scenario(name="ANG", n_positions=3, q_hat=np.array([0.31])),
     "SCAL": Scenario(name="SCAL", n_positions=3, q_hat=np.array([2.2])),
-    "DIST_co_rotating": Scenario(name="DIST", n_positions=3,
-                                 q_hat=np.full(ROTOR_BLOCKS + 1, K_F),
-                                 co_rotate_magnets=True),
+    "DIST": Scenario(name="DIST", n_positions=3,
+                     q_hat=np.full(ROTOR_BLOCKS + 1, K_F)),
 }
 
 
@@ -106,21 +105,19 @@ def test_sources_match_the_trigonometric_form(toy_mesh, monkeypatch, case):
 
 
 def test_remanence_is_the_turned_pattern(toy_mesh):
-    # cos(s) R_0 + sin(s) R_90 is B_R e_(phi + s) on each magnet, and R_0
-    # itself wherever the magnets do not co-rotate (s = 0)
-    still = MachineProblem(toy_mesh, MaterialSpec(), Scenario(n_positions=3))
-    turning = MachineProblem(toy_mesh, MaterialSpec(),
-                             Scenario(n_positions=3, co_rotate_magnets=True))
-    for alpha in (0.0, *turning.alphas(), 1.3):
-        for problem, s in ((still, 0.0), (turning, alpha)):
-            want = np.zeros((toy_mesh.n_elements, 2))
-            for name, phi in zip(("magnet1", "magnet2"), machine.MAGNET_PHI):
-                want[toy_mesh.elements_in(name)] = laws.B_R * np.array(
-                    [np.cos(phi + s), np.sin(phi + s)])
-            got = problem._remanence(alpha)
-            if s == 0.0:
-                assert np.array_equal(got, want)
-            assert np.abs(got - want).max() <= 1e-15 * laws.B_R
+    # each magnet holds B_R e_phi, the unit vector turned by its phi, at
+    # every rotor position, and every other row +0.0; the zero-flux field
+    # of the state solves is nu (0 - rem), +0.0 off the magnets
+    problem = MachineProblem(toy_mesh, MaterialSpec(), Scenario(n_positions=3))
+    want = np.zeros((toy_mesh.n_elements, 2))
+    for name, phi in zip(("magnet1", "magnet2"), machine.MAGNET_PHI):
+        want[toy_mesh.elements_in(name)] = laws.B_R * np.array(
+            [np.cos(phi), np.sin(phi)])
+    for got, ref in ((problem._rem, want),
+                     (problem._h0, problem._nu[:, None] * (0.0 - want))):
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+    assert not np.signbit(problem._h0[want == 0.0]).any()
 
 
 def reference_torque(problem, u):
@@ -231,8 +228,6 @@ LINEAR_CASES = {
     "ANG": (Scenario(name="ANG", n_positions=3, q_hat=PHASE), PHASE + 0.2),
     "SCAL": (Scenario(name="SCAL", n_positions=3, q_hat=np.array([2.2])),
              np.array([2.0])),
-    "co_rotate_magnets": (Scenario(name="ANG", n_positions=3, q_hat=PHASE,
-                                   co_rotate_magnets=True), PHASE - 0.1),
 }
 
 
@@ -246,20 +241,18 @@ def test_linear_basis_matches_newton(toy_mesh, linear_spec, case):
     adjoints = problem.adjoints(design, q, states)
     assert problem.newton_log == [] and problem.bases_built == 1
     space, dofmap = problem.space, problem.dofmap
-    for n, alpha in enumerate(problem.alphas()):
+    respond = problem.respond_factory(design, problem._q_array(q))
+    for n in range(len(states)):
         u, _ = problem.solve_position(design, q, n)
         assert np.linalg.norm(states[n] - u) <= 1e-10 * np.linalg.norm(u)
-        respond = problem.respond_factory(design, problem._q_array(q), alpha)
         rhs = problem.torque_probe.torque_gradient(u) / len(states)
         p = adjoint_solve(space, dofmap, respond, u, rhs)
         assert np.linalg.norm(adjoints[n] - p) <= 1e-10 * np.linalg.norm(p)
 
 
-@pytest.mark.parametrize("co_rotate", [False, True])
-def test_linear_phase_gradient_matches_fd(toy_mesh, linear_spec, co_rotate):
+def test_linear_phase_gradient_matches_fd(toy_mesh, linear_spec):
     problem = MachineProblem(toy_mesh, linear_spec,
-                             Scenario(name="ANG", n_positions=3, q_hat=PHASE,
-                                      co_rotate_magnets=co_rotate))
+                             Scenario(name="ANG", n_positions=3, q_hat=PHASE))
     design = np.random.default_rng(4).random(len(problem.design_elements)) > 0.5
     q = PHASE + 0.15
     grad = problem.grad_q(design, q)
@@ -314,12 +307,12 @@ def test_dist_knee_gradient_matches_fd(toy_mesh):
     assert np.all(np.abs(grad - fd) <= 1e-4 * np.abs(grad).max())
 
 
-@pytest.mark.parametrize("name,q_hat,co_rotate", [
-    ("ANG", [np.deg2rad(-60.0)], False),
-    ("SCAL", [2.0], False),
-    ("DIST", np.linspace(1.9, 2.5, 9), True)])
+@pytest.mark.parametrize("name,q_hat", [
+    ("ANG", [np.deg2rad(-60.0)]),
+    ("SCAL", [2.0]),
+    ("DIST", np.linspace(1.9, 2.5, 9))])
 def test_warm_start_tolerance_is_the_residual_at_zero(toy_mesh, monkeypatch,
-                                                      name, q_hat, co_rotate):
+                                                      name, q_hat):
     # solve_position hands newton_solve respond's field at zero flux, so a
     # warm start's F(0), and with it its tolerance, is bitwise that of a
     # residual evaluated at zero
@@ -333,8 +326,7 @@ def test_warm_start_tolerance_is_the_residual_at_zero(toy_mesh, monkeypatch,
 
     monkeypatch.setattr(machine, "newton_solve", spy)
     problem = MachineProblem(toy_mesh, MaterialSpec(), Scenario(
-        name=name, n_positions=3, q_hat=np.asarray(q_hat),
-        co_rotate_magnets=co_rotate))
+        name=name, n_positions=3, q_hat=np.asarray(q_hat)))
     design = np.random.default_rng(23).random(len(problem.design_elements)) < 0.6
     problem.states(design)
     assert [info.warm for *_, info in calls] == [False, True, True]
@@ -394,19 +386,17 @@ def test_warm_started_positions_match_cold_solves(toy_mesh, monkeypatch):
     assert linear.bases_built == 1
 
 
-@pytest.mark.parametrize("name,q_hat,co_rotate", [
-    ("SCAL", [2.0], False),
-    ("DIST", np.linspace(1.9, 2.5, 9), True)])
+@pytest.mark.parametrize("name,q_hat", [
+    ("SCAL", [2.0]),
+    ("DIST", np.linspace(1.9, 2.5, 9))])
 def test_chained_positions_share_the_adjoint_factor(toy_mesh, factor_calls,
-                                                    monkeypatch, name, q_hat,
-                                                    co_rotate):
+                                                    monkeypatch, name, q_hat):
     # position n + 1's Newton starts at u_n and factors K(u_n) first, the
     # matrix of position n's adjoint: that adjoint is solved there, bitwise
     # as with a fresh factor, and only the last position's is factored again
     n_pos = 4
     problem = MachineProblem(toy_mesh, MaterialSpec(), Scenario(
-        name=name, n_positions=n_pos, q_hat=np.asarray(q_hat),
-        co_rotate_magnets=co_rotate))
+        name=name, n_positions=n_pos, q_hat=np.asarray(q_hat)))
     rng = np.random.default_rng(23)
     design = rng.random(len(problem.design_elements)) < 0.6
     q = problem.scenario.q_hat
@@ -415,8 +405,8 @@ def test_chained_positions_share_the_adjoint_factor(toy_mesh, factor_calls,
     def fresh(states, q):
         """Every adjoint through adjoint_solve, each factored afresh."""
         out = []
-        for alpha, u in zip(problem.alphas(), states):
-            respond = problem.respond_factory(design, q, alpha)
+        respond = problem.respond_factory(design, q)
+        for u in states:
             rhs = problem.torque_probe.torque_gradient(u) / n_pos
             out.append(adjoint_solve(space, dofmap, respond, u, rhs))
         return out
@@ -450,8 +440,12 @@ def test_chained_positions_share_the_adjoint_factor(toy_mesh, factor_calls,
     assert made == n_pos
     assert all(np.array_equal(p, r) for p, r in zip(adjoints, fresh(near, q2)))
     # the shared adjoints hold for the design and q they were solved at
-    _, made = solved(states, q2)
-    assert made == n_pos
+    # only: states of another q or design are refused, factoring nothing
+    calls = len(factor_calls)
+    for other_design, other_q in ((design, q2), (~design, q)):
+        with pytest.raises(UsageError, match="not solved at this design and q"):
+            problem.adjoints(other_design, other_q, states)
+    assert len(factor_calls) == calls
 
     # positions at one angle: each chained start has converged already and
     # factors nothing, so its predecessor's adjoint is factored afresh

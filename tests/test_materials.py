@@ -56,8 +56,7 @@ def test_iron_linear_flag():
 def test_magnet_remanence_annihilates(toy_problem):
     # the magnets are linear in the machine's response: h = nu_m (b - b_r e_phi)
     design = np.ones(len(toy_problem.design_elements), dtype=bool)
-    respond = toy_problem.respond_factory(design, toy_problem.scenario.q_hat,
-                                          0.0)
+    respond = toy_problem.respond_factory(design, toy_problem.scenario.q_hat)
     B = np.zeros((toy_problem.mesh.n_elements, 2))
     magnets = []
     for name, phi in zip(("magnet1", "magnet2"), MAGNET_PHI):
@@ -154,7 +153,7 @@ def broadcast_response(law, b, knee=None):
     return nu[..., None] * b, dh
 
 
-def gather_scatter_respond(problem, design, q, alpha):
+def gather_scatter_respond(problem, design, q):
     """MachineProblem.respond_factory as it was: every region's rows
     gathered from B and scattered into fresh h and dh on every call."""
     mesh = problem.mesh
@@ -167,7 +166,7 @@ def gather_scatter_respond(problem, design, q, alpha):
     magnets = np.concatenate([mesh.elements_in("magnet1"),
                               mesh.elements_in("magnet2")])
     kf = problem._knee_values(q)[iron]
-    rem = problem._remanence(alpha)[magnets]
+    rem = problem._rem[magnets]
     iron_law = problem.spec.iron_law()
     eye = np.eye(2)
 
@@ -216,25 +215,23 @@ def test_response_equals_the_broadcast_form_bitwise(law):
 
 @pytest.mark.parametrize("linear", [False, True])
 def test_respond_equals_the_gather_scatter_form_bitwise(toy_mesh, linear):
-    # a random design, per-element knees from a DIST q, co-rotating magnets
-    # at a rotor angle off zero; B holds the edge rows in every region
+    # a random design and per-element knees from a DIST q; B holds the edge
+    # rows in every region
     from rtopt.machine import MachineProblem, MaterialSpec, Scenario
 
-    scen = Scenario(name="DIST", n_positions=3, q_hat=np.full(9, laws.K_F),
-                    co_rotate_magnets=True)
+    scen = Scenario(name="DIST", n_positions=3, q_hat=np.full(9, laws.K_F))
     problem = MachineProblem(toy_mesh, MaterialSpec(iron_linear=linear), scen)
     design = rng.random(len(problem.design_elements)) < 0.5
     q = rng.uniform(1.8, 2.6, 9)
-    alpha = problem.alphas()[1]
     m = toy_mesh.n_elements
     B = rng.standard_normal((m, 2)) * 2.0
     B[rng.permutation(m)[:len(EDGE_ROWS) * 40]] = np.tile(EDGE_ROWS, (40, 1))
     magnets = toy_mesh.elements_in("magnet1")
     assert len(magnets) > 0 and design.any() and not design.all()
     # a magnet row at its remanence gives h = 0 there
-    B[magnets[0]] = problem._remanence(alpha)[magnets[0]]
-    respond = problem.respond_factory(design, q, alpha)
-    want = gather_scatter_respond(problem, design, q, alpha)(B)
+    B[magnets[0]] = problem._rem[magnets[0]]
+    respond = problem.respond_factory(design, q)
+    want = gather_scatter_respond(problem, design, q)(B)
     for _ in range(2):          # the fixed linear rows survive a call
         for got, ref in zip(respond(B), want):
             assert_bitwise(got, ref)

@@ -139,7 +139,7 @@ def test_mesh_builders_size_as_the_scan(monkeypatch):
                                        target_nodes=2500))
     for target in disk_targets:
         graded_disk_mesh(128.0, target)
-    graded_disk_mesh(4.0, 3000, inclusion_radius=2.0)
+    graded_disk_mesh(2.0, 3000)
     assert len(searches) == len(machine_targets) + len(disk_targets) + 2
     assert all(size == scan for _, size, scan in searches), searches
 
