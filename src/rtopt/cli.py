@@ -130,10 +130,9 @@ def cmd_precompute(cfg):
         from .audit import linear_slopes
 
         rows = linear_slopes(tables)
-        for direction, slope, closed, dev, perp in rows:
+        for direction, slope, closed, dev in rows:
             print(f"{direction}: slope {slope:.6g} vs closed form "
-                  f"{closed:.6g} (rel dev {dev:.2e}), "
-                  f"max |f2|/scale {perp:.2e}")
+                  f"{closed:.6g} (rel dev {dev:.2e})")
         print("closed-form slope audit: max relative deviation "
               f"{max(row[3] for row in rows):.2e}")
     return EXIT_OK

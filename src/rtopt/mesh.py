@@ -1,4 +1,4 @@
-"""Triangle meshes: the machine sector benchmark and graded disks.
+"""Triangle meshes: the machine sector benchmark and graded half disks.
 
 All meshes are conforming P1 triangulations described by one `Mesh` value.
 Region membership is a per-triangle integer into `region_names`.
@@ -99,24 +99,18 @@ def _ring_nodes(radii, thetas):
     return np.column_stack([r * np.cos(t), r * np.sin(t)])
 
 
-def _polar_triangles(n_rings, n_theta, closed):
-    """Central fan and two triangles per cell of a `_ring_nodes` grid.
+def _polar_triangles(n_rings, n_theta):
+    """Central fan and two triangles per cell of a `_ring_nodes` sector grid.
 
     Node 1 + ring * n_theta + j sits on ring `ring` at angle index j, node 0
-    at the origin. A closed ring wraps j around and flips the cell diagonal
-    for j >= n_theta / 2, so the disk is mirror symmetric about the x axis;
-    an open sector has n_theta - 1 cells per ring.
+    at the origin; each ring has n_theta - 1 cells.
     """
-    j = np.arange(n_theta if closed else n_theta - 1)
-    j1 = (j + 1) % n_theta
-    mirror = closed & (j >= n_theta // 2)
-    fan = np.column_stack([np.zeros_like(j), 1 + j, 1 + j1])
+    j = np.arange(n_theta - 1)
+    fan = np.column_stack([np.zeros_like(j), 1 + j, 2 + j])
     a = 1 + n_theta * np.arange(n_rings - 1)[:, None] + j
-    b = a - j + j1
-    c, d = a + n_theta, b + n_theta
-    cells = np.stack([np.stack([a, b, np.where(mirror, c, d)], axis=-1),
-                      np.stack([np.where(mirror, b, a), d, c], axis=-1)],
-                     axis=2)
+    b, c, d = a + 1, a + n_theta, a + n_theta + 1
+    cells = np.stack([np.stack([a, b, d], axis=-1),
+                      np.stack([a, d, c], axis=-1)], axis=2)
     return np.vstack([fan, cells.reshape(-1, 3)]).astype(np.int32)
 
 
@@ -138,22 +132,25 @@ def _closest_count(target, sizes, count):
 
 
 # ---------------------------------------------------------------------------
-# graded disk (exterior corrector domain)
+# graded half disk (exterior corrector domain)
 
 def graded_disk_mesh(radius, target_nodes):
-    """Disk of given radius with a resolved unit inclusion at the origin.
+    """Upper half of a disk of given radius with a resolved unit inclusion at
+    the origin.
 
     Rings are uniform inside the inclusion and geometric outside so element
-    aspect ratios stay near one. The triangulation is mirror symmetric about
-    the x axis, which keeps spurious transverse response components at the
-    discretization floor. Node count lands within a factor two of target.
+    aspect ratios stay near one. meta["n_theta"] angular steps span the full
+    circle, chosen so that the full disk the half stands for has a node count
+    near target (within a factor two); the half holds n_theta / 2 of them.
+    The nodes on the x axis (the origin and both ends of every ring) and on
+    the outer arc are Dirichlet: the corrector meshed here is odd in y.
     """
     if radius <= 1.0:
         raise ConfigurationError("disk radius must exceed the unit inclusion radius")
     if target_nodes < 60:
         raise ConfigurationError("graded_disk_mesh needs target_nodes >= 60")
 
-    # nodes ~= n_t * (n_inner + ln(R)/dtheta), dtheta = 2 pi / n_t
+    # full-disk nodes ~= n_t * (n_inner + ln(R)/dtheta), dtheta = 2 pi / n_t
     lnR = np.log(radius)
 
     def rings(n_t):
@@ -170,15 +167,18 @@ def graded_disk_mesh(radius, target_nodes):
     outer = ratio ** np.arange(1, n_outer + 1)
     outer[-1] = radius
     radii = np.concatenate([inner, outer])
-    thetas = np.arange(n_t) * (2 * np.pi / n_t)
+    n_half = n_t // 2 + 1
+    thetas = np.arange(n_half) * (2 * np.pi / n_t)
 
     verts = np.vstack([[[0.0, 0.0]], _ring_nodes(radii, thetas)])
-    tris = _polar_triangles(len(radii), n_t, closed=True)
+    tris = _polar_triangles(len(radii), n_half)
 
     cent = verts[tris].mean(axis=1)
     rc = np.hypot(cent[:, 0], cent[:, 1])
     region = np.where(rc < 1.0, 0, 1).astype(np.int16)
 
+    # the axis by ring index: the node at theta = pi has y ~ 1e-16 r
+    first = 1 + n_half * np.arange(len(radii))
     return Mesh(
         vertices=verts,
         triangles=_orient_ccw(verts, tris),
@@ -186,23 +186,11 @@ def graded_disk_mesh(radius, target_nodes):
         region_names=("inclusion", "exterior"),
         pair_master=np.zeros(0, dtype=np.int32),
         pair_slave=np.zeros(0, dtype=np.int32),
-        dirichlet_nodes=(1 + (len(radii) - 1) * n_t
-                         + np.arange(n_t)).astype(np.int32),
+        dirichlet_nodes=np.concatenate([
+            [0], first, first + n_half - 1,
+            first[-1] + np.arange(1, n_half - 1)]).astype(np.int32),
         meta={"kind": "graded_disk", "radius": float(radius), "n_theta": n_t},
     )
-
-
-def disk_mirror(mesh):
-    """Index of each graded_disk_mesh node's mirror image across the x axis.
-
-    Node 1 + ring * n_theta + j mirrors 1 + ring * n_theta + (n_theta - j) mod
-    n_theta, by the ring layout rather than by coordinates (the node at
-    theta = pi has y ~ 1e-16 r); nodes on the x axis are their own images.
-    """
-    n_t = mesh.meta["n_theta"]
-    node = np.arange(1, mesh.n_nodes)
-    j = (node - 1) % n_t
-    return np.concatenate([[0], node - j + (-j) % n_t])
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +264,7 @@ def build_machine_mesh(geo=None):
     thetas = np.linspace(0.0, SECTOR, m_ang + 1)
     verts = np.vstack([[[0.0, 0.0]], _ring_nodes(radii, thetas)])
     n_t = m_ang + 1
-    tris = _polar_triangles(len(radii), n_t, closed=False)
+    tris = _polar_triangles(len(radii), n_t)
 
     cent = verts[tris].mean(axis=1)
     rc = np.hypot(cent[:, 0], cent[:, 1])

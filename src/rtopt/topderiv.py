@@ -16,12 +16,14 @@ for far fields U = t e_x on a grid of magnitudes t and saturation knees q
 into the response pair (f_par, f_perp). Online evaluation rotates the pair
 to the local flux direction:  value = f_par * (P . e_U) + f_perp * (P . e_U_perp).
 
-Both laws are isotropic and the disk mesh is mirror symmetric, so for
-U = t e_x the corrector is odd in y, k(x, -y) = -k(x, y). The dof reduction
-makes each lower-half node an antiperiodic slave of its mirror and the x axis
-Dirichlet, so every tangent is factored at half the full disk's size, while
-Newton and the response pair see the full-length k. Far fields off e_x are
-refused: the table is rotated online and never needs one.
+Both laws are isotropic and the disk is symmetric about the x axis, so for
+U = t e_x the corrector is odd in y, k(x, -y) = -k(x, y), and vanishes on
+the axis. It is solved on the upper half disk with the axis Dirichlet, so
+the laws, residuals, tangents and the response pair run over half the full
+disk's elements and every tangent is factored at half its size. The
+integrands of f_par are even in y, so the half disk gives f_par over half the
+inclusion area; those of f_perp are odd, so f_perp is zero by symmetry. Far
+fields off e_x are refused: the table is rotated online and never needs one.
 
 A linear law's Jacobian never changes. Let p be the first reduced unknown an
 element of a nonlinear law touches (all of them if both laws are linear).
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import io
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +53,7 @@ from .errors import (ConfigurationError, FormatError, FormatReader, UsageError,
                      check_counts)
 from .fem import DofMap, KeptColumnsCholesky, P1Space, newton_solve
 from .laws import K_F, air_law
-from .mesh import disk_mirror, graded_disk_mesh
+from .mesh import graded_disk_mesh
 
 log = logging.getLogger(__name__)
 
@@ -86,22 +88,14 @@ class ExteriorConfig:
 
 
 class ExteriorProblem:
-    """Truncated corrector domain: unit inclusion, Dirichlet far boundary."""
+    """Upper half of the truncated corrector domain: unit inclusion,
+    Dirichlet far arc and x axis (the corrector is odd in y)."""
 
     def __init__(self, config=None):
         self.config = config or ExteriorConfig()
         self.mesh = graded_disk_mesh(self.config.radius, self.config.target_nodes)
         self.space = P1Space(self.mesh)
-        # lower-half nodes are slaves (sign -1) of their mirrors; the nodes
-        # on the x axis are their own mirrors and vanish
-        mirror = disk_mirror(self.mesh)
-        node = np.arange(self.mesh.n_nodes)
-        fixed = mirror == node
-        fixed[self.mesh.dirichlet_nodes] = True
-        pair = (mirror > node) & ~fixed
-        self.dofmap = DofMap(replace(self.mesh, pair_master=node[pair],
-                                     pair_slave=mirror[pair],
-                                     dirichlet_nodes=np.flatnonzero(fixed)))
+        self.dofmap = DofMap(self.mesh)
         # graded_disk_mesh numbers the elements ring by ring from the centre,
         # so the inclusion is the first block and the exterior the rest
         n_inc = len(self.mesh.elements_in("inclusion"))
@@ -164,29 +158,28 @@ class ExteriorProblem:
     def response_pair(self, k, U, law_in, law_out):
         """Condense one corrector solve into the (f_par, f_perp) pair.
 
-        The pair collects the quadratic remainder over the whole domain, the
+        f_par collects the quadratic remainder over the whole domain, the
         law-jump term over the inclusion, and the direct jump h_in(U)-h_out(U),
-        all normalized by the discrete inclusion area.
+        all normalized by the discrete inclusion area: x components, even in
+        y, so the half disk gives them. f_perp is 0.0 by symmetry.
         """
         U = np.asarray(U, dtype=float)
         Bk = self.space.element_curl(k)
-        inc = self.inclusion
+        inc, ext = self.inclusion, self.exterior
         areas = self.space.areas
 
-        # U as one row, as in solve_corrector
+        # U as one row, as in solve_corrector; row 0 of dh(U) gives the x
+        # component of dh(U) Bk
         (h_in_U,), (dh_in_U,) = law_in.response(U[None])
         (h_out_U,), (dh_out_U,) = law_out.response(U[None])
 
         b = Bk + U
-        rem = np.empty_like(Bk)
-        rem[inc] = law_in.h(b[inc]) - h_in_U - Bk[inc] @ dh_in_U.T
-        ext = self.exterior
-        rem[ext] = law_out.h(b[ext]) - h_out_U - Bk[ext] @ dh_out_U.T
-        total = (areas[:, None] * rem).sum(axis=0)
-        total += (areas[inc, None] * (Bk[inc] @ (dh_in_U - dh_out_U).T)).sum(axis=0)
-        total /= self.inclusion_area
-        total += h_in_U - h_out_U
-        return float(total[0]), float(total[1])
+        rem = np.empty(len(Bk))
+        rem[inc] = law_in.h(b[inc])[:, 0] - h_in_U[0] - Bk[inc] @ dh_in_U[0]
+        rem[ext] = law_out.h(b[ext])[:, 0] - h_out_U[0] - Bk[ext] @ dh_out_U[0]
+        total = (areas * rem).sum()
+        total += (areas[inc] * (Bk[inc] @ (dh_in_U - dh_out_U)[0])).sum()
+        return float(total / self.inclusion_area + h_in_U[0] - h_out_U[0]), 0.0
 
 
 def laws_for_direction(direction, materials, knee):

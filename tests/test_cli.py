@@ -16,10 +16,12 @@ import pytest
 import rtopt
 from rtopt import machine
 from rtopt.cli import main
+from rtopt.config import load_config
 from rtopt.errors import SolverError
 from rtopt.laws import K_F
 from rtopt.levelset import TRACE_HEADER
 from rtopt.machine import MachineProblem
+from rtopt.mesh import graded_disk_mesh
 
 BASE = """
 [geometry]
@@ -190,7 +192,14 @@ def test_precompute_audit_output(tables_ready, capsys):
     assert summary["newton"] == {"solves": 2, "iterations": 2,
                                  "max_iterations": 1, "rejected_trials": 0,
                                  "warm_starts": 0, "residuals": 4}
-    assert 2 * summary["reduced_unknowns"] < summary["mesh_nodes"]
+    # the corrector is solved on the upper half disk: every node is an
+    # unknown but those on the x axis and on the outer arc
+    exterior = load_config(ws["cfg"]).exterior
+    x, y = graded_disk_mesh(exterior.radius, exterior.target_nodes).vertices.T
+    axis = np.abs(y) <= 1e-12 * exterior.radius
+    arc = ~axis & np.isclose(np.hypot(x, y), exterior.radius, rtol=1e-12)
+    assert summary["mesh_nodes"] == len(x)
+    assert summary["reduced_unknowns"] == len(x) - axis.sum() - arc.sum()
     assert '"reduced_unknowns"' in out
     # ANG samples one column, at the fixed knee K_F
     lines = (ws["out"] / "tables" / "iron_to_air.rtotd").read_text().splitlines()

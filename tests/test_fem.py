@@ -434,7 +434,7 @@ def test_tangent_band_equals_the_reduced_blocks():
     # the band is linear in dh, so one product gives reduce_matrix of the
     # element blocks up to the order of the sums: on the machine meshes,
     # with Dirichlet nodes and antiperiodic slaves, and on the tables-knee
-    # corrector mesh, whose lower half is the mirror slave of the upper
+    # corrector half disk, whose x axis and outer arc are Dirichlet
     rng = np.random.default_rng(43)
     pairs = [(P1Space(mesh), DofMap(mesh)) for mesh in (
         build_machine_mesh(load_config(CONFIGS / f"{name}.cfg").geometry)

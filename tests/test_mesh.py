@@ -11,7 +11,8 @@ from rtopt.config import load_config
 from rtopt.errors import ConfigurationError, UsageError
 from rtopt.fem import DofMap, P1Space
 from rtopt.mesh import (R_OUTER, SECTOR, MachineGeometry, build_machine_mesh,
-                        disk_mirror, graded_disk_mesh, refine_disc_patch)
+                        graded_disk_mesh, refine_disc_patch)
+from full_disk import mirrored_disk
 from square_mesh import unit_square_mesh
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -30,24 +31,41 @@ def test_unit_square_counts_and_area():
 
 def test_graded_disk_basic():
     mesh = graded_disk_mesh(128.0, 3000)
-    assert 1500 <= mesh.n_nodes <= 6000
+    # the upper half of a disk near the target's node count
+    assert 750 <= mesh.n_nodes <= 3000
     areas = P1Space(mesh).areas
     assert np.all(areas > 0)
+    assert np.all(mesh.vertices[:, 1] >= 0.0)
     inc = mesh.elements_in("inclusion")
-    assert areas[inc].sum() == pytest.approx(np.pi, rel=5e-3)
-    r = np.hypot(*mesh.vertices[mesh.dirichlet_nodes].T)
-    assert np.allclose(r, 128.0, rtol=1e-12)
+    assert areas[inc].sum() == pytest.approx(np.pi / 2, rel=5e-3)
+    # the elements go ring by ring from the centre: the inclusion first
+    assert np.array_equal(inc, np.arange(len(inc)))
+    # Dirichlet: the x axis (two nodes per ring and the origin) and the
+    # outer arc between its ends
+    x, y = mesh.vertices.T
+    n_rings = (mesh.n_nodes - 1) // (mesh.meta["n_theta"] // 2 + 1)
+    axis = np.abs(y) <= 1e-12 * 128.0
+    arc = np.isclose(np.hypot(x, y), 128.0, rtol=1e-12, atol=0.0)
+    assert axis.sum() == 1 + 2 * n_rings
+    assert np.array_equal(np.sort(mesh.dirichlet_nodes),
+                          np.flatnonzero(axis | arc))
 
 
 def test_graded_disk_mirror_symmetry():
-    mesh = graded_disk_mesh(64.0, 1500)
+    # the half disk and its mirror image are the full disk of n_theta steps
+    half = graded_disk_mesh(64.0, 1500)
+    mesh, _ = mirrored_disk(half)
     pts = {(round(x, 9), round(y, 9)) for x, y in mesh.vertices}
     assert all((x, -y) in pts for x, y in pts)
+    n_rings = (half.n_nodes - 1) // (half.meta["n_theta"] // 2 + 1)
+    assert mesh.n_nodes == len(pts) == 1 + n_rings * half.meta["n_theta"]
+    assert P1Space(mesh).areas.sum() == pytest.approx(np.pi * 64.0**2,
+                                                      rel=5e-3)
 
 
 def test_disk_mirror_is_the_mesh_reflection():
-    mesh = graded_disk_mesh(64.0, 1500)
-    mirror = disk_mirror(mesh)
+    half = graded_disk_mesh(64.0, 1500)
+    mesh, mirror = mirrored_disk(half)
     node = np.arange(mesh.n_nodes)
     assert np.array_equal(mirror[mirror], node)
     assert np.allclose(mesh.vertices[mirror], mesh.vertices * [1.0, -1.0],
@@ -55,10 +73,13 @@ def test_disk_mirror_is_the_mesh_reflection():
     # the reflection maps triangles onto triangles
     tris = {frozenset(t) for t in mesh.triangles.tolist()}
     assert {frozenset(t) for t in mirror[mesh.triangles].tolist()} == tris
-    # its fixed points are the origin and two nodes per ring, on the x axis
+    # its fixed points are the origin and two nodes per ring, on the x axis:
+    # the half disk's Dirichlet nodes off the outer arc
     fixed = node[mirror == node]
-    assert len(fixed) == 1 + 2 * (mesh.n_nodes - 1) // mesh.meta["n_theta"]
+    assert len(fixed) == 1 + 2 * (half.n_nodes - 1) // (
+        half.meta["n_theta"] // 2 + 1)
     assert np.all(np.abs(mesh.vertices[fixed, 1]) <= 1e-12 * 64.0)
+    assert set(fixed) <= set(half.dirichlet_nodes)
 
 
 def test_machine_regions_and_pairs():

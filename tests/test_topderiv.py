@@ -10,15 +10,16 @@ from scipy.interpolate import PchipInterpolator
 
 from rtopt import topderiv
 from rtopt.errors import FormatError, SolverError, UsageError
-from rtopt.fem import DofMap
 from rtopt.laws import K_F, NU0, NU_F
 from rtopt.machine import MaterialSpec, Scenario
+from rtopt.mesh import graded_disk_mesh
 from rtopt.topderiv import (DIRECTIONS, ExteriorConfig, ExteriorProblem,
                             TDTable, check_table_compatibility,
                             generalized_td_field, laws_for_direction,
                             load_table, precompute_tables, sample_table,
                             save_table)
 from closed_forms import truncated_corrector
+from full_disk import mirrored_disk
 from smoother_integrals import mass_matrix
 
 I2A_SLOPE = 2.0 * NU_F * (NU0 - NU_F) / (NU0 + NU_F)
@@ -298,13 +299,33 @@ def response_magnitude(prob, k, U, law_in, law_out):
     return size / prob.inclusion_area + np.abs(h_in - h_out)
 
 
-def test_odd_reduction_matches_full_disk():
-    # U = t e_x makes the corrector odd in y, so the half-disk unknowns give
-    # the full-disk solve, Newton path and response pair included
+def transverse_response(prob, k, U, law_in, law_out):
+    """The y components of response_pair's sums: f_perp, which the half
+    disk leaves at zero because its integrands are odd in y."""
+    Bk = prob.space.element_curl(k)
+    areas, inc = prob.space.areas, prob.inclusion
+    (h_in, dh_in), (h_out, dh_out) = law_in.response(U), law_out.response(U)
+    total = 0.0
+    for elements, law, h_U, dh_U in ((inc, law_in, h_in, dh_in),
+                                     (prob.exterior, law_out, h_out, dh_out)):
+        b = Bk[elements]
+        total += areas[elements] @ (law.h(b + U) - h_U - b @ dh_U.T)[:, 1]
+    total += areas[inc] @ (Bk[inc] @ (dh_in - dh_out).T)[:, 1]
+    return total / prob.inclusion_area + (h_in - h_out)[1]
+
+
+def test_odd_reduction_matches_full_disk(monkeypatch):
+    # U = t e_x makes the corrector odd in y, so the half disk gives the
+    # full-disk solve, Newton path and f_par, and the full disk's f_perp
+    # vanishes
     cfg = ExteriorConfig(radius=64.0, target_nodes=1500)
     prob = ExteriorProblem(cfg)
+    half = graded_disk_mesh
+    monkeypatch.setattr(topderiv, "graded_disk_mesh",
+                        lambda *args: mirrored_disk(half(*args))[0])
     full = ExteriorProblem(cfg)
-    full.dofmap = DofMap(full.mesh)
+    n = prob.mesh.n_nodes
+    assert np.array_equal(full.mesh.vertices[:n], prob.mesh.vertices)
     assert 2 * prob.dofmap.n_reduced <= full.dofmap.n_reduced
     spec = MaterialSpec()
     for direction in DIRECTIONS:
@@ -314,22 +335,39 @@ def test_odd_reduction_matches_full_disk():
             k, info = prob.solve_corrector(U, law_in, law_out)
             k_ref, info_ref = full.solve_corrector(U, law_in, law_out)
             assert info.iterations == info_ref.iterations
-            assert np.abs(k - k_ref).max() <= 1e-10 * np.abs(k_ref).max()
+            assert np.abs(k - k_ref[:n]).max() <= 1e-10 * np.abs(k_ref).max()
             f_par, f_perp = prob.response_pair(k, U, law_in, law_out)
-            ref_par, ref_perp = full.response_pair(k_ref, U, law_in, law_out)
+            ref_par, _ = full.response_pair(k_ref, U, law_in, law_out)
             # k and k_ref agree to round-off, so the pairs differ by the
             # rounding of response_pair itself: each remainder subtracts
             # pieces of size |h(b)|, |h(U)| and |dh(U) Bk|, and the sum over
             # the mesh cancels them down to f_par (202 from 2.4e6 at
             # iron_to_air, t = 0.5). Each rounding is at most eps times a
             # piece, so the gap is a few eps times their sum (measured:
-            # under 0.5 eps).
+            # under 0.2 eps).
             size = response_magnitude(full, k_ref, U, law_in, law_out)
             assert abs(f_par - ref_par) <= 2 * np.finfo(float).eps * size[0]
-            assert abs(f_perp - ref_perp) <= 1e-12 * abs(ref_par)
+            # the transverse response is odd in y: zero on the half disk,
+            # round-off on the full one
+            assert f_perp == 0.0
+            ref_perp = transverse_response(full, k_ref, U, law_in, law_out)
+            assert abs(ref_perp) <= 1e-12 * abs(ref_par)
     assert len(prob.newton_log) == 6
     with pytest.raises(UsageError):
         prob.solve_corrector(np.array([1.0, 1.0]), law_in, law_out)
+
+
+@pytest.mark.parametrize("target_nodes, kept", [(4000, 1146), (8000, 2339)])
+def test_air_to_iron_keeps_its_exterior_columns(target_nodes, kept):
+    # the reverse Cuthill-McKee order of the 4k and 8k half disks starts at
+    # the outer arc, so air_to_iron keeps its air exterior's factor columns
+    # and iron_to_air, whose saturating exterior touches unknown 0, none
+    prob = ExteriorProblem(ExteriorConfig(radius=128.0,
+                                          target_nodes=target_nodes))
+    spec = MaterialSpec()
+    factors = prob.factors(*laws_for_direction("air_to_iron", spec, K_F))
+    assert factors.start == kept
+    assert prob.factors(*laws_for_direction("iron_to_air", spec, K_F)) is None
 
 
 def test_evaluate_rotation_invariant(linear_tables):
