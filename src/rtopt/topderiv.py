@@ -13,17 +13,18 @@ corrector equation
 
 for far fields U = t e_x on a grid of magnitudes t and saturation knees q
 (K_F alone where no scenario varies the knee), then condensing each solve
-into the response pair (f_par, f_perp). Online evaluation rotates the pair
-to the local flux direction:  value = f_par * (P . e_U) + f_perp * (P . e_U_perp).
+into the response f_par along the flux. Online evaluation projects the
+adjoint on the local flux direction:  value = f_par(|U|, knee) * (P . U) / |U|.
 
 Both laws are isotropic and the disk is symmetric about the x axis, so for
 U = t e_x the corrector is odd in y, k(x, -y) = -k(x, y), and vanishes on
 the axis. It is solved on the upper half disk with the axis Dirichlet, so
-the laws, residuals, tangents and the response pair run over half the full
+the laws, residuals, tangents and the response run over half the full
 disk's elements and every tangent is factored at half its size. The
 integrands of f_par are even in y, so the half disk gives f_par over half the
-inclusion area; those of f_perp are odd, so f_perp is zero by symmetry. Far
-fields off e_x are refused: the table is rotated online and never needs one.
+inclusion area. Those of the transverse response are odd, so it is zero by
+symmetry (Amstutz & Gangl, ETNA 51, 2019) and no table holds it. Far fields
+off e_x are refused: the table is rotated online and never needs one.
 
 A linear law's Jacobian never changes. Let p be the first reduced unknown an
 element of a nonlinear law touches (all of them if both laws are linear).
@@ -38,7 +39,7 @@ outer boundary, so air_to_iron keeps its air exterior's columns (2,339 of
 exterior touches unknown 0, factors every tangent whole. On the 2k, 15k
 and 30k-node meshes the order starts in the inclusion and the roles swap.
 
-Tables persist as RTOTD2 files tied to a law fingerprint.
+Tables persist as RTOTD3 files tied to a law fingerprint.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .mesh import graded_disk_mesh
 
 log = logging.getLogger(__name__)
 
-TABLE_FORMAT = "RTOTD2"
+TABLE_FORMAT = "RTOTD3"
 DIRECTIONS = ("iron_to_air", "air_to_iron")
 
 # Newton controls of every corrector solve
@@ -156,12 +157,13 @@ class ExteriorProblem:
         return k, info
 
     def response_pair(self, k, U, law_in, law_out):
-        """Condense one corrector solve into the (f_par, f_perp) pair.
+        """Condense one corrector solve into the response f_par.
 
         f_par collects the quadratic remainder over the whole domain, the
         law-jump term over the inclusion, and the direct jump h_in(U)-h_out(U),
         all normalized by the discrete inclusion area: x components, even in
-        y, so the half disk gives them. f_perp is 0.0 by symmetry.
+        y, so the half disk gives them. (The benchmark harness times this
+        method by its name.)
         """
         U = np.asarray(U, dtype=float)
         Bk = self.space.element_curl(k)
@@ -179,7 +181,7 @@ class ExteriorProblem:
         rem[ext] = law_out.h(b[ext])[:, 0] - h_out_U[0] - Bk[ext] @ dh_out_U[0]
         total = (areas * rem).sum()
         total += (areas[inc] * (Bk[inc] @ (dh_in_U - dh_out_U)[0])).sum()
-        return float(total / self.inclusion_area + h_in_U[0] - h_out_U[0]), 0.0
+        return float(total / self.inclusion_area + h_in_U[0] - h_out_U[0])
 
 
 def laws_for_direction(direction, materials, knee):
@@ -222,8 +224,8 @@ def _pchip_coefficients(x, y):
 class TDTable:
     """Sampled topological response of one flip direction.
 
-    f_par/f_perp have shape (n_t, n_q) over the flux magnitudes t and the
-    strictly increasing knees q; a fixed-knee table has the one knee K_F.
+    f_par has shape (n_t, n_q) over the flux magnitudes t and the strictly
+    increasing knees q; a fixed-knee table has the one knee K_F.
     Interpolation is monotone piecewise-cubic in t (PCHIP, bitwise
     equal to scipy's) and linear in q; queries outside the sampled box are
     clamped, counted and warned once.
@@ -232,14 +234,13 @@ class TDTable:
     direction: str
     t: np.ndarray
     f_par: np.ndarray
-    f_perp: np.ndarray
     law_fingerprint: str
     q: np.ndarray
     meta: dict | None = None
 
     def __post_init__(self):
-        self.t, self.q, self.f_par, self.f_perp = arrays = [
-            np.asarray(a, dtype=float) for a in (self.t, self.q, self.f_par, self.f_perp)]
+        self.t, self.q, self.f_par = arrays = [
+            np.asarray(a, dtype=float) for a in (self.t, self.q, self.f_par)]
         if self.direction not in DIRECTIONS:
             raise UsageError(f"unknown direction {self.direction!r}")
         if not all(np.isfinite(a).all() for a in arrays):
@@ -250,19 +251,23 @@ class TDTable:
                 raise ValueError(f"{name} axis needs at least {least} strictly "
                                  "increasing samples")
         shape = (len(self.t), len(self.q))
-        if self.f_par.shape != shape or self.f_perp.shape != shape:
-            raise ValueError(f"table blocks do not have shape {shape}")
-        # one PCHIP over the stacked columns: f_par of every knee sample,
-        # then f_perp of every knee sample; t samples too close for the
-        # values (a subnormal spacing) overflow it
+        if self.f_par.shape != shape:
+            raise ValueError(f"table block does not have shape {shape}")
+        # one PCHIP over the f_par column of every knee sample; t samples
+        # too close for the values (a subnormal spacing) overflow it
         with np.errstate(over="ignore", invalid="ignore"):
-            self._coef = _pchip_coefficients(
-                self.t, np.column_stack([self.f_par, self.f_perp]))
+            self._coef = _pchip_coefficients(self.t, self.f_par)
         if not np.isfinite(self._coef).all():
             raise UsageError("non-finite table interpolation of the t samples "
                              f"to t_max {float(self.t[-1])!r}")
         self._clamp_warned = False
         self.clamped_rows = 0       # queried rows clamped so far
+
+    @property
+    def f_perp(self):
+        """The transverse response: zero by symmetry, kept as a name for
+        the benchmark harness, which compares it with its reference."""
+        return np.zeros_like(self.f_par)
 
     def _clip(self, x, axis, what):
         """x clipped to the sampled axis, and the mask of the rows clamped."""
@@ -300,12 +305,12 @@ class TDTable:
         n, n_c = len(self.t), len(self.q)
         i = np.searchsorted(self.t[1:-1], tq, side="right")
         if n_c == 1:
-            cols = np.array([[0], [1]])
+            cols = np.array([[0]])
         else:
             # linear in the knee between the bracketing columns j - 1 and j
             j = np.clip(np.searchsorted(self.q, qq), 1, n_c - 1)
             w = (qq - self.q[j - 1]) / (self.q[j] - self.q[j - 1])
-            cols = np.stack([j - 1, j, n_c + j - 1, n_c + j])
+            cols = np.stack([j - 1, j])
         # y0 + d0 s + c1 s^2 + c0 s^3, summed and powered as scipy does
         at = cols * (n - 1) + i
         s = tq - self.t[i]
@@ -313,15 +318,9 @@ class TDTable:
         vals = self._coef[3].take(at)
         for c, power in zip(self._coef[2::-1], (s, z, z * s)):
             vals += c.take(at) * power
-        if n_c == 1:
-            par, perp = vals
-        else:
-            par = (1 - w) * vals[0] + w * vals[1]
-            perp = (1 - w) * vals[2] + w * vals[3]
-        # P . e_U and P . e_U_perp (e_U turned by +90 degrees) as P . U / t
-        # and U x P / t, exact for an adjoint along the flux
-        out[hit] = (par * ((px * ux + py * uy)[hit] / t_hit)
-                    + perp * ((ux * py - uy * px)[hit] / t_hit))
+        par = vals[0] if n_c == 1 else (1 - w) * vals[0] + w * vals[1]
+        # P . e_U as P . U / t, exact for an adjoint along the flux
+        out[hit] = par * ((px * ux + py * uy)[hit] / t_hit)
         return out
 
 
@@ -334,27 +333,25 @@ def sample_table(materials, direction, problem, q_range=None):
     Saturating iron solves every (t, knee) sample, each continued from its
     nearest solved sample (Deuflhard, Newton Methods for Nonlinear Problems,
     2004, ch. 5): the same t at the previous knee, or the previous t at the
-    first knee. Linear laws make the corrector and its response pair linear
-    in t and free of the knee, so one solve at t = 1 gives every entry as t
-    times that pair.
+    first knee. Linear laws make the corrector and its response linear in t
+    and free of the knee, so one solve at t = 1 gives every entry as t times
+    that response.
     """
     cfg = problem.config
     t_vals = np.linspace(0.0, cfg.t_max, cfg.n_t)
     knees = (np.linspace(q_range[0], q_range[1], cfg.n_q)
              if q_range is not None else np.array([K_F]))
 
-    def pair(t, knee, u0=None):
+    def respond(t, knee, u0=None):
         law_in, law_out = laws_for_direction(direction, materials, knee)
         U = np.array([t, 0.0])
         k, _ = problem.solve_corrector(U, law_in, law_out, u0)
         return problem.response_pair(k, U, law_in, law_out), k
 
     f_par = np.zeros((cfg.n_t, len(knees)))
-    f_perp = np.zeros((cfg.n_t, len(knees)))
     if materials.iron_linear:
-        (unit_par, unit_perp), _ = pair(1.0, K_F)
-        f_par[1:] = t_vals[1:, None] * unit_par
-        f_perp[1:] = t_vals[1:, None] * unit_perp
+        unit, _ = respond(1.0, K_F)
+        f_par[1:] = t_vals[1:, None] * unit
     else:
         # column[it]: the last corrector solved at t_vals[it]; t_vals[0] = 0
         # has no response, so only the first sample starts from zero
@@ -362,13 +359,12 @@ def sample_table(materials, direction, problem, q_range=None):
         for jq, knee in enumerate(knees):
             for it in range(1, cfg.n_t):
                 u0 = column[it] if jq else column[it - 1]
-                (f_par[it, jq], f_perp[it, jq]), column[it] = pair(
-                    t_vals[it], knee, u0)
+                f_par[it, jq], column[it] = respond(t_vals[it], knee, u0)
 
     meta = {"radius": cfg.radius, "mesh_nodes": problem.mesh.n_nodes,
             "target_nodes": cfg.target_nodes}
-    return TDTable(direction, t_vals, f_par, f_perp,
-                   materials.law_fingerprint(), q=knees, meta=meta)
+    return TDTable(direction, t_vals, f_par, materials.law_fingerprint(),
+                   q=knees, meta=meta)
 
 
 def precompute_tables(materials, problem, q_range=None):
@@ -419,10 +415,9 @@ def save_table(table, path):
         buf.write(f"{name} {len(axis)}\n")
         for v in axis:
             buf.write(f"{float(v)!r}\n")
-    for name, arr in (("f_par", table.f_par), ("f_perp", table.f_perp)):
-        buf.write(f"{name} {len(table.t)} {len(table.q)}\n")
-        for row in arr:
-            buf.write(" ".join(repr(float(v)) for v in row) + "\n")
+    buf.write(f"f_par {len(table.t)} {len(table.q)}\n")
+    for row in table.f_par:
+        buf.write(" ".join(repr(float(v)) for v in row) + "\n")
     with open(path, "w") as f:
         f.write(buf.getvalue())
 
@@ -435,22 +430,22 @@ def load_table(path):
         fingerprint = f.header("fingerprint")[0]
         radius = float(f.header("radius")[0])
         mesh_nodes = int(f.header("mesh_nodes")[0])
+        if mesh_nodes < 0:
+            raise ValueError(f"negative mesh_nodes {mesh_nodes}")
         t, q = (np.array([float(v) for (v,) in f.rows(int(f.header(name)[0]))])
                 for name in ("t", "q"))
-        blocks = []
-        for name in ("f_par", "f_perp"):
-            n, cols = (int(v) for v in f.header(name))
-            blocks.append(np.array([[float(v) for v in row] for row in f.rows(n)]))
-            if blocks[-1].shape != (n, cols):
-                raise ValueError(f"'{name}' block is not {n} x {cols}")
+        n, cols = (int(v) for v in f.header("f_par"))
+        f_par = np.array([[float(v) for v in row] for row in f.rows(n)])
+        if f_par.shape != (n, cols):
+            raise ValueError(f"'f_par' block is not {n} x {cols}")
         if not f.at_end():
-            raise FormatError(f"{path}: lines after the 'f_perp' block")
-        if not all(np.all(np.isfinite(v)) for v in (t, q, *blocks)):
+            raise FormatError(f"{path}: lines after the 'f_par' block")
+        if not all(np.all(np.isfinite(v)) for v in (radius, t, q, f_par)):
             raise FormatError(f"{path}: non-finite table values")
-        # TDTable refuses axes and blocks that do not match, and an
+        # TDTable refuses axes and a block that do not match, and an
         # interpolation that overflows
         try:
-            return TDTable(direction, t, *blocks, fingerprint, q=q,
+            return TDTable(direction, t, f_par, fingerprint, q=q,
                            meta={"radius": radius, "mesh_nodes": mesh_nodes})
         except UsageError as exc:
             raise FormatError(f"{path}: {exc}") from exc

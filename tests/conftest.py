@@ -55,19 +55,19 @@ def linear_tables(linear_spec):
 
 @pytest.fixture(scope="session")
 def knee_axis_faults():
-    """Rewrites of a valid one-knee RTOTD2 text into knee axes load_table
-    must refuse: two samples with blocks of three columns, two samples that
-    descend or repeat, no sample, and a negative sample count. Returns a
-    function text -> {name: text}."""
+    """Rewrites of a valid one-knee RTOTD3 text into knee axes load_table
+    must refuse: two samples with an f_par block of three columns, two
+    samples that descend or repeat, no sample, and a negative sample count.
+    Returns a function text -> {name: text}."""
 
     def faults(text):
         lines = text.splitlines()
         head = next(i for i, line in enumerate(lines) if line.startswith("q "))
-        blocks = lines[head + 1 + int(lines[head].split()[1]):]
+        block = lines[head + 1 + int(lines[head].split()[1]):]
 
         def variant(axis, cols):
             out = lines[:head] + [f"q {len(axis)}"] + [repr(v) for v in axis]
-            for line in blocks:     # headers "f_par n 1", rows of one value
+            for line in block:      # header "f_par n 1", rows of one value
                 word = line.split()
                 out.append(f"{word[0]} {word[1]} {cols}" if len(word) > 1
                            else " ".join(word * cols))
@@ -85,10 +85,10 @@ def knee_axis_faults():
 
 @pytest.fixture(scope="session")
 def t_axis_faults():
-    """Rewrites of a valid RTOTD2 text into t axes load_table must refuse,
-    with blocks cut to match: a single sample, and axes that descend or
-    repeat a sample; and a negative sample count ahead of the unchanged
-    axis. Returns a function text -> {name: text}."""
+    """Rewrites of a valid RTOTD3 text into t axes load_table must refuse,
+    with the f_par block cut to match: a single sample, and axes that
+    descend or repeat a sample; and a negative sample count ahead of the
+    unchanged axis. Returns a function text -> {name: text}."""
 
     def faults(text):
         lines = text.splitlines()
@@ -98,16 +98,11 @@ def t_axis_faults():
 
         def variant(new_axis):
             out = lines[:head] + [f"t {len(new_axis)}"] + new_axis
-            pos = head + 1 + n
-            while pos < len(lines):
-                word = lines[pos].split()
-                if word[0] in ("f_par", "f_perp"):     # "f_par n cols", n rows
-                    out.append(f"{word[0]} {len(new_axis)} {word[2]}")
-                    out += lines[pos + 1:pos + 1 + len(new_axis)]
-                    pos += 1 + n
-                else:
-                    out.append(lines[pos])
-                    pos += 1
+            block = next(i for i, line in enumerate(lines)
+                         if line.startswith("f_par "))    # "f_par n cols", n rows
+            out += lines[head + 1 + n:block]
+            out.append(f"f_par {len(new_axis)} {lines[block].split()[2]}")
+            out += lines[block + 1:block + 1 + len(new_axis)]
             return "\n".join(out) + "\n"
 
         return {"single_sample": variant(axis[:1]),

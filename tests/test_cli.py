@@ -203,10 +203,11 @@ def test_precompute_audit_output(tables_ready, capsys):
     assert '"reduced_unknowns"' in out
     # ANG samples one column, at the fixed knee K_F
     lines = (ws["out"] / "tables" / "iron_to_air.rtotd").read_text().splitlines()
-    assert lines[0] == "RTOTD2"
+    assert lines[0] == "RTOTD3"
     head = lines.index("q 1")
     assert float(lines[head + 1]) == K_F
     assert lines[head + 2] == "f_par 5 1"
+    assert len(lines) == head + 8          # the f_par block ends the file
 
 
 def test_optimize_missing_tables(tmp_path):
@@ -474,13 +475,17 @@ def test_corrupt_table_rejected(tables_ready, tmp_path, caplog, knee_axis_faults
     for bad in [*knee_axis_faults(text).values(), *t_axis_faults(text).values()]:
         (out2 / "tables" / "iron_to_air.rtotd").write_text(bad)
         assert main(["optimize", cfg]) == 2
-    # RTOTD1 wrote ANG tables without a knee axis; its files are refused
-    # by their tag, naming the file
+    # RTOTD1 wrote ANG tables without a knee axis, and RTOTD2 an all-zero
+    # f_perp block after f_par; their files are refused by their tag,
+    # naming the file
     table = out2 / "tables" / "iron_to_air.rtotd"
-    table.write_text(text.replace("RTOTD2", "RTOTD1", 1))
-    caplog.clear()
-    assert main(["optimize", cfg]) == 2
-    assert f"{table}: expected a RTOTD2 file" in caplog.text
+    n_t = text.split("\nf_par ")[1].split()[0]
+    padded = text + f"f_perp {n_t} 1\n" + "0.0\n" * int(n_t)
+    for old, bad in (("RTOTD1", text), ("RTOTD2", padded)):
+        table.write_text(bad.replace("RTOTD3", old, 1))
+        caplog.clear()
+        assert main(["optimize", cfg]) == 2
+        assert f"{table}: expected a RTOTD3 file" in caplog.text
 
 
 def test_truncated_table_rejected(tables_ready, tmp_path):

@@ -21,10 +21,10 @@ def saved(tmp_path_factory):
     root = tmp_path_factory.mktemp("formats")
     t = np.array([0.0, 1.0, 2.5])
     q = np.array([1.9, 2.2, 2.5])
-    save_table(TDTable("iron_to_air", t, 3.0 * t[:, None], 1e-9 * t[:, None],
-                       "ab12", q=[2.2]), root / "one_knee.rtotd")
-    save_table(TDTable("air_to_iron", t, np.outer(t, q), np.outer(t, -q),
-                       "cd34", q=q), root / "knee.rtotd")
+    save_table(TDTable("iron_to_air", t, 3.0 * t[:, None], "ab12", q=[2.2]),
+               root / "one_knee.rtotd")
+    save_table(TDTable("air_to_iron", t, np.outer(t, q), "cd34", q=q),
+               root / "knee.rtotd")
     save_levelset(np.array([0.5, -1.0, 2.0]), [3, 1, 2], "deadbeef01",
                   root / "state.rtols", iteration=4, value=-2.0)
     originals = {name: (root / name).read_bytes()

@@ -31,12 +31,11 @@ def test_linear_law_slopes(linear_tables):
         tab = linear_tables[name]
         # an ANG table: one column, sampled at the fixed knee
         assert np.array_equal(tab.q, [K_F])
-        assert tab.f_par.shape == tab.f_perp.shape == (len(tab.t), 1)
+        assert tab.f_par.shape == (len(tab.t), 1)
         t = tab.t[1:]
         rel = np.abs(tab.f_par[1:, 0] / (slope * t) - 1.0)
         assert rel.max() <= 1e-2, (name, rel.max())
-        assert np.abs(tab.f_perp).max() <= 1e-8 * np.abs(tab.f_par).max()
-        assert tab.f_par[0, 0] == 0.0 and tab.f_perp[0, 0] == 0.0
+        assert tab.f_par[0, 0] == 0.0
 
 
 def test_linear_response_proportional_to_flux(linear_tables):
@@ -88,16 +87,15 @@ def test_linear_tables_factor_once_per_direction(linear_spec, factor_calls):
 def assert_isolated_solves_reproduce(prob, spec, table, rtol):
     """Every table entry again, each from its own corrector solve, within
     rtol * max|f_par|."""
-    f_par, f_perp = table.f_par, table.f_perp
+    f_par = table.f_par
     tol = rtol * np.abs(f_par).max()
     for jq, knee in enumerate(table.q):
         law_in, law_out = laws_for_direction(table.direction, spec, knee)
         for it in range(1, len(table.t)):
             U = np.array([table.t[it], 0.0])
             k, _ = prob.solve_corrector(U, law_in, law_out)
-            par, perp = prob.response_pair(k, U, law_in, law_out)
+            par = prob.response_pair(k, U, law_in, law_out)
             assert abs(par - f_par[it, jq]) <= tol
-            assert abs(perp - f_perp[it, jq]) <= tol
 
 
 @pytest.mark.parametrize("radius,target_nodes", [
@@ -127,9 +125,7 @@ def test_saturating_tables_repeat_bitwise():
     first, second = (precompute_tables(spec, ExteriorProblem(SWEEP),
                                        (1.8, 2.6)) for _ in range(2))
     for direction in DIRECTIONS:
-        for name in ("f_par", "f_perp"):
-            assert np.array_equal(getattr(first[direction], name),
-                                  getattr(second[direction], name))
+        assert np.array_equal(first[direction].f_par, second[direction].f_par)
 
 
 def test_knee_sweep_continues_from_solved_neighbours(monkeypatch):
@@ -185,12 +181,10 @@ def test_kept_columns_reproduce_the_whole_factor_tables(monkeypatch,
     iron_to_air = sum(i.iterations for i in kept.newton_log[:len(
         kept.newton_log) // 2])
     assert calls == iron_to_air + 1     # and one whole air_to_iron tangent
-    for name in ("f_par", "f_perp"):
-        a, b = (getattr(t["iron_to_air"], name) for t in (tables, reference))
-        assert np.array_equal(a, b)
-        a, b = (getattr(t["air_to_iron"], name) for t in (tables, reference))
-        tol = 1e-12 * np.abs(reference["air_to_iron"].f_par).max()
-        assert np.abs(a - b).max() <= tol
+    a, b = (t["iron_to_air"].f_par for t in (tables, reference))
+    assert np.array_equal(a, b)
+    a, b = (t["air_to_iron"].f_par for t in (tables, reference))
+    assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 class _TurningLaw:
@@ -262,15 +256,16 @@ def test_warm_corrector_tolerance_is_the_residual_at_zero(monkeypatch,
 @pytest.mark.parametrize("direction", DIRECTIONS)
 def test_response_pair_far_field_is_the_row_form(direction):
     # with k = 0 the quadratic remainder of every row is h(U) - h(U), so the
-    # pair is exactly the row-form jump h_in(U) - h_out(U) when the far field
-    # is evaluated as the rows are; at t = 5/3, K_F a lone (2,) vector rounds
-    # otherwise and leaves its error on every iron row
+    # response is exactly the row-form jump h_in(U) - h_out(U) along e_x when
+    # the far field is evaluated as the rows are; at t = 5/3, K_F a lone (2,)
+    # vector rounds otherwise and leaves its error on every iron row
     prob = ExteriorProblem(SWEEP)
     law_in, law_out = laws_for_direction(direction, MaterialSpec(), K_F)
     U = np.array([5.0 / 3.0, 0.0])
     jump = (law_in.h(U[None]) - law_out.h(U[None]))[0]
-    pair = prob.response_pair(np.zeros(prob.mesh.n_nodes), U, law_in, law_out)
-    assert pair == (float(jump[0]), float(jump[1]))
+    response = prob.response_pair(np.zeros(prob.mesh.n_nodes), U, law_in,
+                                  law_out)
+    assert response == float(jump[0]) and jump[1] == 0.0
 
 
 def test_law_fingerprints_pinned():
@@ -300,8 +295,8 @@ def response_magnitude(prob, k, U, law_in, law_out):
 
 
 def transverse_response(prob, k, U, law_in, law_out):
-    """The y components of response_pair's sums: f_perp, which the half
-    disk leaves at zero because its integrands are odd in y."""
+    """The y components of response_pair's sums: the transverse response,
+    which no table holds because its integrands are odd in y."""
     Bk = prob.space.element_curl(k)
     areas, inc = prob.space.areas, prob.inclusion
     (h_in, dh_in), (h_out, dh_out) = law_in.response(U), law_out.response(U)
@@ -316,8 +311,8 @@ def transverse_response(prob, k, U, law_in, law_out):
 
 def test_odd_reduction_matches_full_disk(monkeypatch):
     # U = t e_x makes the corrector odd in y, so the half disk gives the
-    # full-disk solve, Newton path and f_par, and the full disk's f_perp
-    # vanishes
+    # full-disk solve, Newton path and f_par, and the full disk's transverse
+    # response vanishes
     cfg = ExteriorConfig(radius=64.0, target_nodes=1500)
     prob = ExteriorProblem(cfg)
     half = graded_disk_mesh
@@ -336,9 +331,9 @@ def test_odd_reduction_matches_full_disk(monkeypatch):
             k_ref, info_ref = full.solve_corrector(U, law_in, law_out)
             assert info.iterations == info_ref.iterations
             assert np.abs(k - k_ref[:n]).max() <= 1e-10 * np.abs(k_ref).max()
-            f_par, f_perp = prob.response_pair(k, U, law_in, law_out)
-            ref_par, _ = full.response_pair(k_ref, U, law_in, law_out)
-            # k and k_ref agree to round-off, so the pairs differ by the
+            f_par = prob.response_pair(k, U, law_in, law_out)
+            ref_par = full.response_pair(k_ref, U, law_in, law_out)
+            # k and k_ref agree to round-off, so the responses differ by the
             # rounding of response_pair itself: each remainder subtracts
             # pieces of size |h(b)|, |h(U)| and |dh(U) Bk|, and the sum over
             # the mesh cancels them down to f_par (202 from 2.4e6 at
@@ -347,9 +342,8 @@ def test_odd_reduction_matches_full_disk(monkeypatch):
             # under 0.2 eps).
             size = response_magnitude(full, k_ref, U, law_in, law_out)
             assert abs(f_par - ref_par) <= 2 * np.finfo(float).eps * size[0]
-            # the transverse response is odd in y: zero on the half disk,
-            # round-off on the full one
-            assert f_perp == 0.0
+            # the transverse response is odd in y: round-off on the full
+            # disk, which is why the tables leave it out
             ref_perp = transverse_response(full, k_ref, U, law_in, law_out)
             assert abs(ref_perp) <= 1e-12 * abs(ref_par)
     assert len(prob.newton_log) == 6
@@ -396,36 +390,29 @@ def test_evaluate_linear_in_adjoint(linear_tables):
 
 @pytest.mark.parametrize("knees", [None, np.array([1.8, 2.2, 2.6])])
 def test_evaluate_matches_unit_vector_projection(knees):
-    # evaluate projects with P . U / t and U x P / t; the projection on the
-    # unit vectors e_U = U / t and e_U_perp agrees to round-off. None is the
-    # one knee K_F, as for sample_table
+    # evaluate projects with P . U / t; the projection on the unit vector
+    # e_U = U / t agrees to round-off. None is the one knee K_F, as for
+    # sample_table
     knees = np.array([K_F]) if knees is None else knees
     rng = np.random.default_rng(31)
     t = np.linspace(0.0, 3.0, 7)
     shape = (len(t), len(knees))
-    tab = TDTable("iron_to_air", t, rng.standard_normal(shape),
-                  rng.standard_normal(shape), "test", q=knees)
+    tab = TDTable("iron_to_air", t, rng.standard_normal(shape), "test", q=knees)
     U = rng.uniform(-2.0, 2.0, (200, 2))
     P = rng.standard_normal((200, 2))
     r = np.linalg.norm(U, axis=1)
     knee = rng.uniform(knees[0], knees[-1], 200)
     if len(knees) == 1:
-        par, perp = (PchipInterpolator(t, f[:, 0])(r)
-                     for f in (tab.f_par, tab.f_perp))
+        par = PchipInterpolator(t, tab.f_par[:, 0])(r)
     else:
         j = np.clip(np.searchsorted(knees, knee), 1, len(knees) - 1)
         w = (knee - knees[j - 1]) / (knees[j] - knees[j - 1])
         rows = np.arange(200)
-        par, perp = ((1 - w) * PchipInterpolator(t, f)(r)[rows, j - 1]
-                     + w * PchipInterpolator(t, f)(r)[rows, j]
-                     for f in (tab.f_par, tab.f_perp))
-    e_par = U / r[:, None]
-    e_perp = np.column_stack([-e_par[:, 1], e_par[:, 0]])
-    along = par * np.einsum("md,md->m", P, e_par)
-    across = perp * np.einsum("md,md->m", P, e_perp)
+        vals = PchipInterpolator(t, tab.f_par)(r)
+        par = (1 - w) * vals[rows, j - 1] + w * vals[rows, j]
+    along = par * np.einsum("md,md->m", P, U / r[:, None])
     got = tab.evaluate(U, P, knee)
-    assert np.all(np.abs(got - (along + across))
-                  <= 1e-14 * (np.abs(along) + np.abs(across)))
+    assert np.all(np.abs(got - along) <= 1e-14 * np.abs(along))
 
 
 def test_evaluate_zero_flux_rows(linear_tables):
@@ -436,15 +423,13 @@ def test_evaluate_zero_flux_rows(linear_tables):
     assert out[0] == 0.0 and out[1] != 0.0
 
 
-def synthetic_table(f_perp_slope=0.0, q=None):
+def synthetic_table(q=None):
     """f_par = t at the one knee K_F, or t * q over the knee axis q."""
     t = np.array([0.0, 1.0, 2.0])
     if q is None:
-        return TDTable("iron_to_air", t, t[:, None], f_perp_slope * t[:, None],
-                       "test", q=[K_F])
+        return TDTable("iron_to_air", t, t[:, None], "test", q=[K_F])
     q = np.asarray(q, dtype=float)
-    f_par = np.outer(t, q)
-    return TDTable("iron_to_air", t, f_par, np.zeros_like(f_par), "test", q=q)
+    return TDTable("iron_to_air", t, np.outer(t, q), "test", q=q)
 
 
 def test_clamp_warns_once(caplog):
@@ -456,19 +441,18 @@ def test_clamp_warns_once(caplog):
     assert sum("clamped" in r.message for r in caplog.records) == 1
 
 
-@pytest.mark.parametrize("field", ["t", "q", "f_par", "f_perp"])
+@pytest.mark.parametrize("field", ["t", "q", "f_par"])
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_table_refuses_non_finite_values(field, bad):
     # a table with an inf or NaN entry is refused where it is made, so no
     # file of one is ever written
     arrays = {"t": np.array([0.0, 1.0, 2.0]), "q": np.array([K_F]),
-              "f_par": np.array([[0.0], [1.0], [2.0]]),
-              "f_perp": np.zeros((3, 1))}
+              "f_par": np.array([[0.0], [1.0], [2.0]])}
     arrays[field] = arrays[field].copy()
     arrays[field][-1, ...] = bad
     with pytest.raises(UsageError, match="non-finite table values"):
-        TDTable("iron_to_air", arrays["t"], arrays["f_par"], arrays["f_perp"],
-                "test", q=arrays["q"])
+        TDTable("iron_to_air", arrays["t"], arrays["f_par"], "test",
+                q=arrays["q"])
 
 
 def test_table_refuses_an_interpolation_that_overflows(tmp_path):
@@ -478,7 +462,7 @@ def test_table_refuses_an_interpolation_that_overflows(tmp_path):
     f = np.arange(5.0)[:, None]
     with pytest.raises(UsageError, match="non-finite table interpolation of "
                                          "the t samples to t_max 1e-320"):
-        TDTable("iron_to_air", t, f, f, "test", q=[K_F])
+        TDTable("iron_to_air", t, f, "test", q=[K_F])
     # and a file of such samples is a FormatError naming the file
     path = tmp_path / "tiny.rtotd"
     save_table(synthetic_table(), path)
@@ -493,7 +477,7 @@ def test_table_refuses_an_interpolation_that_overflows(tmp_path):
 
 def test_clamp_below_first_sample_counted(caplog):
     t = np.array([1.0, 2.0, 3.0])
-    tab = TDTable("iron_to_air", t, t[:, None], np.zeros((3, 1)), "test", q=[K_F])
+    tab = TDTable("iron_to_air", t, t[:, None], "test", q=[K_F])
     U = np.array([[0.5, 0.0], [2.0, 0.0], [0.0, 0.25]])
     with caplog.at_level(logging.WARNING, logger="rtopt.topderiv"):
         v = tab.evaluate(U, np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), K_F)
@@ -503,26 +487,24 @@ def test_clamp_below_first_sample_counted(caplog):
 
 
 def scipy_lookup(tab, tq, knee):
-    """(par, perp) at flux magnitudes tq by scipy's PCHIP over the stacked
-    columns, blended linearly between the bracketing knee samples."""
-    vals = PchipInterpolator(tab.t, np.column_stack([tab.f_par, tab.f_perp]))(
-        np.clip(tq, tab.t[0], tab.t[-1]))
-    n_c = vals.shape[1] // 2
+    """f_par at flux magnitudes tq by scipy's PCHIP over the knee columns,
+    blended linearly between the bracketing knee samples."""
+    vals = PchipInterpolator(tab.t, tab.f_par)(np.clip(tq, tab.t[0], tab.t[-1]))
+    n_c = vals.shape[1]
     if n_c == 1:
-        return vals.T
+        return vals[:, 0]
     qq = np.clip(knee, tab.q[0], tab.q[-1])
     j = np.clip(np.searchsorted(tab.q, qq), 1, n_c - 1)
     w = (qq - tab.q[j - 1]) / (tab.q[j] - tab.q[j - 1])
     row = np.arange(len(tq))
-    return [(1 - w) * vals[row, c + j - 1] + w * vals[row, c + j] for c in (0, n_c)]
+    return (1 - w) * vals[row, j - 1] + w * vals[row, j]
 
 
 def assert_lookup_matches_scipy(tab, tq, knee):
-    # flux along e_x: an adjoint along e_x reads f_par, one along e_y f_perp
+    # flux and adjoint along e_x read f_par
     U = np.column_stack([tq, np.zeros_like(tq)])
-    par, perp = scipy_lookup(tab, tq, knee)
-    for P, ref in (([1.0, 0.0], par), ([0.0, 1.0], perp)):
-        assert np.array_equal(tab.evaluate(U, np.tile(P, (len(tq), 1)), knee), ref)
+    P = np.tile([1.0, 0.0], (len(tq), 1))
+    assert np.array_equal(tab.evaluate(U, P, knee), scipy_lookup(tab, tq, knee))
 
 
 def knots_and_neighbours(x, rng, n=200):
@@ -543,11 +525,11 @@ def test_lookup_bitwise_equal_to_scipy(n_t):
         t = (np.linspace(0.0, 5.0, n_t) if even
              else 0.3 + np.cumsum(rng.uniform(0.05, 1.0, n_t)))
         shape = (n_t, len(q))
-        # sign-changing secants, and zero secants on flat runs
-        f_par, f_perp = rng.standard_normal(shape), rng.standard_normal(shape)
+        # sign-changing secants, zero secants on flat runs and zero samples
+        f_par = rng.standard_normal(shape)
         f_par[n_t // 2:] = f_par[n_t // 2]
-        f_perp[rng.random(shape) < 0.3] = 0.0
-        tab = TDTable("iron_to_air", t, f_par, f_perp, "x", q=q)
+        f_par[rng.random(shape) < 0.3] = 0.0
+        tab = TDTable("iron_to_air", t, f_par, "x", q=q)
         tq = knots_and_neighbours(t, rng)
         # knees on, next to and off the axis: a one-knee table clamps them
         knee = rng.choice(
@@ -590,18 +572,24 @@ def test_non_finite_knee_refused(q, knee):
     assert tab.clamped_rows == 0
 
 
-def test_perp_term_is_signed():
-    # adjoint aligned with the rotated flux isolates the f_perp column
-    tab = synthetic_table(f_perp_slope=1.0)
-    phi = 0.9
-    t0 = 1.2
-    U = t0 * np.array([[np.cos(phi), np.sin(phi)]])
-    perp = np.array([[-np.sin(phi), np.cos(phi)]])
-    assert tab.evaluate(U, perp, K_F)[0] == pytest.approx(t0, rel=1e-12)
-    assert tab.evaluate(U, -perp, K_F)[0] == pytest.approx(-t0, rel=1e-12)
-    # reflecting both vectors across the x axis flips the perp contribution
-    mirror = tab.evaluate(U * [1, -1], perp * [1, -1], K_F)[0]
-    assert mirror == pytest.approx(-t0, rel=1e-12)
+@pytest.mark.parametrize("q", [[K_F], [1.0, 3.0]], ids=["one_knee", "knee_axis"])
+def test_evaluate_reads_the_adjoint_along_the_flux(q):
+    # the value is f_par(|U|, knee) (P . U) / |U|: it turns with the flux,
+    # an adjoint across the flux reads nothing, and P enters linearly
+    tab = synthetic_table(q=q)
+    rng = np.random.default_rng(17)
+    U = rng.uniform(-1.4, 1.4, (60, 2))      # |U| inside the t axis [0, 2]
+    P = rng.standard_normal((60, 2))
+    knee = rng.uniform(q[0], q[-1], 60)
+    base = tab.evaluate(U, P, knee)
+    for theta in rng.uniform(-np.pi, np.pi, 4):
+        c, s = np.cos(theta), np.sin(theta)
+        R = np.array([[c, -s], [s, c]])
+        turned = tab.evaluate(U @ R.T, P @ R.T, knee)
+        assert np.all(np.abs(turned - base) <= 1e-12 * np.abs(base))
+    across = np.column_stack([-U[:, 1], U[:, 0]])
+    assert np.array_equal(tab.evaluate(U, across, knee), np.zeros(60))
+    assert np.array_equal(tab.evaluate(U, -P, knee), -base)
 
 
 def test_table_roundtrip(tmp_path, linear_tables):
@@ -609,11 +597,11 @@ def test_table_roundtrip(tmp_path, linear_tables):
     tab = linear_tables["air_to_iron"]
     path = tmp_path / "a2i.rtotd"
     save_table(tab, path)
-    assert path.read_text().startswith("RTOTD2\n")
+    assert path.read_text().startswith("RTOTD3\n")
     back = load_table(path)
     assert back.direction == tab.direction
     assert back.law_fingerprint == tab.law_fingerprint
-    for name in ("t", "q", "f_par", "f_perp"):
+    for name in ("t", "q", "f_par"):
         assert np.array_equal(getattr(back, name), getattr(tab, name)), name
     assert np.array_equal(back.q, [K_F])
     assert back.meta["radius"] == tab.meta["radius"]
@@ -632,25 +620,39 @@ def test_load_rejects_malformed(tmp_path, knee_axis_faults, t_axis_faults):
     bad.write_text("RTOMESH1\n")
     with pytest.raises(FormatError):
         load_table(bad)
-    bad.write_text("RTOTD2\nfingerprint abc\n")
+    bad.write_text("RTOTD3\nfingerprint abc\n")
     with pytest.raises(FormatError):
         load_table(bad)
-    bad.write_text("RTOTD2\ndirection sideways\n")
+    bad.write_text("RTOTD3\ndirection sideways\n")
     with pytest.raises(FormatError, match="unknown direction"):
         load_table(bad)
     # a block column per knee sample, strictly increasing knee and t axes
     # of at least one knee and two t samples, and no negative counts
     save_table(synthetic_table(), bad)
     good = bad.read_text()
-    malformed = f"{re.escape(str(bad))}: truncated or malformed RTOTD2 file"
-    for fault in [*knee_axis_faults(good).values(), *t_axis_faults(good).values()]:
+    malformed = f"{re.escape(str(bad))}: truncated or malformed RTOTD3 file"
+    for fault in [*knee_axis_faults(good).values(), *t_axis_faults(good).values(),
+                  good.replace("\nmesh_nodes 0\n", "\nmesh_nodes -5\n", 1)]:
         bad.write_text(fault)
         with pytest.raises(FormatError, match=malformed):
             load_table(bad)
-    # the first table format had no knee axis for ANG (`q 0`); its files
-    # are refused by their tag
-    bad.write_text(good.replace("RTOTD2", "RTOTD1", 1))
-    with pytest.raises(FormatError, match=f"{re.escape(str(bad))}: expected a RTOTD2"):
+    for radius in ("nan", "inf"):
+        bad.write_text(good.replace("\nradius 0.0\n", f"\nradius {radius}\n", 1))
+        with pytest.raises(FormatError, match=f"{re.escape(str(bad))}: "
+                                              "non-finite table values"):
+            load_table(bad)
+    # RTOTD1 had no knee axis for ANG (`q 0`) and RTOTD2 an f_perp block
+    # after f_par, all zero since the corrector is solved on the half disk;
+    # their files are refused by their tag
+    padded = good + "f_perp 3 1\n0.0\n0.0\n0.0\n"
+    for old, text in (("RTOTD1", good), ("RTOTD2", padded)):
+        bad.write_text(text.replace("RTOTD3", old, 1))
+        with pytest.raises(FormatError, match=f"{re.escape(str(bad))}: expected "
+                                              "a RTOTD3 file"):
+            load_table(bad)
+    # and an RTOTD3 text that keeps the f_perp block is refused after f_par
+    bad.write_text(padded)
+    with pytest.raises(FormatError, match="lines after the 'f_par' block"):
         load_table(bad)
 
 
@@ -687,9 +689,9 @@ def test_compatibility_refusals(linear_tables, linear_spec):
     # its laws (cli._load_tables checks that the axis spans K_F)
     spec = MaterialSpec()
     t = np.array([0.0, 1.0])
-    one_knee = TDTable("iron_to_air", t, np.zeros((2, 1)), np.zeros((2, 1)),
+    one_knee = TDTable("iron_to_air", t, np.zeros((2, 1)),
                        spec.law_fingerprint(), q=[K_F])
-    knee_axis = TDTable("iron_to_air", t, np.zeros((2, 2)), np.zeros((2, 2)),
+    knee_axis = TDTable("iron_to_air", t, np.zeros((2, 2)),
                         spec.law_fingerprint(), q=[2.0, 2.4])
     for name, q_hat in (("SCAL", [K_F]), ("DIST", np.full(9, K_F))):
         knees = Scenario(name=name, n_positions=1, q_hat=np.array(q_hat))
@@ -702,8 +704,8 @@ def test_compatibility_refusals(linear_tables, linear_spec):
 
 def test_generalized_field_signs():
     t = np.array([0.0, 1.0, 2.0])
-    i2a = TDTable("iron_to_air", t, t[:, None], np.zeros((3, 1)), "x", q=[K_F])
-    a2i = TDTable("air_to_iron", t, 2.0 * t[:, None], np.zeros((3, 1)), "x", q=[K_F])
+    i2a = TDTable("iron_to_air", t, t[:, None], "x", q=[K_F])
+    a2i = TDTable("air_to_iron", t, 2.0 * t[:, None], "x", q=[K_F])
     m = 4
     U = np.zeros((2, m, 2))
     P = np.zeros((2, m, 2))
@@ -720,8 +722,7 @@ def test_generalized_field_signs():
     rng = np.random.default_rng(11)
     q = np.array([1.0, 1.5, 2.5, 3.0])
     t = np.linspace(0.0, 4.0, 9)
-    i2a, a2i = (TDTable(d, t, rng.standard_normal((9, 4)),
-                        rng.standard_normal((9, 4)), "x", q=q)
+    i2a, a2i = (TDTable(d, t, rng.standard_normal((9, 4)), "x", q=q)
                 for d in DIRECTIONS)
     n_pos, m = 3, 40
     U = rng.uniform(-3.0, 3.0, (n_pos, m, 2))
