@@ -6,16 +6,17 @@ the permanent magnets into the torque objective
     J(design, q) = -(1/N) * sum_n T(u^n),
 
 where u^n solves the magnetostatic problem at rotor position alpha_n and T is
-the Maxwell stress torque evaluated on a circle inside the air gap. Rotor
-motion is frozen: positions only advance the electrical angle of the phase
-currents, and the magnets keep one remanence R at every position.
-Sources and torque are linear maps built once per problem: the currents at
+the Maxwell stress torque averaged over the whole air-gap annulus (Arkkio's
+method). Rotor motion is frozen: positions only advance the electrical angle
+of the phase currents, and the magnets keep one remanence R at every position.
+Sources and torque are maps built once per problem: the currents at
 th = p*alpha + phase are sin(th) J_1 + cos(th) J_2 (per slot J_PEAK * sign
 times cos and sin of its offset), loaded as sin(th) L_1 + cos(th) L_2; and
-T(u) = (R u) . (w o S u), R and S the radial and tangential flux at the
-probe's samples. Nonlinear iron solves each position by damped Newton on these
-loads; linear iron combines one basis of them per design (one factorization,
-two solves) for every position, q and adjoint.
+T(u) = s . (Y u^2 - X u^2) / 2 + c . (X u Y u), X and Y the flux components
+on the gap elements, s and c their weights. Nonlinear iron solves each
+position by damped Newton on these loads; linear iron combines one basis of
+them per design (one factorization, two solves) for every position, q and
+adjoint.
 
 `states` returns a PositionStates, the one record of a solved (design, q):
 its states and adjoints. The tangent depends on the flux, not on the rotor
@@ -133,66 +134,53 @@ class SolverOptions:
             raise ConfigurationError("newton controls out of range")
 
 
-class TorqueProbe:
-    """Maxwell stress torque on a circle through the air gap.
+# Dunavant's 6-point rule on a triangle, exact to degree 4: barycentric
+# points and weights
+QUAD_POINTS = np.array([
+    p for a in (0.44594849091596488632, 0.09157621350977074346)
+    for p in ([a, a, 1 - 2 * a], [a, 1 - 2 * a, a], [1 - 2 * a, a, a])])
+QUAD_WEIGHTS = np.repeat([0.22338158967801146570, 0.10995174365532186764], 3)
 
-    T = (r^2 / mu0) * integral of B_r * B_t dtheta over the full machine,
-    evaluated with trapezoid samples over the meshed sector and multiplied by
-    the number of sectors. B is constant per element, so the radial and
-    tangential samples are sparse maps R u, S u: T(u) = (R u) . (w o S u).
+
+class TorqueProbe:
+    """Maxwell stress torque averaged over the air gap (Arkkio's method).
+
+    T = (2 pi / SECTOR) / (mu0 (R_GAP_OUTER - R_DESIGN)) * sum_e int_e r B_r B_t
+    over the air_gap elements, for the full machine (A. Arkkio, Acta
+    Polytechnica Scandinavica EE 59, 1987). B is constant per element and
+    B_r B_t = sin(2 phi) (B_y^2 - B_x^2) / 2 + cos(2 phi) B_x B_y, so with the
+    gap rows X u, Y u of the curl and the weights s, c of r sin 2phi and
+    r cos 2phi, integrated once, T(u) = s . (Y u^2 - X u^2) / 2 + c . (X u Y u).
     """
 
-    def __init__(self, space, radius, n_points):
+    def __init__(self, space):
         mesh = space.mesh
-        self.radius = float(radius)
-        if n_points < 8:
-            raise ConfigurationError("torque probe needs at least 8 sample points")
-        theta = np.linspace(0.0, SECTOR, n_points)
-        normal = np.column_stack([np.cos(theta), np.sin(theta)])
-        pts = self.radius * normal
-
         gap = mesh.elements_in("air_gap")
-        if len(gap) == 0:
-            raise ConfigurationError("mesh has no air_gap region for the torque probe")
-        tri = mesh.triangles[gap]
-        a = mesh.vertices[tri[:, 0]]
-        m1 = mesh.vertices[tri[:, 1]] - a
-        m2 = mesh.vertices[tri[:, 2]] - a
-        det = m1[:, 0] * m2[:, 1] - m1[:, 1] * m2[:, 0]
-        # barycentric coordinates of every sample in every gap element
-        dp = pts[:, None, :] - a[None, :, :]
-        l1 = (dp[..., 0] * m2[None, :, 1] - dp[..., 1] * m2[None, :, 0]) / det
-        l2 = (m1[None, :, 0] * dp[..., 1] - m1[None, :, 1] * dp[..., 0]) / det
-        inside = (l1 >= -1e-9) & (l2 >= -1e-9) & (l1 + l2 <= 1 + 1e-9)
-        if not inside.any(axis=1).all():
-            raise ConfigurationError(
-                "torque circle leaves the meshed air gap; adjust radius")
-        elements = gap[inside.argmax(axis=1)]
-
-        weights = np.full(n_points, SECTOR / (n_points - 1))
-        weights[0] *= 0.5
-        weights[-1] *= 0.5
-        # full-machine prefactor: (r^2/mu0) and sector multiplicity
-        self.weights = weights * (self.radius**2 / MU0) * (2 * np.pi / SECTOR)
-        # row s of R (S) is the radial (tangential) part of curl phi_i on the
-        # element holding sample s, over that element's three nodes
-        curls = space.curls[elements]                          # (s, 3, 2)
-        rows = np.repeat(np.arange(n_points), 3)
-        nodes = mesh.triangles[elements].ravel()
-        self.radial, self.tangential = (
-            Csr.from_triplets((curls @ d[:, :, None]).ravel(), rows, nodes,
-                              (n_points, mesh.n_nodes))
-            for d in (normal, np.column_stack([-np.sin(theta), np.cos(theta)])))
+        pts = QUAD_POINTS @ mesh.vertices[mesh.triangles[gap]]     # (g, 6, 2)
+        x, y = pts[..., 0], pts[..., 1]
+        r = np.hypot(x, y)
+        scale = space.areas[gap] * (2 * np.pi / SECTOR)
+        scale /= MU0 * (R_GAP_OUTER - R_DESIGN)
+        self.s = scale * ((2 * x * y / r) @ QUAD_WEIGHTS)
+        self.c = scale * (((x * x - y * y) / r) @ QUAD_WEIGHTS)
+        rows = np.repeat(np.arange(len(gap)), 3)
+        nodes = mesh.triangles[gap].ravel()
+        self.bx, self.by = (
+            Csr.from_triplets(space.curls[gap, :, d].ravel(), rows, nodes,
+                              (len(gap), mesh.n_nodes)) for d in (0, 1))
 
     def torque(self, u):
-        return float((self.radial @ u) @ (self.weights * (self.tangential @ u)))
+        bx, by = self.bx @ u, self.by @ u
+        return float(self.s @ (0.5 * (by * by - bx * bx)) + self.c @ (bx * by))
 
     def torque_gradient(self, u):
-        """d torque / d nodal u, R^T (w o S u) + S^T (w o R u), for one
-        state (n,) or for k states as the columns of u (n, k)."""
-        w = self.weights if np.ndim(u) == 1 else self.weights[:, None]
-        return (self.radial.rmatmul(w * (self.tangential @ u))
-                + self.tangential.rmatmul(w * (self.radial @ u)))
+        """d torque / d nodal u, X^T (c Y u - s X u) + Y^T (s Y u + c X u),
+        for one state (n,) or for k states as the columns of u (n, k)."""
+        bx, by = self.bx @ u, self.by @ u
+        s, c = self.s, self.c
+        if np.ndim(u) == 2:
+            s, c = s[:, None], c[:, None]
+        return self.bx.rmatmul(c * by - s * bx) + self.by.rmatmul(s * by + c * bx)
 
 
 class PositionStates(list):
@@ -274,8 +262,7 @@ class MachineProblem:
             self.knee_index[self._stator] = ROTOR_BLOCKS
             self.knee_index[self.design_elements] = self.design_block
 
-        self.torque_probe = TorqueProbe(self.space, 0.5 * (R_DESIGN + R_GAP_OUTER),
-                                        max(64, 4 * mesh.meta["m_ang"]))
+        self.torque_probe = TorqueProbe(self.space)
 
         areas = self.space.areas[self.design_elements]
         self.design_h = float(np.sqrt(2.0 * areas.mean()))

@@ -109,7 +109,7 @@ def test_benchmark_output_checks_pass(tmp_path, perfbench_workloads, name):
 # assembly or to F(0) that moved a Newton path would show here
 WORKLOAD_NEWTON = {
     "nominal-nonlinear": [(14, 20, False)] + [
-        (its, 0, True) for its in (7, 7, 12, 6, 9)],
+        (its, 0, True) for its in (7, 7, 11, 6, 9)],
     "robust-linear": [],
     "tables-knee": [
         (its, 0, n % 9 > 0) for n, its in enumerate(

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from rtopt import laws, machine
-from rtopt.errors import ConfigurationError, UsageError
+from rtopt.errors import UsageError
 from rtopt.fem import adjoint_solve, newton_summary
 from rtopt.laws import K_F, MU0
 from rtopt.machine import (POLE_PAIRS, ROTOR_BLOCKS, MachineProblem,
-                           MaterialSpec, Scenario, TorqueProbe)
+                           MaterialSpec, Scenario)
 from rtopt.mesh import COILS
 
 
@@ -41,13 +41,20 @@ def test_torque_constant_potential_is_zero(toy_problem):
 
 
 def test_torque_linear_potential_analytic(toy_problem):
-    # u = c*x has the exact element flux (0, -c); the probe integral reduces
-    # to (r^2/mu0) * (2pi/sector) * c^2 * int sin(t)cos(t) dt = 2 c^2 r^2/mu0
+    # u = c*x has the exact element flux (0, -c), so B_r B_t = c^2 sin(2 phi)/2,
+    # and over the annulus the gap average is 2 c^2 (r_o^2 + r_o r_i + r_i^2)
+    # / (3 mu0). The meshed gap is the annulus with each cell's arcs replaced
+    # by chords: in polar form the chord of a cell of width d is
+    # r cos(d/2) / cos(phi - phi_m), which scales the annulus value by
+    # cos^3(d/2) (3 ln(sec + tan) - sec tan)(d/2) / sin d (2.7e-4 on toy)
     c = 0.8
     u = c * toy_problem.mesh.vertices[:, 0]
-    r = toy_problem.torque_probe.radius
-    expected = 2.0 * c**2 * r**2 / MU0
-    assert toy_problem.torque(u) == pytest.approx(expected, rel=1e-4)
+    r_i, r_o = machine.R_DESIGN, machine.R_GAP_OUTER
+    h = 0.5 * machine.SECTOR / toy_problem.mesh.meta["m_ang"]
+    sec, tan = 1.0 / np.cos(h), np.tan(h)
+    chords = (3.0 * np.log(sec + tan) - sec * tan) / (sec**3 * np.sin(2.0 * h))
+    expected = 2.0 * c**2 * (r_o**2 + r_o * r_i + r_i**2) / (3.0 * MU0) * chords
+    assert toy_problem.torque(u) == pytest.approx(expected, rel=1e-10)
 
 
 def test_torque_gradient_matches_fd(toy_problem):
@@ -61,11 +68,33 @@ def test_torque_gradient_matches_fd(toy_problem):
     assert float(g @ d) == pytest.approx(fd, rel=1e-8)
 
 
-def test_torque_probe_radius_must_stay_in_gap(toy_problem):
-    with pytest.raises(ConfigurationError):
-        TorqueProbe(toy_problem.space, 0.06, 64)
-    with pytest.raises(ConfigurationError):
-        TorqueProbe(toy_problem.space, 0.0505, 4)
+def turned_by_cells(mesh, u, k):
+    """u turned by k angular cells of the polar sector mesh: node j of each
+    ring takes node j - k of the same ring, and a node wrapped past the
+    sector edge the antiperiodic minus sign."""
+    m_ang = mesh.meta["m_ang"]
+    src = np.arange(m_ang + 1) - k
+    sign = np.where(src < 0, -1.0, 1.0)
+    src = np.where(src < 0, src + m_ang, src)
+    rings = u[1:].reshape(-1, m_ang + 1)
+    return np.concatenate([u[:1], (sign * rings[:, src]).ravel()])
+
+
+def test_torque_is_invariant_under_whole_cell_rotation(toy_problem):
+    # a rotation by whole angular cells maps the mesh onto itself, so it
+    # must leave the torque of a field unchanged
+    problem, mesh = toy_problem, toy_problem.mesh
+    m_ang = mesh.meta["m_ang"]
+    angle = np.arctan2(mesh.vertices[1:, 1], mesh.vertices[1:, 0])
+    turned = turned_by_cells(mesh, np.concatenate([[0.0], angle]), 1)[1:]
+    step = machine.SECTOR / m_ang
+    unwrapped = np.arange(mesh.n_nodes - 1) % (m_ang + 1) > 0
+    assert np.allclose(turned[unwrapped] + step, angle[unwrapped], atol=1e-12)
+    u = problem.states(np.ones(len(problem.design_elements), dtype=bool))[0]
+    want = problem.torque(u)
+    for k in (1, 5, m_ang // 3, m_ang - 1):
+        got = problem.torque(turned_by_cells(mesh, u, k))
+        assert abs(got - want) <= 1e-10 * abs(want)
 
 
 SOURCE_CASES = {
@@ -120,35 +149,38 @@ def test_remanence_is_the_turned_pattern(toy_mesh):
     assert not np.signbit(problem._h0[want == 0.0]).any()
 
 
-def reference_torque(problem, u):
-    """Torque, its gradient and the sum of |w B_r B_t| over the samples, as
-    TorqueProbe formed them from the element flux: the samples located in
-    the gap by barycentric coordinates, B_r and B_t by einsum, the gradient
-    scattered by np.add.at."""
-    mesh, space, probe = problem.mesh, problem.space, problem.torque_probe
-    theta = np.linspace(0.0, machine.SECTOR, len(probe.weights))
-    normals = np.column_stack([np.cos(theta), np.sin(theta)])
-    tangents = np.column_stack([-np.sin(theta), np.cos(theta)])
+def reference_torque(problem, u, n=40):
+    """Torque, its gradient and the sum of |terms| by brute force: each gap
+    triangle cut into n^2 similar ones, r B_r B_t and its derivative in B
+    taken at their centroids, the gradient scattered by np.add.at."""
+    mesh, space = problem.mesh, problem.space
     gap = mesh.elements_in("air_gap")
-    a, b, c = (mesh.vertices[mesh.triangles[gap, i]] for i in range(3))
-    m1, m2 = b - a, c - a
-    det = m1[:, 0] * m2[:, 1] - m1[:, 1] * m2[:, 0]
-    dp = probe.radius * normals[:, None, :] - a[None]
-    l1 = (dp[..., 0] * m2[:, 1] - dp[..., 1] * m2[:, 0]) / det
-    l2 = (m1[:, 0] * dp[..., 1] - m1[:, 1] * dp[..., 0]) / det
-    inside = (l1 >= -1e-9) & (l2 >= -1e-9) & (l1 + l2 <= 1 + 1e-9)
-    elements = gap[inside.argmax(axis=1)]
-    B = space.element_curl(u)[elements]
-    br = np.einsum("sd,sd->s", B, normals)
-    bt = np.einsum("sd,sd->s", B, tangents)
-    curls = space.curls[elements]
-    cn = np.einsum("sid,sd->si", curls, normals)
-    ct = np.einsum("sid,sd->si", curls, tangents)
-    contrib = probe.weights[:, None] * (cn * bt[:, None] + ct * br[:, None])
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    up = (i + j <= n - 1).ravel()
+    down = (i + j <= n - 2).ravel()
+    bary = np.concatenate([
+        np.column_stack([i.ravel()[up] + 1 / 3, j.ravel()[up] + 1 / 3]),
+        np.column_stack([i.ravel()[down] + 2 / 3, j.ravel()[down] + 2 / 3])]) / n
+    a, b, c = (mesh.vertices[mesh.triangles[gap, k]] for k in range(3))
+    pts = (a[:, None] + bary[None, :, :1] * (b - a)[:, None]
+           + bary[None, :, 1:] * (c - a)[:, None])               # (g, n^2, 2)
+    r = np.hypot(pts[..., 0], pts[..., 1])
+    normals = pts / r[..., None]
+    tangents = np.stack([-normals[..., 1], normals[..., 0]], axis=-1)
+    B = space.element_curl(u)[gap]
+    br = np.einsum("gpd,gd->gp", normals, B)
+    bt = np.einsum("gpd,gd->gp", tangents, B)
+    weight = (2 * np.pi / machine.SECTOR) / (MU0 * (machine.R_GAP_OUTER
+                                                   - machine.R_DESIGN))
+    dA = weight * space.areas[gap][:, None] / n**2
+    terms = (dA * r * br * bt).sum(axis=1)
+    # d(B_r B_t)/dB = B_t n + B_r t, integrated per element
+    dB = np.einsum("gp,gpd->gd", dA * r * bt, normals) + np.einsum(
+        "gp,gpd->gd", dA * r * br, tangents)
+    contrib = np.einsum("gid,gd->gi", space.curls[gap], dB)
     grad = np.zeros(mesh.n_nodes)
-    np.add.at(grad, mesh.triangles[elements].ravel(), contrib.ravel())
-    terms = probe.weights * br * bt
-    return float(np.dot(probe.weights, br * bt)), grad, np.abs(terms).sum()
+    np.add.at(grad, mesh.triangles[gap].ravel(), contrib.ravel())
+    return float(terms.sum()), grad, np.abs(terms).sum()
 
 
 def test_torque_matches_the_element_flux_form(toy_problem):
@@ -158,11 +190,10 @@ def test_torque_matches_the_element_flux_form(toy_problem):
     states = problem.states(design, PHASE + 0.4) + [
         1e-3 * rng.standard_normal(problem.mesh.n_nodes) for _ in range(3)]
     for u in states:
-        # the samples' terms cancel to a torque up to 75 times smaller
         want, want_grad, scale = reference_torque(problem, u)
-        assert abs(problem.torque(u) - want) <= 1e-13 * scale
+        assert abs(problem.torque(u) - want) <= 1e-6 * scale
         grad = probe.torque_gradient(u)
-        assert np.abs(grad - want_grad).max() <= 1e-13 * np.abs(want_grad).max()
+        assert np.abs(grad - want_grad).max() <= 1e-6 * np.abs(want_grad).max()
     # a batch of states as columns is the single calls, bitwise
     batch = probe.torque_gradient(np.column_stack(states))
     assert batch.shape == (problem.mesh.n_nodes, len(states))
