@@ -42,7 +42,7 @@ def fdcheck_rows(problem, design):
     all at the scenario's nominal parameter vector.
     """
     q_hat = np.asarray(problem.scenario.q_hat, dtype=float)
-    grad = problem.grad_q(design, q_hat)
+    grad = problem.grad_q(problem.states(design, q_hat))
     rows = []
     for i in range(len(q_hat)):
         step = np.zeros_like(q_hat)

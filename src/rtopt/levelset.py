@@ -248,13 +248,11 @@ class NominalEvaluator:
 
         objective = robust.ParameterObjective(self.problem, design,
                                               self._position0)
-        q = self.worst_case(objective)
-        value = objective.value(q)
-        states = objective.states(q)
+        record = objective.states(self.worst_case(objective))
         self._position0 = objective.position0()
-        g_elem = robust.robust_td_field(self.problem, design, self.iron_to_air,
-                                        self.air_to_iron, q, states)
-        return Evaluation(value, g_elem, q.copy())
+        g_elem = robust.robust_td_field(self.problem, self.iron_to_air,
+                                        self.air_to_iron, record)
+        return Evaluation(record.value, g_elem, record.q.copy())
 
     def __call__(self, psi):
         ev = self.field(self.problem.design_from_levelset(psi))

@@ -19,10 +19,13 @@ them per design (one factorization, two solves) for every position, q and
 adjoint.
 
 `states` returns a PositionStates, the one record of a solved (design, q):
-its states and adjoints. The tangent depends on the flux, not on the rotor
-angle, so position n + 1's Newton started at u_n factors K(u_n) at its
-first step, bitwise the matrix of position n's adjoint: `states` solves it
-there (linear iron fills all from the basis), `adjoints` the rest in place.
+copies of that design and q, its states, its objective value and its
+adjoints. `adjoints`, `td_inputs` and `grad_q` take the record alone, so
+they read the design and q it was solved at and solve no state. The tangent
+depends on the flux, not on the rotor angle, so position n + 1's Newton
+started at u_n factors K(u_n) at its first step, bitwise the matrix of
+position n's adjoint: `states` solves it there (linear iron fills all from
+the basis), `adjoints` the rest in place.
 
 The parameter vector q carries scenario uncertainty: the load angle of the
 currents ("phase" binding), one shared iron saturation knee ("knee" binding),
@@ -184,14 +187,17 @@ class TorqueProbe:
 
 
 class PositionStates(list):
-    """The states of `MachineProblem.states`, one per rotor position, and
-    their adjoints: adjoints[n] is position n's, or None until
-    `MachineProblem.adjoints` solves it. key is the (design, q) they were
-    solved at."""
+    """The record of one solved (design, q): copies of design and q, the
+    states of `MachineProblem.states`, one per rotor position, their value
+    J(design, q), their adjoints (adjoints[n] is position n's, or None until
+    `MachineProblem.adjoints` solves it) and grad, dJ/dq once
+    `robust.ParameterObjective` has asked `grad_q` for it."""
 
-    def __init__(self, key, n_positions):
+    def __init__(self, design, q, n_positions):
         super().__init__()
-        self.key = key
+        self.design = np.array(design, dtype=bool)
+        self.q = np.array(q, dtype=float)
+        self.value = self.grad = None
         self.adjoints = [None] * n_positions
 
 
@@ -334,9 +340,6 @@ class MachineProblem:
             raise UsageError(f"parameter vector must have length {self.scenario.n_q}")
         return q
 
-    def _key(self, design, q):
-        return np.asarray(design, dtype=bool).tobytes(), q.tobytes()
-
     def solve_position(self, design, q, n, u0=None, factors=None):
         """Newton's state at position n, from u0 if given; factors is
         newton_solve's."""
@@ -383,20 +386,21 @@ class MachineProblem:
                 weights @ self._basis[2] / self.scenario.n_positions)
 
     def states(self, design, q=None, starts=()):
-        """The PositionStates of every rotor position, in order: the
+        """The PositionStates of every rotor position, in order, valued: the
         design's basis combined, adjoints too (linear iron), or Newton from
         starts[n] (a nearby state) where given, else from the previous
         position's state, whose adjoint the first step's factor solves."""
         q = self._q_array(q)
-        out = PositionStates(self._key(design, q), self.scenario.n_positions)
+        out = PositionStates(design, q, self.scenario.n_positions)
         if self.spec.iron_linear:
             out[:], out.adjoints[:] = self._from_basis(design, q)
-            return out
-        for n in range(self.scenario.n_positions):
-            chained = n >= len(starts) and n > 0
-            u0 = starts[n] if n < len(starts) else (out[-1] if chained else None)
-            factors = self._chained(out, n - 1) if chained else None
-            out.append(self.solve_position(design, q, n, u0, factors)[0])
+        else:
+            for n in range(self.scenario.n_positions):
+                chained = n >= len(starts) and n > 0
+                u0 = starts[n] if n < len(starts) else (out[-1] if chained else None)
+                factors = self._chained(out, n - 1) if chained else None
+                out.append(self.solve_position(design, q, n, u0, factors)[0])
+        out.value = float(-np.mean([self.torque(u) for u in out]))
         return out
 
     def _chained(self, states, n):
@@ -417,21 +421,16 @@ class MachineProblem:
         return self.torque_probe.torque(u)
 
     def objective(self, design, q=None, starts=()):
-        """Objective value and the per-position states that produced it."""
+        """Objective value and the PositionStates that produced it."""
         self.objective_evaluations += 1
         states = self.states(design, q, starts)
-        torques = np.array([self.torque(u) for u in states])
-        return float(-np.mean(torques)), states
+        return states.value, states
 
-    def adjoints(self, design, q=None, states=None):
-        """The adjoint of every position: states.adjoints, each missing one
-        solved in place. states must be the PositionStates of (design, q)."""
-        q = self._q_array(q)
-        states = self.states(design, q) if states is None else states
-        if getattr(states, "key", None) != self._key(design, q):
-            raise UsageError("states were not solved at this design and q")
+    def adjoints(self, states):
+        """The adjoint of every position of a PositionStates: its adjoints,
+        each missing one solved in place at the record's design and q."""
         missing = [n for n, p in enumerate(states.adjoints) if p is None]
-        respond = self.respond_factory(design, q) if missing else None
+        respond = self.respond_factory(states.design, states.q) if missing else None
         for n in missing:
             u = states[n]
             rhs = self.torque_probe.torque_gradient(u) / self.scenario.n_positions
@@ -440,25 +439,24 @@ class MachineProblem:
             self.factorizations += 1
         return states.adjoints
 
-    def td_inputs(self, states, adjoints):
+    def td_inputs(self, states):
         """Flux U and adjoint flux P on design elements, shapes (N, m_d, 2)."""
         U = np.stack([self.space.element_curl(u)[self.design_elements]
                       for u in states])
         P = np.stack([self.space.element_curl(p)[self.design_elements]
-                      for p in adjoints])
+                      for p in self.adjoints(states)])
         return U, P
 
     # -- parameter gradient ----------------------------------------------------
 
-    def grad_q(self, design, q=None, states=None):
-        """Gradient of J with respect to the scenario parameter vector."""
-        q = self._q_array(q)
+    def grad_q(self, states):
+        """Gradient of J in the parameter vector at a PositionStates."""
+        q = states.q
         binding = self.scenario.binding
         if binding != "phase" and self.spec.iron_linear:
             # the linear iron law has no knee, so no state depends on q
             return np.zeros(self.scenario.n_q)
-        states = self.states(design, q) if states is None else states
-        adjoints = self.adjoints(design, q, states)
+        adjoints = self.adjoints(states)
         grad = np.zeros(self.scenario.n_q)
 
         if binding == "phase":
@@ -471,7 +469,7 @@ class MachineProblem:
         # knee bindings: d h / d k on bound iron elements, dotted with the
         # adjoint flux; air design elements read no knee
         bound = self.knee_index >= 0
-        bound[self.design_elements[~np.asarray(design, dtype=bool)]] = False
+        bound[self.design_elements[~states.design]] = False
         active = np.flatnonzero(bound)
         if len(active) == 0:
             log.warning("knee binding has no iron elements; gradient is zero")

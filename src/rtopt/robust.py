@@ -189,10 +189,11 @@ class ParameterObjective:
     """J(design, q) with lazy adjoint-based gradients and a per-q memo.
 
     Every evaluator opens one objective per design and takes its states from
-    here: the memo keeps each q's PositionStates, which carry the adjoints
-    that MachineProblem.adjoints fills. previous holds (q, [state at
-    position 0]) pairs of an earlier design (`position0` of its objective),
-    where Newton starts until this design has solved a q of its own.
+    here: the memo keeps each q's PositionStates, the record of that solved
+    (design, q) with its value, its adjoints and its gradient in q. previous
+    holds (q, [state at position 0]) pairs of an earlier design (`position0`
+    of its objective), where Newton starts until this design has solved a q
+    of its own.
     """
 
     def __init__(self, problem, design, previous=()):
@@ -207,50 +208,48 @@ class ParameterObjective:
         if key not in self._memo:
             # nonlinear Newton starts each position at the nearest q this
             # design solved, else position 0 at the previous design's nearest
-            pool = ([(e["q"], e["states"]) for e in self._memo.values()]
-                    or self.previous)
+            pool = [(r.q, r) for r in self._memo.values()] or self.previous
             _, starts = min(pool, default=(None, ()),
                             key=lambda p: np.linalg.norm(p[0] - q))
-            value, states = self.problem.objective(self.design, q, starts)
+            self._memo[key] = self.problem.objective(self.design, q, starts)[1]
             self.n_evaluations += 1
-            self._memo[key] = {"q": np.asarray(q, dtype=float), "value": value,
-                               "states": states, "grad": None}
             if len(self._memo) > MEMO_LIMIT:
                 del self._memo[next(iter(self._memo))]
         return self._memo[key]
 
     def value(self, q):
-        return self._entry(q)["value"]
+        return self._entry(q).value
 
     def position0(self):
         """(q, [state at position 0]) of every memoized q, in solve order."""
-        return [(e["q"], e["states"][:1]) for e in self._memo.values()]
+        return [(r.q, r[:1]) for r in self._memo.values()]
 
     def value_grad(self, q):
-        e = self._entry(q)
-        if e["grad"] is None:
-            e["grad"] = self.problem.grad_q(self.design, e["q"], e["states"])
-        return e["value"], e["grad"]
+        record = self._entry(q)
+        if record.grad is None:
+            record.grad = self.problem.grad_q(record)
+        return record.value, record.grad
 
     def states(self, q):
         """The PositionStates at q, solved if not already memoized."""
-        return self._entry(q)["states"]
+        return self._entry(q)
 
 
-def robust_td_field(problem, design, iron_to_air, air_to_iron, q_star, states):
-    """Sensitivity field of the plain objective frozen at the worst case.
+def robust_td_field(problem, iron_to_air, air_to_iron, states):
+    """Sensitivity field of the plain objective at the design and q of a
+    PositionStates (in robust runs, the worst case).
 
-    Iron elements read the knee from q_star. Air elements evaluate the flip
+    Iron elements read the knee from that q. Air elements evaluate the flip
     with the nominal knee: the perturbation nucleates fresh iron whose
     saturation parameter is not covered by the worst-case vector. A one-knee
     table (ANG) reads both only to count clamps.
     """
     from .topderiv import generalized_td_field
 
-    U, P = problem.td_inputs(states, problem.adjoints(design, q_star, states))
+    U, P = problem.td_inputs(states)
     return generalized_td_field(
-        iron_to_air, air_to_iron, U, P, design,
-        problem.knee_for_elements(q_star),
+        iron_to_air, air_to_iron, U, P, states.design,
+        problem.knee_for_elements(states.q),
         problem.knee_for_elements(problem.scenario.q_hat))
 
 

@@ -132,7 +132,7 @@ def test_criterion_04_parameter_gradients(capsys, toy_mesh):
         problem = MachineProblem(toy_mesh, MaterialSpec(), scen)
         design = rng.random(len(problem.design_elements)) > 0.5
         q_hat = scen.q_hat
-        grad = problem.grad_q(design, q_hat)
+        grad = problem.grad_q(problem.states(design, q_hat))
         for i in range(len(q_hat)):
             h = 1e-6 * max(1.0, abs(q_hat[i]))
             qp, qm = q_hat.copy(), q_hat.copy()

@@ -372,7 +372,7 @@ def test_tangents_factor_in_natural_order_with_diagonal_pivots(toy_mesh,
     problem = MachineProblem(toy_mesh, MaterialSpec(), scen)
     design = np.ones(len(problem.design_elements), dtype=bool)
     _, states = problem.objective(design)
-    problem.adjoints(design, states=states)
+    problem.adjoints(states)
     dofmap = problem.dofmap
     assert len(factor_calls) > 2 * len(states)     # nonlinear: many tangents
     assert set(factor_calls) == {(dofmap.bandwidth + 1, dofmap.n_reduced)}
@@ -569,11 +569,11 @@ def test_linear_iron_factors_once_per_design(toy_mesh, linear_spec,
     q = scen.q_hat
 
     _, states = problem.objective(design, q)
-    adjoints = problem.adjoints(design, q, states)
+    adjoints = problem.adjoints(states)
     assert len(factor_calls) == 1                 # all positions and adjoints
 
     q2 = q + np.deg2rad(7.0)
-    problem.adjoints(design, q2, problem.objective(design, q2)[1])
+    problem.adjoints(problem.objective(design, q2)[1])
     assert len(factor_calls) == 1                 # another q, same tangent
 
     # the basis reproduces per-position Newton states and adjoints

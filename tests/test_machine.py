@@ -269,7 +269,7 @@ def test_linear_basis_matches_newton(toy_mesh, linear_spec, case):
     problem = MachineProblem(toy_mesh, linear_spec, scen)
     design = np.random.default_rng(3).random(len(problem.design_elements)) > 0.5
     states = problem.states(design, q)
-    adjoints = problem.adjoints(design, q, states)
+    adjoints = problem.adjoints(states)
     assert problem.newton_log == [] and problem.bases_built == 1
     space, dofmap = problem.space, problem.dofmap
     respond = problem.respond_factory(design, problem._q_array(q))
@@ -286,7 +286,7 @@ def test_linear_phase_gradient_matches_fd(toy_mesh, linear_spec):
                              Scenario(name="ANG", n_positions=3, q_hat=PHASE))
     design = np.random.default_rng(4).random(len(problem.design_elements)) > 0.5
     q = PHASE + 0.15
-    grad = problem.grad_q(design, q)
+    grad = problem.grad_q(problem.states(design, q))
     h = 1e-6
     fd = (problem.objective(design, q + h)[0]
           - problem.objective(design, q - h)[0]) / (2 * h)
@@ -303,7 +303,7 @@ def test_linear_iron_knee_gradient_matches_fd(toy_mesh, linear_spec, name, n_q):
                                       q_hat=np.full(n_q, 2.2)))
     design = np.ones(len(problem.design_elements), dtype=bool)
     q_hat = problem.scenario.q_hat
-    grad = problem.grad_q(design, q_hat)
+    grad = problem.grad_q(problem.states(design, q_hat))
     fd = np.empty(n_q)
     for i in range(n_q):
         h = 1e-6 * abs(q_hat[i])
@@ -326,7 +326,7 @@ def test_dist_knee_gradient_matches_fd(toy_mesh):
     rng = np.random.default_rng(5)
     design = rng.random(len(problem.design_elements)) > 0.5
     q = 2.2 + 0.1 * rng.uniform(-1.0, 1.0, 9)
-    grad = problem.grad_q(design, q)
+    grad = problem.grad_q(problem.states(design, q))
     fd = np.empty(9)
     for i in range(9):
         h = 1e-6 * q[i]
@@ -442,16 +442,16 @@ def test_chained_positions_share_the_adjoint_factor(toy_mesh, factor_calls,
             out.append(adjoint_solve(space, dofmap, respond, u, rhs))
         return out
 
-    def solved(states, q):
+    def solved(states):
         """problem.adjoints and the factorizations it made."""
         calls = len(factor_calls)
-        adjoints = problem.adjoints(design, q, states)
+        adjoints = problem.adjoints(states)
         return adjoints, len(factor_calls) - calls
 
     states = problem.states(design)
     newton = sum(i.iterations for i in problem.newton_log)
     assert len(factor_calls) == problem.factorizations == newton
-    adjoints, made = solved(states, q)
+    adjoints, made = solved(states)
     assert made == 1 and problem.factorizations == newton + 1
     reference = fresh(states, q)
     assert all(np.array_equal(p, r) for p, r in zip(adjoints, reference))
@@ -460,23 +460,16 @@ def test_chained_positions_share_the_adjoint_factor(toy_mesh, factor_calls,
     # and factors nothing, so every adjoint is factored, to the same bits
     again = problem.states(design, starts=states)
     assert [i.iterations for i in problem.newton_log[-n_pos:]] == [0] * n_pos
-    adjoints, made = solved(again, q)
+    adjoints, made = solved(again)
     assert made == n_pos
     assert all(np.array_equal(p, r) for p, r in zip(adjoints, reference))
 
     # started at another q's states, no position chains to the one before
     q2 = q * 1.02
     near = problem.states(design, q2, starts=states)
-    adjoints, made = solved(near, q2)
+    adjoints, made = solved(near)
     assert made == n_pos
     assert all(np.array_equal(p, r) for p, r in zip(adjoints, fresh(near, q2)))
-    # the shared adjoints hold for the design and q they were solved at
-    # only: states of another q or design are refused, factoring nothing
-    calls = len(factor_calls)
-    for other_design, other_q in ((design, q2), (~design, q)):
-        with pytest.raises(UsageError, match="not solved at this design and q"):
-            problem.adjoints(other_design, other_q, states)
-    assert len(factor_calls) == calls
 
     # positions at one angle: each chained start has converged already and
     # factors nothing, so its predecessor's adjoint is factored afresh
@@ -484,30 +477,70 @@ def test_chained_positions_share_the_adjoint_factor(toy_mesh, factor_calls,
     same = problem.states(design)
     chained = problem.newton_log[-n_pos + 1:]
     assert [i.iterations for i in chained] == [0] * (n_pos - 1)
-    adjoints, made = solved(same, q)
+    adjoints, made = solved(same)
     assert made == n_pos
     assert all(np.array_equal(p, r) for p, r in zip(adjoints, fresh(same, q)))
 
 
 @pytest.mark.parametrize("iron_linear", [True, False], ids=["linear", "saturating"])
-def test_states_are_the_record_of_their_adjoints(toy_mesh, factor_calls,
+def test_states_are_the_record_of_their_adjoints(toy_mesh, linear_tables,
+                                                 factor_calls, monkeypatch,
                                                  iron_linear):
-    # adjoints fills the adjoints of the states they were solved from, in
-    # place; a second call and grad_q after it factor nothing
+    # adjoints fills the adjoints of the record they were solved from, in
+    # place; a second call and grad_q after it factor nothing, and no
+    # consumer of the record solves a state
+    from rtopt.robust import robust_td_field
+
     problem = MachineProblem(toy_mesh, MaterialSpec(iron_linear=iron_linear),
                              Scenario(name="ANG", n_positions=3, q_hat=PHASE))
     design = np.random.default_rng(9).random(len(problem.design_elements)) > 0.4
     q = PHASE + 0.1
-    states = problem.states(design, q)
+    value, states = problem.objective(design, q)
+    assert states.value == value
+    assert np.array_equal(states.design, design) and np.array_equal(states.q, q)
     # linear iron fills them at once, Newton all but the last position's
     assert [p is None for p in states.adjoints] == [False] * 2 + [not iron_linear]
-    adjoints = problem.adjoints(design, q, states)
+
+    solves = []
+    for name in ("states", "solve_position"):
+        raw = getattr(MachineProblem, name)
+
+        def spy(self, *args, _raw=raw, _name=name, **kwargs):
+            solves.append(_name)
+            return _raw(self, *args, **kwargs)
+
+        monkeypatch.setattr(MachineProblem, name, spy)
+    adjoints = problem.adjoints(states)
     assert adjoints is states.adjoints
     assert all(p is not None for p in adjoints)
     calls = len(factor_calls)
-    assert problem.adjoints(design, q, states) is states.adjoints
-    problem.grad_q(design, q, states)
+    assert problem.adjoints(states) is states.adjoints
+    problem.grad_q(states)
+    problem.td_inputs(states)
+    robust_td_field(problem, linear_tables["iron_to_air"],
+                    linear_tables["air_to_iron"], states)
     assert len(factor_calls) == calls
+    assert solves == []
+
+
+def test_record_keeps_the_design_and_q_it_was_solved_at(toy_mesh):
+    # the record copies design and q: changing the caller's arrays in place
+    # afterwards changes neither, nor the adjoints solved from the record
+    problem = MachineProblem(toy_mesh, MaterialSpec(),
+                             Scenario(name="ANG", n_positions=3, q_hat=PHASE))
+    design = np.random.default_rng(12).random(len(problem.design_elements)) > 0.4
+    q = PHASE + 0.1
+    original_design, original_q = design.copy(), q.copy()
+    _, record = problem.objective(design, q)
+    design[:] = ~design
+    q[:] = PHASE - 0.3
+    assert np.array_equal(record.design, original_design)
+    assert np.array_equal(record.q, original_q)
+    respond = problem.respond_factory(original_design, original_q)
+    for u, p in zip(record, problem.adjoints(record)):
+        rhs = problem.torque_probe.torque_gradient(u) / len(record)
+        fresh = adjoint_solve(problem.space, problem.dofmap, respond, u, rhs)
+        assert np.array_equal(p, fresh)
 
 
 @pytest.mark.parametrize("iron_linear", [True, False], ids=["linear", "saturating"])
@@ -534,8 +567,8 @@ def test_objective_solves_each_adjoint_once(toy_mesh, linear_tables,
     objective.value(PHASE)
     calls = len(factor_calls)
     objective.value_grad(PHASE)
-    robust_td_field(problem, design, linear_tables["iron_to_air"],
-                    linear_tables["air_to_iron"], PHASE, objective.states(PHASE))
+    robust_td_field(problem, linear_tables["iron_to_air"],
+                    linear_tables["air_to_iron"], objective.states(PHASE))
     states = objective.states(PHASE)
     assert all(p is not None for p in states.adjoints)
     assert [id(u) for u in solved] == ([] if iron_linear else [id(states[-1])])

@@ -437,15 +437,18 @@ def test_robust_evaluator_rejects_outside_nominal(toy_problem, linear_tables):
 def solve_calls(monkeypatch):
     """Parameter vectors of every MachineProblem objective and adjoint call."""
     calls = {"objective": [], "adjoints": []}
-    for name in calls:
-        raw = getattr(MachineProblem, name)
+    objective, adjoints = MachineProblem.objective, MachineProblem.adjoints
 
-        def counted(self, design, q=None, *args, _raw=raw, _name=name,
-                    **kwargs):
-            calls[_name].append(np.asarray(q, dtype=float).copy())
-            return _raw(self, design, q, *args, **kwargs)
+    def counted_objective(self, design, q=None, *args, **kwargs):
+        calls["objective"].append(np.asarray(q, dtype=float).copy())
+        return objective(self, design, q, *args, **kwargs)
 
-        monkeypatch.setattr(MachineProblem, name, counted)
+    def counted_adjoints(self, states):
+        calls["adjoints"].append(states.q.copy())
+        return adjoints(self, states)
+
+    monkeypatch.setattr(MachineProblem, "objective", counted_objective)
+    monkeypatch.setattr(MachineProblem, "adjoints", counted_adjoints)
     return calls
 
 
